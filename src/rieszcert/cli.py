@@ -12,9 +12,7 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 
 import numpy as np
@@ -71,12 +69,7 @@ def cmd_sweep(args, settings: Settings) -> int:
         grid = [args.alpha_min + span * i / (args.steps - 1)
                 for i in range(args.steps)]
     terms = args.terms or settings.terms
-    tol = settings.bisection_tol
-
-    workers = max(1, min(8, os.cpu_count() or 1, len(grid)))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(
-            lambda a: _sweep_row(a, args.p, terms, tol), grid))
+    rows = [_sweep_row(a, args.p, terms, settings.bisection_tol) for a in grid]
 
     lines = ["alpha,r0,r1,r1_tilde"] + [row for row, _ in rows]
     _write_out("\n".join(lines) + "\n", args.out)
@@ -99,6 +92,8 @@ def _require(params: dict, key: str, kind) -> object:
     if key not in params:
         raise ValueError(f"missing required key {key!r}")
     value = params[key]
+    if isinstance(value, bool):
+        raise ValueError(f"key {key!r} must be of type {kind.__name__}")
     if kind is float and isinstance(value, (int, float)):
         return float(value)
     if kind is int and isinstance(value, int):
@@ -120,8 +115,6 @@ def _certify_from_params(params: dict, terms: int) -> Certificate:
         return ws.certify(spec)
     if family == "gp":
         sup_q = _require(params, "sup_q", float)
-        if not 0.0 < sup_q < 1.0:
-            raise ValueError("sup_q must lie in (0, 1)")
         alpha = _require(params, "alpha", float)
         p = _require(params, "p", int)
         n_terms = int(params.get("terms", terms))
@@ -263,10 +256,12 @@ def _section_setup(params: dict, terms: int):
         lam = _require(params, "lam", float)
         p = _require(params, "p", int)
         alpha = float(params.get("alpha", 0.0))
+        # the profile behind the rule rejects lam outside (0, 1) and p < 2,
+        # which nu alone would let through (p = 1 gives nu = lam)
+        rule = ws.cj_rule(lam, p, alpha)
         nu = lam * p ** alpha
         if not 0.0 < nu < 1.0:
             raise ValueError("need 0 < lam * p^alpha < 1")
-        rule = ws.cj_rule(lam, p, alpha)
         # full geometric symbol: s(T) = 1 / (1 + nu), exact for constant lam
         return rule, 1.0 / (1.0 + nu), f"weierstrass lam={lam} p={p}", \
             {"nu": nu}
@@ -276,14 +271,17 @@ def _section_setup(params: dict, terms: int):
         p = int(params.get("p", 3))
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
+        if p < 2:
+            raise ValueError("p must be an integer >= 2")
         rule = gp.cj_rule(q, alpha)
         a = gp.a_weight(q, alpha, p)
         b = gp.b_weight(q, alpha, p)
         s = gp.s_alpha(q, alpha, terms)
         tail = s.value + s.tail_bound - 1.0 - a - b
-        floor = max(0.0, gp.min_quadratic(a, b) - tail)
+        structured = gp.min_quadratic(a, b)
+        floor = max(0.0, structured - tail)
         extra = {"a": a, "b": b, "perturbation_tail": tail,
-                 "structured_symbol": gp.min_quadratic(a, b)}
+                 "structured_symbol": structured}
         return rule, floor, f"gp q={q} p={p}", extra
     raise ValueError(f"unknown family {family!r} "
                      "(expected weierstrass|gp|identity)")
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", type=int, default=3)
     sweep.add_argument("--terms", type=int, default=None)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=cmd_sweep)
 
     certify = sub.add_parser("certify", help="JSON certificate for a family")
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--params-file", default=None)
     certify.add_argument("--terms", type=int, default=None)
     certify.add_argument("--out", default=None)
-    certify.add_argument("--seed", type=int, default=0)
     certify.set_defaults(func=cmd_certify)
 
     appendix = sub.add_parser("appendix-verify",
@@ -350,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     appendix.add_argument("--d", type=int, default=3)
     appendix.add_argument("--trials", type=int, default=100)
     appendix.add_argument("--seed", type=int, default=0)
-    appendix.add_argument("--terms", type=int, default=None)
     appendix.add_argument("--out", default=None)
     appendix.set_defaults(func=cmd_appendix_verify)
 
@@ -362,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     section.add_argument("--size", type=int, default=256)
     section.add_argument("--terms", type=int, default=None)
     section.add_argument("--out", default=None)
-    section.add_argument("--seed", type=int, default=0)
     section.set_defaults(func=cmd_section)
 
     return parser

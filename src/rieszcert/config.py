@@ -4,13 +4,7 @@ The config file is a plain key-value format: one ``key = value`` pair
 per line, ``#`` starts a comment. Recognised keys (all optional):
 
     terms               series truncation (default 500)
-    angle_grid          circle sampling for disc minimisation (4096)
-    membership_tol      polydisc decision tolerance (1e-9)
-    invertibility_tol   symbol-infimum positivity tolerance (1e-9)
     bisection_tol       threshold solver tolerance in q (1e-9)
-    bisection_max_iter  threshold solver iteration cap (200)
-    root_tol            root finder tolerance (1e-12)
-    root_max_iter       root finder iteration cap (500)
 
 The environment variable RIESZCERT_CONFIG names a default config path;
 an explicit --config flag wins over it, and command-line flags win over
@@ -28,13 +22,7 @@ ENV_CONFIG = "RIESZCERT_CONFIG"
 @dataclass
 class Settings:
     terms: int = 500
-    angle_grid: int = 4096
-    membership_tol: float = 1e-9
-    invertibility_tol: float = 1e-9
     bisection_tol: float = 1e-9
-    bisection_max_iter: int = 200
-    root_tol: float = 1e-12
-    root_max_iter: int = 500
 
 
 def load_settings(path: str | None = None) -> Settings:

@@ -71,6 +71,23 @@ class SingleModeProfile(FourierProfile):
         return 0.0
 
 
+def _p_adic_split(j: int, p: int) -> tuple:
+    """(v, m) with j = p^v m and m not divisible by p, for j >= 1."""
+    v = 0
+    while j % p == 0:
+        j //= p
+        v += 1
+    return v, j
+
+
+def _top_level(p: int, limit: int) -> int:
+    """Largest level l with p^l <= limit (0 when limit < p)."""
+    level = 0
+    while p ** (level + 1) <= limit:
+        level += 1
+    return level
+
+
 class LacunaryGeometricProfile(FourierProfile):
     """f_hat(p^j) = lam^j on the lacunary modes p^j, zero elsewhere.
 
@@ -91,10 +108,7 @@ class LacunaryGeometricProfile(FourierProfile):
     def coeff(self, j: int) -> float:
         if j < 1:
             return 0.0
-        level, m = 0, j
-        while m % self.p == 0:
-            m //= self.p
-            level += 1
+        level, m = _p_adic_split(j, self.p)
         return self.lam ** level if m == 1 else 0.0
 
     def nonzero_modes(self, j_max: int):
@@ -107,16 +121,12 @@ class LacunaryGeometricProfile(FourierProfile):
         ratio = self.p ** (2.0 * alpha) * self.lam ** 2
         if ratio >= 1.0:
             return math.inf
-        level = 0
-        while self.p ** (level + 1) <= terms:
-            level += 1
         # first omitted lacunary mode has index level + 1
+        level = _top_level(self.p, terms)
         return ratio ** (level + 1) / (1.0 - ratio)
 
     def abs_tail(self, j_max: int) -> float:
-        level = 0
-        while self.p ** (level + 1) <= j_max:
-            level += 1
+        level = _top_level(self.p, j_max)
         return self.lam ** (level + 1) / (1.0 - self.lam)
 
 
@@ -132,10 +142,12 @@ class OddModeProfile(FourierProfile):
         self.alpha = float(alpha)
 
     def coeff(self, j: int) -> float:
+        """The denominator is evaluated as -expm1((2l+1) log q) to keep
+        the ratio stable as q approaches 1."""
         if j < 1 or j % 2 == 0:
             return 0.0
         l = (j - 1) // 2
-        lq = math.log(self.q)
+        lq = math.log1p(-(1.0 - self.q))
         return -(1.0 - self.q) * math.exp(l * lq) / math.expm1((2 * l + 1) * lq)
 
     def nonzero_modes(self, j_max: int):
@@ -178,6 +190,29 @@ def trajectory_coeffs(profiles: Callable[[int], FourierProfile],
     """(n, n) entry of the diagonal coefficient operator C_j in the
     h-basis: c_j(n) = j^alpha f_hat_{s_n}(j). C_1 is the identity."""
     return float(j) ** alpha * profiles(n).coeff(j)
+
+
+def section_rule(profile_of: Callable[[float], FourierProfile],
+                 index: Callable[[int], float] | float,
+                 alpha: float) -> Callable[[int, int], complex]:
+    """c_j(n) rule for finite sections of a family indexed by s_n:
+    ``index`` gives s_n, either as a callable of n or as one constant,
+    and ``profile_of(s)`` builds the profile at s (once for a constant
+    index). The rule is :func:`trajectory_coeffs` for j >= 2 and 0 at
+    j = 1, since the section supplies the identity itself."""
+    if callable(index):
+        def profiles(n: int) -> FourierProfile:
+            return profile_of(index(n))
+    else:
+        const = profile_of(index)
+
+        def profiles(n: int) -> FourierProfile:
+            return const
+
+    def cj(j: int, n: int) -> complex:
+        return trajectory_coeffs(profiles, alpha, j, n) if j >= 2 else 0.0
+
+    return cj
 
 
 def h_basis(n: int, alpha: float, x) -> np.ndarray:

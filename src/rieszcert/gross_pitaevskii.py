@@ -22,6 +22,7 @@ import numpy as np
 
 from . import spread_toeplitz as st
 from .certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC, Certificate
+from .dilation import OddModeProfile, section_rule
 from .errors import BracketFailure, ModulusOutOfRange, NotInG2
 from .polydisc import in_polydisc_roots
 from .util import bisect_monotone, sin_pi
@@ -158,20 +159,6 @@ class SeriesValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def g_fourier(q: float, n: int) -> float:
-    """Normalised sine coefficient of the stationary-state profile:
-    zero on even modes, (1-q) q^l / (1 - q^{2l+1}) at n = 2l+1. The
-    denominator is evaluated as -expm1((2l+1) log q) to keep the ratio
-    stable as q approaches 1."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    if n < 1 or n % 2 == 0:
-        return 0.0
-    l = (n - 1) // 2
-    lq = math.log1p(-(1.0 - q))
-    return -(1.0 - q) * math.exp(l * lq) / math.expm1((2 * l + 1) * lq)
 
 
 def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
@@ -316,7 +303,7 @@ def gp_family(alpha: float, p: int, sup_q: float,
         return a if k == 1 else b
 
     return st.SymbolFamily(
-        p=p, d=2, coeff=coeff, kind=st.KIND_GP, envelope=(a, b),
+        p=p, d=2, coeff=coeff, kind=st.KIND_GP,
         params={"a": a, "b": b, "p_alpha": float(p) ** alpha,
                 "alpha": float(alpha), "sup_q": float(sup_q),
                 "terms": terms})
@@ -430,6 +417,18 @@ def thresholds(alpha: float, p: int,
                         solve_r1_tilde(alpha, p, terms), terms)
 
 
+def _check_certify_domain(sup_q: float, alpha: float, p: int,
+                          terms: int) -> None:
+    if not 0.0 < sup_q < 1.0:
+        raise ValueError("sup_q must lie in (0, 1)")
+    if p < 2:
+        raise ValueError("p must be an integer >= 2")
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+
+
 def certify_T1(sup_q: float, alpha: float, p: int,
                terms: int = DEFAULT_TERMS) -> Certificate:
     """Certificate for p-periodic nome sequences with sup q_n = sup_q.
@@ -448,11 +447,12 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     structural check; for even p the weights are not coefficients of
     the odd-mode series, so the structural checks can fail vacuously
     and are reported but do not gate the verdict. Negative outcomes are
-    returned as verdict false, never raised.
+    returned as verdict false, never raised; inputs outside the
+    family's domain (sup_q outside (0, 1), p < 2, alpha < 0, terms < 1)
+    raise ValueError.
     """
     r = float(sup_q)
-    if not 0.0 < r < 1.0:
-        raise ValueError("sup_q must lie in (0, 1)")
+    _check_certify_domain(r, alpha, p, terms)
     pa = float(p) ** alpha
     a = a_weight(r, alpha, p)
     b = b_weight(r, alpha, p)
@@ -481,7 +481,7 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     if math.isfinite(tail_sum):
         family = gp_family(alpha, p, r, terms)
         delegated = st.perturbation_certificate(
-            family, st.TailSpec(None, max(0.0, tail_sum)))
+            family, max(0.0, tail_sum))
         delegated_ok = bool(delegated.verdict)
         margins["delegate_margin"] = delegated.margins["margin"]
 
@@ -503,8 +503,7 @@ def certify_T1(sup_q: float, alpha: float, p: int,
 
 
 def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
-               terms: int = DEFAULT_TERMS,
-               angles: int = 4096) -> Certificate:
+               terms: int = DEFAULT_TERMS) -> Certificate:
     """Experimental higher-degree variant of :func:`certify_T1`.
 
     Keeps the first ``degree`` shift-power weights w_k = p^{k alpha}
@@ -515,17 +514,16 @@ def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
     claimed, so the certificate is labeled sample-heuristic.
     """
     r = float(sup_q)
-    if not 0.0 < r < 1.0:
-        raise ValueError("sup_q must lie in (0, 1)")
+    _check_certify_domain(r, alpha, p, terms)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    weights = [float(p) ** (k * alpha) * g_fourier(r, p ** k)
+    profile = OddModeProfile(r, alpha)
+    weights = [float(p) ** (k * alpha) * profile.coeff(p ** k)
                for k in range(1, degree + 1)]
     s = s_alpha(r, alpha, terms)
     budget = max(0.0, s.value + s.tail_bound - 1.0 - sum(weights))
     family = st.constant_family(weights, p=p)
-    delegated = st.perturbation_certificate(
-        family, st.TailSpec(None, budget), angles=angles)
+    delegated = st.perturbation_certificate(family, budget)
     margins = dict(delegated.margins)
     margins["s_value"] = s.value
     margins["s_tail_bound"] = s.tail_bound
@@ -587,18 +585,6 @@ def eigenfunction(n: int, mu: float, x_grid,
 def cj_rule(q_of_n: Callable[[int], float] | float,
             alpha: float) -> Callable[[int, int], complex]:
     """Section coefficients c_j(n) = j^alpha * profile coefficient of
-    q_n at mode j (zero on even modes)."""
-    if callable(q_of_n):
-        q_fn = q_of_n
-    else:
-        const = float(q_of_n)
-
-        def q_fn(n: int) -> float:
-            return const
-
-    def cj(j: int, n: int) -> complex:
-        if j < 3 or j % 2 == 0:
-            return 0.0
-        return float(j) ** alpha * g_fourier(q_fn(n), j)
-
-    return cj
+    q_n at mode j (zero on even modes), through
+    :func:`dilation.section_rule`."""
+    return section_rule(lambda q: OddModeProfile(q, alpha), q_of_n, alpha)

@@ -30,28 +30,18 @@ class SymbolFamily:
     """Per-index polynomial symbols alpha_n(z) = 1 + sum a_k(n) z^k.
 
     ``coeff`` maps (n, k) to a_k(n) for 1 <= k <= d; the entries must be
-    p-multiplicative-periodic, a_k(p n) = a_k(n). ``envelope`` optionally
-    records per-k sup bounds sup_n |a_k(n)|. For the two parametric kinds
-    the ``params`` dict carries the data needed for a rigorous envelope
-    bound on the symbol infimum; explicit tables are certified only over
-    the sampled indices unless ``complete_orbits`` is set.
+    p-multiplicative-periodic, a_k(p n) = a_k(n). For the two parametric
+    kinds the ``params`` dict carries the data needed for a rigorous
+    envelope bound on the symbol infimum; explicit tables are certified
+    only over the sampled indices unless ``complete_orbits`` is set.
     """
 
     p: int
     d: int | None
     coeff: Callable[[int, int], complex]
     kind: str = KIND_EXPLICIT
-    envelope: tuple | None = None
     params: dict = field(default_factory=dict)
     complete_orbits: bool = False
-
-
-@dataclass(frozen=True)
-class TailSpec:
-    """Perturbation budget: an upper bound for sum_{j>=2} sup_n |b_j(n)|."""
-
-    sup_b: Callable[[int], float] | None
-    tail_sum: float
 
 
 @dataclass(frozen=True)
@@ -74,11 +64,9 @@ class SymbolBound:
 
 
 def explicit_family(p: int, d: int, coeff: Callable[[int, int], complex],
-                    envelope: Sequence[float] | None = None,
                     complete_orbits: bool = False) -> SymbolFamily:
-    env = tuple(envelope) if envelope is not None else None
     return SymbolFamily(p=p, d=d, coeff=coeff, kind=KIND_EXPLICIT,
-                        envelope=env, complete_orbits=complete_orbits)
+                        complete_orbits=complete_orbits)
 
 
 def constant_family(coeffs: Sequence[complex], p: int = 2) -> SymbolFamily:
@@ -89,7 +77,6 @@ def constant_family(coeffs: Sequence[complex], p: int = 2) -> SymbolFamily:
         return cs[k - 1]
 
     return SymbolFamily(p=p, d=len(cs), coeff=coeff, kind=KIND_EXPLICIT,
-                        envelope=tuple(abs(c) for c in cs),
                         complete_orbits=True)
 
 
@@ -104,10 +91,8 @@ def geometric_family(nu: float, p: int = 2,
     def coeff(n: int, k: int) -> complex:
         return nu ** k
 
-    env = None if degree is None else tuple(nu ** k
-                                            for k in range(1, degree + 1))
     return SymbolFamily(p=p, d=degree, coeff=coeff, kind=KIND_WEIERSTRASS,
-                        envelope=env, params={"nu": float(nu)})
+                        params={"nu": float(nu)})
 
 
 def _orbit_representatives(p: int, n_range: Iterable[int]) -> list:
@@ -118,8 +103,7 @@ def _orbit_representatives(p: int, n_range: Iterable[int]) -> list:
 
 
 def symbol_inf(family: SymbolFamily,
-               n_range: Iterable[int] | None = None,
-               angles: int = 4096) -> SymbolBound:
+               n_range: Iterable[int] | None = None) -> SymbolBound:
     """Lower bound for s(T) = inf over the disc and all indices of
     |alpha_n(z)|.
 
@@ -154,19 +138,18 @@ def symbol_inf(family: SymbolFamily,
     best = math.inf
     for n in reps:
         coeffs = [1.0] + [family.coeff(n, k) for k in range(1, family.d + 1)]
-        best = min(best, min_modulus_disc(coeffs, angles=angles))
+        best = min(best, min_modulus_disc(coeffs))
     mode = ENVELOPE_RIGOROUS if family.complete_orbits else SAMPLE_HEURISTIC
     return SymbolBound(best, mode)
 
 
 def invertibility(family: SymbolFamily,
                   n_range: Iterable[int] | None = None,
-                  tol: float = INVERTIBILITY_TOL,
-                  angles: int = 4096) -> Certificate:
+                  tol: float = INVERTIBILITY_TOL) -> Certificate:
     """Certificate for invertibility of T = I + sum A_k M_{p^k}:
     certified iff the symbol infimum is strictly positive, in which case
     ||T^{-1}|| = 1/s(T)."""
-    bound = symbol_inf(family, n_range, angles=angles)
+    bound = symbol_inf(family, n_range)
     ok = bound.value > tol
     margins = {"symbol_inf": bound.value}
     if ok:
@@ -181,22 +164,22 @@ def invertibility(family: SymbolFamily,
     )
 
 
-def perturbation_certificate(family: SymbolFamily, tail: TailSpec,
-                             n_range: Iterable[int] | None = None,
-                             angles: int = 4096) -> Certificate:
+def perturbation_certificate(family: SymbolFamily, tail_sum: float,
+                             n_range: Iterable[int] | None = None
+                             ) -> Certificate:
     """Certificate for T = I + sum_k A_k M_{p^k} + sum_j M_j B_j:
-    certified when the perturbation budget sum_j sup_n |b_j(n)| stays
-    strictly below the structured symbol infimum (Neumann-series
-    argument)."""
-    if not math.isfinite(tail.tail_sum) or tail.tail_sum < 0.0:
+    certified when the perturbation budget ``tail_sum``, an upper bound
+    for sum_{j>=2} sup_n |b_j(n)|, stays strictly below the structured
+    symbol infimum (Neumann-series argument)."""
+    if not math.isfinite(tail_sum) or tail_sum < 0.0:
         raise ValueError("tail_sum must be finite and nonnegative")
-    bound = symbol_inf(family, n_range, angles=angles)
-    margin = bound.value - tail.tail_sum
+    bound = symbol_inf(family, n_range)
+    margin = bound.value - tail_sum
     return Certificate(
         kind="perturbation",
         verdict=margin > 0.0,
         parameters={"p": family.p, "d": family.d, "kind": family.kind},
-        margins={"symbol_inf": bound.value, "tail_sum": tail.tail_sum,
+        margins={"symbol_inf": bound.value, "tail_sum": tail_sum,
                  "margin": margin},
         mode=bound.mode,
     )

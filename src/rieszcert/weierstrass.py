@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import spread_toeplitz as st
 from .certificate import ENVELOPE_RIGOROUS, Certificate
+from .dilation import LacunaryGeometricProfile, section_rule
 from .polyform import min_modulus_disc
 
 REGION_S0 = "S0"
@@ -46,19 +47,6 @@ class WeierstrassSpec:
     @property
     def nu(self) -> float:
         return self.mu * self.p ** self.alpha
-
-
-def w_fourier(lam: float, p: int, k: int) -> float:
-    """Sine coefficient of W_lam: lam^j when k = p^j, else 0."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    if k < 1:
-        return 0.0
-    j, m = 0, k
-    while m % p == 0:
-        m //= p
-        j += 1
-    return lam ** j if m == 1 else 0.0
 
 
 def membership_space(lam: float, p: int, alpha: float) -> bool:
@@ -115,7 +103,7 @@ def certify_S0(spec: WeierstrassSpec) -> Certificate:
     )
 
 
-def certify_S1(spec: WeierstrassSpec, angles: int = 4096) -> Certificate:
+def certify_S1(spec: WeierstrassSpec) -> Certificate:
     """Region S1 (p-periodic indices, nu < 1): find the minimal degree d
     whose geometric tail drops below the uniform symbol floor, then
     rerun the generic perturbation certificate with the exact truncated
@@ -129,11 +117,9 @@ def certify_S1(spec: WeierstrassSpec, angles: int = 4096) -> Certificate:
     tail = geometric_tail(nu, d)
     floor = truncated_symbol_floor(nu, d)
 
-    exact_symbol = min_modulus_disc(
-        [nu ** k for k in range(0, d + 1)], angles=angles)
+    exact_symbol = min_modulus_disc([nu ** k for k in range(0, d + 1)])
     family = st.geometric_family(nu, p=spec.p, degree=d)
-    delegated = st.perturbation_certificate(
-        family, st.TailSpec(None, tail), angles=angles)
+    delegated = st.perturbation_certificate(family, tail)
 
     return Certificate(
         kind="S1",
@@ -174,24 +160,7 @@ def dirichlet_symbol(lam: float, p: int, s: complex) -> complex:
 def cj_rule(lam_of_n: Callable[[int], float] | float, p: int,
             alpha: float) -> Callable[[int, int], complex]:
     """Section coefficients c_j(n) = (lam_n p^alpha)^l when j = p^l
-    (l >= 1), else 0."""
-    if callable(lam_of_n):
-        lam_fn = lam_of_n
-    else:
-        const = float(lam_of_n)
-
-        def lam_fn(n: int) -> float:
-            return const
-
-    pa = p ** alpha
-
-    def cj(j: int, n: int) -> complex:
-        l, m = 0, j
-        while m % p == 0:
-            m //= p
-            l += 1
-        if m != 1 or l == 0:
-            return 0.0
-        return (lam_fn(n) * pa) ** l
-
-    return cj
+    (l >= 1), else 0: the lacunary profile through
+    :func:`dilation.section_rule`."""
+    return section_rule(lambda lam: LacunaryGeometricProfile(lam, p, alpha),
+                        lam_of_n, alpha)

@@ -98,7 +98,12 @@ def test_certify_schema_violations(capsys):
                 '{"family":"unknown","p":2,"alpha":0,"mu":0.4}',
                 '{"family":"weierstrass","p":2,"alpha":0,"mu":1.4,'
                 '"region":"S0"}',
-                'not json'):
+                'not json',
+                '{"family":"gp","p":1,"alpha":0,"sup_q":0.5}',
+                '{"family":"gp","p":-3,"alpha":0,"sup_q":0.5}',
+                '{"family":"gp","p":3,"alpha":-5,"sup_q":0.5}',
+                '{"family":"gp","p":true,"alpha":0,"sup_q":0.5}',
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":0}'):
         code, _, err = run(capsys, "certify", bad)
         assert code == 2 and err
 
@@ -161,6 +166,18 @@ def test_section_gp_floor(capsys):
     assert sigma >= predicted - 1e-9
 
 
+def test_section_schema_violations(capsys):
+    for bad in ('{"family":"weierstrass","lam":0.25,"p":1}',
+                '{"family":"weierstrass","lam":0.25,"p":0}',
+                '{"family":"weierstrass","lam":0.25,"p":true}',
+                '{"family":"gp","q":0.5,"p":1}',
+                '{"family":"gp","q":1.5}',
+                '{"family":"unknown"}',
+                'not json'):
+        code, _, err = run(capsys, "section", bad, "--size", "16")
+        assert code == 2 and err
+
+
 def test_config_file_terms_override(capsys, tmp_path):
     cfg = tmp_path / "rc.conf"
     cfg.write_text("terms = 1   # degenerate truncation\n")
@@ -183,8 +200,22 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
     assert code == 3 and "ERROR" in out
 
 
-def test_config_unknown_key(capsys, tmp_path):
+@pytest.mark.parametrize("key", ["no_such_key", "angle_grid",
+                                 "membership_tol", "invertibility_tol",
+                                 "root_tol", "root_max_iter",
+                                 "bisection_max_iter"])
+def test_config_unknown_key(capsys, tmp_path, key):
     cfg = tmp_path / "rc.conf"
-    cfg.write_text("no_such_key = 5\n")
+    cfg.write_text(f"{key} = 5\n")
     code, _, err = run(capsys, "--config", str(cfg), "sweep")
     assert code == 2 and "unknown key" in err
+
+
+def test_removed_flags_refused(capsys):
+    for argv in (["sweep", "--seed", "0"],
+                 ["certify", "--seed", "0", '{"family":"identity"}'],
+                 ["section", "--seed", "0", '{"family":"identity"}'],
+                 ["appendix-verify", "--terms", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2

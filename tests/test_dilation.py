@@ -29,6 +29,20 @@ def test_lacunary_divergence_at_critical_exponent():
         dl.sobolev_norm(prof, 100)
 
 
+def test_lacunary_coeff_examples():
+    assert dl.LacunaryGeometricProfile(0.7, 2).coeff(1) == 1.0
+    assert dl.LacunaryGeometricProfile(0.3, 2).coeff(8) == pytest.approx(0.027)
+    assert dl.LacunaryGeometricProfile(0.3, 2).coeff(3) == 0.0
+    # 12 = 3 * 4 is not a pure power
+    assert dl.LacunaryGeometricProfile(0.3, 3).coeff(12) == 0.0
+
+
+def test_odd_mode_coeff_values():
+    assert dl.OddModeProfile(0.37).coeff(1) == pytest.approx(1.0)
+    assert dl.OddModeProfile(0.37).coeff(2) == 0.0
+    assert dl.OddModeProfile(0.5).coeff(3) == pytest.approx(2 / 7)
+
+
 def test_trajectory_coeffs_identity_at_one():
     profiles = {
         1: dl.LacunaryGeometricProfile(0.3, 2, 0.5),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rieszcert import gross_pitaevskii as gp
+from rieszcert.dilation import OddModeProfile
 from rieszcert.errors import ModulusOutOfRange, NotInG2
 
 
@@ -71,12 +72,6 @@ def test_elliptic_point_invariants():
 
 # ---------------------------------------------------------------------------
 # mode sums and Lambert series
-
-def test_g_fourier_values():
-    assert gp.g_fourier(0.37, 1) == pytest.approx(1.0)
-    assert gp.g_fourier(0.37, 2) == 0.0
-    assert gp.g_fourier(0.5, 3) == pytest.approx(2 / 7)
-
 
 def test_s_alpha_small_q_limit():
     assert gp.s_alpha(1e-12, 0.0).value == pytest.approx(1.0, abs=1e-11)
@@ -355,9 +350,12 @@ def test_eigenfunction_ode_residual_second_differences():
 
 
 def test_cj_rule_matches_profile():
+    def coeff(q, j):
+        return OddModeProfile(q).coeff(j)
+
     rule = gp.cj_rule(0.5, 1.0)
-    assert rule(3, 1) == pytest.approx(3.0 * gp.g_fourier(0.5, 3))
+    assert rule(3, 1) == pytest.approx(3.0 * coeff(0.5, 3))
     assert rule(4, 1) == 0.0
     varying = gp.cj_rule(lambda n: 0.3 if n == 1 else 0.6, 0.0)
-    assert varying(3, 1) == pytest.approx(gp.g_fourier(0.3, 3))
-    assert varying(3, 2) == pytest.approx(gp.g_fourier(0.6, 3))
+    assert varying(3, 1) == pytest.approx(coeff(0.3, 3))
+    assert varying(3, 2) == pytest.approx(coeff(0.6, 3))

@@ -71,17 +71,16 @@ def test_invertibility_examples():
 
 def test_perturbation_examples():
     fam = st.constant_family([0.3, 0.3])
-    assert st.perturbation_certificate(fam, st.TailSpec(None, 0.0)).verdict
+    assert st.perturbation_certificate(fam, 0.0).verdict
 
-    neumann = st.perturbation_certificate(
-        st.constant_family([]), st.TailSpec(None, 0.9))
+    neumann = st.perturbation_certificate(st.constant_family([]), 0.9)
     assert neumann.verdict is True
     assert neumann.margins["margin"] == pytest.approx(0.1)
 
     # geometric envelope at nu = 0.9 with 28 structured degrees
     fam = st.geometric_family(0.9, degree=28)
     tail = 0.9 ** 29 / 0.1
-    cert = st.perturbation_certificate(fam, st.TailSpec(None, tail))
+    cert = st.perturbation_certificate(fam, tail)
     assert cert.verdict is True
     assert cert.margins["tail_sum"] == pytest.approx(0.4712, abs=1e-3)
     assert cert.margins["symbol_inf"] == pytest.approx(0.5015, abs=1e-3)
@@ -89,7 +88,7 @@ def test_perturbation_examples():
 
 def test_perturbation_monotone_in_tail():
     fam = st.constant_family([0.3, 0.3])
-    verdicts = [st.perturbation_certificate(fam, st.TailSpec(None, t)).verdict
+    verdicts = [st.perturbation_certificate(fam, t).verdict
                 for t in np.linspace(0.0, 1.0, 21)]
     # once false, never true again as the tail grows
     assert verdicts == sorted(verdicts, reverse=True)

@@ -10,13 +10,6 @@ from rieszcert import spread_toeplitz as st
 from rieszcert import weierstrass as ws
 
 
-def test_w_fourier_examples():
-    assert ws.w_fourier(0.7, 2, 1) == 1.0
-    assert ws.w_fourier(0.3, 2, 8) == pytest.approx(0.027)
-    assert ws.w_fourier(0.3, 2, 3) == 0.0
-    assert ws.w_fourier(0.3, 3, 12) == 0.0  # 12 = 3 * 4 is not a pure power
-
-
 def test_membership_space():
     assert ws.membership_space(0.4, 2, 1.0)
     assert not ws.membership_space(0.5, 2, 1.0)  # boundary excluded
