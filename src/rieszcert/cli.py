@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -62,6 +63,9 @@ def cmd_sweep(args, settings: Settings) -> int:
         print("sweep: need 0 <= alpha-min <= alpha-max and steps >= 1",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.p < 2:
+        print("sweep: need p >= 2", file=sys.stderr)
+        return EXIT_USAGE
     if args.alpha_max == args.alpha_min or args.steps == 1:
         grid = [args.alpha_min]
     else:
@@ -103,6 +107,19 @@ def _require(params: dict, key: str, kind) -> object:
     raise ValueError(f"key {key!r} must be of type {kind.__name__}")
 
 
+def _optional(params: dict, key: str, kind, default) -> object:
+    """``_require`` for a key that may be absent; an explicit ``null``
+    is still a type error."""
+    return _require(params, key, kind) if key in params else default
+
+
+def _section_alpha(params: dict) -> float:
+    alpha = _optional(params, "alpha", float, 0.0)
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
+    return alpha
+
+
 def _certify_from_params(params: dict, terms: int) -> Certificate:
     family = _require(params, "family", str)
     if family == "weierstrass":
@@ -117,7 +134,7 @@ def _certify_from_params(params: dict, terms: int) -> Certificate:
         sup_q = _require(params, "sup_q", float)
         alpha = _require(params, "alpha", float)
         p = _require(params, "p", int)
-        n_terms = int(params.get("terms", terms))
+        n_terms = _optional(params, "terms", int, terms)
         if "degree" in params and params["degree"] != 2:
             return gp.certify_Td(sup_q, alpha, p,
                                  _require(params, "degree", int),
@@ -255,7 +272,7 @@ def _section_setup(params: dict, terms: int):
     if family == "weierstrass":
         lam = _require(params, "lam", float)
         p = _require(params, "p", int)
-        alpha = float(params.get("alpha", 0.0))
+        alpha = _section_alpha(params)
         # the profile behind the rule rejects lam outside (0, 1) and p < 2,
         # which nu alone would let through (p = 1 gives nu = lam)
         rule = ws.cj_rule(lam, p, alpha)
@@ -267,8 +284,8 @@ def _section_setup(params: dict, terms: int):
             {"nu": nu}
     if family == "gp":
         q = _require(params, "q", float)
-        alpha = float(params.get("alpha", 0.0))
-        p = int(params.get("p", 3))
+        alpha = _section_alpha(params)
+        p = _optional(params, "p", int, 3)
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if p < 2:
@@ -372,7 +389,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, settings)
-    except RieszcertError as exc:
+    except (RieszcertError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -289,26 +289,6 @@ def b_weight(q: float, alpha: float, p: int) -> float:
             * math.exp(0.5 * (pp - 1) * lq) / (-math.expm1(pp * lq)))
 
 
-def gp_family(alpha: float, p: int, sup_q: float,
-              terms: int = DEFAULT_TERMS) -> st.SymbolFamily:
-    """Degree-2 symbol family 1 + a(q_n) z + b(q_n) z^2 with the
-    envelope weights evaluated at sup_q. Both weights are increasing in
-    q, which is what makes the envelope bound rigorous. Identifying the
-    structured part with actual dilation coefficients requires odd p
-    (even modes of the profile vanish)."""
-    a = a_weight(sup_q, alpha, p)
-    b = b_weight(sup_q, alpha, p)
-
-    def coeff(n: int, k: int) -> complex:
-        return a if k == 1 else b
-
-    return st.SymbolFamily(
-        p=p, d=2, coeff=coeff, kind=st.KIND_GP,
-        params={"a": a, "b": b, "p_alpha": float(p) ** alpha,
-                "alpha": float(alpha), "sup_q": float(sup_q),
-                "terms": terms})
-
-
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
              tol: float = 1e-9) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
@@ -423,8 +403,8 @@ def _check_certify_domain(sup_q: float, alpha: float, p: int,
         raise ValueError("sup_q must lie in (0, 1)")
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if terms < 1:
         raise ValueError("terms must be >= 1")
 
@@ -441,9 +421,12 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     membership chain 0 < floor = 1 - a - b(1 - 1/(2 p^alpha)) with
     1 - a + b above it (whose gap is b(2 - 1/(2 p^alpha)) exactly), the
     independent root-oracle membership of (a, b), the second-branch
-    inequality (whose gap is (a(1+b) - b/p^alpha)/2 exactly), and a
-    rerun of the generic perturbation certificate on the degree-2
-    envelope family. For odd p the threshold inequality implies every
+    inequality (whose gap is (a(1+b) - b/p^alpha)/2 exactly), and the
+    Neumann budget check of the degree-2 envelope symbol: the clipped
+    floor max(0, floor) minus the clipped budget max(0, tail_sum),
+    reported as ``delegate_margin`` when the budget is finite. Both
+    weights increase in q, so the floor at sup_q bounds every member of
+    the family. For odd p the threshold inequality implies every
     structural check; for even p the weights are not coefficients of
     the odd-mode series, so the structural checks can fail vacuously
     and are reported but do not gate the verdict. Negative outcomes are
@@ -477,17 +460,17 @@ def certify_T1(sup_q: float, alpha: float, p: int,
         "basic_margin": 2.0 - s.value,
     }
 
-    delegated_ok = False
+    delegate_margin = -math.inf
     if math.isfinite(tail_sum):
-        family = gp_family(alpha, p, r, terms)
-        delegated = st.perturbation_certificate(
-            family, max(0.0, tail_sum))
-        delegated_ok = bool(delegated.verdict)
-        margins["delegate_margin"] = delegated.margins["margin"]
+        # grouped as a + b(...), not through `floor`: the two roundings
+        # differ in the last bit, and this margin is part of the output
+        delegate_margin = (max(0.0, 1.0 - (a + b * (1.0 - 0.5 / pa)))
+                           - max(0.0, tail_sum))
+        margins["delegate_margin"] = delegate_margin
 
     verdict = bool(tail_ok and math.isfinite(tail_sum))
     structural_ok = bool(chain_ok and roots_verdict.inside
-                         and branch2_margin > 0.0 and delegated_ok)
+                         and branch2_margin > 0.0 and delegate_margin > 0.0)
     return Certificate(
         kind="T1",
         verdict=verdict,

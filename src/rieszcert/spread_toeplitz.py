@@ -3,14 +3,17 @@
 Operators of the form T = I + sum_k A_k M_{p^k} (+ perturbations
 sum_j M_j B_j) with diagonal coefficient operators are certified through
 the scalar symbols alpha_n(z) = 1 + sum_k a_k(n) z^k: T is invertible iff
-s(T) = inf_{z, n} |alpha_n(z)| > 0, with ||T^{-1}|| = 1/s(T). Finite
-sections provide an independent singular-value cross-check.
+s(T) = inf_{z, n} |alpha_n(z)| > 0, with ||T^{-1}|| = 1/s(T). Here the
+symbols are sampled coefficient tables; the closed-form symbol floors of
+the two families live in :mod:`weierstrass` and
+:mod:`gross_pitaevskii`. Finite sections provide an independent
+singular-value cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,27 +23,19 @@ from .polyform import min_modulus_disc
 
 INVERTIBILITY_TOL = 1e-9
 
-KIND_EXPLICIT = "explicit-table-with-period"
-KIND_WEIERSTRASS = "weierstrass-geometric"
-KIND_GP = "gross-pitaevskii"
-
 
 @dataclass(frozen=True)
 class SymbolFamily:
     """Per-index polynomial symbols alpha_n(z) = 1 + sum a_k(n) z^k.
 
     ``coeff`` maps (n, k) to a_k(n) for 1 <= k <= d; the entries must be
-    p-multiplicative-periodic, a_k(p n) = a_k(n). For the two parametric
-    kinds the ``params`` dict carries the data needed for a rigorous
-    envelope bound on the symbol infimum; explicit tables are certified
+    p-multiplicative-periodic, a_k(p n) = a_k(n). The table is certified
     only over the sampled indices unless ``complete_orbits`` is set.
     """
 
     p: int
-    d: int | None
+    d: int
     coeff: Callable[[int, int], complex]
-    kind: str = KIND_EXPLICIT
-    params: dict = field(default_factory=dict)
     complete_orbits: bool = False
 
 
@@ -63,12 +58,6 @@ class SymbolBound:
         return self.value
 
 
-def explicit_family(p: int, d: int, coeff: Callable[[int, int], complex],
-                    complete_orbits: bool = False) -> SymbolFamily:
-    return SymbolFamily(p=p, d=d, coeff=coeff, kind=KIND_EXPLICIT,
-                        complete_orbits=complete_orbits)
-
-
 def constant_family(coeffs: Sequence[complex], p: int = 2) -> SymbolFamily:
     """Family whose symbol is the same polynomial for every index."""
     cs = tuple(complex(c) for c in coeffs)
@@ -76,23 +65,7 @@ def constant_family(coeffs: Sequence[complex], p: int = 2) -> SymbolFamily:
     def coeff(n: int, k: int) -> complex:
         return cs[k - 1]
 
-    return SymbolFamily(p=p, d=len(cs), coeff=coeff, kind=KIND_EXPLICIT,
-                        complete_orbits=True)
-
-
-def geometric_family(nu: float, p: int = 2,
-                     degree: int | None = None) -> SymbolFamily:
-    """Truncated geometric symbols 1 + nu z + ... + nu^d z^d with
-    envelope parameter nu = sup over the family; degree None means the
-    full geometric symbol 1/(1 - nu z)."""
-    if not 0.0 <= nu < 1.0:
-        raise ValueError("nu must lie in [0, 1)")
-
-    def coeff(n: int, k: int) -> complex:
-        return nu ** k
-
-    return SymbolFamily(p=p, d=degree, coeff=coeff, kind=KIND_WEIERSTRASS,
-                        params={"nu": float(nu)})
+    return SymbolFamily(p=p, d=len(cs), coeff=coeff, complete_orbits=True)
 
 
 def _orbit_representatives(p: int, n_range: Iterable[int]) -> list:
@@ -107,31 +80,13 @@ def symbol_inf(family: SymbolFamily,
     """Lower bound for s(T) = inf over the disc and all indices of
     |alpha_n(z)|.
 
-    Parametric kinds use the monotone envelope bounds that remain valid
-    for every member of the family (geometric: (1-nu^{d+1})/(1+nu);
-    quadratic two-weight families: the branch-wise floor
-    1 - a - b(1 - 1/(2 p^alpha)) at the sup parameter). Explicit tables
-    are minimised over sampled orbit representatives; that value is
-    rigorous only when the sample covers every orbit class.
+    The table is minimised over the disc by :func:`min_modulus_disc` at
+    sampled orbit representatives; that value is rigorous only when the
+    sample covers every orbit class (``complete_orbits``). The families'
+    closed-form floors do not pass through here: see
+    :func:`weierstrass.truncated_symbol_floor` and
+    :func:`gross_pitaevskii.certify_T1`.
     """
-    if family.kind == KIND_WEIERSTRASS:
-        nu = family.params["nu"]
-        if family.d is None:
-            return SymbolBound(1.0 / (1.0 + nu), ENVELOPE_RIGOROUS)
-        val = (1.0 - nu ** (family.d + 1)) / (1.0 + nu)
-        return SymbolBound(val, ENVELOPE_RIGOROUS)
-
-    if family.kind == KIND_GP:
-        a = family.params["a"]
-        b = family.params["b"]
-        p_alpha = family.params["p_alpha"]
-        guard = a + b * (1.0 - 0.5 / p_alpha)
-        # Both branches of the disc minimum stay above 1 - guard for every
-        # parameter below the sup, and guard < 1 also forces membership in
-        # G_2 along the whole parameter range; otherwise nothing positive
-        # can be certified.
-        return SymbolBound(max(0.0, 1.0 - guard), ENVELOPE_RIGOROUS)
-
     if n_range is None:
         n_range = range(1, 2)
     reps = _orbit_representatives(family.p, n_range)
@@ -157,8 +112,7 @@ def invertibility(family: SymbolFamily,
     return Certificate(
         kind="invertibility",
         verdict=ok,
-        parameters={"p": family.p, "d": family.d, "kind": family.kind,
-                    "tolerance": tol},
+        parameters={"p": family.p, "d": family.d, "tolerance": tol},
         margins=margins,
         mode=bound.mode,
     )
@@ -178,7 +132,7 @@ def perturbation_certificate(family: SymbolFamily, tail_sum: float,
     return Certificate(
         kind="perturbation",
         verdict=margin > 0.0,
-        parameters={"p": family.p, "d": family.d, "kind": family.kind},
+        parameters={"p": family.p, "d": family.d},
         margins={"symbol_inf": bound.value, "tail_sum": tail_sum,
                  "margin": margin},
         mode=bound.mode,

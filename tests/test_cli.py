@@ -58,6 +58,9 @@ def test_sweep_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--alpha-min", "2", "--alpha-max",
                        "1", "--steps", "3")
     assert code == 2 and "alpha" in err
+    for p in ("1", "0"):
+        code, out, err = run(capsys, "sweep", "--p", p, "--steps", "3")
+        assert code == 2 and out == "" and err == "sweep: need p >= 2\n"
 
 
 def test_certify_weierstrass_examples(capsys):
@@ -93,6 +96,7 @@ def test_certify_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.filterwarnings("error")
 def test_certify_schema_violations(capsys):
     for bad in ('{"family":"gp"}',
                 '{"family":"unknown","p":2,"alpha":0,"mu":0.4}',
@@ -103,9 +107,14 @@ def test_certify_schema_violations(capsys):
                 '{"family":"gp","p":-3,"alpha":0,"sup_q":0.5}',
                 '{"family":"gp","p":3,"alpha":-5,"sup_q":0.5}',
                 '{"family":"gp","p":true,"alpha":0,"sup_q":0.5}',
-                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":0}'):
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":0}',
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":null}',
+                '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}'):
         code, _, err = run(capsys, "certify", bad)
         assert code == 2 and err
+    code, _, err = run(capsys, "certify",
+                       '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}')
+    assert err == "certify: invalid parameters: alpha must be finite and >= 0\n"
 
 
 def test_certify_params_file(capsys, tmp_path):
@@ -166,6 +175,7 @@ def test_section_gp_floor(capsys):
     assert sigma >= predicted - 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_section_schema_violations(capsys):
     for bad in ('{"family":"weierstrass","lam":0.25,"p":1}',
                 '{"family":"weierstrass","lam":0.25,"p":0}',
@@ -173,9 +183,32 @@ def test_section_schema_violations(capsys):
                 '{"family":"gp","q":0.5,"p":1}',
                 '{"family":"gp","q":1.5}',
                 '{"family":"unknown"}',
-                'not json'):
+                'not json',
+                '{"family":"weierstrass","lam":0.25,"p":2,"alpha":null}',
+                '{"family":"gp","q":0.5,"alpha":null}',
+                '{"family":"gp","q":0.5,"p":null}',
+                '{"family":"gp","q":0.5,"alpha":NaN}',
+                '{"family":"gp","q":0.5,"alpha":-1}',
+                '{"family":"weierstrass","lam":0.25,"p":2,"alpha":-1}'):
         code, _, err = run(capsys, "section", bad, "--size", "16")
         assert code == 2 and err
+    for bad in ('{"family":"gp","q":0.5,"alpha":NaN}',
+                '{"family":"gp","q":0.5,"alpha":-1}'):
+        code, _, err = run(capsys, "section", bad, "--size", "16")
+        assert err == ("section: invalid parameters: "
+                       "alpha must be finite and >= 0\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, params", [
+    ("certify", '{"family":"gp","p":3,"alpha":1e308,"sup_q":0.5}'),
+    ("section", '{"family":"gp","q":0.5,"alpha":1e308}'),
+])
+def test_overflow_is_numerical_failure(capsys, command, params):
+    code, out, err = run(capsys, command, params)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: OverflowError: ")
+    assert err.count("\n") == 1
 
 
 def test_config_file_terms_override(capsys, tmp_path):

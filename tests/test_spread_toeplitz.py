@@ -13,18 +13,6 @@ def test_symbol_inf_identity_family():
     assert st.symbol_inf(st.constant_family([])).value == 1.0
 
 
-def test_symbol_inf_geometric_envelope():
-    fam = st.geometric_family(0.25, degree=None)
-    bound = st.symbol_inf(fam)
-    assert bound.value == pytest.approx(0.8)
-    assert bound.mode == ENVELOPE_RIGOROUS
-    # truncations approach the full-symbol value from below
-    vals = [st.symbol_inf(st.geometric_family(0.25, degree=d)).value
-            for d in (1, 2, 4, 8, 16, 32)]
-    assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(0.8, abs=1e-9)
-
-
 def test_symbol_inf_constant_table():
     bound = st.symbol_inf(st.constant_family([0.3, 0.3]))
     assert bound.value == pytest.approx(0.673238442158, abs=1e-9)
@@ -42,7 +30,7 @@ def test_symbol_inf_periodicity_reduction():
             n //= 2
         return table[1 if n % 4 == 1 else 3][k - 1]
 
-    fam = st.explicit_family(p=2, d=2, coeff=coeff)
+    fam = st.SymbolFamily(p=2, d=2, coeff=coeff)
     got = st.symbol_inf(fam, n_range=range(1, 9))
     expected = min(
         st.symbol_inf(st.constant_family(table[1])).value,
@@ -76,14 +64,6 @@ def test_perturbation_examples():
     neumann = st.perturbation_certificate(st.constant_family([]), 0.9)
     assert neumann.verdict is True
     assert neumann.margins["margin"] == pytest.approx(0.1)
-
-    # geometric envelope at nu = 0.9 with 28 structured degrees
-    fam = st.geometric_family(0.9, degree=28)
-    tail = 0.9 ** 29 / 0.1
-    cert = st.perturbation_certificate(fam, tail)
-    assert cert.verdict is True
-    assert cert.margins["tail_sum"] == pytest.approx(0.4712, abs=1e-3)
-    assert cert.margins["symbol_inf"] == pytest.approx(0.5015, abs=1e-3)
 
 
 def test_perturbation_monotone_in_tail():

@@ -8,6 +8,7 @@ import pytest
 from rieszcert import polyform as pf
 from rieszcert import spread_toeplitz as st
 from rieszcert import weierstrass as ws
+from rieszcert.certificate import ENVELOPE_RIGOROUS
 
 
 def test_membership_space():
@@ -60,6 +61,33 @@ def test_minimal_degree_matches_simplified_inequality():
         while not 2.0 * nu ** (d_simple + 1) < 1.0 - nu:
             d_simple += 1
         assert d_direct == d_simple
+
+
+def test_symbol_floor_geometric_envelope():
+    # full geometric symbol 1/(1 - nu z): disc minimum 1/(1 + nu) = 0.8 at
+    # nu = 0.25, split exactly into the truncated floor and its tail
+    nu = 0.25
+    degrees = (1, 2, 4, 8, 16, 32)
+    for d in degrees:
+        full = (ws.truncated_symbol_floor(nu, d)
+                + ws.geometric_tail(nu, d) * (1.0 - nu) / (1.0 + nu))
+        assert full == pytest.approx(0.8)
+    cert = ws.certify_S1(ws.WeierstrassSpec(2, 0.0, nu, "S1"))
+    assert cert.mode == ENVELOPE_RIGOROUS
+    # truncations approach the full-symbol value from below
+    vals = [ws.truncated_symbol_floor(nu, d) for d in degrees]
+    assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
+    assert vals[-1] == pytest.approx(0.8, abs=1e-9)
+
+
+def test_geometric_perturbation_at_nu_09():
+    # geometric envelope at nu = 0.9 with 28 structured degrees
+    tail = ws.geometric_tail(0.9, 28)
+    floor = ws.truncated_symbol_floor(0.9, 28)
+    assert tail == pytest.approx(0.9 ** 29 / 0.1)
+    assert tail < floor
+    assert tail == pytest.approx(0.4712, abs=1e-3)
+    assert floor == pytest.approx(0.5015, abs=1e-3)
 
 
 def test_certify_S1_reports_both_margins():
