@@ -23,7 +23,8 @@ import numpy as np
 from . import spread_toeplitz as st
 from .certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC, Certificate
 from .dilation import OddModeProfile, section_rule
-from .errors import BracketFailure, ModulusOutOfRange, NotInG2
+from .errors import (BracketFailure, ModulusOutOfRange, NotInG2,
+                     RieszcertError)
 from .polydisc import in_polydisc_roots
 from .util import bisect_monotone, sin_pi
 
@@ -167,18 +168,27 @@ def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
 
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
     decreasing, so the tail after ``terms`` summands is bounded by a
-    geometric series started at the first omitted term.
+    geometric series started at the first omitted term. Raises
+    RieszcertError when a summand or the sum overflows.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     lq = math.log1p(-(1.0 - q))
     l = np.arange(terms, dtype=float)
-    summand = ((2.0 * l + 1.0) ** alpha * np.exp(l * lq) * (1.0 - q)
-               / (-np.expm1((2.0 * l + 1.0) * lq)))
+    odd = 2.0 * l + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        summand = (odd ** alpha * np.exp(l * lq) * (1.0 - q)
+                   / (-np.expm1(odd * lq)))
+        total = float(summand.sum())
+    # the summands are nonnegative: an inf or nan among them leaves the
+    # sum inf or nan too
+    if not math.isfinite(total):
+        raise RieszcertError(f"s_alpha overflows the float range at "
+                             f"q={q}, alpha={alpha}")
     first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return SeriesValue(float(summand.sum()), tail)
+    return SeriesValue(total, tail)
 
 
 def lambert_series(f: Callable[[int], float], r: float,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rieszcert import cli
+from test_cli_golden import SWEEP_CSV
 
 
 def run(capsys, *argv):
@@ -52,6 +53,18 @@ def test_sweep_row_error_marker(capsys):
                        "0", "--steps", "1", "--p", "3", "--terms", "1")
     assert code == 3
     assert "ERROR" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_keeps_rows_before_overflow(capsys):
+    # the alpha = 1e308 row overflows; the rows before it are still written
+    code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
+                         "1e308", "--steps", "2", "--p", "3", "--terms", "300")
+    assert code == 3 and err == ""
+    lines = out.split("\n")
+    assert lines[:2] == SWEEP_CSV.split("\n")[:2]
+    assert lines[2].startswith("1e+308,ERROR,ERROR,ERROR  # ")
+    assert lines[3:] == [""]
 
 
 def test_sweep_usage_error(capsys):
@@ -175,6 +188,18 @@ def test_section_gp_floor(capsys):
     assert sigma >= predicted - 1e-9
 
 
+def test_section_size_range(capsys):
+    params = '{"family":"weierstrass","lam":0.5,"p":2,"alpha":0}'
+    for size in ("0", "65537"):
+        code, out, err = run(capsys, "section", params, "--size", size)
+        assert code == 2 and out == ""
+        assert err == "section: --size must be in 1..65536\n"
+    code, out, _ = run(capsys, "section", params, "--size", "8192")
+    assert code == 0 and "section size      8192\n" in out
+    sigma = float(out.split("sigma_min")[1].split()[0])
+    assert sigma >= 2 / 3 - 1e-9
+
+
 @pytest.mark.filterwarnings("error")
 def test_section_schema_violations(capsys):
     for bad in ('{"family":"weierstrass","lam":0.25,"p":1}',
@@ -203,11 +228,17 @@ def test_section_schema_violations(capsys):
 @pytest.mark.parametrize("command, params", [
     ("certify", '{"family":"gp","p":3,"alpha":1e308,"sup_q":0.5}'),
     ("section", '{"family":"gp","q":0.5,"alpha":1e308}'),
+    ("certify", '{"family":"gp","p":3,"alpha":200,"sup_q":0.5}'),
+    ("section", '{"family":"gp","q":0.5,"alpha":200}'),
 ])
 def test_overflow_is_numerical_failure(capsys, command, params):
     code, out, err = run(capsys, command, params)
     assert code == 3 and out == ""
-    assert err.startswith("numerical failure: OverflowError: ")
+    # at alpha = 1e308 the float power p^alpha overflows first; at
+    # alpha = 200 the weights fit and the mode sum s_alpha overflows
+    error = ("OverflowError" if json.loads(params)["alpha"] > 1e300
+             else "RieszcertError")
+    assert err.startswith(f"numerical failure: {error}: ")
     assert err.count("\n") == 1
 
 

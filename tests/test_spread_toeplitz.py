@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from rieszcert import spread_toeplitz as st
+from rieszcert import weierstrass as ws
 from rieszcert.certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC
+from rieszcert.errors import NonConvergence
 
 
 def test_symbol_inf_identity_family():
@@ -113,9 +115,75 @@ def test_weierstrass_section_column_pattern():
 def test_smallest_singular_examples():
     assert st.smallest_singular(
         st.finite_section(lambda j, n: 0.0, 7)) == pytest.approx(1.0)
-    S = st.SectionMatrix(2, np.array([[1.0, 0.0], [0.5, 1.0]]))
+    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 2)
     assert st.smallest_singular(S) == pytest.approx(
         math.sqrt((9 - math.sqrt(17)) / 8), abs=1e-12)
+
+
+def _dense_smallest_singular(S):
+    # reference oracle: full SVD of the assembled section
+    return float(np.linalg.svd(S.entries, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257, 512])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_smallest_singular_matches_dense_svd(N, complex_values):
+    rng = np.random.default_rng([N, complex_values])
+    table = {}
+
+    def cj(j, n):
+        if (j, n) not in table:
+            c = rng.uniform(-0.4, 0.4)
+            if complex_values:
+                c += 1j * rng.uniform(-0.4, 0.4)
+            table[j, n] = c / j
+        return table[j, n]
+
+    S = st.finite_section(cj, N)
+    assert np.iscomplexobj(S.values) == (complex_values and N > 1)
+    assert st.smallest_singular(S) == pytest.approx(
+        _dense_smallest_singular(S), rel=1e-12)
+    identity = st.finite_section(lambda j, n: 0.0, N)
+    assert st.smallest_singular(identity) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_smallest_singular_step_guard(monkeypatch):
+    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 64)
+    monkeypatch.setattr(st, "LANCZOS_MAX_STEPS", 3)
+    with pytest.raises(NonConvergence):
+        st.smallest_singular(S)
+    # a section no larger than the guard ends by exhausting its Krylov space
+    monkeypatch.setattr(st, "LANCZOS_RTOL", 0.0)
+    monkeypatch.setattr(st, "LANCZOS_MAX_STEPS", 64)
+    assert st.smallest_singular(S) == pytest.approx(
+        _dense_smallest_singular(S), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [4096, 16384])
+def test_smallest_singular_lacunary_orbit_blocks(N):
+    # c_j(n) vanishes unless j = 2^l, so the section splits exactly into
+    # the blocks on the orbits {m 2^k <= N}, m odd: sigma_min is the
+    # smallest singular value over those (at most 15 x 15) blocks
+    rule = ws.cj_rule(0.5, 2, 0.0)
+    S = st.finite_section(rule, N)
+    ratio = (S.rows + 1) // (S.cols + 1)
+    assert np.all((S.rows + 1) % (S.cols + 1) == 0)
+    assert np.all(ratio & (ratio - 1) == 0)
+    sigmas = {}   # one SVD per distinct block
+    largest = 0
+    for m in range(1, N + 1, 2):
+        orbit = [m << k for k in range((N // m).bit_length())]
+        largest = max(largest, len(orbit))
+        B = np.eye(len(orbit))
+        for col, n in enumerate(orbit):
+            for row in range(col + 1, len(orbit)):
+                B[row, col] = rule(orbit[row] // n, n)
+        key = B.tobytes()
+        if key not in sigmas:
+            sigmas[key] = np.linalg.svd(B, compute_uv=False)[-1]
+    assert largest <= 15
+    assert st.smallest_singular(S) == pytest.approx(min(sigmas.values()),
+                                                    rel=1e-12)
 
 
 def test_section_compression_bound():
