@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -75,7 +74,7 @@ def cmd_sweep(args, settings: Settings) -> int:
         span = args.alpha_max - args.alpha_min
         grid = [args.alpha_min + span * i / (args.steps - 1)
                 for i in range(args.steps)]
-    terms = args.terms or settings.terms
+    terms = settings.terms if args.terms is None else args.terms
     rows = [_sweep_row(a, args.p, terms, settings.bisection_tol) for a in grid]
 
     lines = ["alpha,r0,r1,r1_tilde"] + [row for row, _ in rows]
@@ -89,10 +88,14 @@ def cmd_sweep(args, settings: Settings) -> int:
 def _load_params(args) -> dict:
     if args.params_file:
         with open(args.params_file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    if args.params is None:
+            params = json.load(fh)
+    elif args.params is None:
         raise ValueError("missing parameters (positional JSON or --params-file)")
-    return json.loads(args.params)
+    else:
+        params = json.loads(args.params)
+    if not isinstance(params, dict):
+        raise ValueError("parameters must be a JSON object")
+    return params
 
 
 def _require(params: dict, key: str, kind) -> object:
@@ -116,40 +119,29 @@ def _optional(params: dict, key: str, kind, default) -> object:
     return _require(params, key, kind) if key in params else default
 
 
-def _section_alpha(params: dict) -> float:
-    alpha = _optional(params, "alpha", float, 0.0)
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
-    return alpha
-
-
 def _certify_from_params(params: dict, terms: int) -> Certificate:
     family = _require(params, "family", str)
     if family == "weierstrass":
-        spec = ws.WeierstrassSpec(
+        return ws.certify(ws.WeierstrassSpec(
             p=_require(params, "p", int),
             alpha=_require(params, "alpha", float),
             mu=_require(params, "mu", float),
-            region=_require(params, "region", str),
-        )
-        return ws.certify(spec)
+            region=_require(params, "region", str)))
     if family == "gp":
-        sup_q = _require(params, "sup_q", float)
-        alpha = _require(params, "alpha", float)
-        p = _require(params, "p", int)
-        n_terms = _optional(params, "terms", int, terms)
-        if "degree" in params and params["degree"] != 2:
-            return gp.certify_Td(sup_q, alpha, p,
-                                 _require(params, "degree", int),
-                                 terms=n_terms)
-        return gp.certify_T1(sup_q, alpha, p, terms=n_terms)
+        return gp.certify(gp.GpSpec(
+            sup_q=_require(params, "sup_q", float),
+            alpha=_require(params, "alpha", float),
+            p=_require(params, "p", int),
+            terms=_optional(params, "terms", int, terms),
+            degree=_optional(params, "degree", int, 2)))
     raise ValueError(f"unknown family {family!r} (expected weierstrass|gp)")
 
 
 def cmd_certify(args, settings: Settings) -> int:
     try:
         params = _load_params(args)
-        cert = _certify_from_params(params, args.terms or settings.terms)
+        terms = settings.terms if args.terms is None else args.terms
+        cert = _certify_from_params(params, terms)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"certify: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -273,36 +265,27 @@ def _section_setup(params: dict, terms: int):
     if family == "identity":
         return (lambda j, n: 0.0), 1.0, "identity family", {}
     if family == "weierstrass":
-        lam = _require(params, "lam", float)
-        p = _require(params, "p", int)
-        alpha = _section_alpha(params)
-        # the profile behind the rule rejects lam outside (0, 1) and p < 2,
-        # which nu alone would let through (p = 1 gives nu = lam)
-        rule = ws.cj_rule(lam, p, alpha)
-        nu = lam * p ** alpha
-        if not 0.0 < nu < 1.0:
-            raise ValueError("need 0 < lam * p^alpha < 1")
+        spec = ws.WeierstrassSpec(mu=_require(params, "lam", float),
+                                  p=_require(params, "p", int),
+                                  alpha=_optional(params, "alpha", float, 0.0))
+        nu = spec.nu
         # full geometric symbol: s(T) = 1 / (1 + nu), exact for constant lam
-        return rule, 1.0 / (1.0 + nu), f"weierstrass lam={lam} p={p}", \
-            {"nu": nu}
+        return (ws.cj_rule(spec.mu, spec.p, spec.alpha), 1.0 / (1.0 + nu),
+                f"weierstrass lam={spec.mu} p={spec.p}", {"nu": nu})
     if family == "gp":
-        q = _require(params, "q", float)
-        alpha = _section_alpha(params)
-        p = _optional(params, "p", int, 3)
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must lie in (0, 1)")
-        if p < 2:
-            raise ValueError("p must be an integer >= 2")
-        rule = gp.cj_rule(q, alpha)
-        a = gp.a_weight(q, alpha, p)
-        b = gp.b_weight(q, alpha, p)
-        s = gp.s_alpha(q, alpha, terms)
+        spec = gp.GpSpec(sup_q=_require(params, "q", float),
+                         alpha=_optional(params, "alpha", float, 0.0),
+                         p=_optional(params, "p", int, 3), terms=terms)
+        rule = gp.cj_rule(spec.sup_q, spec.alpha)
+        a = gp.a_weight(spec.sup_q, spec.alpha, spec.p)
+        b = gp.b_weight(spec.sup_q, spec.alpha, spec.p)
+        s = gp.s_alpha(spec.sup_q, spec.alpha, spec.terms)
         tail = s.value + s.tail_bound - 1.0 - a - b
         structured = gp.min_quadratic(a, b)
         floor = max(0.0, structured - tail)
         extra = {"a": a, "b": b, "perturbation_tail": tail,
                  "structured_symbol": structured}
-        return rule, floor, f"gp q={q} p={p}", extra
+        return rule, floor, f"gp q={spec.sup_q} p={spec.p}", extra
     raise ValueError(f"unknown family {family!r} "
                      "(expected weierstrass|gp|identity)")
 
@@ -314,8 +297,8 @@ def cmd_section(args, settings: Settings) -> int:
         return EXIT_USAGE
     try:
         params = _load_params(args)
-        rule, predicted, label, extra = _section_setup(
-            params, args.terms or settings.terms)
+        terms = settings.terms if args.terms is None else args.terms
+        rule, predicted, label, extra = _section_setup(params, terms)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"section: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -386,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    terms = getattr(args, "terms", None)
+    if terms is not None and not 1 <= terms <= gp.MAX_TERMS:
+        print(f"{args.command}: --terms must be in 1..{gp.MAX_TERMS}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         settings = load_settings(args.config)
     except (OSError, ValueError) as exc:

@@ -31,6 +31,8 @@ from .util import bisect_monotone, sin_pi
 log = logging.getLogger(__name__)
 
 DEFAULT_TERMS = 500
+# s_alpha holds about 36 bytes per term: 1e6 terms take ~40 ms and ~35 MB
+MAX_TERMS = 10 ** 6
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
 
@@ -407,16 +409,29 @@ def thresholds(alpha: float, p: int,
                         solve_r1_tilde(alpha, p, terms), terms)
 
 
-def _check_certify_domain(sup_q: float, alpha: float, p: int,
-                          terms: int) -> None:
-    if not 0.0 < sup_q < 1.0:
-        raise ValueError("sup_q must lie in (0, 1)")
-    if p < 2:
-        raise ValueError("p must be an integer >= 2")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+@dataclass(frozen=True)
+class GpSpec:
+    """Family data: period base p, Sobolev exponent alpha, envelope
+    sup_q = sup_n q_n of the p-periodic nomes, the truncation of s_alpha
+    and the structured degree (2 for T1, else the experimental Td)."""
+
+    p: int
+    alpha: float
+    sup_q: float
+    terms: int = DEFAULT_TERMS
+    degree: int = 2
+
+    def __post_init__(self):
+        if not 0.0 < self.sup_q < 1.0:
+            raise ValueError("sup_q must lie in (0, 1)")
+        if self.p < 2:
+            raise ValueError("p must be an integer >= 2")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 1 <= self.terms <= MAX_TERMS:
+            raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
+        if self.degree < 1:
+            raise ValueError("degree must be >= 1")
 
 
 def certify_T1(sup_q: float, alpha: float, p: int,
@@ -441,11 +456,10 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     the odd-mode series, so the structural checks can fail vacuously
     and are reported but do not gate the verdict. Negative outcomes are
     returned as verdict false, never raised; inputs outside the
-    family's domain (sup_q outside (0, 1), p < 2, alpha < 0, terms < 1)
-    raise ValueError.
+    family's domain, which :class:`GpSpec` defines, raise ValueError.
     """
     r = float(sup_q)
-    _check_certify_domain(r, alpha, p, terms)
+    GpSpec(p, alpha, r, terms)
     pa = float(p) ** alpha
     a = a_weight(r, alpha, p)
     b = b_weight(r, alpha, p)
@@ -507,9 +521,7 @@ def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
     claimed, so the certificate is labeled sample-heuristic.
     """
     r = float(sup_q)
-    _check_certify_domain(r, alpha, p, terms)
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    GpSpec(p, alpha, r, terms, degree)
     profile = OddModeProfile(r, alpha)
     weights = [float(p) ** (k * alpha) * profile.coeff(p ** k)
                for k in range(1, degree + 1)]
@@ -531,6 +543,14 @@ def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
         margins=margins,
         mode=SAMPLE_HEURISTIC,
     )
+
+
+def certify(spec: GpSpec) -> Certificate:
+    """:func:`certify_T1` at degree 2, :func:`certify_Td` otherwise."""
+    if spec.degree == 2:
+        return certify_T1(spec.sup_q, spec.alpha, spec.p, spec.terms)
+    return certify_Td(spec.sup_q, spec.alpha, spec.p, spec.degree,
+                      spec.terms)
 
 
 # ---------------------------------------------------------------------------

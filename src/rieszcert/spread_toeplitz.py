@@ -178,9 +178,10 @@ def perturbation_certificate(family: SymbolFamily, tail_sum: float,
     """Certificate for T = I + sum_k A_k M_{p^k} + sum_j M_j B_j:
     certified when the perturbation budget ``tail_sum``, an upper bound
     for sum_{j>=2} sup_n |b_j(n)|, stays strictly below the structured
-    symbol infimum (Neumann-series argument)."""
-    if not math.isfinite(tail_sum) or tail_sum < 0.0:
-        raise ValueError("tail_sum must be finite and nonnegative")
+    symbol infimum (Neumann-series argument). An infinite budget bounds
+    nothing and is never certified."""
+    if not tail_sum >= 0.0:
+        raise ValueError("tail_sum must be nonnegative")
     bound = symbol_inf(family, n_range)
     margin = bound.value - tail_sum
     return Certificate(

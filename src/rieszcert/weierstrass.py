@@ -36,9 +36,10 @@ class WeierstrassSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be an integer >= 2")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0.0 < self.mu < self.p ** (-self.alpha):
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        # nu < 1 as well: mu p^alpha can round up to 1 just below p^-alpha
+        if not (0.0 < self.mu < self.p ** (-self.alpha) and self.nu < 1.0):
             raise ValueError("mu must lie in (0, p^-alpha)")
         if self.region not in (REGION_S0, REGION_S1):
             raise ValueError("region must be 'S0' or 'S1'")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rieszcert import cli
-from test_cli_golden import SWEEP_CSV
+from test_cli_golden import SWEEP_ARGS, SWEEP_CSV
 
 
 def run(capsys, *argv):
@@ -122,12 +122,27 @@ def test_certify_schema_violations(capsys):
                 '{"family":"gp","p":true,"alpha":0,"sup_q":0.5}',
                 '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":0}',
                 '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":null}',
-                '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}'):
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":1000001}',
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"degree":2.0}',
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"degree":0}',
+                '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}',
+                '{"family":"weierstrass","p":2,"alpha":NaN,"mu":0.4,'
+                '"region":"S0"}',
+                '5', 'null', '[1]'):
+        code, out, err = run(capsys, "certify", bad)
+        assert code == 2 and out == "" and err.count("\n") == 1
+    for bad, message in [
+            ('{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}',
+             "alpha must be finite and >= 0"),
+            ('{"family":"weierstrass","p":2,"alpha":Infinity,"mu":0.4,'
+             '"region":"S0"}', "alpha must be finite and >= 0"),
+            ('{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"terms":1000001}',
+             "terms must lie in 1..1000000"),
+            ('{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"degree":2.0}',
+             "key 'degree' must be of type int"),
+            ('5', "parameters must be a JSON object")]:
         code, _, err = run(capsys, "certify", bad)
-        assert code == 2 and err
-    code, _, err = run(capsys, "certify",
-                       '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}')
-    assert err == "certify: invalid parameters: alpha must be finite and >= 0\n"
+        assert err == f"certify: invalid parameters: {message}\n"
 
 
 def test_certify_params_file(capsys, tmp_path):
@@ -214,14 +229,24 @@ def test_section_schema_violations(capsys):
                 '{"family":"gp","q":0.5,"p":null}',
                 '{"family":"gp","q":0.5,"alpha":NaN}',
                 '{"family":"gp","q":0.5,"alpha":-1}',
-                '{"family":"weierstrass","lam":0.25,"p":2,"alpha":-1}'):
-        code, _, err = run(capsys, "section", bad, "--size", "16")
-        assert code == 2 and err
+                '{"family":"weierstrass","lam":0.25,"p":2,"alpha":-1}',
+                '{"family":"weierstrass","lam":0.25,"p":2,"alpha":1e308}',
+                '{"family":"weierstrass","lam":0.6,"p":2,"alpha":1}',
+                '5', '[]'):
+        code, out, err = run(capsys, "section", bad, "--size", "16")
+        assert code == 2 and out == "" and err.count("\n") == 1
     for bad in ('{"family":"gp","q":0.5,"alpha":NaN}',
                 '{"family":"gp","q":0.5,"alpha":-1}'):
         code, _, err = run(capsys, "section", bad, "--size", "16")
         assert err == ("section: invalid parameters: "
                        "alpha must be finite and >= 0\n")
+    # the section reads the same specs as certify, so it names their keys
+    for bad, message in [
+            ('{"family":"gp","q":1.5}', "sup_q must lie in (0, 1)"),
+            ('{"family":"weierstrass","lam":0.6,"p":2,"alpha":1}',
+             "mu must lie in (0, p^-alpha)")]:
+        code, _, err = run(capsys, "section", bad, "--size", "16")
+        assert err == f"section: invalid parameters: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -262,6 +287,49 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
                        "0", "--steps", "1", "--p", "3")
     assert code == 3 and "ERROR" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--steps", "1"],
+    ["certify", '{"family":"gp","p":3,"alpha":0,"sup_q":0.7}'],
+    ["section", '{"family":"gp","q":0.5,"alpha":0.5}', "--size", "16"],
+], ids=["sweep", "certify", "section"])
+@pytest.mark.parametrize("terms", ["0", "-3", "1000001"])
+def test_terms_flag_range(capsys, argv, terms):
+    code, out, err = run(capsys, *argv, "--terms", terms)
+    assert code == 2 and out == ""
+    assert err == f"{argv[0]}: --terms must be in 1..1000000\n"
+
+
+def test_terms_flag_upper_edge(capsys):
+    code, out, _ = run(capsys, "certify", "--terms", "1000000",
+                       '{"family":"gp","p":3,"alpha":0,"sup_q":0.7}')
+    assert code == 0 and json.loads(out)["parameters"]["terms"] == 1000000
+
+
+def test_config_file_values_reach_sweep(capsys, tmp_path):
+    cfg = tmp_path / "rc.conf"
+    cfg.write_text("terms = 300\nbisection_tol = 1e-9\n")
+    argv = [a for a in SWEEP_ARGS if a not in ("--terms", "300")]
+    assert run(capsys, "--config", str(cfg), *argv) == (0, SWEEP_CSV, "")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("terms = 0", "terms must lie in 1..1000000"),
+    ("terms = -3", "terms must lie in 1..1000000"),
+    ("terms = 1000001", "terms must lie in 1..1000000"),
+    ("bisection_tol = -1", "bisection_tol must be finite and > 0"),
+    ("bisection_tol = 0", "bisection_tol must be finite and > 0"),
+    ("bisection_tol = nan", "bisection_tol must be finite and > 0"),
+    ("bisection_tol = inf", "bisection_tol must be finite and > 0"),
+])
+def test_config_value_range(capsys, tmp_path, line, message):
+    cfg = tmp_path / "rc.conf"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), "sweep", "--steps",
+                         "1")
+    assert code == 2 and out == ""
+    assert err == f"config error: {cfg}: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["no_such_key", "angle_grid",

@@ -311,6 +311,63 @@ def test_certify_T1_structural_checks_follow_for_odd_p():
             assert cert.margins["tail_sum"] >= 0.0
 
 
+def test_gp_spec_domain_edges():
+    # the closed edges are inside the domain
+    gp.GpSpec(2, 0.0, 5e-324, terms=1, degree=1)
+    gp.GpSpec(3, 1e308, math.nextafter(1.0, 0.0), terms=gp.MAX_TERMS)
+    base = {"p": 3, "alpha": 0.5, "sup_q": 0.5}
+    for change, message in [
+            ({"sup_q": 0.0}, r"sup_q must lie in \(0, 1\)"),
+            ({"sup_q": 1.0}, r"sup_q must lie in \(0, 1\)"),
+            ({"sup_q": math.nan}, r"sup_q must lie in \(0, 1\)"),
+            ({"p": 1}, "p must be an integer >= 2"),
+            ({"p": -3}, "p must be an integer >= 2"),
+            ({"alpha": -5e-324}, "alpha must be finite and >= 0"),
+            ({"alpha": math.inf}, "alpha must be finite and >= 0"),
+            ({"alpha": math.nan}, "alpha must be finite and >= 0"),
+            ({"terms": 0}, r"terms must lie in 1\.\.1000000"),
+            ({"terms": gp.MAX_TERMS + 1}, r"terms must lie in 1\.\.1000000"),
+            ({"degree": 0}, "degree must be >= 1"),
+            # the checks run in this order: the first failing one reports
+            ({"sup_q": 2.0, "p": 1, "alpha": -1.0, "degree": 0}, "sup_q"),
+            ({"p": 1, "alpha": -1.0, "terms": 0}, "p must"),
+            ({"alpha": -1.0, "terms": 0, "degree": 0}, "alpha must"),
+            ({"terms": 0, "degree": 0}, "terms must")]:
+        with pytest.raises(ValueError, match=message):
+            gp.GpSpec(**{**base, **change})
+
+
+def test_certifiers_check_the_spec_domain():
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        gp.certify_T1(0.5, math.nan, 3)
+    with pytest.raises(ValueError, match=r"terms must lie in 1\.\.1000000"):
+        gp.certify_T1(0.5, 0.0, 3, gp.MAX_TERMS + 1)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        gp.certify_Td(0.5, 0.0, 3, 0)
+
+
+def test_certify_dispatches_on_degree():
+    for sup_q, alpha, p, terms in [(0.4, 0.5, 3, 500), (0.7, 0.0, 3, 300),
+                                   (0.95, 1.0, 5, 40), (0.6, 0.3, 4, 500)]:
+        spec = gp.GpSpec(p, alpha, sup_q, terms)
+        assert (gp.certify(spec).to_json()
+                == gp.certify_T1(sup_q, alpha, p, terms).to_json())
+        for degree in (1, 3, 4):
+            spec = gp.GpSpec(p, alpha, sup_q, terms, degree)
+            assert (gp.certify(spec).to_json()
+                    == gp.certify_Td(sup_q, alpha, p, degree, terms).to_json())
+
+
+def test_certify_Td_infinite_tail_is_not_certified():
+    # near q = 1 the 500-term tail bound of s_alpha is infinite: no
+    # perturbation budget, so no certificate, as for T1
+    spec = gp.GpSpec(p=2, alpha=1.0, sup_q=0.998046875, degree=1)
+    assert math.isinf(gp.s_alpha(spec.sup_q, spec.alpha).tail_bound)
+    cert = gp.certify(spec)
+    assert cert.verdict is False and cert.margins["tail_sum"] == math.inf
+    assert gp.certify(gp.GpSpec(2, 1.0, 0.998046875)).verdict is False
+
+
 # ---------------------------------------------------------------------------
 # eigenpairs
 

@@ -67,6 +67,12 @@ def test_perturbation_examples():
     assert neumann.verdict is True
     assert neumann.margins["margin"] == pytest.approx(0.1)
 
+    # an infinite budget bounds nothing; a negative or NaN one is an error
+    assert st.perturbation_certificate(fam, math.inf).verdict is False
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError, match="tail_sum must be nonnegative"):
+            st.perturbation_certificate(fam, bad)
+
 
 def test_perturbation_monotone_in_tail():
     fam = st.constant_family([0.3, 0.3])

@@ -125,6 +125,15 @@ def test_spec_validation():
         ws.WeierstrassSpec(2, 1.0, 0.6, "S1")  # mu >= p^-alpha
     with pytest.raises(ValueError):
         ws.WeierstrassSpec(2, 0.0, 0.4, "S2")
+    for alpha in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            ws.WeierstrassSpec(2, alpha, 0.4, "S0")
+    # mu just below 2^-0.01 whose nu = mu 2^0.01 rounds to 1: outside
+    mu = math.nextafter(2 ** -0.01, 0.0)
+    assert mu < 2 ** -0.01 and mu * 2 ** 0.01 == 1.0
+    for region in ("S0", "S1"):
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, p\^"):
+            ws.WeierstrassSpec(2, 0.01, mu, region)
 
 
 def test_dirichlet_pole_abscissa():
