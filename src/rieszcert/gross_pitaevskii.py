@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC, Certificate
 from .dilation import OddModeProfile, section_rule
 from .errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                      RieszcertError)
-from .polydisc import in_polydisc_roots
+from .polydisc import MEMBERSHIP_TOL, in_polydisc_roots
 from .util import bisect_monotone, sin_pi
 
 log = logging.getLogger(__name__)
@@ -33,6 +34,11 @@ log = logging.getLogger(__name__)
 DEFAULT_TERMS = 500
 # s_alpha holds about 36 bytes per term: 1e6 terms take ~40 ms and ~35 MB
 MAX_TERMS = 10 ** 6
+# degree * ln p at or above this makes the mode p^degree overflow a float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the root oracle's error in min |root| - 1 stays below this on a
+# grid a in [0, 3], b in (0, 2], double roots a^2 = 4b included
+_ORACLE_SLACK = 1e-5
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
 
@@ -257,16 +263,28 @@ def s1_elliptic(q: float) -> float:
 # ---------------------------------------------------------------------------
 # quadratic symbols and thresholds
 
-def min_quadratic(a: float, b: float) -> float:
-    """min over the closed unit disc of |1 + a z + b z^2| for a, b >= 0
-    with (a, b) in G_2:
+def quadratic_root_margin(a: float, b: float) -> float:
+    """min |root| - 1 of 1 + a z + b z^2 for a >= 0 and b > 0, in
+    closed form: 1/sqrt(b) for a complex pair (a^2 < 4b), else the
+    smaller of the two negative real roots, 2 / (a + sqrt(a^2 - 4b)),
+    which is (a - sqrt(a^2 - 4b)) / (2b) without its cancellation.
+    """
+    if a * a < 4.0 * b:
+        return 1.0 / math.sqrt(b) - 1.0
+    return 2.0 / (a + math.sqrt(a * a - 4.0 * b)) - 1.0
 
-        1 - a + b              when a (b+1) / (4 b) >= 1,
+
+def _min_quadratic(a: float, b: float,
+                   margin: Callable[[float, float], float]) -> float:
+    """The disc minimum of both entry points below; ``margin(a, b)`` is
+    min |root| - 1 for b > 0, and (a, b) is in G_2 when it exceeds
+    ``MEMBERSHIP_TOL``, the rule of :func:`in_polydisc_roots`.
+
+        1 - a + b                 when a (b+1) / (4 b) >= 1,
         (1-b) sqrt(1 - a^2/(4b))  otherwise,
 
-    and 1 - a in the degenerate linear case b = 0. Membership is checked
-    through the root oracle when b > 0; in the second branch the
-    radicand stays at least ((1-b)/(1+b))^2, so no further guard is
+    and 1 - a in the degenerate linear case b = 0. In the second branch
+    the radicand stays at least ((1-b)/(1+b))^2, so no further guard is
     needed.
     """
     if a < 0.0 or b < 0.0:
@@ -275,13 +293,56 @@ def min_quadratic(a: float, b: float) -> float:
         if a >= 1.0:
             raise NotInG2(f"(a, b)=({a}, 0) outside G_2")
         return 1.0 - a
-    verdict = in_polydisc_roots((a, b))
-    if not verdict.inside:
-        raise NotInG2(f"(a, b)=({a}, {b}) outside G_2 "
-                      f"(margin {verdict.margin:.3e})")
+    m = margin(a, b)
+    if not m > MEMBERSHIP_TOL:
+        raise NotInG2(f"(a, b)=({a}, {b}) outside G_2 (margin {m:.3e})")
     if a * (b + 1.0) / (4.0 * b) >= 1.0:
         return 1.0 - a + b
     return (1.0 - b) * math.sqrt(1.0 - a * a / (4.0 * b))
+
+
+def min_quadratic(a: float, b: float) -> float:
+    """min over the closed unit disc of |1 + a z + b z^2| for a, b >= 0
+    with (a, b) in G_2 (branch formulas in :func:`_min_quadratic`).
+
+    G_2 membership is decided by the root oracle
+    :func:`~rieszcert.polydisc.in_polydisc_roots` (Aberth iteration in
+    :func:`~rieszcert.polyform.roots`); NotInG2 carries its margin. The
+    ``section`` command uses this entry point, and
+    :func:`solve_r1_tilde` asks it once per row to cross-check the
+    closed form of :func:`min_quadratic_closed` at the reported point.
+    """
+    return _min_quadratic(
+        a, b, lambda a, b: in_polydisc_roots((a, b)).margin)
+
+
+def min_quadratic_closed(a: float, b: float) -> float:
+    """:func:`min_quadratic` with G_2 membership decided by the closed
+    form :func:`quadratic_root_margin` under the same rule, so no root
+    finder runs; :func:`solve_r1_tilde` searches with it."""
+    return _min_quadratic(a, b, quadratic_root_margin)
+
+
+def _cross_check_g2(a: float, b: float) -> None:
+    """Check the closed form against the root oracle at one (a, b):
+    :func:`min_quadratic` and :func:`min_quadratic_closed` must return
+    the same value or both raise NotInG2. A split verdict stands only
+    within ``_ORACLE_SLACK`` of the membership rule, where the oracle's
+    root error (up to ~sqrt(eps) at a double root) can tip it; beyond
+    that the two deciders disagree and RieszcertError is raised."""
+
+    def value(min_disc: Callable[[float, float], float]):
+        try:
+            return min_disc(a, b)
+        except NotInG2:
+            return None
+
+    oracle, closed = value(min_quadratic), value(min_quadratic_closed)
+    if oracle != closed and (abs(quadratic_root_margin(a, b)
+                                 - MEMBERSHIP_TOL) > _ORACLE_SLACK):
+        raise RieszcertError(
+            f"(a, b)=({a}, {b}): closed-form G_2 minimum {closed} "
+            f"disagrees with the root oracle's {oracle}")
 
 
 def a_weight(q: float, alpha: float, p: int) -> float:
@@ -346,6 +407,10 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     b(q) z^2|, the sharp version of the r1 equation. Conjectural as a
     basis threshold; the certificates report it as such.
 
+    G_2 membership along the search is decided in closed form by
+    :func:`min_quadratic_closed`, so the ~100 evaluations of a row run
+    no root finder; the root oracle runs once, at the reported point,
+    where :func:`_cross_check_g2` holds the two deciders to agreement.
     Where (a(q), b(q)) leaves G_2 the difference is treated as past the
     root: the upper bracket is shrunk (and the event logged) until the
     closed-form minimum is defined.
@@ -355,7 +420,7 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         a = a_weight(q, alpha, p)
         b = b_weight(q, alpha, p)
         return (s_alpha(q, alpha, terms).value
-                - 1.0 - a - b - min_quadratic(a, b))
+                - 1.0 - a - b - min_quadratic_closed(a, b))
 
     lo, hi = _Q_LO, _Q_HI
     while True:
@@ -379,7 +444,9 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
             return math.inf
 
     lo, hi = _single_sign_change(g, lo, hi, 64, "r1_tilde")
-    return bisect_monotone(g, lo, hi, tol=tol)
+    q = bisect_monotone(g, lo, hi, tol=tol)
+    _cross_check_g2(a_weight(q, alpha, p), b_weight(q, alpha, p))
+    return q
 
 
 @dataclass(frozen=True)
@@ -413,7 +480,9 @@ def thresholds(alpha: float, p: int,
 class GpSpec:
     """Family data: period base p, Sobolev exponent alpha, envelope
     sup_q = sup_n q_n of the p-periodic nomes, the truncation of s_alpha
-    and the structured degree (2 for T1, else the experimental Td)."""
+    and the structured degree (2 for T1, else the experimental Td). The
+    structured part reaches the mode p^degree, so p^degree must stay
+    below the largest float."""
 
     p: int
     alpha: float
@@ -426,12 +495,16 @@ class GpSpec:
             raise ValueError("sup_q must lie in (0, 1)")
         if self.p < 2:
             raise ValueError("p must be an integer >= 2")
+        if self.p > sys.float_info.max:
+            raise ValueError("p must not exceed the largest float")
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and >= 0")
         if not 1 <= self.terms <= MAX_TERMS:
             raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if self.degree * math.log(self.p) >= _LOG_FLOAT_MAX:
+            raise ValueError("p ** degree must stay below the largest float")
 
 
 def certify_T1(sup_q: float, alpha: float, p: int,

@@ -11,6 +11,7 @@ degree-d structured part plus a geometric perturbation tail).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,8 @@ class WeierstrassSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be an integer >= 2")
+        if self.p > sys.float_info.max:
+            raise ValueError("p must not exceed the largest float")
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and >= 0")
         # nu < 1 as well: mu p^alpha can round up to 1 just below p^-alpha

@@ -109,6 +109,10 @@ def test_certify_deterministic(capsys):
     assert out1 == out2
 
 
+# a 401-digit p: an int beyond the float range
+HUGE_P = "1" + "0" * 400
+
+
 @pytest.mark.filterwarnings("error")
 def test_certify_schema_violations(capsys):
     for bad in ('{"family":"gp"}',
@@ -128,6 +132,9 @@ def test_certify_schema_violations(capsys):
                 '{"family":"gp","p":3,"alpha":NaN,"sup_q":0.5}',
                 '{"family":"weierstrass","p":2,"alpha":NaN,"mu":0.4,'
                 '"region":"S0"}',
+                '{"family":"gp","p":3,"alpha":0,"sup_q":0.7,"degree":700}',
+                f'{{"family":"weierstrass","p":{HUGE_P},"alpha":0,'
+                '"mu":0.4,"region":"S0"}',
                 '5', 'null', '[1]'):
         code, out, err = run(capsys, "certify", bad)
         assert code == 2 and out == "" and err.count("\n") == 1
@@ -140,6 +147,10 @@ def test_certify_schema_violations(capsys):
              "terms must lie in 1..1000000"),
             ('{"family":"gp","p":3,"alpha":0,"sup_q":0.5,"degree":2.0}',
              "key 'degree' must be of type int"),
+            ('{"family":"gp","p":3,"alpha":0,"sup_q":0.7,"degree":700}',
+             "p ** degree must stay below the largest float"),
+            (f'{{"family":"weierstrass","p":{HUGE_P},"alpha":0,"mu":0.4,'
+             '"region":"S0"}', "p must not exceed the largest float"),
             ('5', "parameters must be a JSON object")]:
         code, _, err = run(capsys, "certify", bad)
         assert err == f"certify: invalid parameters: {message}\n"
@@ -232,6 +243,7 @@ def test_section_schema_violations(capsys):
                 '{"family":"weierstrass","lam":0.25,"p":2,"alpha":-1}',
                 '{"family":"weierstrass","lam":0.25,"p":2,"alpha":1e308}',
                 '{"family":"weierstrass","lam":0.6,"p":2,"alpha":1}',
+                f'{{"family":"gp","q":0.5,"p":{HUGE_P}}}',
                 '5', '[]'):
         code, out, err = run(capsys, "section", bad, "--size", "16")
         assert code == 2 and out == "" and err.count("\n") == 1
@@ -244,7 +256,9 @@ def test_section_schema_violations(capsys):
     for bad, message in [
             ('{"family":"gp","q":1.5}', "sup_q must lie in (0, 1)"),
             ('{"family":"weierstrass","lam":0.6,"p":2,"alpha":1}',
-             "mu must lie in (0, p^-alpha)")]:
+             "mu must lie in (0, p^-alpha)"),
+            (f'{{"family":"gp","q":0.5,"p":{HUGE_P}}}',
+             "p must not exceed the largest float")]:
         code, _, err = run(capsys, "section", bad, "--size", "16")
         assert err == f"section: invalid parameters: {message}\n"
 

@@ -44,7 +44,9 @@ def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-P_OK, P_BAD = st.integers(2, 12), st.integers(-10**6, 1)
+# a p beyond the float range is outside both specs
+P_OK = st.integers(2, 12)
+P_BAD = st.one_of(st.integers(-10**6, 1), st.integers(10**309, 10**400))
 ALPHA_OK = _finite(0.0, 3.0)
 ALPHA_BAD = st.one_of(_finite(-1e300, -1e-300),
                       st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -55,8 +57,10 @@ Q_BAD = st.one_of(_finite(-10.0, 0.0), _finite(1.0, 10.0),
 TERMS_OK = st.integers(1, 2000)
 TERMS_BAD = st.one_of(st.integers(-10**6, 0),
                       st.integers(1_000_001, 10**12))
-# degree 2 is the closed-form T1; degree >= 3 is pinned below
-DEGREE_OK, DEGREE_BAD = st.sampled_from([1, 2]), st.integers(-10**6, 0)
+# degree 2 is the closed-form T1; degree >= 3 is pinned below. From
+# degree 1024 on, p^degree overflows a float at every p of P_OK.
+DEGREE_OK = st.sampled_from([1, 2])
+DEGREE_BAD = st.one_of(st.integers(-10**6, 0), st.integers(1024, 10**6))
 REGION_OK = st.sampled_from(["S0", "S1"])
 REGION_BAD = st.text(max_size=3).filter(lambda r: r not in ("S0", "S1"))
 
@@ -89,8 +93,9 @@ def _object(family, values, broken):
 def _envelope(draw, broken, p, alpha, nu_max):
     """A Weierstrass envelope mu = nu / p^alpha with nu in (0, nu_max]
     when in the domain, else nu >= 1.001, mu <= 0 or NaN."""
-    usable = (isinstance(p, int) and p >= 2 and isinstance(alpha, float)
-              and 0.0 <= alpha < math.inf)
+    # P_OK's range: a huge bad p would overflow p ** alpha
+    usable = (isinstance(p, int) and 2 <= p <= 12
+              and isinstance(alpha, float) and 0.0 <= alpha < math.inf)
     scale = p ** alpha if usable else 1.0
     ok = _finite(1e-6, nu_max).map(lambda nu: nu / scale)
     bad = st.one_of(_finite(1.001, 10.0).map(lambda nu: nu / scale),

@@ -1,13 +1,15 @@
 """Elliptic kernel, mode sums, thresholds, and eigenpairs."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from rieszcert import gross_pitaevskii as gp
+from rieszcert import polydisc
 from rieszcert.dilation import OddModeProfile
-from rieszcert.errors import ModulusOutOfRange, NotInG2
+from rieszcert.errors import ModulusOutOfRange, NotInG2, RieszcertError
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +205,107 @@ def test_min_quadratic_against_circle_grid():
         assert gp.min_quadratic(a, b) == pytest.approx(grid_min, rel=1e-6)
 
 
+def _membership_grid():
+    """(a, b) over [0, 3] x (0, 2] with the edges of G_2 and of the root
+    formulas: b = 1, a = 1 + b (a root at -1), a^2 = 4b (a double root)."""
+    grid_a = [float(a) for a in np.linspace(0.0, 3.0, 61)]
+    grid_b = [float(b) for b in np.linspace(0.0, 2.0, 41)[1:]]
+    points = [(a, b) for a in grid_a for b in grid_b]
+    points += [(a, 1.0) for a in grid_a]
+    points += [(1.0 + b, b) for b in grid_b]
+    points += [(2.0 * math.sqrt(b), b) for b in grid_b]
+    return points
+
+
+def _exact_root_margin(a, b):
+    """min |root| - 1 of 1 + a z + b z^2 from the float inputs in
+    60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        A, B = Decimal(a), Decimal(b)
+        disc = A * A - 4 * B
+        if disc < 0:
+            return float(1 / B.sqrt() - 1)
+        return float(2 / (A + disc.sqrt()) - 1)
+
+
+def test_quadratic_root_margin_matches_the_root_oracle():
+    tol = polydisc.MEMBERSHIP_TOL
+    for a, b in _membership_grid():
+        margin = gp.quadratic_root_margin(a, b)
+        oracle = polydisc.in_polydisc_roots((a, b))
+        double_root = abs(a * a - 4.0 * b) <= 1e-12
+        # at a double root a^2 - 4b cancels in floats, which leaves
+        # ~sqrt(eps) in the closed form
+        assert margin == pytest.approx(_exact_root_margin(a, b),
+                                       abs=1e-7 if double_root else 1e-14)
+        # Aberth stops at a relative residual of 1e-12, which leaves up to
+        # ~8e-12 in a simple root on this grid and ~1e-6 in a double one
+        assert margin == pytest.approx(oracle.margin,
+                                       abs=1e-5 if double_root else 1e-10)
+        if abs(margin - tol) > 1e-12:
+            assert (margin > tol) is oracle.inside, (a, b)
+    # b = 1 puts both roots of a complex pair on the circle
+    assert gp.quadratic_root_margin(1.0, 1.0) == 0.0
+    # a = 1 + b puts a root at -1 exactly
+    assert gp.quadratic_root_margin(1.5, 0.5) == 0.0
+
+
+def test_min_quadratic_closed_agrees_with_min_quadratic():
+    for a, b in _membership_grid() + [(a, 0.0) for a in (0.0, 0.5, 1.0, 2.0)]:
+        try:
+            want = gp.min_quadratic(a, b)
+        except NotInG2:
+            with pytest.raises(NotInG2, match="outside G_2"):
+                gp.min_quadratic_closed(a, b)
+        else:
+            assert gp.min_quadratic_closed(a, b) == want
+    with pytest.raises(NotInG2, match="need a, b >= 0"):
+        gp.min_quadratic_closed(-0.1, 0.2)
+
+
+# solve_r1_tilde at the default terms and tolerance, as the root-oracle
+# membership test of min_quadratic gave them
+R1_TILDE = {
+    (0.0, 3): 0.8382142193592155, (0.5, 3): 0.513188929285435,
+    (1.25, 3): 0.21188493535400457, (2.0, 3): 0.09405530612081647,
+    (0.0, 5): 0.7768395930195431, (0.5, 5): 0.4528524332573174,
+    (1.25, 5): 0.2039481185024204, (2.0, 5): 0.09315625848405772,
+    (0.0, 7): 0.7684059747936316, (0.5, 7): 0.4527219955882784,
+    (1.25, 7): 0.20394804395635047, (2.0, 7): 0.09315625820231452,
+}
+
+
+def test_solve_r1_tilde_runs_the_root_oracle_once(monkeypatch):
+    # the bisection decides G_2 in closed form; only the final
+    # cross-check at the reported point asks the root oracle
+    calls = []
+
+    def counted(coeffs, *args, **kwargs):
+        calls.append(coeffs)
+        return polydisc.in_polydisc_roots(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "in_polydisc_roots", counted)
+    for (alpha, p), want in R1_TILDE.items():
+        calls.clear()
+        assert gp.solve_r1_tilde(alpha, p) == want
+        assert len(calls) == 1
+
+
+def test_solve_r1_tilde_cross_check_tolerates_a_boundary_split():
+    # p = 2 near alpha = 2.89: the root lies on the G_2 boundary a = 1 + b,
+    # where both deciders refuse the reported point; the value is the
+    # one the root-oracle search gave
+    assert gp.solve_r1_tilde(4.0 * 71 / 99 + 0.0246, 2) == 0.03708518439200863
+
+
+def test_solve_r1_tilde_cross_check_catches_a_disagreeing_oracle(monkeypatch):
+    monkeypatch.setattr(gp, "in_polydisc_roots", lambda coeffs: (
+        polydisc.MembershipVerdict(False, -0.5, "roots")))
+    with pytest.raises(RieszcertError, match="disagrees with the root oracle"):
+        gp.solve_r1_tilde(0.5, 3)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -315,6 +418,8 @@ def test_gp_spec_domain_edges():
     # the closed edges are inside the domain
     gp.GpSpec(2, 0.0, 5e-324, terms=1, degree=1)
     gp.GpSpec(3, 1e308, math.nextafter(1.0, 0.0), terms=gp.MAX_TERMS)
+    gp.GpSpec(3, 0.5, 0.5, degree=646)
+    gp.GpSpec(2, 0.5, 0.5, degree=1023)
     base = {"p": 3, "alpha": 0.5, "sup_q": 0.5}
     for change, message in [
             ({"sup_q": 0.0}, r"sup_q must lie in \(0, 1\)"),
@@ -328,6 +433,11 @@ def test_gp_spec_domain_edges():
             ({"terms": 0}, r"terms must lie in 1\.\.1000000"),
             ({"terms": gp.MAX_TERMS + 1}, r"terms must lie in 1\.\.1000000"),
             ({"degree": 0}, "degree must be >= 1"),
+            ({"p": 10 ** 400}, "p must not exceed the largest float"),
+            # 3^647 and 2^1024 overflow a float, 3^646 and 2^1023 do not
+            ({"degree": 647}, r"p \*\* degree must stay below"),
+            ({"p": 2, "degree": 1024}, r"p \*\* degree must stay below"),
+            ({"p": 10 ** 200}, r"p \*\* degree must stay below"),
             # the checks run in this order: the first failing one reports
             ({"sup_q": 2.0, "p": 1, "alpha": -1.0, "degree": 0}, "sup_q"),
             ({"p": 1, "alpha": -1.0, "terms": 0}, "p must"),

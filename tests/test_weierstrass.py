@@ -128,6 +128,8 @@ def test_spec_validation():
     for alpha in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             ws.WeierstrassSpec(2, alpha, 0.4, "S0")
+    with pytest.raises(ValueError, match="p must not exceed the largest"):
+        ws.WeierstrassSpec(10 ** 400, 0.0, 0.4, "S0")
     # mu just below 2^-0.01 whose nu = mu 2^0.01 rounds to 1: outside
     mu = math.nextafter(2 ** -0.01, 0.0)
     assert mu < 2 ** -0.01 and mu * 2 ** 0.01 == 1.0
