@@ -88,17 +88,28 @@ def default_ptak_young(d: int) -> PtakYoungMatrix:
 def in_polydisc_roots(coeffs: Sequence[complex],
                       tol: float = MEMBERSHIP_TOL) -> MembershipVerdict:
     """Root oracle: (a_1, ..., a_d) is in G_d iff 1 + sum a_k z^k has all
-    roots outside the closed unit disc. Margin is min |root| - 1."""
+    roots outside the closed unit disc. Margin is min |root| - 1.
+
+    The verdict is indeterminate when |margin| is within ``tol`` or
+    within the Newton inclusion radius d |p(z) / p'(z)| of the smallest
+    computed root z, a disc that holds a true root: near a multiple
+    root the computed roots are off by about sqrt(eps) |z|, far more
+    than ``tol``.
+    """
     cs = [complex(c) for c in coeffs]
     if not cs:
         raise ValueError("need at least one coefficient")
     if all(c == 0 for c in cs):
         return MembershipVerdict(True, math.inf, "roots")
     pol = polyform.as_poly([1.0] + cs)
-    rts = polyform.roots(pol)
-    margin = min(abs(r) for r in rts.roots) - 1.0
+    z = min(polyform.roots(pol).roots, key=abs)
+    margin = abs(z) - 1.0
+    pz = abs(polyform.eval_poly(pol, z))
+    dz = abs(polyform.eval_poly(
+        [k * c for k, c in enumerate(pol.coeffs)][1:], z))
+    inclusion = 0.0 if pz == 0 else (pol.degree * pz / dz if dz else math.inf)
     return MembershipVerdict(margin > tol, margin, "roots",
-                             indeterminate=abs(margin) <= tol)
+                             indeterminate=abs(margin) <= max(tol, inclusion))
 
 
 def _matrix_poly(asc_coeffs: Sequence[complex], M: np.ndarray) -> np.ndarray:

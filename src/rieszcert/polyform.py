@@ -1,9 +1,14 @@
 """Complex polynomial kernel.
 
 Horner evaluation, simultaneous-iteration root finding, elementary
-symmetric maps, conjugate polynomials, and modulus minimization over the
-closed unit disc. Coefficients are always stored in ascending degree
-order, so ``coeffs[k]`` multiplies ``z**k``.
+symmetric maps, conjugate polynomials, the Schur-Cohn zero test on a
+closed disc, and modulus minimization over the closed unit disc.
+Coefficients are always stored in ascending degree order, so
+``coeffs[k]`` multiplies ``z**k``.
+
+The disc minimum runs no root finder: zero-freeness is decided by the
+O(d^2) Schur-Cohn recursion. :func:`roots` stays as the independent
+oracle of the polydisc membership test and of the test suite.
 """
 
 from __future__ import annotations
@@ -211,22 +216,52 @@ def conjugate_poly(p) -> Polynomial:
     return Polynomial(out, padded=(out[-1] == 0 and len(out) > 1))
 
 
+def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
+    """True iff p has no zero in the closed disc |z| <= radius.
+
+    Schur-Cohn recursion (Schur 1917; Cohn 1922) on q(z) = p(radius z):
+    q is zero-free on the closed unit disc iff |q_0| > |q_d| and the
+    reduction conj(q_0) q - q_d q* (q* the conjugate polynomial, see
+    :func:`conjugate_poly`), whose top coefficient cancels, is zero-free
+    too; by Rouche's theorem the two have the same zeros in the disc.
+    Every step costs O(d) and is renormalised by max |c_k|, so weights
+    spread over hundreds of decades neither overflow nor underflow.
+    Vanishing top coefficients are zeros at infinity; the zero
+    polynomial has zeros everywhere.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    # |c_k| radius^k / max in log space, times the phase of c_k: no
+    # division, so subnormal and huge coefficients are safe alike
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c)) + np.arange(c.size) * math.log(radius)
+    if logs.max() == -math.inf:
+        return False
+    c = np.exp(logs - logs.max() + 1j * np.angle(c))
+    while c.size > 1:
+        c = (c[0].conjugate() * c - c[-1] * c[::-1].conj())[:-1]
+        # the new constant term is the real number |c_0|^2 - |c_d|^2
+        if not c[0].real > 0.0:
+            return False
+        c = c / np.abs(c).max()
+    return bool(c[0] != 0)
+
+
 def min_modulus_disc(p, angles: int = CIRCLE_ANGLES,
                      boundary_tol: float = BOUNDARY_TOL,
                      refine_tol: float = 1e-12) -> float:
     """Infimum of |p| over the open unit disc.
 
-    Zero if p has a root of modulus <= 1 + boundary_tol. Otherwise 1/p is
-    holomorphic on a neighbourhood of the closed disc, so the minimum of
-    |p| is attained on the circle; it is located by uniform angular
-    sampling followed by golden-section refinement of the three best
-    brackets.
+    Zero unless p is zero-free on the disc of radius 1 + boundary_tol,
+    which :func:`zero_free_disc` decides without computing a root. On a
+    zero-free p, 1/p is holomorphic on a neighbourhood of the closed
+    disc, so the minimum of |p| is attained on the circle; it is located
+    by uniform angular sampling followed by golden-section refinement of
+    the three best brackets.
     """
     pol = as_poly(p)
     if pol.degree == 0:
         return abs(pol.coeffs[0])
-    rts = roots(pol)
-    if min(abs(r) for r in rts.roots) <= 1.0 + boundary_tol:
+    if not zero_free_disc(pol.coeffs, 1.0 + boundary_tol):
         return 0.0
 
     crev = np.asarray(pol.coeffs[::-1], dtype=complex)

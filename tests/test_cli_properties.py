@@ -6,10 +6,10 @@ exits 2 with nothing on stdout, and an input inside the domain never
 does; stderr is empty or exactly one line, never a traceback or a
 warning.
 
-Two known defects of the polynomial root finder are kept out of the
-drawn inputs and pinned by the strict xfail tests at the end: the
-Weierstrass S1 certificate close to nu = 1 and the experimental gp
-certificate at degree >= 3 both print RuntimeWarnings.
+The draws reach the Weierstrass S1 certificate at nu = 0.99 (symbol
+degree 527) and the experimental gp certificate at degrees 3..8, and
+the two tests at the end pin the inputs on which the symbol kernel
+once printed RuntimeWarnings.
 """
 
 import contextlib
@@ -27,9 +27,9 @@ from rieszcert import cli
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 
-# S1 runs the root finder on a polynomial of the minimal degree, which
-# grows without bound as nu -> 1
-S1_NU_MAX = 0.975
+# S1 minimises a symbol of the minimal degree, which grows without
+# bound as nu -> 1: 527 at nu = 0.99
+S1_NU_MAX = 0.99
 
 ABSENT = object()
 
@@ -57,9 +57,10 @@ Q_BAD = st.one_of(_finite(-10.0, 0.0), _finite(1.0, 10.0),
 TERMS_OK = st.integers(1, 2000)
 TERMS_BAD = st.one_of(st.integers(-10**6, 0),
                       st.integers(1_000_001, 10**12))
-# degree 2 is the closed-form T1; degree >= 3 is pinned below. From
-# degree 1024 on, p^degree overflows a float at every p of P_OK.
-DEGREE_OK = st.sampled_from([1, 2])
+# degree 2 is the closed-form T1, every other degree the experimental
+# certify_Td. From degree 1024 on, p^degree overflows a float at every
+# p of P_OK.
+DEGREE_OK = st.integers(1, 8)
 DEGREE_BAD = st.one_of(st.integers(-10**6, 0), st.integers(1024, 10**6))
 REGION_OK = st.sampled_from(["S0", "S1"])
 REGION_BAD = st.text(max_size=3).filter(lambda r: r not in ("S0", "S1"))
@@ -208,18 +209,12 @@ def test_section_schema_contract(case):
         assert out.startswith("family            ")
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="root finder overflows on the degree-d symbol "
-                          "as nu -> 1")
 @pytest.mark.filterwarnings("error")
 def test_certify_S1_near_one_without_warnings():
     _run(["certify", '{"family":"weierstrass","p":2,"alpha":0,'
                      '"mu":0.99,"region":"S1"}'])
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="root finder overflows on the weights "
-                          "p^(k alpha) of the degree-3 symbol")
 @pytest.mark.filterwarnings("error")
 def test_certify_gp_degree3_without_warnings():
     _run(["certify", '{"family":"gp","p":7,"alpha":2.6253512273463824,'

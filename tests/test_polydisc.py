@@ -68,6 +68,19 @@ def test_root_oracle_examples():
     assert not pd.in_polydisc_roots([2.5, 1]).inside
 
 
+def test_root_oracle_indeterminate_near_a_double_root():
+    # 1 + a z + b z^2 = (1 + z/r)^2: the true margin r - 1 = 3e-7 is far
+    # above the tolerance, but a computed double root is off by about
+    # sqrt(eps) |z|, so the margin's sign is not decided
+    r = 1.0 + 3e-7
+    v = pd.in_polydisc_roots((2.0 / r, 1.0 / r ** 2))
+    assert v.indeterminate and abs(v.margin) < 1e-6
+    cert = pd.membership_certificate((2.0 / r, 1.0 / r ** 2))
+    assert cert.verdict == "boundary-indeterminate"
+    # a simple root at the same distance stays decisive
+    assert not pd.in_polydisc_roots((1.0 / r,)).indeterminate
+
+
 def test_schur_cohn_scalar_values():
     Y = pd.ptak_young([0.5])
     assert pd.schur_cohn_form([0.5], Y)[0, 0] == pytest.approx(0.5625)

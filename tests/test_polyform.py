@@ -1,4 +1,5 @@
-"""Polynomial kernel: evaluation, roots, symmetric maps, disc minima."""
+"""Polynomial kernel: evaluation, roots, symmetric maps, the Schur-Cohn
+zero test and disc minima."""
 
 import itertools
 import math
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from rieszcert import polyform as pf
+from rieszcert.gross_pitaevskii import OddModeProfile
+from rieszcert.weierstrass import minimal_degree, truncated_symbol_floor
 
 
 def test_eval_examples():
@@ -135,3 +138,93 @@ def test_min_modulus_rotation_invariance():
         rotated = [c[k] * np.exp(1j * k * theta) for k in range(d + 1)]
         assert pf.min_modulus_disc(tuple(c)) == pytest.approx(
             pf.min_modulus_disc(tuple(rotated)), abs=1e-9)
+
+
+def test_zero_free_disc_agrees_with_numpy_roots():
+    rng = np.random.default_rng(2718)
+    checked = 0
+    while checked < 3000:
+        d = int(rng.integers(1, 9))
+        c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        # graded coefficients move the root moduli towards and past 1
+        c *= rng.uniform(0.3, 3.0) ** np.arange(d + 1)
+        smallest = float(np.abs(np.roots(c[::-1])).min())
+        if abs(smallest - 1.0) <= 1e-6:
+            continue
+        checked += 1
+        assert pf.zero_free_disc(c) == (smallest > 1.0), c
+
+
+def test_zero_free_disc_simple_root_near_the_circle():
+    # one root at modulus 1 +- eps, eps from 1e-8 to 1e-2, the others
+    # in the annulus 0.3 <= |z| <= 3: the decision is known exactly
+    rng = np.random.default_rng(1729)
+    for _ in range(1000):
+        d = int(rng.integers(1, 9))
+        eps = 10.0 ** rng.uniform(-8.0, -2.0)
+        mods = np.append(1.0 + eps * rng.choice((-1.0, 1.0)),
+                         rng.uniform(0.3, 3.0, d - 1))
+        c = np.poly(mods * np.exp(2j * np.pi * rng.uniform(0, 1, d)))[::-1]
+        assert pf.zero_free_disc(c) == bool(mods.min() > 1.0), mods
+
+
+def test_zero_free_disc_roots_on_and_inside_the_circle():
+    assert not pf.zero_free_disc([1, 1])  # root at -1
+    assert not pf.zero_free_disc([1, 0, 1])  # roots at +-i
+    assert not pf.zero_free_disc([1, 2.5, 1])  # root at -1/2
+    assert not pf.zero_free_disc([0, 1, 3])  # root at 0
+    assert pf.zero_free_disc([1, 0.3, 0.3])
+
+
+def test_zero_free_disc_degenerate_inputs():
+    assert pf.zero_free_disc([2.5])
+    assert pf.zero_free_disc([-1j])
+    assert not pf.zero_free_disc([0])
+    assert not pf.zero_free_disc([0, 0, 0])
+    # vanishing top coefficients are roots at infinity
+    assert pf.zero_free_disc([1, 0.5, 0, 0])  # root at -2
+    assert not pf.zero_free_disc([1, 2, 0])  # root at -1/2
+
+
+def test_zero_free_disc_radius():
+    assert pf.zero_free_disc([1, 0.5], 1.999)
+    assert not pf.zero_free_disc([1, 0.5], 2.0)
+    assert not pf.zero_free_disc([1, 0.5], 2.001)
+    # 1 + 1e-300 z has its root at -1e300; the radius is taken in log space
+    assert pf.zero_free_disc([1, 1e-300], 1e299)
+    assert not pf.zero_free_disc([1, 1e-300], 1e301)
+
+
+# the pinned S1 band nu = mu p^alpha of the certify-mix benchmark, with
+# the minimal degrees 227 .. 527 of weierstrass.minimal_degree
+S1_BAND = (0.98, 0.981, 0.982, 0.983, 0.984, 0.985, 0.986, 0.988, 0.99)
+
+
+@pytest.mark.parametrize("nu", S1_BAND)
+def test_truncated_geometric_symbol_closed_form(nu):
+    # sum_{k<=d} (nu z)^k = (1 - (nu z)^{d+1}) / (1 - nu z) has its roots
+    # at nu^-1 e^{2 pi i k/(d+1)}, k = 1..d: all on the circle |z| = 1/nu
+    d = minimal_degree(nu)
+    c = [nu ** k for k in range(d + 1)]
+    assert pf.zero_free_disc(c, 1.0 + pf.BOUNDARY_TOL)
+    assert pf.zero_free_disc(c, (1.0 - 1e-6) / nu)
+    assert not pf.zero_free_disc(c, (1.0 + 1e-6) / nu)
+    if d % 2 == 1:
+        # at odd d the circle minimum sits at z = -1
+        assert pf.min_modulus_disc(c) == pytest.approx(
+            truncated_symbol_floor(nu, d), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_gp_weights_spread_over_hundreds_of_decades(degree):
+    # the weights p^{k alpha} coeff(p^k) run 1.7e-2, 5.9e-28, 1.4e-219
+    # and then underflow to 0
+    p, alpha = 7, 2.6253512273463824
+    profile = OddModeProfile(0.048017423417903715, alpha)
+    w = [float(p) ** (k * alpha) * profile.coeff(p ** k)
+         for k in range(1, degree + 1)]
+    assert 1e-220 < w[2] < 1e-218
+    assert pf.zero_free_disc([1.0] + w)
+    assert pf.min_modulus_disc([1.0] + w) == pytest.approx(
+        1.0 - w[0] + w[1], rel=1e-12)
