@@ -68,6 +68,12 @@ def cmd_sweep(args, settings: Settings) -> int:
     if args.p < 2:
         print("sweep: need p >= 2", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        for alpha in (args.alpha_min, args.alpha_max):
+            gp.check_p_alpha(args.p, alpha)
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.alpha_max == args.alpha_min or args.steps == 1:
         grid = [args.alpha_min]
     else:

@@ -13,6 +13,7 @@ for p-periodic nome sequences.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -41,6 +42,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ORACLE_SLACK = 1e-5
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
+# the threshold solvers' prescan grid, and the largest block of
+# summands the mode-sum kernel builds at once (256 kB of floats)
+_PRESCAN_POINTS = 64
+_BLOCK_ELEMENTS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,66 @@ class SeriesValue:
         return self.value
 
 
-def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
+def _mode_weights(alpha: float, terms: int) -> tuple:
+    """(l, 2l+1, (2l+1)^alpha) for l < ``terms``: the q-free factors of
+    the mode sum, built once per solver call and reused at every q."""
+    l = np.arange(terms, dtype=float)
+    odd = 2.0 * l + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return l, odd, odd ** alpha
+
+
+def _column(xs: list):
+    """Values per row, as a column against the terms axis; a lone value
+    stays a float, numpy's fastest path for a one-row block."""
+    return xs[0] if len(xs) == 1 else np.array(xs)[:, None]
+
+
+def _mode_sums(qs, alpha: float, terms: int,
+               weights: tuple | None = None) -> np.ndarray:
+    """Raw partial sums of :func:`s_alpha` at each q of ``qs``, not
+    checked for overflow. ``weights`` is :func:`_mode_weights` of
+    (alpha, terms), built here when not given.
+
+    Row i of a block holds the summands at qs[i], computed with the
+    operations of a single q in the same order, and numpy sums each row
+    of a C-contiguous block as it sums a 1-d array, so every sum is
+    bit-identical to a one-q call. A block holds at most
+    ``_BLOCK_ELEMENTS`` summands (one row at least), so a batch needs
+    no more memory than one q does at large ``terms``.
+    """
+    l, odd, w = _mode_weights(alpha, terms) if weights is None else weights
+    lqs = [math.log1p(-(1.0 - q)) for q in qs]
+    rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
+    sums = np.empty(len(qs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(qs), rows):
+            lq = _column(lqs[i:i + rows])
+            # w e^{l lq} (1-q) / (-expm1((2l+1) lq)), one operation at a
+            # time in that order, in place in two temporaries
+            summand = np.multiply(l, lq)
+            np.exp(summand, out=summand)
+            np.multiply(w, summand, out=summand)
+            summand *= _column([1.0 - q for q in qs[i:i + rows]])
+            denominator = np.multiply(odd, lq)
+            np.expm1(denominator, out=denominator)
+            np.negative(denominator, out=denominator)
+            summand /= denominator
+            sums[i:i + rows] = summand.sum(axis=-1)
+    return sums
+
+
+def _finite_sum(total: float, q: float, alpha: float) -> float:
+    # the summands are nonnegative: an inf or nan among them leaves the
+    # sum inf or nan too
+    if not math.isfinite(total):
+        raise RieszcertError(f"s_alpha overflows the float range at "
+                             f"q={q}, alpha={alpha}")
+    return float(total)
+
+
+def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS, *,
+            weights: tuple | None = None) -> SeriesValue:
     """Weighted mode sum s_alpha(q) = sum_l (2l+1)^alpha (1-q) q^l /
     (1 - q^{2l+1}), strictly increasing in both q and alpha.
 
@@ -178,21 +242,15 @@ def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
     decreasing, so the tail after ``terms`` summands is bounded by a
     geometric series started at the first omitted term. Raises
     RieszcertError when a summand or the sum overflows.
+
+    The partial sum is the kernel :func:`_mode_sums` at this one q; the
+    threshold solvers pass ``weights`` (:func:`_mode_weights` of alpha
+    and terms) so that the q-free factors are built once per solve.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    total = _finite_sum(_mode_sums((q,), alpha, terms, weights)[0], q, alpha)
     lq = math.log1p(-(1.0 - q))
-    l = np.arange(terms, dtype=float)
-    odd = 2.0 * l + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        summand = (odd ** alpha * np.exp(l * lq) * (1.0 - q)
-                   / (-np.expm1(odd * lq)))
-        total = float(summand.sum())
-    # the summands are nonnegative: an inf or nan among them leaves the
-    # sum inf or nan too
-    if not math.isfinite(total):
-        raise RieszcertError(f"s_alpha overflows the float range at "
-                             f"q={q}, alpha={alpha}")
     first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
@@ -366,23 +424,47 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
              tol: float = 1e-9) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
     uniqueness); bisection to ``tol`` in q."""
+    weights = _mode_weights(alpha, terms)
     return bisect_monotone(
-        lambda q: s_alpha(q, alpha, terms).value - 2.0,
+        lambda q: s_alpha(q, alpha, terms, weights=weights).value - 2.0,
         _Q_LO, _Q_HI, tol=tol)
 
 
-def _single_sign_change(f, lo: float, hi: float, points: int,
+def _prescan_grid(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
+            for i in range(_PRESCAN_POINTS)]
+
+
+@functools.lru_cache(maxsize=32)
+def _prescan_sums(alpha: float, terms: int, lo: float, hi: float) -> tuple:
+    """Raw mode sums on the prescan grid of [lo, hi], one kernel call.
+
+    They depend on (alpha, terms, lo, hi) alone, so :func:`solve_r1`
+    and :func:`solve_r1_tilde` share them whenever the latter's bracket
+    did not shrink. The cache holds immutable tuples of floats, which
+    keeps the solvers pure and safe for concurrent use.
+    """
+    return tuple(_mode_sums(_prescan_grid(lo, hi), alpha, terms).tolist())
+
+
+def _single_sign_change(f, alpha: float, terms: int, lo: float, hi: float,
                         label: str) -> tuple:
-    qs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    vals = [f(q) for q in qs]
-    brackets = [(qs[i], qs[i + 1]) for i in range(points - 1)
-                if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
-    if not brackets:
+    """First sign change of ``f(q, s)`` on the 64-point grid of
+    [lo, hi], with s the raw mode sum at q from :func:`_prescan_sums`;
+    f checks s for overflow itself. More than one sign change is
+    logged. Returns the bracket and f at its ends, (lo, hi, f(lo),
+    f(hi)), so that the bisection does not evaluate them again."""
+    qs = _prescan_grid(lo, hi)
+    vals = [f(q, s) for q, s in zip(qs, _prescan_sums(alpha, terms, lo, hi))]
+    changes = [i for i in range(_PRESCAN_POINTS - 1)
+               if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
+    if not changes:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
-    if len(brackets) > 1:
+    if len(changes) > 1:
         log.warning("%s: %d sign changes on the prescan grid; using the "
-                    "first bracket", label, len(brackets))
-    return brackets[0]
+                    "first bracket", label, len(changes))
+    i = changes[0]
+    return qs[i], qs[i + 1], vals[i], vals[i + 1]
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -390,15 +472,22 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     """Unique solution of s_alpha(q) = 2 + b(q) / (2 p^alpha).
 
     A 64-point prescan confirms a single sign change of the difference
-    (logged if violated) before bisecting.
+    (logged if violated) before bisecting. The prescan's mode sums come
+    from one batched kernel call, shared with :func:`solve_r1_tilde`,
+    and the bisection starts from the prescan's values at its bracket.
     """
     pa = float(p) ** alpha
+    weights = _mode_weights(alpha, terms)
 
-    def f(q: float) -> float:
-        return s_alpha(q, alpha, terms).value - 2.0 - 0.5 * b_weight(q, alpha, p) / pa
+    def f(q: float, s: float) -> float:
+        return (_finite_sum(s, q, alpha) - 2.0
+                - 0.5 * b_weight(q, alpha, p) / pa)
 
-    lo, hi = _single_sign_change(f, _Q_LO, _Q_HI, 64, "r1")
-    return bisect_monotone(f, lo, hi, tol=tol)
+    lo, hi, flo, fhi = _single_sign_change(f, alpha, terms, _Q_LO, _Q_HI,
+                                           "r1")
+    return bisect_monotone(
+        lambda q: f(q, s_alpha(q, alpha, terms, weights=weights).value),
+        lo, hi, tol=tol, flo=flo, fhi=fhi)
 
 
 def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -408,24 +497,45 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     basis threshold; the certificates report it as such.
 
     G_2 membership along the search is decided in closed form by
-    :func:`min_quadratic_closed`, so the ~100 evaluations of a row run
-    no root finder; the root oracle runs once, at the reported point,
+    :func:`min_quadratic_closed`, so the evaluations of a row's search
+    run no root finder; the root oracle runs once, at the reported point,
     where :func:`_cross_check_g2` holds the two deciders to agreement.
     Where (a(q), b(q)) leaves G_2 the difference is treated as past the
     root: the upper bracket is shrunk (and the event logged) until the
-    closed-form minimum is defined.
+    closed-form minimum is defined. The shrink steps after the first
+    decide on (a, b) alone, without the mode sum; the prescan is that
+    of :func:`solve_r1` (one batched kernel call, cached) when the
+    bracket did not shrink, and the bisection starts from its values.
     """
 
-    def f(q: float) -> float:
+    def f(q: float, s: float) -> float:
         a = a_weight(q, alpha, p)
         b = b_weight(q, alpha, p)
-        return (s_alpha(q, alpha, terms).value
+        return (_finite_sum(s, q, alpha)
                 - 1.0 - a - b - min_quadratic_closed(a, b))
 
+    def first(q: float) -> None:
+        # the order of f: a, b, the overflow check of s, membership. a
+        # and b can only raise for (p, alpha) alone, so once they pass
+        # here the bisection may check s first, in s_alpha
+        f(q, _mode_sums((q,), alpha, terms, weights)[0])
+
+    def in_g2(q: float) -> None:
+        # a mode sum finite at _Q_HI is finite at every smaller q: no
+        # weight (2l+1)^alpha is then infinite, each numerator
+        # (2l+1)^alpha q^l (1-q) stays below its weight, and each ratio
+        # (1-q) q^l / (1 - q^{2l+1}) = 1 / sum_{|k| <= l} q^k grows with
+        # q. Only rounding within a few ulps of the float max could break
+        # this; tests/test_gross_pitaevskii.py checks it at the overflow
+        # edge of alpha
+        min_quadratic_closed(a_weight(q, alpha, p), b_weight(q, alpha, p))
+
+    weights = _mode_weights(alpha, terms)
     lo, hi = _Q_LO, _Q_HI
+    check = first
     while True:
         try:
-            f(hi)
+            check(hi)
             break
         except NotInG2:
             log.info("r1_tilde: (a, b) outside G_2 at q=%.6f; shrinking "
@@ -434,17 +544,30 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
             if hi - lo < tol:
                 raise BracketFailure(
                     "no subinterval with (a, b) in G_2") from None
+            check = in_g2
 
-    def g(q: float) -> float:
+    def lost(q: float) -> float:
+        log.info("r1_tilde: membership lost at q=%.6f during the "
+                 "search; treating as past the root", q)
+        return math.inf
+
+    def g(q: float, s: float) -> float:
         try:
-            return f(q)
+            return f(q, s)
         except NotInG2:
-            log.info("r1_tilde: membership lost at q=%.6f during the "
-                     "search; treating as past the root", q)
-            return math.inf
+            return lost(q)
 
-    lo, hi = _single_sign_change(g, lo, hi, 64, "r1_tilde")
-    q = bisect_monotone(g, lo, hi, tol=tol)
+    lo, hi, flo, fhi = _single_sign_change(g, alpha, terms, lo, hi,
+                                           "r1_tilde")
+    # f is finite wherever (a, b) is in G_2, so an infinite end is one
+    # where membership was lost; the search logs it on taking the
+    # bracket, as it logs every such point it meets
+    for q_end, f_end in ((lo, flo), (hi, fhi)):
+        if f_end == math.inf:
+            lost(q_end)
+    q = bisect_monotone(
+        lambda q: g(q, s_alpha(q, alpha, terms, weights=weights).value),
+        lo, hi, tol=tol, flo=flo, fhi=fhi)
     _cross_check_g2(a_weight(q, alpha, p), b_weight(q, alpha, p))
     return q
 
@@ -476,6 +599,18 @@ def thresholds(alpha: float, p: int,
                         solve_r1_tilde(alpha, p, terms), terms)
 
 
+def check_p_alpha(p: int, alpha: float) -> None:
+    """The (p, alpha) part of the family's domain, shared by
+    :class:`GpSpec` and the threshold sweep of the CLI: raises
+    ValueError unless 2 <= p <= the largest float and 0 <= alpha < inf."""
+    if p < 2:
+        raise ValueError("p must be an integer >= 2")
+    if p > sys.float_info.max:
+        raise ValueError("p must not exceed the largest float")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class GpSpec:
     """Family data: period base p, Sobolev exponent alpha, envelope
@@ -493,12 +628,7 @@ class GpSpec:
     def __post_init__(self):
         if not 0.0 < self.sup_q < 1.0:
             raise ValueError("sup_q must lie in (0, 1)")
-        if self.p < 2:
-            raise ValueError("p must be an integer >= 2")
-        if self.p > sys.float_info.max:
-            raise ValueError("p must not exceed the largest float")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be finite and >= 0")
+        check_p_alpha(self.p, self.alpha)
         if not 1 <= self.terms <= MAX_TERMS:
             raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
         if self.degree < 1:

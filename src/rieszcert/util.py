@@ -49,13 +49,16 @@ def golden_min(f, a: float, b: float, tol: float = 1e-12):
 
 
 def bisect_monotone(f, lo: float, hi: float, tol: float = 1e-9,
-                    max_iter: int = 200) -> float:
+                    max_iter: int = 200, flo: float | None = None,
+                    fhi: float | None = None) -> float:
     """Bisection root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
 
     Runs until the bracket width is <= tol or the iteration cap is hit.
+    A caller that already holds f(lo) or f(hi) passes it as ``flo`` or
+    ``fhi``, and f is not evaluated there again.
     """
-    flo = f(lo)
-    fhi = f(hi)
+    flo = f(lo) if flo is None else flo
+    fhi = f(hi) if fhi is None else fhi
     if flo == 0.0:
         return lo
     if fhi == 0.0:

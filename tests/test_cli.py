@@ -76,6 +76,19 @@ def test_sweep_usage_error(capsys):
         assert code == 2 and out == "" and err == "sweep: need p >= 2\n"
 
 
+def test_sweep_refuses_alpha_and_p_outside_the_family_domain(capsys):
+    # the rule of GpSpec, checked before the header; alpha = 1e308 is
+    # finite and stays an exit-3 row (test_sweep_keeps_rows_before_overflow)
+    for argv, message in [
+            (["--alpha-max", "nan"], "alpha must be finite and >= 0"),
+            (["--alpha-min", "nan"], "alpha must be finite and >= 0"),
+            (["--alpha-max", "inf", "--steps", "2"],
+             "alpha must be finite and >= 0"),
+            (["--p", "1" + "0" * 400], "p must not exceed the largest float")]:
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out, err) == (2, "", f"sweep: {message}\n"), argv
+
+
 def test_certify_weierstrass_examples(capsys):
     code, out, _ = run(capsys, "certify",
                        '{"family":"weierstrass","p":2,"alpha":0,'

@@ -1,7 +1,11 @@
 """Elliptic kernel, mode sums, thresholds, and eigenpairs."""
 
+import json
+import logging
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ import pytest
 from rieszcert import gross_pitaevskii as gp
 from rieszcert import polydisc
 from rieszcert.dilation import OddModeProfile
-from rieszcert.errors import ModulusOutOfRange, NotInG2, RieszcertError
+from rieszcert.errors import (BracketFailure, ModulusOutOfRange, NotInG2,
+                              RieszcertError)
+from rieszcert.util import bisect_monotone
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +270,43 @@ def test_min_quadratic_closed_agrees_with_min_quadratic():
         gp.min_quadratic_closed(-0.1, 0.2)
 
 
-# solve_r1_tilde at the default terms and tolerance, as the root-oracle
-# membership test of min_quadratic gave them
-R1_TILDE = {
-    (0.0, 3): 0.8382142193592155, (0.5, 3): 0.513188929285435,
-    (1.25, 3): 0.21188493535400457, (2.0, 3): 0.09405530612081647,
-    (0.0, 5): 0.7768395930195431, (0.5, 5): 0.4528524332573174,
-    (1.25, 5): 0.2039481185024204, (2.0, 5): 0.09315625848405772,
-    (0.0, 7): 0.7684059747936316, (0.5, 7): 0.4527219955882784,
-    (1.25, 7): 0.20394804395635047, (2.0, 7): 0.09315625820231452,
+# (r0, r1, r1_tilde) at the default terms and tolerance, recorded before
+# the solvers shared one batched prescan; the r1_tilde values of the
+# first twelve rows are as the root-oracle membership test of
+# min_quadratic gave them. From alpha = 1.25 on, the r1_tilde bracket
+# shrinks; at p = 2, alpha = 3 the r1_tilde prescan sees 2 sign changes
+# (and r1_tilde < r0 there: the ordering defect of thresholds)
+THRESHOLDS = {
+    (0.0, 3): (0.7680624489899168, 0.7864626815342131, 0.8382142193592155),
+    (0.5, 3): (0.4527219818919235, 0.45936016675584823, 0.513188929285435),
+    (1.25, 3): (0.2039480443445656, 0.20439177574136416,
+                0.21188493535400457),
+    (2.0, 3): (0.09315625799232191, 0.093180380510894, 0.09405530612081647),
+    (0.0, 5): (0.7680624489899168, 0.770125123176286, 0.7768395930195431),
+    (0.5, 5): (0.4527219818919235, 0.45273652682220344, 0.4528524332573174),
+    (1.25, 5): (0.2039480443445656, 0.20394804659895757,
+                0.2039481185024204),
+    (2.0, 5): (0.09315625799232191, 0.09315625860581217,
+               0.09315625848405772),
+    (0.0, 7): (0.7680624489899168, 0.7681477769340359, 0.7684059747936316),
+    (0.5, 7): (0.4527219818919235, 0.45272198328890734, 0.4527219955882784),
+    (1.25, 7): (0.2039480443445656, 0.20394804376064116,
+                0.20394804395635047),
+    (2.0, 7): (0.09315625799232191, 0.09315625860581217,
+               0.09315625820231452),
+    (1.3, 3): (0.19350855346600093, 0.19387514264538772,
+               0.20036898694261784),
+    (1.8, 3): (0.11473009858965949, 0.11478297702312615,
+               0.11633535830357723),
+    (1.3, 5): (0.19350855346600093, 0.1935085542125373,
+               0.19350859820193156),
+    (1.8, 5): (0.11473009858965949, 0.11473009824226141,
+               0.11473009874573906),
+    (1.3, 7): (0.19350855346600093, 0.19350855326643182,
+               0.19350855289499436),
+    (1.8, 7): (0.11473009858965949, 0.11473009824226141,
+               0.1147300985216438),
+    (3.0, 2): (0.03282263363083429, 0.0335144745793772, 0.02651122318357141),
 }
 
 
@@ -286,7 +320,7 @@ def test_solve_r1_tilde_runs_the_root_oracle_once(monkeypatch):
         return polydisc.in_polydisc_roots(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(gp, "in_polydisc_roots", counted)
-    for (alpha, p), want in R1_TILDE.items():
+    for (alpha, p), (_, _, want) in THRESHOLDS.items():
         calls.clear()
         assert gp.solve_r1_tilde(alpha, p) == want
         assert len(calls) == 1
@@ -353,6 +387,174 @@ def test_thresholds_record():
     t = gp.thresholds(0.0, 3)
     assert t.r0 < t.r1 < t.r1_tilde
     assert t.r0 == pytest.approx(0.76806, abs=1e-3)
+
+
+def test_threshold_solvers_pinned():
+    # r1_tilde first, from a cold prescan cache, then r1 and r0 from a
+    # warm one: the cache changes no float
+    for (alpha, p), (r0, r1, r1t) in THRESHOLDS.items():
+        gp._prescan_sums.cache_clear()
+        assert gp.solve_r1_tilde(alpha, p) == r1t
+        assert gp.solve_r1(alpha, p) == r1
+        assert gp.solve_r0(alpha) == r0
+
+
+# (solve_r0, solve_r1, solve_r1_tilde) at p = 3, as (type, message),
+# recorded before the solvers shared one batched prescan
+SOLVER_ERRORS = {
+    60.0: ((BracketFailure,
+            "no sign change on [1e-09, 0.999999999]: "
+            "f(lo)=1.3772232109281203e+24, f(hi)=8.328418562408979e+177"),
+           (BracketFailure, "r1: no sign change on [1e-09, 0.999999999]"),
+           (BracketFailure, "no subinterval with (a, b) in G_2")),
+    150.0: ((RieszcertError, "s_alpha overflows the float range at "
+                             "q=1e-09, alpha=150.0"),
+            (RieszcertError, "s_alpha overflows the float range at "
+                             "q=1e-09, alpha=150.0"),
+            (RieszcertError, "s_alpha overflows the float range at "
+                             "q=0.999999999, alpha=150.0")),
+    1e308: ((RieszcertError, "s_alpha overflows the float range at "
+                             "q=1e-09, alpha=1e+308"),
+            (OverflowError, "(34, 'Numerical result out of range')"),
+            (OverflowError, "(34, 'Numerical result out of range')")),
+}
+
+
+def test_threshold_solver_errors_pinned():
+    for alpha, errors in SOLVER_ERRORS.items():
+        gp._prescan_sums.cache_clear()
+        for solve, (kind, message) in zip(
+                (lambda: gp.solve_r0(alpha), lambda: gp.solve_r1(alpha, 3),
+                 lambda: gp.solve_r1_tilde(alpha, 3)), errors):
+            with pytest.raises(Exception) as info:
+                solve()
+            assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_threshold_row_log_records_pinned(caplog):
+    # alpha = 1.3, p = 3 shrinks the r1_tilde bracket 10 times; p = 2,
+    # alpha = 3 shrinks it 54 times, loses G_2 membership on the prescan
+    # and in the bisection, at the bracket end included, and sees 2 sign
+    # changes. The records were taken before the solvers shared one
+    # batched prescan and decided the shrink steps on (a, b) alone
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "pinned_threshold_logs.json").read_text())
+    for row in pinned:
+        for _ in ("cold cache", "warm cache"):
+            if _ == "cold cache":
+                gp._prescan_sums.cache_clear()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="rieszcert"):
+                gp.solve_r0(row["alpha"])
+                gp.solve_r1(row["alpha"], row["p"])
+                gp.solve_r1_tilde(row["alpha"], row["p"])
+            assert [[r.levelname, r.getMessage()]
+                    for r in caplog.records] == row["records"]
+
+
+def _s_alpha_reference(q, alpha, terms):
+    """The one-q partial sum, spelled as s_alpha spelled it before the
+    kernel was batched."""
+    lq = math.log1p(-(1.0 - q))
+    l = np.arange(terms, dtype=float)
+    odd = 2.0 * l + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        summand = (odd ** alpha * np.exp(l * lq) * (1.0 - q)
+                   / (-np.expm1(odd * lq)))
+        return float(summand.sum())
+
+
+@pytest.mark.parametrize("terms", [1, 300, 500, 2000, 3000])
+def test_batched_mode_sums_match_s_alpha_bit_for_bit(terms):
+    # 3000 terms split the 64 rows into blocks of 10 with a short last one
+    for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
+        qs = gp._prescan_grid(lo, hi)
+        for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
+            batch = gp._mode_sums(qs, alpha, terms)
+            cached = gp._prescan_sums(alpha, terms, lo, hi)
+            for q, got, kept in zip(qs, batch, cached):
+                assert got == kept == gp.s_alpha(q, alpha, terms).value
+                assert got == _s_alpha_reference(q, alpha, terms)
+
+
+def test_batched_mode_sums_one_row_per_block_at_large_terms():
+    qs = [1e-3, 0.5, 0.999]
+    got = gp._mode_sums(qs, 0.5, 10 ** 5)
+    assert [float(s) for s in got] == [
+        _s_alpha_reference(q, 0.5, 10 ** 5) for q in qs]
+
+
+def test_threshold_row_kernel_calls(monkeypatch):
+    # about 32 bisection steps for r0, one 64-point prescan, and about 24
+    # bisection steps each for r1 and r1_tilde; the parent made ~219
+    # one-q calls per row
+    calls = []
+    kernel = gp._mode_sums
+
+    def counted(qs, *args, **kwargs):
+        calls.append(len(qs))
+        return kernel(qs, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "_mode_sums", counted)
+    for (alpha, p), want in THRESHOLDS.items():
+        gp._prescan_sums.cache_clear()
+        calls.clear()
+        assert (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
+                gp.solve_r1_tilde(alpha, p)) == want
+        assert len(calls) <= 90
+        # r1_tilde shares r1's prescan unless its bracket shrank
+        assert calls.count(gp._PRESCAN_POINTS) == (1 if alpha <= 0.5 else 2)
+
+
+def test_solve_r1_memory_at_large_terms():
+    # one s_alpha call holds ~3.5 MB at 1e5 terms; an unblocked 64-point
+    # prescan would hold ~51 MB per temporary
+    gp._prescan_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        gp.solve_r1(0.5, 3, terms=10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
+@pytest.mark.parametrize("terms", [300, 500, 2000])
+def test_mode_sum_stays_finite_below_q_hi_at_the_overflow_edge(terms):
+    # solve_r1_tilde decides its shrink steps on (a, b) alone because a
+    # mode sum finite at _Q_HI is finite at every smaller upper end;
+    # check that at the largest alpha where it is finite at _Q_HI
+    def finite(alpha):
+        return math.isfinite(gp._mode_sums((gp._Q_HI,), alpha, terms)[0])
+
+    lo, hi = 10.0, 400.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    shrink_ends = [gp._Q_HI]
+    while shrink_ends[-1] - gp._Q_LO >= 1e-9:
+        shrink_ends.append(gp._Q_LO + 0.95 * (shrink_ends[-1] - gp._Q_LO))
+    assert len(shrink_ends) > 400
+    assert all(math.isfinite(s)
+               for s in gp._mode_sums(shrink_ends, lo, terms))
+    with pytest.raises(BracketFailure, match="no subinterval"):
+        gp.solve_r1_tilde(lo, 3, terms)
+    # one step past the edge the overflow is reported before any shrink
+    with pytest.raises(RieszcertError,
+                       match=r"overflows the float range at q=0\.999999999"):
+        gp.solve_r1_tilde(hi, 3, terms)
+
+
+def test_bisect_monotone_starts_from_given_end_values():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.3
+
+    root = bisect_monotone(f, 0.0, 1.0, tol=1e-6, flo=-0.3, fhi=0.7)
+    assert 0.0 not in seen and 1.0 not in seen
+    assert root == bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
