@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,14 @@ def _sweep_row(alpha: float, p: int, terms: int, tol: float) -> tuple:
                 False)
 
 
+def _grid_point(alpha_min: float, span: float, i: int, steps: int) -> float:
+    """alpha_min + span * i / (steps - 1), reordered only where span * i
+    overflows, so that a finite alpha-max stays a finite last point."""
+    if math.isinf(span * i):
+        return alpha_min + span * (i / (steps - 1))
+    return alpha_min + span * i / (steps - 1)
+
+
 def cmd_sweep(args, settings: Settings) -> int:
     if args.alpha_min < 0 or args.alpha_max < args.alpha_min or args.steps < 1:
         print("sweep: need 0 <= alpha-min <= alpha-max and steps >= 1",
@@ -78,7 +87,7 @@ def cmd_sweep(args, settings: Settings) -> int:
         grid = [args.alpha_min]
     else:
         span = args.alpha_max - args.alpha_min
-        grid = [args.alpha_min + span * i / (args.steps - 1)
+        grid = [_grid_point(args.alpha_min, span, i, args.steps)
                 for i in range(args.steps)]
     terms = settings.terms if args.terms is None else args.terms
     rows = [_sweep_row(a, args.p, terms, settings.bisection_tol) for a in grid]

@@ -10,8 +10,10 @@ the two families live in :mod:`weierstrass` and
 singular-value cross-check (the finite-section method for Toeplitz-like
 operators, Boettcher & Silbermann): a section is T = I + L with L
 strictly lower triangular and nilpotent, stored by its O(N log N)
-nonzero entries, and sigma_min comes from Lanczos on T^{-H} T^{-1}
-rather than a dense O(N^3) SVD.
+nonzero entries. Its inverse I + B has the same multiplicative
+pattern, so it is computed once as a section of the same kind, and
+sigma_min comes from Lanczos on T^{-H} T^{-1}, two sparse products a
+step, rather than a dense O(N^3) SVD.
 """
 
 from __future__ import annotations
@@ -30,9 +32,14 @@ INVERTIBILITY_TOL = 1e-9
 # Lanczos stops once the Ritz residual of the largest eigenvalue of
 # T^{-H} T^{-1} is below this fraction of it
 LANCZOS_RTOL = 1e-14
-# a guard far above the 10-130 steps the sections take up to N = 65536;
-# it caps the basis at this many vectors of length N
+# a guard far above the 16-130 steps the sections take up to N = 65536,
+# each step two sparse products with T^{-1}; it caps the basis at this
+# many vectors of length N (210 MB at N = 65536)
 LANCZOS_MAX_STEPS = 400
+# sparse work runs in chunks of about this many items (the products
+# that expand an inverse, the entries of one matrix-vector product), so
+# that its working memory does not grow with N
+_CHUNK = 1 << 14
 # the Lanczos basis grows in blocks of this many vectors, so that no
 # step copies the vectors already stored
 _BASIS_BLOCK = 32
@@ -58,9 +65,10 @@ class SectionMatrix:
     """Finite section T = I + L of T on the span of the first N basis
     vectors.
 
-    L is stored by its nonzero entries: ``values[i]`` sits at row
-    ``rows[i]``, column ``cols[i]`` (0-based). Every entry has
-    row + 1 >= 2 (col + 1), so L^k vanishes once 2^k > N.
+    L is stored by its nonzero entries, in ascending row order:
+    ``values[i]`` sits at row ``rows[i]``, column ``cols[i]`` (0-based).
+    Every entry has row + 1 >= 2 (col + 1), so L^k vanishes once
+    2^k > N.
     """
 
     N: int
@@ -81,24 +89,99 @@ class SectionMatrix:
     def _apply_l(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         """L x, or L^H x when ``adjoint``."""
         if adjoint:
-            src, dst, vals = self.rows, self.cols, self.values.conj()
+            src, dst = self.rows, self.cols
         else:
-            src, dst, vals = self.cols, self.rows, self.values
-        weights = vals * x[src]
-        if np.iscomplexobj(weights):
-            return (np.bincount(dst, weights.real, self.N)
-                    + 1j * np.bincount(dst, weights.imag, self.N))
-        return np.bincount(dst, weights, self.N)
-
-    def _solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """T^{-1} b, or T^{-H} b when ``adjoint``, as the finite Neumann
-        sum sum_{k < bit_length(N)} (-L)^k b."""
-        term = b
-        out = b.copy()
-        for _ in range(self.N.bit_length() - 1):
-            term = -self._apply_l(term, adjoint)
-            out += term
+            src, dst = self.cols, self.rows
+        out = np.zeros(self.N, np.result_type(float, x, self.values))
+        for s in range(0, len(dst), _CHUNK):
+            part = slice(s, s + _CHUNK)
+            vals = self.values[part].conj() if adjoint else self.values[part]
+            out += _bincount(dst[part], vals * x[src[part]], self.N)
         return out
+
+    def inverse(self) -> "SectionMatrix":
+        """T^{-1} = I + B as a section of the same shape.
+
+        B = -L (I + B) is strictly lower triangular, and row i (1-based)
+        of B reads only the rows m <= i / 2, so the rows [2^k, 2^{k+1})
+        follow from the rows below 2^k, one dyadic level at a time. A
+        multiple of a multiple is a multiple, so every entry of B keeps
+        the rule row + 1 >= 2 (col + 1). A level is expanded in chunks
+        of whole rows (``_row_chunks``); the products that land on one
+        (row, col) are summed, so every entry is stored once, in row
+        order. Exact cancellations are dropped.
+        """
+        N = self.N
+        row_nnz = np.zeros(N, dtype=np.intp)     # entries per row of B
+        indptr = np.zeros(N + 1, dtype=np.intp)  # B's finished rows
+        # B's columns and values grow by resize (realloc), not by
+        # concatenation, which would hold two copies at the last level
+        b_cols = np.zeros(0, dtype=np.intp)
+        b_vals = np.zeros(0, dtype=self.values.dtype)
+        nnz = 0
+        lo = 0
+        # level k holds the 0-based rows [2^k - 1, 2^{k+1} - 1)
+        for hi in np.searchsorted(
+                self.rows, [(2 << k) - 1 for k in range(N.bit_length())]):
+            level = self.cols[lo:hi]
+            cost = np.cumsum(indptr[level + 1] - indptr[level] + 1)
+            for s, e in _row_chunks(self.rows[lo:hi], cost):
+                rows = self.rows[lo + s:lo + e]
+                cols = self.cols[lo + s:lo + e]
+                vals = -self.values[lo + s:lo + e]
+                # entry (i, m) of L meets row m of B: count[m] products,
+                # read from B at src, plus the entry itself
+                first = indptr[cols]
+                count = indptr[cols + 1] - first
+                src = (np.arange(count.sum())
+                       + np.repeat(first - np.cumsum(count) + count, count))
+                key = np.concatenate([rows, np.repeat(rows, count)])
+                key *= N
+                key += np.concatenate([cols, b_cols[src]])
+                key, slot = np.unique(key, return_inverse=True)
+                summed = _bincount(slot, np.concatenate(
+                    [vals, np.repeat(vals, count) * b_vals[src]]), len(key))
+                keep = summed != 0
+                key, summed = key[keep], summed[keep]
+                n = len(key)
+                if nnz + n > len(b_cols):
+                    grown = max(nnz + n, len(b_cols) * 3 // 2)
+                    b_cols.resize(grown, refcheck=False)
+                    b_vals.resize(grown, refcheck=False)
+                np.remainder(key, N, out=b_cols[nnz:nnz + n])
+                b_vals[nnz:nnz + n] = summed
+                row_nnz += np.bincount(key // N, minlength=N)
+                nnz += n
+            np.cumsum(row_nnz, out=indptr[1:])
+            lo = hi
+        b_cols.resize(nnz, refcheck=False)
+        b_vals.resize(nnz, refcheck=False)
+        return SectionMatrix(N, np.repeat(np.arange(N), row_nnz), b_cols,
+                             b_vals)
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount for real or complex weights."""
+    if np.iscomplexobj(weights):
+        return (np.bincount(index, weights.real, n)
+                + 1j * np.bincount(index, weights.imag, n))
+    return np.bincount(index, weights, n)
+
+
+def _row_chunks(rows: np.ndarray, cost: np.ndarray):
+    """Slices [s, e) of the ascending ``rows`` that end where the row
+    changes, each of ``cost`` (cumulative, per entry) at most
+    ``_CHUNK`` unless one row alone costs more."""
+    s, n = 0, len(rows)
+    while s < n:
+        e = int(np.searchsorted(cost, (cost[s - 1] if s else 0)
+                                + _CHUNK, "right"))
+        if e < n:
+            e = int(np.searchsorted(rows, rows[e]))
+            if e <= s:
+                e = int(np.searchsorted(rows, rows[s], "right"))
+        yield s, e
+        s = e
 
 
 @dataclass(frozen=True)
@@ -199,8 +282,8 @@ def finite_section(cj: Callable[[int, int], complex],
     """N x N section of T = I + sum_{j>=2} M_j C_j on span{h_1..h_N}:
     unit diagonal plus c_j(n) at row jn, column n.
 
-    Only the nonzero entries of the strictly lower part L are stored;
-    the rule is called once per (j, n) with jn <= N.
+    Only the nonzero entries of the strictly lower part L are stored,
+    in row order; the rule is called once per (j, n) with jn <= N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -212,11 +295,12 @@ def finite_section(cj: Callable[[int, int], complex],
                 rows.append(j * n - 1)
                 cols.append(n - 1)
                 vals.append(c)
-    values = np.array(vals, dtype=complex)
-    if not values.imag.any():
-        values = values.real.copy()
-    return SectionMatrix(N, np.array(rows, dtype=np.intp),
-                         np.array(cols, dtype=np.intp), values)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    vals = np.array(vals, dtype=complex)
+    order = np.argsort(rows, kind="stable")
+    values = vals[order] if vals.imag.any() else vals.real[order]
+    return SectionMatrix(N, rows[order], cols[order], values)
 
 
 def smallest_singular(S: SectionMatrix) -> float:
@@ -226,12 +310,14 @@ def smallest_singular(S: SectionMatrix) -> float:
     of T^{-H} T^{-1} from a fixed-seed random start, and stops when the
     Ritz residual is below ``LANCZOS_RTOL`` of the Ritz value or the
     Krylov space is exhausted; NonConvergence is raised if neither
-    happens within ``LANCZOS_MAX_STEPS`` steps. Each product applies
-    T^{-1} and T^{-H} as exact Neumann sums (L is nilpotent), so a step
-    costs O(nnz log N + kN) at step k and nothing of size N x N is
+    happens within ``LANCZOS_MAX_STEPS`` steps. T^{-1} = I + B is
+    built once as a sparse section (:meth:`SectionMatrix.inverse`), and
+    each step applies T^{-1} and T^{-H} by one sparse product with B
+    each, so step k costs O(nnz(B) + kN) and nothing of size N x N is
     formed.
     """
     N = S.N
+    inv = S.inverse()
     v = np.random.default_rng(0).standard_normal(N).astype(S.values.dtype)
     v /= np.linalg.norm(v)
     blocks = []
@@ -244,7 +330,8 @@ def smallest_singular(S: SectionMatrix) -> float:
             blocks.append(np.empty((min(_BASIS_BLOCK, N - k), N), v.dtype))
         blocks[-1][k % _BASIS_BLOCK] = v
         basis = blocks[:-1] + [blocks[-1][:k % _BASIS_BLOCK + 1]]
-        w = S._solve(S._solve(v), adjoint=True)
+        x = v + inv._apply_l(v, False)
+        w = x + inv._apply_l(x, True)
         alphas.append(float(np.vdot(v, w).real))
         for _ in range(2):   # full reorthogonalisation, twice is enough
             for Q in basis:

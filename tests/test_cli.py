@@ -67,6 +67,25 @@ def test_sweep_keeps_rows_before_overflow(capsys):
     assert lines[3:] == [""]
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_grid_ends_at_a_finite_alpha_max(capsys):
+    # span * i overflows at the last point of this grid; the point is
+    # still alpha-max, not inf, and the row stays an exit-3 error row
+    code, out, err = run(capsys, "sweep", "--alpha-max", "1e308",
+                         "--steps", "3", "--terms", "300")
+    assert code == 3 and err == ""
+    lines = out.split("\n")
+    assert [line.split(",")[0] for line in lines[1:4]] == [
+        "0", "5e+307", "1e+308"]
+    assert lines[3].startswith("1e+308,ERROR,ERROR,ERROR  # ")
+    assert lines[4:] == [""]
+    # where span * i stays finite, the grid keeps its floats
+    for lo, hi, steps in [(0.0, 2.0, 21), (0.1, 2.3, 23), (0.3, 1.7, 7)]:
+        span = hi - lo
+        assert [cli._grid_point(lo, span, i, steps) for i in range(steps)] \
+            == [lo + span * i / (steps - 1) for i in range(steps)]
+
+
 def test_sweep_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--alpha-min", "2", "--alpha-max",
                        "1", "--steps", "3")

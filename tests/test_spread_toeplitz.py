@@ -1,10 +1,14 @@
 """Symbol-infimum certificates and finite-section cross-checks."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rieszcert import dilation as dl
+from rieszcert import gross_pitaevskii as gp
 from rieszcert import spread_toeplitz as st
 from rieszcert import weierstrass as ws
 from rieszcert.certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC
@@ -190,6 +194,112 @@ def test_smallest_singular_lacunary_orbit_blocks(N):
     assert largest <= 15
     assert st.smallest_singular(S) == pytest.approx(min(sigmas.values()),
                                                     rel=1e-12)
+
+
+def _periodic_rule():
+    # q_n = (0.3, 0.6)[(n / 3^v_3(n)) mod 2]: a 3-periodic index table
+    profs = [dl.OddModeProfile(q, 0.0) for q in (0.3, 0.6)]
+
+    def profiles(n):
+        while n % 3 == 0:
+            n //= 3
+        return profs[n % 2]
+
+    return lambda j, n: dl.trajectory_coeffs(profiles, 0.0, j, n)
+
+
+INVERSE_RULES = {
+    "ws": ws.cj_rule(0.5, 2, 0.0),
+    "gp": gp.cj_rule(0.5, 0.0),
+    "periodic": _periodic_rule(),
+    "all-j": lambda j, n: 0.3 / j ** 2,
+}
+
+
+def _section(name, N, complex_values):
+    rule = INVERSE_RULES[name]
+    if complex_values:   # the same moduli with a phase per entry
+        return st.finite_section(
+            lambda j, n: rule(j, n) * cmath.exp(1j * (j + 2 * n)), N)
+    return st.finite_section(rule, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("name", sorted(INVERSE_RULES))
+def test_inverse_times_section_is_identity(name, N, complex_values):
+    S = _section(name, N, complex_values)
+    inv = S.inverse()
+    assert inv.N == N and inv.values.dtype == S.values.dtype
+    assert np.abs(inv.entries @ S.entries - np.eye(N)).max() < 1e-13
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("name", sorted(INVERSE_RULES))
+def test_inverse_entries_unique_and_multiplicative(name, complex_values):
+    N = 256
+    S = _section(name, N, complex_values)
+    for M in (S, S.inverse()):
+        keys = M.rows * N + M.cols
+        assert len(np.unique(keys)) == len(keys)      # no duplicate
+        assert np.all(M.rows + 1 >= 2 * (M.cols + 1))
+        assert np.all((M.rows + 1) % (M.cols + 1) == 0)
+        assert np.all(np.diff(M.rows) >= 0)           # row order
+        assert len(M.rows) == len(M.cols) == len(M.values)
+
+
+def test_inverse_chunks_match_one_pass(monkeypatch):
+    # a chunk holds whole rows, so the chunked expansion sums every
+    # entry in the order of one pass; the chunked products agree with
+    # one pass to rounding
+    S = _section("all-j", 3000, True)
+    inv = S.inverse()
+    x = np.random.default_rng(3).standard_normal(3000) + 0j
+    y = inv._apply_l(x, False), inv._apply_l(x, True)
+    monkeypatch.setattr(st, "_CHUNK", 1 << 40)
+    one = S.inverse()
+    assert np.array_equal(one.rows, inv.rows)
+    assert np.array_equal(one.cols, inv.cols)
+    assert np.array_equal(one.values, inv.values)
+    for got, adjoint in zip(y, (False, True)):
+        assert np.allclose(got, one._apply_l(x, adjoint), rtol=1e-13,
+                           atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [64, 2048])
+def test_smallest_singular_two_products_per_step(monkeypatch, N):
+    # one product with T^{-1} and one with T^{-H} per Lanczos step
+    calls, steps = [], []
+    apply_l, eigh = st.SectionMatrix._apply_l, np.linalg.eigh
+
+    def counted_apply_l(self, x, adjoint):
+        calls.append(adjoint)
+        return apply_l(self, x, adjoint)
+
+    def counted_eigh(a, *args, **kwargs):   # one Ritz solve per step
+        steps.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(st.SectionMatrix, "_apply_l", counted_apply_l)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    st.smallest_singular(st.finite_section(INVERSE_RULES["gp"], N))
+    assert steps == list(range(1, len(steps) + 1)) and len(steps) > 8
+    assert calls == [False, True] * len(steps)
+
+
+def test_smallest_singular_memory():
+    # the all-j rule, 145168 entries at N = 16384. The bound: 19.6 MB
+    # measured with Neumann solves and no stored inverse, plus the
+    # inverse's own 3.5 MB of entries, rounded up; expanding the inverse
+    # in one pass peaks near 33 MB
+    S = st.finite_section(INVERSE_RULES["all-j"], 16384)
+    tracemalloc.start()
+    try:
+        st.smallest_singular(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_section_compression_bound():
