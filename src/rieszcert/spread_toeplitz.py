@@ -19,6 +19,7 @@ step, rather than a dense O(N^3) SVD.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -43,6 +44,7 @@ _CHUNK = 1 << 14
 # the Lanczos basis grows in blocks of this many vectors, so that no
 # step copies the vectors already stored
 _BASIS_BLOCK = 32
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -313,8 +315,9 @@ def smallest_singular(S: SectionMatrix) -> float:
     happens within ``LANCZOS_MAX_STEPS`` steps. T^{-1} = I + B is
     built once as a sparse section (:meth:`SectionMatrix.inverse`), and
     each step applies T^{-1} and T^{-H} by one sparse product with B
-    each, so step k costs O(nnz(B) + kN) and nothing of size N x N is
-    formed.
+    each and finds the Ritz pair of the k x k tridiagonal in O(k)
+    (:func:`_top_ritz_pair`, warm-started from the step before), so
+    step k costs O(nnz(B) + kN + k) and nothing of size N x N is formed.
     """
     N = S.N
     inv = S.inverse()
@@ -322,6 +325,7 @@ def smallest_singular(S: SectionMatrix) -> float:
     v /= np.linalg.norm(v)
     blocks = []
     alphas, betas = [], []
+    pair = None
     for k in range(N):
         if k == LANCZOS_MAX_STEPS:
             raise NonConvergence(
@@ -337,14 +341,94 @@ def smallest_singular(S: SectionMatrix) -> float:
             for Q in basis:
                 w -= (Q @ w.conj()).conj() @ Q
         beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
-                                    + np.diag(betas, -1))
-        theta = float(ritz[-1])
-        if beta * abs(vecs[-1, -1]) <= LANCZOS_RTOL * theta:
+        pair = _top_ritz_pair(alphas, betas, pair)
+        theta, y_last = pair
+        if beta * y_last <= LANCZOS_RTOL * theta:
             break
         betas.append(beta)
         v = w / beta
     return 1.0 / math.sqrt(theta)
+
+
+def _top_ritz_pair(alphas: list, betas: list,
+                   previous: tuple | None) -> tuple:
+    """Largest eigenvalue theta of the k x k symmetric tridiagonal T
+    with diagonal ``alphas`` and off-diagonal ``betas``, and the modulus
+    of the last component of its unit eigenvector, in O(k).
+
+    ``previous`` is that pair for the leading (k-1) x (k-1) block, or
+    None when k = 1. By interlacing theta >= theta_{k-1}, and right of
+    theta_{k-1} the last top-down pivot d_k(x) of T - x is decreasing
+    and convex, so Newton from the left climbs monotonically to theta.
+    It starts at the larger eigenvalue of the 2 x 2 Rayleigh-Ritz
+    matrix [[theta_{k-1}, b], [b, alpha_k]], b = beta_{k-1} |y_{k-1}|,
+    a lower bound for theta. Closer to theta_{k-1} than rounding
+    resolves, the signs of the pivots are noise, so such a start is
+    checked at a probe just above theta_{k-1}: if theta lies beyond
+    the probe, Newton starts there; else the start stands, and when it
+    rounds to theta_{k-1} the Ritz value has settled and is kept.
+
+    The eigenvector comes from the twisted factorisation of T - theta:
+    top-down pivots above the index where the eigenvector is largest,
+    bottom-up pivots below it. The top-down pivots alone lose y_k once
+    theta - theta_{k-1} is below an ulp.
+    """
+    k = len(alphas)
+    if k == 1:
+        return alphas[0], 1.0
+    theta, y_prev = previous
+    b = betas[-1] * y_prev
+    half = 0.5 * (theta - alphas[-1])
+    root = math.hypot(half, b)
+    x = theta + (b * (b / (root + half)) if half > 0.0 else root - half)
+    # the pivots are exact for a perturbation of T of about this size,
+    # so their signs say nothing closer to theta_{k-1}. A Ritz value the
+    # 2 x 2 bound cannot see, one that grows in directions orthogonal
+    # to the old Ritz vector (as once the Krylov space is exhausted and
+    # beta is rounding noise), lies above the probe.
+    probe = theta + 8.0 * _EPS * (abs(theta) + max(map(abs, alphas))
+                                  + 2.0 * max(betas))
+    if x < probe and _pivots(alphas, betas, probe)[0][-1] > 0.0:
+        x = probe
+    down, slope = _pivots(alphas, betas, x)
+    while x > theta and slope < 0.0:
+        step = down[-1] / slope
+        if not x - step > x:   # converged, or a pivot overflowed
+            break
+        x -= step
+        down, slope = _pivots(alphas, betas, x)
+    up = _pivots(alphas[::-1], betas[::-1], x)[0][::-1]
+    # the twist index minimises |gamma_r|, gamma_r = 1 / ((T - x)^{-1})_rr
+    gammas = [abs(d + u - a + x) for d, u, a in zip(down, up, alphas)]
+    r = gammas.index(min(gammas))
+    y = [0.0] * k
+    y[r] = 1.0
+    for j in range(r - 1, -1, -1):
+        y[j] = -betas[j] * y[j + 1] / down[j]
+    for j in range(r, k - 1):
+        y[j + 1] = -betas[j] * y[j] / up[j + 1]
+    # a component below the rounding of a unit vector is noise: it reads
+    # 0, as LAPACK's deflation leaves it, so that with LANCZOS_RTOL = 0
+    # the loop still ends once the Krylov space is exhausted
+    y_last = abs(y[-1]) / math.hypot(*y)
+    return x, 0.0 if y_last <= _EPS else y_last
+
+
+def _pivots(alphas: list, betas: list, x: float) -> tuple:
+    """Pivots d_1..d_k of the top-down LDL^T factorisation of the
+    tridiagonal T - x, and the derivative of d_k in x. A zero pivot
+    becomes -ulp(x), the sign of the pivots right of the spectrum, so
+    no division is by zero (LAPACK perturbs it by its pivmin alike)."""
+    d = alphas[0] - x or -math.ulp(x)
+    slope = -1.0
+    pivots = [d]
+    append = pivots.append
+    for a, b in zip(alphas[1:], betas):
+        t = b * b / d
+        slope = t * (slope / d) - 1.0
+        d = a - x - t or -math.ulp(x)
+        append(d)
+    return pivots, slope
 
 
 def inverse_symbol_coeffs(a: Sequence[complex], order: int) -> list:

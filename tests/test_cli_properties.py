@@ -4,7 +4,9 @@ The contract: every parameter object exits with 0, 1, 2 or 3; a missing
 key, a value of the wrong type or a value outside the family's domain
 exits 2 with nothing on stdout, and an input inside the domain never
 does; stderr is empty or exactly one line, never a traceback or a
-warning.
+warning. Inside the domain, the floor ``section`` predicts lies below
+sigma_min of every finite section, and sigma_min does not grow with the
+section size.
 
 The draws reach the Weierstrass S1 certificate at nu = 0.99 (symbol
 degree 527) and the experimental gp certificate at degrees 3..8, and
@@ -19,10 +21,13 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rieszcert import cli
+from rieszcert import gross_pitaevskii as gp
+from rieszcert import spread_toeplitz
+from rieszcert.errors import NotInG2
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -219,3 +224,35 @@ def test_certify_S1_near_one_without_warnings():
 def test_certify_gp_degree3_without_warnings():
     _run(["certify", '{"family":"gp","p":7,"alpha":2.6253512273463824,'
                      '"sup_q":0.048017423417903715,"degree":3}'])
+
+
+@st.composite
+def section_specs(draw):
+    """In-domain ``section`` parameters of the two families."""
+    p, alpha = draw(P_OK), draw(ALPHA_OK)
+    if draw(st.booleans()):
+        lam = draw(_finite(1e-6, 0.999)) / p ** alpha
+        return {"family": "weierstrass", "lam": lam, "p": p, "alpha": alpha}
+    return {"family": "gp", "q": draw(Q_OK), "alpha": alpha, "p": p}
+
+
+@PROPERTY
+@given(section_specs(), st.sampled_from([64, 128, 256]))
+# gp at an even p: the odd-mode series has no coefficient at modes p and
+# p^2, and taking the weights there as one put the floor 0.907 above
+# sigma_min 0.737
+@example({"family": "gp", "q": 0.2, "alpha": 0.6, "p": 2}, 64)
+def test_section_floor_brackets_sigma_min(params, N):
+    # The symbol floor bounds 1/||T^{-1}|| from below: 1/(1 + nu) for
+    # the constant Weierstrass envelope, max(0, structured - tail) for
+    # gp. T is lower triangular, so P_N T^{-1} P_N = (P_N T P_N)^{-1}
+    # and sigma_min(T_N) >= 1/||T^{-1}|| cannot rise with N; a Ritz
+    # value that overshot the top eigenvalue would break either bound.
+    try:
+        rule, floor, _, _ = cli._section_setup(params, gp.DEFAULT_TERMS)
+    except NotInG2:   # no structured floor: the size bound alone
+        rule, floor = gp.cj_rule(params["q"], params["alpha"]), 0.0
+    sigma, sigma2 = (spread_toeplitz.smallest_singular(
+        spread_toeplitz.finite_section(rule, n)) for n in (N, 2 * N))
+    assert floor <= sigma * (1.0 + 1e-12)
+    assert sigma2 <= sigma * (1.0 + 1e-12)

@@ -270,21 +270,152 @@ def test_inverse_chunks_match_one_pass(monkeypatch):
 def test_smallest_singular_two_products_per_step(monkeypatch, N):
     # one product with T^{-1} and one with T^{-H} per Lanczos step
     calls, steps = [], []
-    apply_l, eigh = st.SectionMatrix._apply_l, np.linalg.eigh
+    apply_l, ritz = st.SectionMatrix._apply_l, st._top_ritz_pair
 
     def counted_apply_l(self, x, adjoint):
         calls.append(adjoint)
         return apply_l(self, x, adjoint)
 
-    def counted_eigh(a, *args, **kwargs):   # one Ritz solve per step
-        steps.append(len(a))
-        return eigh(a, *args, **kwargs)
+    def counted_ritz(alphas, betas, previous):   # one Ritz pair per step
+        steps.append(len(alphas))
+        return ritz(alphas, betas, previous)
 
     monkeypatch.setattr(st.SectionMatrix, "_apply_l", counted_apply_l)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(st, "_top_ritz_pair", counted_ritz)
     st.smallest_singular(st.finite_section(INVERSE_RULES["gp"], N))
     assert steps == list(range(1, len(steps) + 1)) and len(steps) > 8
     assert calls == [False, True] * len(steps)
+
+
+def _lanczos_tridiagonals(monkeypatch, run, stop=True):
+    """The (alphas, betas) of every Lanczos step made by ``run()``, and
+    what it returned. Unless ``stop``, the loop is told |y_k| = 1 and
+    has no tolerance, so it runs until the basis fills the space."""
+    seen = []
+    ritz = st._top_ritz_pair
+
+    def record(alphas, betas, previous):
+        seen.append((list(alphas), list(betas)))
+        theta, y_last = ritz(alphas, betas, previous)
+        return theta, y_last if stop else 1.0
+
+    with monkeypatch.context() as m:
+        m.setattr(st, "_top_ritz_pair", record)
+        if not stop:
+            m.setattr(st, "LANCZOS_RTOL", 0.0)
+        value = run()
+    return seen, value
+
+
+def _tridiagonal(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def _section_run(name, N):
+    return lambda: st.smallest_singular(st.finite_section(INVERSE_RULES[name],
+                                                          N))
+
+
+def _halves_run():
+    # the section of the step-guard test
+    return st.smallest_singular(
+        st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 64))
+
+
+def _complex_runs():
+    # the random complex rule of the dense-SVD comparison
+    for N in (17, 257, 512):
+        test_smallest_singular_matches_dense_svd(N, True)
+
+
+@pytest.mark.parametrize("run, stop", [
+    (_section_run("gp", 2048), True), (_section_run("ws", 2048), True),
+    (_section_run("periodic", 256), True), (_complex_runs, True),
+    (_section_run("gp", 64), False), (_halves_run, False)],
+    ids=["gp", "ws", "periodic", "complex", "gp-full", "halves-full"])
+def test_top_ritz_pair_matches_eigh(monkeypatch, run, stop):
+    # theta to a few ulps and |y_k| against the dense eigh on every
+    # tridiagonal of real Lanczos runs, warm-started as the loop does.
+    # The runs that do not stop go on past convergence until the basis
+    # fills the space: their last betas are rounding noise, and Ritz
+    # values the 2 x 2 start cannot see grow in the new directions.
+    # Against a 50-digit reference the O(k) pair is the closer one:
+    # theta within 0.6 ulp where eigh is off by up to 6.5 ulp, and |y_k|
+    # of an unsettled Ritz value (|y_k| ~ 0.2) within 2.3e-15 where
+    # eigh is off by up to 6.2e-15. Once the Ritz value has settled,
+    # the steps where |y_k| decides the stopping rule, the two agree
+    # to 1e-15.
+    pair, top, settled = None, None, 0
+    for alphas, betas in _lanczos_tridiagonals(monkeypatch, run, stop)[0]:
+        if len(alphas) == 1:
+            pair = top = None
+        pair = st._top_ritz_pair(alphas, betas, pair)
+        ritz, vecs = np.linalg.eigh(_tridiagonal(alphas, betas))
+        theta, y_last = pair
+        assert abs(theta - ritz[-1]) <= 8 * math.ulp(ritz[-1])
+        tol = 1e-15 if ritz[-1] == top else 1e-14
+        settled += ritz[-1] == top
+        assert abs(y_last - abs(vecs[-1, -1])) <= tol
+        top = ritz[-1]
+    assert settled > 0
+
+
+@pytest.mark.parametrize("alphas, betas", [
+    ([1.0, 2.0], [0.5]), ([3.0, -1.0], [2.0]), ([-1.0, 3.0], [1e-3]),
+    ([1.0, 0.0], [1e-300]), ([0.0, 1.0], [1e-300]), ([1.0, 0.0], [1e-9]),
+    ([0.0, 1.0, 0.5], [1e-9, 1e-12]), ([2.0, 1.0, 0.0], [1e-200, 1e-200])])
+def test_top_ritz_pair_small_and_tiny_beta(alphas, betas):
+    pair = None
+    for k in range(1, len(alphas) + 1):
+        pair = st._top_ritz_pair(alphas[:k], betas[:k - 1], pair)
+        ritz, vecs = np.linalg.eigh(_tridiagonal(alphas[:k], betas[:k - 1]))
+        assert abs(pair[0] - ritz[-1]) <= 4 * math.ulp(ritz[-1])
+        assert abs(pair[1] - abs(vecs[-1, -1])) <= 1e-15
+    assert st._top_ritz_pair([2.5], [], None) == (2.5, 1.0)
+
+
+def test_top_ritz_pair_zero_pivots():
+    # theta = 2 exactly: the last top-down and the first bottom-up pivot
+    # of T - 2 are exact zeros
+    assert st._top_ritz_pair([1.0, 1.0], [1.0], (1.0, 1.0)) == pytest.approx(
+        (2.0, math.sqrt(0.5)), rel=1e-15)
+    # theta rounds to alpha_1, so the first top-down pivot is zero
+    theta, y_last = st._top_ritz_pair([1.0, 0.0], [1e-100], (1.0, 1.0))
+    assert theta == 1.0 and y_last == pytest.approx(1e-100, rel=1e-15)
+    # every pivot of T - 0 is zero
+    assert st._top_ritz_pair([0.0, 0.0, 0.0], [0.0, 0.0],
+                             (0.0, 1.0)) == (0.0, 0.0)
+
+
+# Lanczos step counts and sigma_min of the dense-eigh Ritz solver that
+# _top_ritz_pair replaced: the O(k) pair makes the same stopping
+# decisions
+PINNED_LANCZOS = {
+    ("gp", 64): (28, 0.7382375607202663),
+    ("gp", 256): (36, 0.7026199458926355),
+    ("gp", 2048): (45, 0.6646860382228359),
+    ("gp", 16384): (54, 0.6401235437387485),
+    ("all-j", 64): (39, 0.9260125817672512),
+    ("all-j", 256): (57, 0.9206532062306625),
+    ("all-j", 2048): (85, 0.9157594676406203),
+    ("all-j", 16384): (105, 0.9125556422229105),
+    ("ws", 64): (22, 0.6792738412747398),
+    ("ws", 256): (37, 0.674557582225601),
+    ("ws", 2048): (67, 0.6712461754016075),
+    ("ws", 16384): (103, 0.669655089422379),
+    ("periodic", 64): (24, 0.7154684270325425),
+    ("periodic", 256): (30, 0.6759148147674984),
+    ("periodic", 2048): (36, 0.6318013954955318),
+    ("periodic", 16384): (43, 0.6019772563057751),
+}
+
+
+@pytest.mark.parametrize("name, N", sorted(PINNED_LANCZOS))
+def test_smallest_singular_pinned_steps(monkeypatch, name, N):
+    steps, sigma = PINNED_LANCZOS[name, N]
+    seen, value = _lanczos_tridiagonals(monkeypatch, _section_run(name, N))
+    assert len(seen) == steps
+    assert value == pytest.approx(sigma, rel=1e-14, abs=0)
 
 
 def test_smallest_singular_memory():
