@@ -16,7 +16,7 @@ BOUNDARY_INDETERMINATE = "boundary-indeterminate"
 class Certificate:
     """Verdict plus the numbers needed to reproduce it.
 
-    ``kind`` is one of S0, S1, T1, invertibility, perturbation, polydisc.
+    ``kind`` is one of S0, S1, T1, polydisc.
     ``verdict`` is a boolean, or the string "boundary-indeterminate" when
     a margin sits inside the decision tolerance. ``mode`` distinguishes
     envelope-rigorous certificates (valid for the whole family) from

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DivergentProfile
-from .util import sin_pi
+from .util import log_nome, sin_pi
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class OddModeProfile(FourierProfile):
         if j < 1 or j % 2 == 0:
             return 0.0
         l = (j - 1) // 2
-        lq = math.log1p(-(1.0 - self.q))
+        lq = log_nome(self.q)
         return -(1.0 - self.q) * math.exp(l * lq) / math.expm1((2 * l + 1) * lq)
 
     def nonzero_modes(self, j_max: int):

@@ -12,6 +12,7 @@ realization of the Schur-Cohn Hermitian form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,9 +100,16 @@ def in_polydisc_roots(coeffs: Sequence[complex],
     cs = [complex(c) for c in coeffs]
     if not cs:
         raise ValueError("need at least one coefficient")
-    if all(c == 0 for c in cs):
-        return MembershipVerdict(True, math.inf, "roots")
     pol = polyform.as_poly([1.0] + cs)
+    # Fujiwara's bound for the reversed polynomial: every root has
+    # |z| >= 1 / w. Past the float range no root is representable, and
+    # none lies in the disc (the constant polynomial included)
+    d = pol.degree
+    w = 2.0 * max((abs(c / 2.0 if k == d else c) ** (1.0 / k)
+                   for k, c in enumerate(pol.coeffs[1:], start=1)),
+                  default=0.0)
+    if w * sys.float_info.max < 1.0:
+        return MembershipVerdict(True, math.inf, "roots")
     z = min(polyform.roots(pol).roots, key=abs)
     margin = abs(z) - 1.0
     pz = abs(polyform.eval_poly(pol, z))

@@ -1,8 +1,8 @@
 """Complex polynomial kernel.
 
 Horner evaluation, simultaneous-iteration root finding, elementary
-symmetric maps, conjugate polynomials, the Schur-Cohn zero test on a
-closed disc, and modulus minimization over the closed unit disc.
+symmetric maps, the Schur-Cohn zero test on a closed disc, and modulus
+minimization over the closed unit disc.
 Coefficients are always stored in ascending degree order, so
 ``coeffs[k]`` multiplies ``z**k``.
 
@@ -111,7 +111,9 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
                 break
         hull.append(k)
     points = []
-    cauchy = 1.0 + float(np.abs(c[:-1]).max()) / abs(c[-1])
+    # in Python floats: past the float range the bound is inf, not a
+    # RuntimeWarning, and the hull radius decides
+    cauchy = 1.0 + float(np.abs(c[:-1]).max()) / float(abs(c[-1]))
     for edge, (k1, k2) in enumerate(zip(hull, hull[1:])):
         m = k2 - k1
         expo = (logs[k1] - logs[k2]) / m
@@ -160,7 +162,12 @@ def roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> RootSet:
         major = np.polyval(cabs, np.abs(zs))
         return np.abs(np.polyval(crev, zs)) / major
 
-    z = _initial_points(c)
+    # the iteration clamps |p'| to 1e-300, so it cannot move towards the
+    # root of a linear p with |c_1| below that: such a p starts there
+    if d == 1 and abs(c[1]) < 1e-300:
+        z = -c[:1] / c[1]
+    else:
+        z = _initial_points(c)
 
     converged = False
     for _ in range(max_iter):
@@ -204,26 +211,15 @@ def elementary_symmetric(lambdas: Sequence[complex]) -> list:
     return e[1:]
 
 
-def conjugate_poly(p) -> Polynomial:
-    """Conjugate polynomial z^d * conj(p(1 / conj(z))).
-
-    Coefficient-wise this is conjugation plus reversal. Applying it twice
-    recovers p whenever both the constant and leading coefficients are
-    nonzero.
-    """
-    cs = as_poly(p).coeffs
-    out = tuple(complex(c).conjugate() for c in reversed(cs))
-    return Polynomial(out, padded=(out[-1] == 0 and len(out) > 1))
-
-
 def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     """True iff p has no zero in the closed disc |z| <= radius.
 
     Schur-Cohn recursion (Schur 1917; Cohn 1922) on q(z) = p(radius z):
     q is zero-free on the closed unit disc iff |q_0| > |q_d| and the
-    reduction conj(q_0) q - q_d q* (q* the conjugate polynomial, see
-    :func:`conjugate_poly`), whose top coefficient cancels, is zero-free
-    too; by Rouche's theorem the two have the same zeros in the disc.
+    reduction conj(q_0) q - q_d q* (q* = z^d conj(q(1 / conj z)), the
+    conjugated coefficients reversed), whose top coefficient cancels, is
+    zero-free too; by Rouche's theorem the two have the same zeros in
+    the disc.
     Every step costs O(d) and is renormalised by max |c_k|, so weights
     spread over hundreds of decades neither overflow nor underflow.
     Vanishing top coefficients are zeros at infinity; the zero

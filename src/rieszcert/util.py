@@ -27,6 +27,17 @@ def sin_pi(x):
     return out
 
 
+def log_nome(q: float) -> float:
+    """log q for a nome q in (0, 1).
+
+    Computed as log1p(-(1 - q)), which keeps the digits of 1 - q as q
+    approaches 1. Below about 5.6e-17, 1 - q rounds to 1 and log1p(-1)
+    is a domain error; there q is far from 1 and log q is exact enough.
+    """
+    t = 1.0 - q
+    return math.log1p(-t) if t < 1.0 else math.log(q)
+
+
 def golden_min(f, a: float, b: float, tol: float = 1e-12):
     """Golden-section minimum of a unimodal scalar function on [a, b].
 

@@ -246,6 +246,21 @@ def test_section_gp_floor(capsys):
     assert sigma >= predicted - 1e-9
 
 
+@pytest.mark.parametrize("q", ["1e-17", "1e-100", "5e-324"])
+def test_tiny_nomes_are_in_domain(capsys, q):
+    # below about 5.6e-17, 1 - q rounds to 1; the nome's logarithm,
+    # the symbol kernels and the root oracle must still give a result
+    for argv in (
+            ["certify", f'{{"family":"gp","p":3,"alpha":0,"sup_q":{q}}}'],
+            ["certify", f'{{"family":"gp","p":3,"alpha":0,"sup_q":{q},'
+                        f'"degree":3}}'],
+            ["section", f'{{"family":"gp","q":{q},"alpha":0.5}}',
+             "--size", "64"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
 def test_section_size_range(capsys):
     params = '{"family":"weierstrass","lam":0.5,"p":2,"alpha":0}'
     for size in ("0", "65537"):

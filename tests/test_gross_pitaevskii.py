@@ -15,7 +15,7 @@ from rieszcert import polydisc
 from rieszcert.dilation import OddModeProfile
 from rieszcert.errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                               RieszcertError)
-from rieszcert.util import bisect_monotone
+from rieszcert.util import bisect_monotone, log_nome
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +462,22 @@ def _s_alpha_reference(q, alpha, terms):
         summand = (odd ** alpha * np.exp(l * lq) * (1.0 - q)
                    / (-np.expm1(odd * lq)))
         return float(summand.sum())
+
+
+def test_log_nome_bit_identical_and_defined_for_tiny_q():
+    # log1p(-(1 - q)) wherever 1 - q < 1, bit for bit; log q below
+    # about 5.6e-17, where that spelling is a domain error
+    rng = np.random.default_rng(11)
+    for q in [*rng.uniform(0.0, 1.0, 200), *10.0 ** -rng.uniform(0, 16, 200),
+              1.0 - 2.0 ** -53, 2.0 ** -53, 1.2e-16, 6e-17]:
+        assert log_nome(q) == math.log1p(-(1.0 - q))
+    for q in (5.5e-17, 1e-17, 1e-100, 2.2250738585072014e-308, 5e-324):
+        assert 1.0 - q == 1.0 and log_nome(q) == math.log(q)
+    assert gp.s_alpha(5e-324, 0.5).value == 1.0
+    assert OddModeProfile(1e-100).coeff(3) == pytest.approx(1e-100,
+                                                            rel=1e-13)
+    assert gp.a_weight(1e-17, 0.0, 3) == pytest.approx(1e-17, rel=1e-13)
+    assert gp.b_weight(1e-17, 0.0, 3) == pytest.approx(1e-68, rel=1e-13)
 
 
 @pytest.mark.parametrize("terms", [1, 300, 500, 2000, 3000])

@@ -68,6 +68,19 @@ def test_root_oracle_examples():
     assert not pd.in_polydisc_roots([2.5, 1]).inside
 
 
+def test_root_oracle_roots_past_the_float_range():
+    # the root of 1 + a z lies at -1/a, past the float range for a
+    # below 1/max; Fujiwara's bound sees that without the root finder
+    for coeffs in ([5e-324], [5e-324, 0.0], [1e-310, 0.0, 0.0]):
+        v = pd.in_polydisc_roots(coeffs)
+        assert v.inside and v.margin == math.inf and not v.indeterminate
+    # just inside the float range the root is found
+    v = pd.in_polydisc_roots([6e-309])
+    assert v.inside and v.margin == pytest.approx(1 / 6e-309, rel=1e-12)
+    v = pd.in_polydisc_roots([1e-310, 1e-320])
+    assert v.inside and v.margin == pytest.approx(1e160, rel=1e-3)
+
+
 def test_root_oracle_indeterminate_near_a_double_root():
     # 1 + a z + b z^2 = (1 + z/r)^2: the true margin r - 1 = 3e-7 is far
     # above the tolerance, but a computed double root is off by about

@@ -56,6 +56,15 @@ def test_roots_graded_coefficients():
     assert rts[1] == pytest.approx(1e27, rel=1e-6)
 
 
+def test_roots_linear_and_tiny_leading_coefficients():
+    # a linear factor starts at its closed-form root, so one past 1e300,
+    # where the iteration's guard on |p'| would stall, is found too
+    assert pf.roots([1, 1e-305]).roots == (-1e305 + 0j,)
+    # a subnormal leading coefficient: no overflow warning on the way
+    rts = pf.roots([1, 1e-160, 1e-320]).roots
+    assert [abs(r) for r in rts] == pytest.approx([1e160, 1e160], rel=1e-3)
+
+
 def test_elementary_symmetric_examples():
     l1, l2 = 0.3 + 0.1j, -0.7j
     assert pf.elementary_symmetric([l1, l2]) == [l1 + l2, l1 * l2]
@@ -76,23 +85,6 @@ def test_root_recovery_roundtrip():
             max(abs(np.asarray(perm) - lam))
             for perm in itertools.permutations(recovered))
         assert best < 1e-8
-
-
-def test_conjugate_poly_examples():
-    assert pf.conjugate_poly([0.25, 1, 1]).coeffs == (1, 1, 0.25)
-    assert pf.conjugate_poly([2.5]).coeffs == (2.5,)
-    assert pf.conjugate_poly([1j, 1]).coeffs == (1, -1j)
-
-
-def test_conjugate_poly_involution():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        d = int(rng.integers(0, 6))
-        c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-        c[0] += 3.0  # keep constant and leading coefficients nonzero
-        c[-1] += 3.0
-        p = pf.Polynomial(tuple(c))
-        assert pf.conjugate_poly(pf.conjugate_poly(p)).coeffs == p.coeffs
 
 
 def test_leading_zero_rejected_unless_padded():
