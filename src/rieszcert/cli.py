@@ -31,7 +31,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# the largest section size: about 4 s and 110 MB on one core
+# the largest section size: about 2 s and 110 MB on one core
 MAX_SECTION_SIZE = 65536
 
 
@@ -292,11 +292,8 @@ def _section_setup(params: dict, terms: int):
                          alpha=_optional(params, "alpha", float, 0.0),
                          p=_optional(params, "p", int, 3), terms=terms)
         rule = gp.cj_rule(spec.sup_q, spec.alpha)
-        if spec.p % 2:
-            a = gp.a_weight(spec.sup_q, spec.alpha, spec.p)
-            b = gp.b_weight(spec.sup_q, spec.alpha, spec.p)
-        else:   # the odd-mode series has no coefficient at modes p, p^2
-            a = b = 0.0
+        a = gp.a_weight(spec.sup_q, spec.alpha, spec.p)
+        b = gp.b_weight(spec.sup_q, spec.alpha, spec.p)
         s = gp.s_alpha(spec.sup_q, spec.alpha, spec.terms)
         tail = s.value + s.tail_bound - 1.0 - a - b
         structured = gp.min_quadratic(a, b)

@@ -602,11 +602,17 @@ def thresholds(alpha: float, p: int,
 def check_p_alpha(p: int, alpha: float) -> None:
     """The (p, alpha) part of the family's domain, shared by
     :class:`GpSpec` and the threshold sweep of the CLI: raises
-    ValueError unless 2 <= p <= the largest float and 0 <= alpha < inf."""
+    ValueError unless p is odd, 3 <= p <= the largest float, and
+    0 <= alpha < inf. At an even p the odd-mode series has no
+    coefficient at the modes p and p^2, so the structured part of the
+    envelope argument is no part of the operator."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
     if p > sys.float_info.max:
         raise ValueError("p must not exceed the largest float")
+    if p % 2 == 0:
+        raise ValueError("p must be odd: the odd-mode series has no "
+                         "coefficient at the modes p and p^2")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
 
@@ -654,10 +660,8 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     floor max(0, floor) minus the clipped budget max(0, tail_sum),
     reported as ``delegate_margin`` when the budget is finite. Both
     weights increase in q, so the floor at sup_q bounds every member of
-    the family. For odd p the threshold inequality implies every
-    structural check; for even p the weights are not coefficients of
-    the odd-mode series, so the structural checks can fail vacuously
-    and are reported but do not gate the verdict. Negative outcomes are
+    the family. The threshold inequality implies every structural
+    check (p is odd, see :func:`check_p_alpha`). Negative outcomes are
     returned as verdict false, never raised; inputs outside the
     family's domain, which :class:`GpSpec` defines, raise ValueError.
     """
@@ -799,8 +803,8 @@ def eigenfunction(n: int, mu: float, x_grid,
 
 
 def cj_rule(q_of_n: Callable[[int], float] | float,
-            alpha: float) -> Callable[[int, int], complex]:
+            alpha: float) -> Callable:
     """Section coefficients c_j(n) = j^alpha * profile coefficient of
-    q_n at mode j (zero on even modes), through
+    q_n at mode j (zero on even modes), on int arrays j, n, through
     :func:`dilation.section_rule`."""
     return section_rule(lambda q: OddModeProfile(q, alpha), q_of_n, alpha)

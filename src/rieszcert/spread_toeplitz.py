@@ -36,9 +36,10 @@ LANCZOS_RTOL = 1e-14
 # each step two sparse products with T^{-1}; it caps the basis at this
 # many vectors of length N (210 MB at N = 65536)
 LANCZOS_MAX_STEPS = 400
-# sparse work runs in chunks of about this many items (the products
-# that expand an inverse, the entries of one matrix-vector product), so
-# that its working memory does not grow with N
+# sparse work runs in chunks of about this many items (the pairs (j, n)
+# of one rule call, the products that expand an inverse, the entries of
+# one matrix-vector product), so that its working memory does not grow
+# with N
 _CHUNK = 1 << 14
 # the Lanczos basis grows in blocks of this many vectors, so that no
 # step copies the vectors already stored
@@ -179,30 +180,42 @@ def symbol_inf(weights: Sequence[float]) -> float:
     return min_modulus_disc([1.0, *weights])
 
 
-def finite_section(cj: Callable[[int, int], complex],
-                   N: int) -> SectionMatrix:
+def finite_section(cj: Callable, N: int) -> SectionMatrix:
     """N x N section of T = I + sum_{j>=2} M_j C_j on span{h_1..h_N}:
     unit diagonal plus c_j(n) at row jn, column n.
 
-    Only the nonzero entries of the strictly lower part L are stored,
-    in row order; the rule is called once per (j, n) with jn <= N.
+    The rule is called as ``cj(j, n)`` on two int arrays of equal
+    length, the pairs j >= 2, n <= N // j with jn <= N, and returns
+    c_j(n) for each pair as a real or complex array of that length, or
+    one scalar for all of them. The pairs come ordered by j, then n,
+    in chunks of whole j-ranges of about ``_CHUNK`` pairs, so that one
+    call covers a whole section up to N = 2048 and the temporaries do
+    not grow with N. Only the nonzero entries of the strictly lower
+    part L are stored, in row order and by ascending j within a row.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    rows, cols, vals = [], [], []
-    for j in range(2, N + 1):
-        for n in range(1, N // j + 1):
-            c = complex(cj(j, n))
-            if c != 0:
-                rows.append(j * n - 1)
-                cols.append(n - 1)
-                vals.append(c)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    vals = np.array(vals, dtype=complex)
+    js = np.arange(2, N + 1)
+    count = N // js                  # pairs (j, n) per j
+    end = np.cumsum(count)           # one past each j's last pair
+    rows = [np.zeros(0, dtype=np.intp)]
+    cols = [np.zeros(0, dtype=np.intp)]
+    vals = [np.zeros(0)]
+    for s, e in _row_chunks(js, end):
+        first = end[s:e] - count[s:e]
+        j = np.repeat(js[s:e], count[s:e])
+        n = np.arange(first[0], end[e - 1]) - np.repeat(first - 1, count[s:e])
+        c = np.broadcast_to(np.asarray(cj(j, n)), j.shape)
+        keep = np.flatnonzero(c)
+        rows.append(j[keep] * n[keep] - 1)
+        cols.append(n[keep] - 1)
+        vals.append(c[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate(vals)
+    if np.iscomplexobj(vals) and not vals.imag.any():
+        vals = vals.real
     order = np.argsort(rows, kind="stable")
-    values = vals[order] if vals.imag.any() else vals.real[order]
-    return SectionMatrix(N, rows[order], cols[order], values)
+    return SectionMatrix(N, rows[order], cols[order], vals[order])
 
 
 def smallest_singular(S: SectionMatrix) -> float:

@@ -160,9 +160,9 @@ def dirichlet_symbol(lam: float, p: int, s: complex) -> complex:
 
 
 def cj_rule(lam_of_n: Callable[[int], float] | float, p: int,
-            alpha: float) -> Callable[[int, int], complex]:
+            alpha: float) -> Callable:
     """Section coefficients c_j(n) = (lam_n p^alpha)^l when j = p^l
-    (l >= 1), else 0: the lacunary profile through
+    (l >= 1), else 0, on int arrays j, n: the lacunary profile through
     :func:`dilation.section_rule`."""
     return section_rule(lambda lam: LacunaryGeometricProfile(lam, p, alpha),
                         lam_of_n, alpha)

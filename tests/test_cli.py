@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +274,24 @@ def test_section_size_range(capsys):
     assert sigma >= 2 / 3 - 1e-9
 
 
+# the two large sections the CI workflow runs, and their recorded stdout
+LARGE_SECTIONS = [
+    ('{"family":"weierstrass","lam":0.45,"p":2}', "weierstrass"),
+    ('{"family":"gp","q":0.6,"alpha":0.5}', "gp"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params, name", LARGE_SECTIONS,
+                         ids=[name for _, name in LARGE_SECTIONS])
+def test_section_65536_pinned(capsys, params, name):
+    # the largest section size, byte for byte as recorded in
+    # tests/data/section_65536_<name>.txt
+    path = Path(__file__).parent / "data" / f"section_65536_{name}.txt"
+    code, out, err = run(capsys, "section", params, "--size", "65536")
+    assert (code, out, err) == (0, path.read_text(encoding="utf-8"), "")
+
+
 @pytest.mark.filterwarnings("error")
 def test_section_schema_violations(capsys):
     for bad in ('{"family":"weierstrass","lam":0.25,"p":1}',
@@ -308,6 +327,28 @@ def test_section_schema_violations(capsys):
              "p must not exceed the largest float")]:
         code, _, err = run(capsys, "section", bad, "--size", "16")
         assert err == f"section: invalid parameters: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_gp_refuses_an_even_p(capsys):
+    # the odd-mode series has no coefficient at the modes p and p^2 of
+    # an even p. The certificate took the weights there all the same and
+    # certified this family, which holds the constant nome 0.285: its
+    # operator is not invertible (the Liouville sum of its coefficients
+    # is negative)
+    message = ("p must be odd: the odd-mode series has no coefficient "
+               "at the modes p and p^2\n")
+    for command, argv in [
+            ("certify", ['{"family":"gp","p":2,"alpha":1,"sup_q":0.285}']),
+            ("certify", ['{"family":"gp","p":4,"alpha":0.5,"sup_q":0.2,'
+                         '"degree":3}']),
+            ("section", ['{"family":"gp","q":0.2,"alpha":0.6,"p":2}',
+                         "--size", "64"])]:
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"{command}: invalid parameters: {message}"
+    code, out, err = run(capsys, "sweep", "--p", "2", "--steps", "3")
+    assert (code, out, err) == (2, "", f"sweep: {message}")
 
 
 @pytest.mark.filterwarnings("error")

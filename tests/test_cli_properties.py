@@ -52,6 +52,10 @@ def _finite(lo, hi):
 # a p beyond the float range is outside both specs
 P_OK = st.integers(2, 12)
 P_BAD = st.one_of(st.integers(-10**6, 1), st.integers(10**309, 10**400))
+# the gp family refuses an even p: its odd-mode series has no
+# coefficient at the modes p and p^2
+GP_P_OK = st.integers(1, 6).map(lambda k: 2 * k + 1)
+GP_P_BAD = st.one_of(P_BAD, st.integers(1, 6).map(lambda k: 2 * k))
 ALPHA_OK = _finite(0.0, 3.0)
 ALPHA_BAD = st.one_of(_finite(-1e300, -1e-300),
                       st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -118,7 +122,7 @@ def certify_params(draw):
             "sup_q": _key(draw, "sup_q" in broken, Q_OK, Q_BAD, NOT_FLOAT),
             "alpha": _key(draw, "alpha" in broken, ALPHA_OK, ALPHA_BAD,
                           NOT_FLOAT),
-            "p": _key(draw, "p" in broken, P_OK, P_BAD, NOT_INT),
+            "p": _key(draw, "p" in broken, GP_P_OK, GP_P_BAD, NOT_INT),
             "terms": _key(draw, "terms" in broken, TERMS_OK, TERMS_BAD,
                           NOT_INT, optional=True),
             "degree": _key(draw, "degree" in broken, DEGREE_OK, DEGREE_BAD,
@@ -146,7 +150,7 @@ def section_params(draw):
             "q": _key(draw, "q" in broken, Q_OK, Q_BAD, NOT_FLOAT),
             "alpha": _key(draw, "alpha" in broken, ALPHA_OK, ALPHA_BAD,
                           NOT_FLOAT, optional=True),
-            "p": _key(draw, "p" in broken, P_OK, P_BAD, NOT_INT,
+            "p": _key(draw, "p" in broken, GP_P_OK, GP_P_BAD, NOT_INT,
                       optional=True)}, broken)
     if family == "weierstrass":
         broken = _broken(draw, ["lam", "p", "alpha"])
@@ -229,18 +233,20 @@ def test_certify_gp_degree3_without_warnings():
 @st.composite
 def section_specs(draw):
     """In-domain ``section`` parameters of the two families."""
-    p, alpha = draw(P_OK), draw(ALPHA_OK)
+    alpha = draw(ALPHA_OK)
     if draw(st.booleans()):
+        p = draw(P_OK)
         lam = draw(_finite(1e-6, 0.999)) / p ** alpha
         return {"family": "weierstrass", "lam": lam, "p": p, "alpha": alpha}
-    return {"family": "gp", "q": draw(Q_OK), "alpha": alpha, "p": p}
+    return {"family": "gp", "q": draw(Q_OK), "alpha": alpha,
+            "p": draw(GP_P_OK)}
 
 
 @PROPERTY
 @given(section_specs(), st.sampled_from([64, 128, 256]))
 # gp at an even p: the odd-mode series has no coefficient at modes p and
 # p^2, and taking the weights there as one put the floor 0.907 above
-# sigma_min 0.737
+# sigma_min 0.737. Such a p is now refused with exit 2.
 @example({"family": "gp", "q": 0.2, "alpha": 0.6, "p": 2}, 64)
 def test_section_floor_brackets_sigma_min(params, N):
     # The symbol floor bounds 1/||T^{-1}|| from below: 1/(1 + nu) for
@@ -248,6 +254,11 @@ def test_section_floor_brackets_sigma_min(params, N):
     # gp. T is lower triangular, so P_N T^{-1} P_N = (P_N T P_N)^{-1}
     # and sigma_min(T_N) >= 1/||T^{-1}|| cannot rise with N; a Ritz
     # value that overshot the top eigenvalue would break either bound.
+    if params["family"] == "gp" and params["p"] % 2 == 0:
+        code, out, err = _run(["section", json.dumps(params), "--size",
+                               str(N)])
+        assert (code, out) == (2, "") and "p must be odd" in err
+        return
     try:
         rule, floor, _, _ = cli._section_setup(params, gp.DEFAULT_TERMS)
     except NotInG2:   # no structured floor: the size bound alone

@@ -586,7 +586,7 @@ def test_certify_T1_matches_threshold():
     rng = np.random.default_rng(55)
     for _ in range(40):
         alpha = float(rng.uniform(0, 2))
-        p = int(rng.choice([2, 3, 5]))
+        p = int(rng.choice([3, 5, 7]))
         sup_q = float(rng.uniform(0.02, 0.98))
         r1 = gp.solve_r1(alpha, p)
         if abs(sup_q - r1) <= 1e-6:
@@ -634,10 +634,10 @@ def test_certify_T1_structural_checks_follow_for_odd_p():
 
 def test_gp_spec_domain_edges():
     # the closed edges are inside the domain
-    gp.GpSpec(2, 0.0, 5e-324, terms=1, degree=1)
+    gp.GpSpec(3, 0.0, 5e-324, terms=1, degree=1)
     gp.GpSpec(3, 1e308, math.nextafter(1.0, 0.0), terms=gp.MAX_TERMS)
     gp.GpSpec(3, 0.5, 0.5, degree=646)
-    gp.GpSpec(2, 0.5, 0.5, degree=1023)
+    gp.GpSpec(5, 0.5, 0.5, degree=441)
     base = {"p": 3, "alpha": 0.5, "sup_q": 0.5}
     for change, message in [
             ({"sup_q": 0.0}, r"sup_q must lie in \(0, 1\)"),
@@ -645,6 +645,10 @@ def test_gp_spec_domain_edges():
             ({"sup_q": math.nan}, r"sup_q must lie in \(0, 1\)"),
             ({"p": 1}, "p must be an integer >= 2"),
             ({"p": -3}, "p must be an integer >= 2"),
+            # the odd-mode series has no coefficient at an even p or p^2
+            ({"p": 2}, "p must be odd"),
+            ({"p": 4}, "p must be odd"),
+            ({"p": 10 ** 300}, "p must be odd"),
             ({"alpha": -5e-324}, "alpha must be finite and >= 0"),
             ({"alpha": math.inf}, "alpha must be finite and >= 0"),
             ({"alpha": math.nan}, "alpha must be finite and >= 0"),
@@ -652,10 +656,10 @@ def test_gp_spec_domain_edges():
             ({"terms": gp.MAX_TERMS + 1}, r"terms must lie in 1\.\.1000000"),
             ({"degree": 0}, "degree must be >= 1"),
             ({"p": 10 ** 400}, "p must not exceed the largest float"),
-            # 3^647 and 2^1024 overflow a float, 3^646 and 2^1023 do not
+            # 3^647 and 5^442 overflow a float, 3^646 and 5^441 do not
             ({"degree": 647}, r"p \*\* degree must stay below"),
-            ({"p": 2, "degree": 1024}, r"p \*\* degree must stay below"),
-            ({"p": 10 ** 200}, r"p \*\* degree must stay below"),
+            ({"p": 5, "degree": 442}, r"p \*\* degree must stay below"),
+            ({"p": 10 ** 200 + 1}, r"p \*\* degree must stay below"),
             # the checks run in this order: the first failing one reports
             ({"sup_q": 2.0, "p": 1, "alpha": -1.0, "degree": 0}, "sup_q"),
             ({"p": 1, "alpha": -1.0, "terms": 0}, "p must"),
@@ -676,7 +680,7 @@ def test_certifiers_check_the_spec_domain():
 
 def test_certify_dispatches_on_degree():
     for sup_q, alpha, p, terms in [(0.4, 0.5, 3, 500), (0.7, 0.0, 3, 300),
-                                   (0.95, 1.0, 5, 40), (0.6, 0.3, 4, 500)]:
+                                   (0.95, 1.0, 5, 40), (0.6, 0.3, 9, 500)]:
         spec = gp.GpSpec(p, alpha, sup_q, terms)
         assert (gp.certify(spec).to_json()
                 == gp.certify_T1(sup_q, alpha, p, terms).to_json())
@@ -689,11 +693,11 @@ def test_certify_dispatches_on_degree():
 def test_certify_Td_infinite_tail_is_not_certified():
     # near q = 1 the 500-term tail bound of s_alpha is infinite: no
     # perturbation budget, so no certificate, as for T1
-    spec = gp.GpSpec(p=2, alpha=1.0, sup_q=0.998046875, degree=1)
+    spec = gp.GpSpec(p=3, alpha=1.0, sup_q=0.998046875, degree=1)
     assert math.isinf(gp.s_alpha(spec.sup_q, spec.alpha).tail_bound)
     cert = gp.certify(spec)
     assert cert.verdict is False and cert.margins["tail_sum"] == math.inf
-    assert gp.certify(gp.GpSpec(2, 1.0, 0.998046875)).verdict is False
+    assert gp.certify(gp.GpSpec(3, 1.0, 0.998046875)).verdict is False
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ def test_root_oracle_roots_past_the_float_range():
     assert v.inside and v.margin == pytest.approx(1e160, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs, inside, indeterminate", [
+    ([1.0, 1e-320], False, True),       # roots -1 and about -1e320
+    ([0.5, 1e-320], True, False),       # roots -2 and about -5e319
+    ([3.0, 1e-320], False, False),      # roots -1/3 and about -3e320
+    ([0.5, 0.1, 1e-310], True, False),  # |z| = sqrt(10) twice, and -1e309
+])
+def test_root_oracle_some_roots_past_the_float_range(coeffs, inside,
+                                                     indeterminate):
+    # only some roots lie past the float range: they are deflated, and
+    # the verdict on the others is the Schur-Cohn oracle's
+    v = pd.in_polydisc_roots(coeffs)
+    sc = pd.in_polydisc_schur_cohn(coeffs)
+    assert (v.inside, v.indeterminate) == (inside, indeterminate)
+    assert (sc.inside, sc.indeterminate) == (inside, indeterminate)
+    assert math.isfinite(v.margin)   # not the all-past-range short cut
+
+
 def test_root_oracle_indeterminate_near_a_double_root():
     # 1 + a z + b z^2 = (1 + z/r)^2: the true margin r - 1 = 3e-7 is far
     # above the tolerance, but a computed double root is off by about

@@ -1,11 +1,13 @@
 """Symbol-infimum certificates and finite-section cross-checks."""
 
-import cmath
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from rieszcert import dilation as dl
 from rieszcert import gross_pitaevskii as gp
@@ -61,7 +63,7 @@ def test_finite_section_structure():
     assert np.array_equal(
         st.finite_section(lambda j, n: 0.0, 5).entries, np.eye(5))
 
-    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 4)
+    S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 4)
     expected = np.eye(4)
     expected[1, 0] = expected[3, 1] = 0.5
     assert np.array_equal(S.entries, expected)
@@ -69,7 +71,7 @@ def test_finite_section_structure():
 
 def test_finite_section_multiplicative_triangular():
     rng = np.random.default_rng(8)
-    vals = {j: rng.standard_normal() for j in range(2, 30)}
+    vals = np.array([0.0, 0.0] + [rng.standard_normal() for _ in range(2, 30)])
     S = st.finite_section(lambda j, n: vals[j], 29).entries
     assert np.array_equal(np.diag(S), np.ones(29))
     for m in range(1, 30):
@@ -82,21 +84,126 @@ def test_weierstrass_section_column_pattern():
     # constant-index lacunary family: column n carries nu^l at row 2^l n
     nu = 0.5
     def cj(j, n):
-        l, m = 0, j
-        while m % 2 == 0:
-            m //= 2
-            l += 1
-        return nu ** l if m == 1 and l >= 1 else 0.0
+        l = np.frexp(j)[1] - 1   # j = 2^l when j & (j - 1) == 0
+        return np.where(j & (j - 1) == 0, nu ** l, 0.0)
     S = st.finite_section(cj, 16).entries
     assert S[1, 0] == nu and S[3, 0] == nu ** 2 and S[7, 0] == nu ** 3
     assert S[5, 2] == nu and S[11, 5] == nu
     assert S[4, 2] == 0.0
 
 
+def test_finite_section_calls_the_rule_on_whole_j_ranges():
+    # one call covers a whole section up to N = 2048; above, each call
+    # takes whole j-ranges of at most _CHUNK pairs (one j alone may be
+    # more), and together they give every pair once, by j then n
+    for N in (1, 2, 2048, 65536):
+        calls = []
+
+        def cj(j, n):
+            calls.append(list(zip(j.tolist(), n.tolist())))
+            return 0.0
+
+        st.finite_section(cj, N)
+        pairs = [(j, n) for j in range(2, N + 1) for n in range(1, N // j + 1)]
+        assert list(itertools.chain(*calls)) == pairs
+        if N <= 2048:
+            assert len(calls) == (N > 1)
+        else:
+            assert len(calls) > 1
+        assert all(len(c) <= st._CHUNK or c[0][0] == c[-1][0] for c in calls)
+        assert all(a[-1][0] < b[0][0] for a, b in zip(calls, calls[1:]))
+
+
+def test_section_rule_builds_one_profile_per_index_value():
+    built, asked = [], []
+
+    def index(n):
+        asked.append(n)
+        return (0.3, 0.6)[n % 2]
+
+    def profile_of(q):
+        built.append(q)
+        return dl.OddModeProfile(q, 0.5)
+
+    rule = dl.section_rule(profile_of, index, 0.5)
+    S = st.finite_section(rule, 512)
+    assert sorted(built) == [0.3, 0.6]
+    assert sorted(asked) == list(range(1, 257))   # once per distinct n
+    assert all(type(n) is int for n in asked)
+    assert len(S.values) > 0
+
+
+def _reference_section(coeff, N):
+    # the section built pair by pair from the scalar profile values, in
+    # the order of the old per-entry loop
+    rows, cols, vals = [], [], []
+    for j in range(2, N + 1):
+        for n in range(1, N // j + 1):
+            c = coeff(j, n)
+            if c != 0:
+                rows.append(j * n - 1)
+                cols.append(n - 1)
+                vals.append(c)
+    rows = np.array(rows, dtype=np.intp)
+    order = np.argsort(rows, kind="stable")
+    return (rows[order], np.array(cols, dtype=np.intp)[order],
+            np.array(vals, dtype=float)[order])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(family=hs.sampled_from(["ws", "gp"]),
+       table=hs.lists(hs.floats(1e-6, 0.999), min_size=1, max_size=4),
+       constant=hs.booleans(), spelling=hs.sampled_from(["rule", "lambda"]),
+       p=hs.integers(2, 7), alpha=hs.floats(0.0, 2.0),
+       N=hs.integers(1, 300))
+def test_array_rules_equal_the_scalar_profile(family, table, constant,
+                                              spelling, p, alpha, N):
+    # A constant index or a p-periodic table s_n = table[(n / p^v) mod m],
+    # through section_rule or as the trajectory_coeffs lambda a user
+    # writes. Lacunary values are equal bit for bit; the odd-mode values
+    # go through numpy's exp and expm1, 1 ulp off libm at worst, so they
+    # agree to 4 ulps.
+    if family == "ws":
+        def profile_of(s):
+            return dl.LacunaryGeometricProfile(s, p, alpha)
+    else:
+        def profile_of(s):
+            return dl.OddModeProfile(s, alpha)
+    if constant:
+        table = table[:1]
+
+    def index(n):
+        while n % p == 0:
+            n //= p
+        return table[n % len(table)]
+
+    profs = {s: profile_of(s) for s in table}
+
+    def profiles(n):
+        return profs[index(n)]
+
+    if spelling == "rule":
+        rule = dl.section_rule(profile_of, table[0] if constant else index,
+                               alpha)
+    else:
+        def rule(j, n):
+            return dl.trajectory_coeffs(profiles, alpha, j, n)
+
+    S = st.finite_section(rule, N)
+    rows, cols, vals = _reference_section(
+        lambda j, n: float(j) ** alpha * profiles(n).coeff(j), N)
+    assert np.array_equal(S.rows, rows) and np.array_equal(S.cols, cols)
+    assert S.values.dtype == float
+    if family == "ws":
+        assert np.array_equal(S.values, vals)
+    else:
+        assert np.all(np.abs(S.values - vals) <= 4 * np.spacing(vals))
+
+
 def test_smallest_singular_examples():
     assert st.smallest_singular(
         st.finite_section(lambda j, n: 0.0, 7)) == pytest.approx(1.0)
-    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 2)
+    S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 2)
     assert st.smallest_singular(S) == pytest.approx(
         math.sqrt((9 - math.sqrt(17)) / 8), abs=1e-12)
 
@@ -110,15 +217,11 @@ def _dense_smallest_singular(S):
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_smallest_singular_matches_dense_svd(N, complex_values):
     rng = np.random.default_rng([N, complex_values])
-    table = {}
 
     def cj(j, n):
-        if (j, n) not in table:
-            c = rng.uniform(-0.4, 0.4)
-            if complex_values:
-                c += 1j * rng.uniform(-0.4, 0.4)
-            table[j, n] = c / j
-        return table[j, n]
+        # one draw per pair (two, real then imaginary, for complex values)
+        c = rng.uniform(-0.4, 0.4, (len(j), 1 + complex_values)) / j[:, None]
+        return c[:, 0] + 1j * c[:, 1] if complex_values else c[:, 0]
 
     S = st.finite_section(cj, N)
     assert np.iscomplexobj(S.values) == (complex_values and N > 1)
@@ -129,7 +232,7 @@ def test_smallest_singular_matches_dense_svd(N, complex_values):
 
 
 def test_smallest_singular_step_guard(monkeypatch):
-    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 64)
+    S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64)
     monkeypatch.setattr(st, "LANCZOS_MAX_STEPS", 3)
     with pytest.raises(NonConvergence):
         st.smallest_singular(S)
@@ -144,7 +247,7 @@ def test_smallest_singular_ends_on_an_exhausted_krylov_space(monkeypatch):
     # with no residual tolerance only the beta test can end the run
     # before the loop runs out of its N steps; past exhaustion the
     # tridiagonal is no projection of T^{-H} T^{-1} any more
-    S = st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 64)
+    S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64)
     monkeypatch.setattr(st, "LANCZOS_RTOL", 0.0)
     seen, value = _lanczos_tridiagonals(
         monkeypatch, lambda: st.smallest_singular(S))
@@ -203,7 +306,7 @@ def _section(name, N, complex_values):
     rule = INVERSE_RULES[name]
     if complex_values:   # the same moduli with a phase per entry
         return st.finite_section(
-            lambda j, n: rule(j, n) * cmath.exp(1j * (j + 2 * n)), N)
+            lambda j, n: rule(j, n) * np.exp(1j * (j + 2 * n)), N)
     return st.finite_section(rule, N)
 
 
@@ -302,7 +405,7 @@ def _section_run(name, N):
 def _halves_run():
     # the section of the step-guard test
     return st.smallest_singular(
-        st.finite_section(lambda j, n: 0.5 if j == 2 else 0.0, 64))
+        st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64))
 
 
 def _complex_runs():
@@ -423,7 +526,7 @@ def test_section_compression_bound():
     s = st.symbol_inf([0.3, 0.3])
 
     def cj(j, n):
-        return 0.3 if j in (2, 4) else 0.0
+        return np.where((j == 2) | (j == 4), 0.3, 0.0)
 
     sigmas = [st.smallest_singular(st.finite_section(cj, N))
               for N in (8, 32, 128, 512)]
