@@ -95,8 +95,10 @@ def in_polydisc_roots(coeffs: Sequence[complex],
     within the Newton inclusion radius d |p(z) / p'(z)| of the smallest
     computed root z, a disc that holds a true root: near a multiple
     root the computed roots are off by about sqrt(eps) |z|, far more
-    than ``tol``. Roots past the float range are deflated first
-    (:func:`_representable_degree`); they lie outside the disc.
+    than ``tol``, and a margin or radius that is not finite decides
+    nothing. Roots past the radius where Horner's sums could overflow
+    are deflated first (:func:`_deflated_degree`); they lie outside the
+    disc.
     """
     cs = [complex(c) for c in coeffs]
     if not cs:
@@ -111,41 +113,48 @@ def in_polydisc_roots(coeffs: Sequence[complex],
                   default=0.0)
     if w * sys.float_info.max < 1.0:
         return MembershipVerdict(True, math.inf, "roots")
-    k = _representable_degree(pol)
+    k = _deflated_degree(pol)
     z = min(polyform.roots(pol.coeffs[:k + 1]).roots, key=abs)
     margin = abs(z) - 1.0
     pz = abs(polyform.eval_poly(pol, z))
     dz = abs(polyform.eval_poly(
         [k * c for k, c in enumerate(pol.coeffs)][1:], z))
     inclusion = 0.0 if pz == 0 else (pol.degree * pz / dz if dz else math.inf)
+    # a NaN or infinite margin or inclusion radius decides nothing
+    decisive = (math.isfinite(margin) and abs(margin) > tol
+                and abs(margin) > inclusion)
     return MembershipVerdict(margin > tol, margin, "roots",
-                             indeterminate=abs(margin) <= max(tol, inclusion))
+                             indeterminate=not decisive)
 
 
-def _representable_degree(pol: polyform.Polynomial) -> int:
-    """The number k of roots of ``pol`` inside |z| < M, M the largest
-    float, when the others lie past the float range; else its degree.
+def _deflated_degree(pol: polyform.Polynomial) -> int:
+    """The number k of roots of ``pol`` inside |z| < R when the others
+    lie past R; else its degree. R = (M / sum |c_i|)^(1/d), M the
+    largest float, is the radius below which Horner's sums
+    sum |c_i| |z|^i cannot overflow.
 
-    By Pellet's theorem (Rouche on |z| = M), the term c_k z^k
+    By Pellet's theorem (Rouche on |z| = R), the term c_k z^k
     outweighing the sum of all the others there puts exactly k roots
-    inside |z| < M and the d - k others outside. The ratios of those
-    terms to c_k M^k are compared in logarithms, so that nothing
-    overflows, and their sum must stay below 1/2 to spare the rounding.
-    The d - k roots are neither representable nor in the disc, and the
-    k others are the roots of c_0 + ... + c_k z^k up to a relative
-    change below the float resolution. Every such k needs |c_d| M
-    below |c_k| / 2, which is checked first.
+    inside |z| < R and the d - k others outside, past the disc too. The
+    ratios of those terms to c_k R^k are compared in logarithms, so that
+    nothing overflows, and their sum must stay below 1/2 to spare the
+    rounding. Each dropped term c_i z^i, i > k, is then below
+    |c_k| / (2 R) on the closed unit disc, so with R >= 2^53 the k
+    others are the roots of c_0 + ... + c_k z^k up to a change below the
+    float resolution where the verdict is decided. Every such k needs
+    |c_d| R below |c_k| / 2, which is checked first.
     """
     cs, d = pol.coeffs, pol.degree
-    big = sys.float_info.max
-    if not abs(cs[d]) * big < max(map(abs, cs[:d])) / 2.0:
+    # sum |c_i| >= |c_0| = 1: the quotient cannot overflow
+    r = (sys.float_info.max / sum(map(abs, cs))) ** (1.0 / d)
+    if not (r >= 2.0 ** 53 and abs(cs[d]) * r < max(map(abs, cs[:d])) / 2.0):
         return d
+    log_r = math.log(r)
     logs = [math.log(abs(c)) if c else -math.inf for c in cs]
-    log_big = math.log(big)
     for k in range(1, d):
         if not cs[k]:
             continue
-        excess = [logs[i] + (i - k) * log_big - logs[k]
+        excess = [logs[i] + (i - k) * log_r - logs[k]
                   for i in range(d + 1) if i != k]
         if max(excess) < 0.0 and sum(map(math.exp, excess)) < 0.5:
             return k

@@ -293,6 +293,19 @@ def test_section_65536_pinned(capsys, params, name):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sweep_pinned(capsys, p):
+    # the 23-point threshold curve on [0, 2], byte for byte as recorded
+    # in tests/data/sweep_p<p>.csv, before bisect_monotone narrowed its
+    # bracket by secant steps. At p = 5 and 7 some rows print out of
+    # strict order r0 < r1 < r1_tilde, as they did then
+    path = Path(__file__).parent / "data" / f"sweep_p{p}.csv"
+    code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
+                         "2", "--steps", "23", "--p", str(p))
+    assert (code, out, err) == (0, path.read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.filterwarnings("error")
 def test_section_schema_violations(capsys):
     for bad in ('{"family":"weierstrass","lam":0.25,"p":1}',
                 '{"family":"weierstrass","lam":0.25,"p":0}',

@@ -436,7 +436,10 @@ def test_threshold_row_log_records_pinned(caplog):
     # alpha = 3 shrinks it 54 times, loses G_2 membership on the prescan
     # and in the bisection, at the bracket end included, and sees 2 sign
     # changes. The records were taken before the solvers shared one
-    # batched prescan and decided the shrink steps on (a, b) alone
+    # batched prescan and decided the shrink steps on (a, b) alone. The
+    # odd-p rows (1.6, 3), (1.3, 5) and (1.2, 7), recorded before
+    # bisect_monotone narrowed by secant steps, shrink the bracket and
+    # lose membership on 16-21 prescan points
     pinned = json.loads((Path(__file__).parent / "data"
                          / "pinned_threshold_logs.json").read_text())
     for row in pinned:
@@ -500,10 +503,7 @@ def test_batched_mode_sums_one_row_per_block_at_large_terms():
         _s_alpha_reference(q, 0.5, 10 ** 5) for q in qs]
 
 
-def test_threshold_row_kernel_calls(monkeypatch):
-    # about 32 bisection steps for r0, one 64-point prescan, and about 24
-    # bisection steps each for r1 and r1_tilde; the parent made ~219
-    # one-q calls per row
+def _count_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = gp._mode_sums
 
@@ -512,14 +512,44 @@ def test_threshold_row_kernel_calls(monkeypatch):
         return kernel(qs, *args, **kwargs)
 
     monkeypatch.setattr(gp, "_mode_sums", counted)
+    return calls
+
+
+def test_threshold_row_kernel_calls(monkeypatch):
+    # about 10 calls for r0 (its two ends, 6-8 secant steps of the
+    # narrowing phase of bisect_monotone, 0-2 on the replayed path), one
+    # 64-point prescan, and 4-6 calls each for r1 and r1_tilde: 20-22
+    # per row at odd p. Plain bisection made about 82 (32 for r0, 24 each
+    # for r1 and r1_tilde). At p = 2, alpha = 3 the narrowing takes
+    # midpoints while r1_tilde's bracket end is infinite: 38 calls
+    calls = _count_kernel_calls(monkeypatch)
     for (alpha, p), want in THRESHOLDS.items():
         gp._prescan_sums.cache_clear()
         calls.clear()
         assert (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
                 gp.solve_r1_tilde(alpha, p)) == want
-        assert len(calls) <= 90
+        assert len(calls) <= (22 if p % 2 else 38)
         # r1_tilde shares r1's prescan unless its bracket shrank
         assert calls.count(gp._PRESCAN_POINTS) == (1 if alpha <= 0.5 else 2)
+
+
+def test_threshold_grid_kernel_calls(monkeypatch):
+    # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
+    # p = 3, 5, 7 from a cold prescan cache: 20.46 calls per row on
+    # average, 22 at most (plain bisection: 82.1 and 83)
+    calls = _count_kernel_calls(monkeypatch)
+    counts = []
+    for p in (3, 5, 7):
+        for i in range(23):
+            alpha = 2.0 * i / 22
+            gp._prescan_sums.cache_clear()
+            calls.clear()
+            gp.solve_r0(alpha)
+            gp.solve_r1(alpha, p)
+            gp.solve_r1_tilde(alpha, p)
+            counts.append(len(calls))
+    assert max(counts) <= 22
+    assert sum(counts) / len(counts) <= 21.0
 
 
 def test_solve_r1_memory_at_large_terms():

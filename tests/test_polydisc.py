@@ -99,6 +99,34 @@ def test_root_oracle_some_roots_past_the_float_range(coeffs, inside,
     assert math.isfinite(v.margin)   # not the all-past-range short cut
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [
+    [0.5, 0.1, 1e-309], [0.5, 0.1, 1e-250], [0.5, 0.1, 1e-200],
+    [0.5, 0.1, 1e-150],
+    # the radius where Horner's sums can overflow is about 4.8e102 here,
+    # and the root near -0.1 / c_3 crosses it
+    [0.5, 0.1, 5e-105], [0.5, 0.1, 1e-104], [0.5, 0.1, 2e-104],
+    [0.5, 0.1, 1e-100], [0.5, 0.1, 0.01, 1e-250], [3.0, 0.1, 1e-309],
+])
+def test_root_oracle_one_root_past_the_horner_radius(coeffs):
+    # one root lies inside the float range but far past the others; the
+    # root finder's Horner sums overflowed near it, and the oracle said
+    # outside with margin nan against Schur-Cohn's decisive verdict
+    v = pd.in_polydisc_roots(coeffs)
+    sc = pd.in_polydisc_schur_cohn(coeffs)
+    assert math.isfinite(v.margin)
+    assert (v.inside, v.indeterminate) == (sc.inside, sc.indeterminate)
+    assert not sc.indeterminate
+    assert pd.membership_certificate(coeffs).verdict is sc.inside
+
+
+def test_root_oracle_non_finite_margin_is_indeterminate(monkeypatch):
+    for z in (complex(math.nan, 0.0), complex(math.inf, 0.0)):
+        monkeypatch.setattr(pd.polyform, "roots",
+                            lambda c, z=z: pd.polyform.RootSet((z,), 0.0))
+        assert pd.in_polydisc_roots([0.5]).indeterminate
+
+
 def test_root_oracle_indeterminate_near_a_double_root():
     # 1 + a z + b z^2 = (1 + z/r)^2: the true margin r - 1 = 3e-7 is far
     # above the tolerance, but a computed double root is off by about
