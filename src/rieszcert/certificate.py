@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
+JSON_INDENT = 2
 
 ENVELOPE_RIGOROUS = "envelope-rigorous"
 SAMPLE_HEURISTIC = "sample-heuristic"
@@ -28,7 +29,6 @@ class Certificate:
     parameters: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
     mode: str = ENVELOPE_RIGOROUS
-    tool_version: str = TOOL_VERSION
 
     def to_dict(self) -> dict:
         return {
@@ -37,8 +37,8 @@ class Certificate:
             "parameters": dict(self.parameters),
             "margins": dict(self.margins),
             "mode": self.mode,
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=JSON_INDENT)

@@ -292,10 +292,9 @@ def _section_setup(params: dict, terms: int):
                          alpha=_optional(params, "alpha", float, 0.0),
                          p=_optional(params, "p", int, 3), terms=terms)
         rule = gp.cj_rule(spec.sup_q, spec.alpha)
-        a = gp.a_weight(spec.sup_q, spec.alpha, spec.p)
-        b = gp.b_weight(spec.sup_q, spec.alpha, spec.p)
-        s = gp.s_alpha(spec.sup_q, spec.alpha, spec.terms)
-        tail = s.value + s.tail_bound - 1.0 - a - b
+        margins = gp.certify_T1(spec.sup_q, spec.alpha, spec.p,
+                                spec.terms).margins
+        a, b, tail = margins["a"], margins["b"], margins["tail_sum"]
         structured = gp.min_quadratic(a, b)
         floor = max(0.0, structured - tail)
         extra = {"a": a, "b": b, "perturbation_tail": tail,

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DivergentProfile
 from .util import log_nome, sin_pi
 
+SAMPLE_TOL = 1e-12
+SAMPLE_MAX_MODES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class NormResult:
@@ -48,7 +51,7 @@ class FourierProfile:
     def nonzero_modes(self, j_max: int) -> Iterator[int]:
         return iter(range(1, j_max + 1))
 
-    def sobolev_tail_sq(self, alpha: float, terms: int) -> float:
+    def sobolev_tail_sq(self, terms: int) -> float:
         """Upper bound for sum_{n > terms} n^{2 alpha} |f_hat(n)|^2."""
         raise NotImplementedError
 
@@ -72,7 +75,7 @@ class SingleModeProfile(FourierProfile):
     def nonzero_modes(self, j_max: int):
         return iter((1,)) if j_max >= 1 else iter(())
 
-    def sobolev_tail_sq(self, alpha: float, terms: int) -> float:
+    def sobolev_tail_sq(self, terms: int) -> float:
         return 0.0
 
     def abs_tail(self, j_max: int) -> float:
@@ -139,8 +142,8 @@ class LacunaryGeometricProfile(FourierProfile):
             yield j
             j *= self.p
 
-    def sobolev_tail_sq(self, alpha: float, terms: int) -> float:
-        ratio = self.p ** (2.0 * alpha) * self.lam ** 2
+    def sobolev_tail_sq(self, terms: int) -> float:
+        ratio = self.p ** (2.0 * self.alpha) * self.lam ** 2
         if ratio >= 1.0:
             return math.inf
         # first omitted lacunary mode has index level + 1
@@ -186,9 +189,10 @@ class OddModeProfile(FourierProfile):
     def nonzero_modes(self, j_max: int):
         return iter(range(1, j_max + 1, 2))
 
-    def sobolev_tail_sq(self, alpha: float, terms: int) -> float:
+    def sobolev_tail_sq(self, terms: int) -> float:
         # sum over odd n > terms of n^{2a} f(n)^2 <= sum_{l>L} (2l+1)^{2a} q^{2l}
         L = (terms - 1) // 2
+        alpha = self.alpha
         first = (2 * L + 3.0) ** (2 * alpha) * self.q ** (2 * (L + 1))
         ratio = ((2 * L + 5.0) / (2 * L + 3.0)) ** (2 * alpha) * self.q ** 2
         if ratio >= 1.0:
@@ -208,7 +212,7 @@ def sobolev_norm(profile: FourierProfile, terms: int) -> NormResult:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     alpha = profile.alpha
-    tail = profile.sobolev_tail_sq(alpha, terms)
+    tail = profile.sobolev_tail_sq(terms)
     if not math.isfinite(tail):
         raise DivergentProfile(
             f"profile has no finite tail bound at alpha={alpha}")
@@ -323,27 +327,27 @@ def h_basis(n: int, alpha: float, x) -> np.ndarray:
     return math.sqrt(2.0) * sin_pi(np.asarray(x, dtype=float) * n) / float(n) ** alpha
 
 
-def dilated_sample(profile: FourierProfile, n: int, alpha: float, x_grid,
-                   tol: float = 1e-12, max_terms: int = 10 ** 6) -> np.ndarray:
+def dilated_sample(profile: FourierProfile, n: int, alpha: float,
+                   x_grid) -> np.ndarray:
     """Partial-sum evaluation of g_n(x) = f(n x) / n^alpha on a grid,
     using the odd 2-periodic extension of the profile's sine series.
 
     The truncation index is chosen from the profile's certified tail
-    bound so the error is below ``tol`` uniformly on the grid; only the
-    profile's nonzero modes are summed (capped at ``max_terms`` of
-    them). DivergentProfile is raised when no usable truncation exists.
+    bound so the error is below ``SAMPLE_TOL`` uniformly on the grid; only
+    the profile's nonzero modes are summed, at most ``SAMPLE_MAX_MODES``.
+    DivergentProfile is raised when no usable truncation exists.
     """
     x = np.asarray(x_grid, dtype=float)
     j_max = 64
-    while profile.abs_tail(j_max) * math.sqrt(2.0) > tol:
+    while profile.abs_tail(j_max) * math.sqrt(2.0) > SAMPLE_TOL:
         if j_max > 1 << 62:
             raise DivergentProfile("no usable truncation at the target tolerance")
         j_max *= 2
     out = np.zeros_like(x)
     for count, j in enumerate(profile.nonzero_modes(j_max)):
-        if count >= max_terms:
+        if count >= SAMPLE_MAX_MODES:
             raise DivergentProfile(
-                f"truncation needs more than {max_terms} modes")
+                f"truncation needs more than {SAMPLE_MAX_MODES} modes")
         c = profile.coeff(j)
         if c:
             out += c * math.sqrt(2.0) * sin_pi(j * n * x)

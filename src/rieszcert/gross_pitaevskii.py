@@ -33,6 +33,7 @@ from .util import bisect_monotone, log_nome, sin_pi
 log = logging.getLogger(__name__)
 
 DEFAULT_TERMS = 500
+LAMBERT_TERMS = 2000
 # s_alpha holds about 36 bytes per term: 1e6 terms take ~40 ms and ~35 MB
 MAX_TERMS = 10 ** 6
 # degree * ln p at or above this makes the mode p^degree overflow a float
@@ -95,15 +96,18 @@ def nome(mu: float) -> float:
     return math.exp(-math.pi * Kp / K)
 
 
-def modulus_from_nome(q: float, tol: float = 1e-12) -> float:
-    """Inverse of :func:`nome` by monotone bisection (tolerance in the
-    modulus). For q beyond roughly 0.5 the modulus is within double
-    rounding of 1; nome-side evaluations should then use the theta
-    series directly."""
+def modulus_from_nome(q: float) -> float:
+    """Inverse of :func:`nome` in closed form, the theta quotient
+    k = (theta2(q) / theta3(q))^2. From q about 0.77 on, k rounds to 1
+    and ModulusOutOfRange is raised; nome-side evaluations should then
+    use the theta series directly."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    return bisect_monotone(lambda m: nome(m) - q, 1e-15, 1.0 - 1e-15,
-                           tol=tol, max_iter=200)
+    t2, t3, _ = _thetas(q)
+    k = (t2 / t3) ** 2
+    if not k < 1.0:
+        raise ModulusOutOfRange(f"the modulus at nome {q} rounds to 1")
+    return k
 
 
 @dataclass(frozen=True)
@@ -279,13 +283,14 @@ def lambert_series(f: Callable[[int], float], r: float,
     return SeriesValue(total, tail)
 
 
-def s_alpha_lambert(q: float, alpha: float, terms: int = 2000) -> float:
+def s_alpha_lambert(q: float, alpha: float) -> float:
     """s_alpha through four Lambert series:
 
         ((1-q)/sqrt(q)) (L_f(sqrt q) - L_f(q) - L_g(q) + L_g(q^2))
 
-    with f(n) = n^alpha and g(n) = (2n)^alpha. Splitting each series
-    into even and odd parts shows this reproduces the odd-mode sum.
+    with f(n) = n^alpha and g(n) = (2n)^alpha, each truncated after
+    ``LAMBERT_TERMS`` terms. Splitting each series into even and odd
+    parts shows this reproduces the odd-mode sum.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
@@ -297,10 +302,10 @@ def s_alpha_lambert(q: float, alpha: float, terms: int = 2000) -> float:
         return (2.0 * n) ** alpha
 
     sq = math.sqrt(q)
-    val = (lambert_series(f, sq, terms).value
-           - lambert_series(f, q, terms).value
-           - lambert_series(g, q, terms).value
-           + lambert_series(g, q * q, terms).value)
+    val = (lambert_series(f, sq, LAMBERT_TERMS).value
+           - lambert_series(f, q, LAMBERT_TERMS).value
+           - lambert_series(g, q, LAMBERT_TERMS).value
+           + lambert_series(g, q * q, LAMBERT_TERMS).value)
     return (1.0 - q) / sq * val
 
 
@@ -773,8 +778,7 @@ def eigenvalue(n: int, mu: float) -> float:
     return 4.0 * n * n * (1.0 + mu * mu) * K * K
 
 
-def eigenfunction(n: int, mu: float, x_grid,
-                  terms: int | None = None) -> np.ndarray:
+def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:
     """n-th stationary state u_n(x) = 2^{3/2} n mu K(mu) sn(2 K(mu) n x)
     evaluated through its sine series
 
@@ -782,8 +786,8 @@ def eigenfunction(n: int, mu: float, x_grid,
                  sin((2l+1) n pi x),
 
     with q the nome of mu. The sine evaluation folds its argument, so
-    u_n vanishes exactly at x = 0 and x = 1. The default truncation puts
-    the series tail below 1e-18 relative to the leading coefficient.
+    u_n vanishes exactly at x = 0 and x = 1. The truncation puts the
+    series tail below 1e-18 relative to the leading coefficient.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -791,8 +795,7 @@ def eigenfunction(n: int, mu: float, x_grid,
         raise ModulusOutOfRange(f"modulus {mu} outside (0, 1)")
     q = nome(mu)
     lq = math.log(q)
-    if terms is None:
-        terms = max(24, min(100000, int(-41.5 / lq) + 1))
+    terms = max(24, min(100000, int(-41.5 / lq) + 1))
     l = np.arange(terms, dtype=float)
     coeff = (2.0 ** 2.5 * math.pi * n * math.sqrt(q) * np.exp(l * lq)
              / (-np.expm1((2.0 * l + 1.0) * lq)))

@@ -28,6 +28,7 @@ MEMBERSHIP_TOL = 1e-9
 BETA_LIMIT = 1.0 - 1e-12
 DEFAULT_BETA = 0.5
 RANK_TOL = 1e-10
+GRAM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +87,18 @@ def default_ptak_young(d: int) -> PtakYoungMatrix:
     return ptak_young((DEFAULT_BETA,) * d)
 
 
-def in_polydisc_roots(coeffs: Sequence[complex],
-                      tol: float = MEMBERSHIP_TOL) -> MembershipVerdict:
+def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     """Root oracle: (a_1, ..., a_d) is in G_d iff 1 + sum a_k z^k has all
     roots outside the closed unit disc. Margin is min |root| - 1.
 
-    The verdict is indeterminate when |margin| is within ``tol`` or
-    within the Newton inclusion radius d |p(z) / p'(z)| of the smallest
-    computed root z, a disc that holds a true root: near a multiple
-    root the computed roots are off by about sqrt(eps) |z|, far more
-    than ``tol``, and a margin or radius that is not finite decides
-    nothing. Roots past the radius where Horner's sums could overflow
-    are deflated first (:func:`_deflated_degree`); they lie outside the
-    disc.
+    The verdict is indeterminate when |margin| is within
+    ``MEMBERSHIP_TOL`` or within the Newton inclusion radius
+    d |p(z) / p'(z)| of the smallest computed root z, a disc that holds
+    a true root: near a multiple root the computed roots are off by
+    about sqrt(eps) |z|, far more than ``MEMBERSHIP_TOL``, and a margin
+    or radius that is not finite decides nothing. Roots past the radius
+    where Horner's sums could overflow are deflated first
+    (:func:`_deflated_degree`); they lie outside the disc.
     """
     cs = [complex(c) for c in coeffs]
     if not cs:
@@ -121,9 +121,9 @@ def in_polydisc_roots(coeffs: Sequence[complex],
         [k * c for k, c in enumerate(pol.coeffs)][1:], z))
     inclusion = 0.0 if pz == 0 else (pol.degree * pz / dz if dz else math.inf)
     # a NaN or infinite margin or inclusion radius decides nothing
-    decisive = (math.isfinite(margin) and abs(margin) > tol
+    decisive = (math.isfinite(margin) and abs(margin) > MEMBERSHIP_TOL
                 and abs(margin) > inclusion)
-    return MembershipVerdict(margin > tol, margin, "roots",
+    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin, "roots",
                              indeterminate=not decisive)
 
 
@@ -194,7 +194,7 @@ def schur_cohn_form(coeffs: Sequence[complex],
 
 def in_polydisc_schur_cohn(coeffs: Sequence[complex],
                            betas: Sequence[complex] | None = None,
-                           tol: float = MEMBERSHIP_TOL) -> MembershipVerdict:
+                           ) -> MembershipVerdict:
     """Schur-Cohn oracle for the same (a_1, ..., a_d) convention as
     :func:`in_polydisc_roots`.
 
@@ -208,8 +208,8 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     Y = ptak_young(betas) if betas is not None else default_ptak_young(d)
     H = schur_cohn_form([c.conjugate() for c in a], Y)
     margin = float(np.linalg.eigvalsh(H)[0])
-    return MembershipVerdict(margin > tol, margin, "schur_cohn",
-                             indeterminate=abs(margin) <= tol)
+    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin, "schur_cohn",
+                             indeterminate=abs(margin) <= MEMBERSHIP_TOL)
 
 
 def blaschke(lambdas: Sequence[complex], z: complex) -> complex:
@@ -335,9 +335,7 @@ def _orthonormal_complement(Q: np.ndarray) -> np.ndarray:
     return u[:, r:] if r < n else np.zeros((n, 0), dtype=complex)
 
 
-def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex],
-                rank_tol: float = RANK_TOL,
-                gram_tol: float = 1e-8) -> np.ndarray:
+def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex]) -> np.ndarray:
     """Extract the d x d^2 block H(Y) with
 
         || H(Y) u(Y) Q(Y) x ||^2 = ||Q(Y)x||^2 - ||P(Y)x||^2
@@ -346,7 +344,8 @@ def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex],
     is its conjugate. The block is the top-right corner of a unitary
     extension of the isometry mapping (0, u(Y)z) to (y_z, (I ox Y)u(Y)z),
     obtained by completing orthonormal bases of the complements of the
-    domain and range spans (rank tolerance ``rank_tol``).
+    domain and range spans (rank tolerance ``RANK_TOL``); a Gramian
+    mismatch above ``GRAM_TOL`` raises RankDeficiency.
     """
     lams = [complex(l) for l in lambdas]
     if any(abs(l) >= 1 for l in lams):
@@ -372,12 +371,12 @@ def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex],
     W[d:, :] = np.kron(np.eye(d), Ymat) @ stack
 
     mismatch = float(np.abs(V.conj().T @ V - W.conj().T @ W).max())
-    if mismatch > gram_tol:
+    if mismatch > GRAM_TOL:
         raise RankDeficiency(
-            f"Gramian mismatch {mismatch:.3e} exceeds tolerance {gram_tol}")
+            f"Gramian mismatch {mismatch:.3e} exceeds tolerance {GRAM_TOL}")
 
     pv, sv, rv = np.linalg.svd(V, full_matrices=False)
-    keep = sv > rank_tol * (sv[0] if sv.size else 1.0)
+    keep = sv > RANK_TOL * (sv[0] if sv.size else 1.0)
     dom = pv[:, keep]
     ran = W @ (rv.conj().T[:, keep] / sv[keep])
     U = ran @ dom.conj().T
@@ -391,9 +390,7 @@ def monic_coeffs(lambdas: Sequence[complex]) -> list:
     return polyform.elementary_symmetric(lambdas)
 
 
-def membership_certificate(coeffs: Sequence[complex],
-                           betas: Sequence[complex] | None = None,
-                           tol: float = MEMBERSHIP_TOL) -> Certificate:
+def membership_certificate(coeffs: Sequence[complex]) -> Certificate:
     """Certificate combining both membership oracles.
 
     A decisive oracle settles the verdict (the Hermitian-form margin is
@@ -404,8 +401,8 @@ def membership_certificate(coeffs: Sequence[complex],
     flagged rather than silently decided), and conflicting decisive
     verdicts are likewise flagged instead of trusted.
     """
-    rv = in_polydisc_roots(coeffs, tol=tol)
-    sv = in_polydisc_schur_cohn(coeffs, betas, tol=tol)
+    rv = in_polydisc_roots(coeffs)
+    sv = in_polydisc_schur_cohn(coeffs)
     decisive = [v for v in (rv, sv) if not v.indeterminate]
     if not decisive or len({v.inside for v in decisive}) != 1:
         verdict: object = BOUNDARY_INDETERMINATE
@@ -414,7 +411,7 @@ def membership_certificate(coeffs: Sequence[complex],
     return Certificate(
         kind="polydisc",
         verdict=verdict,
-        parameters={"d": len(list(coeffs)), "tolerance": tol},
+        parameters={"d": len(list(coeffs)), "tolerance": MEMBERSHIP_TOL},
         margins={"root_margin": rv.margin, "schur_cohn_margin": sv.margin},
         mode=ENVELOPE_RIGOROUS,
     )

@@ -30,34 +30,23 @@ CIRCLE_ANGLES = 4096
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficient vector in ascending degree order.
-
-    The leading coefficient must be nonzero unless the instance is
-    explicitly flagged as ``padded`` (useful while assembling coefficient
-    vectors whose top entries may vanish; call :meth:`trimmed` before
-    handing such a polynomial to the root finder).
-    """
+    """Coefficient vector in ascending degree order, with a nonzero
+    leading coefficient (:func:`as_poly` trims vanishing top entries
+    before it constructs one)."""
 
     coeffs: tuple
-    padded: bool = False
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
-        if not self.padded and len(cs) > 1 and cs[-1] == 0:
-            raise ValueError("zero leading coefficient (pass padded=True)")
+        if len(cs) > 1 and cs[-1] == 0:
+            raise ValueError("zero leading coefficient")
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def trimmed(self) -> "Polynomial":
-        cs = list(self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,10 @@ class RootSet:
 def as_poly(p) -> Polynomial:
     if isinstance(p, Polynomial):
         return p
-    return Polynomial(tuple(complex(c) for c in p), padded=True).trimmed()
+    cs = [complex(c) for c in p]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return Polynomial(tuple(cs))
 
 
 def eval_poly(p, z: complex) -> complex:
@@ -126,17 +118,18 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=complex)
 
 
-def roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> RootSet:
+def roots(p) -> RootSet:
     """All complex roots via Aberth-Ehrlich simultaneous iteration.
 
     Starting points come from the Newton polygon of the coefficients
     (clustered near the expected root magnitudes) with fixed angular
     offsets to break symmetry; zero roots from vanishing low-order
     coefficients are split off exactly first. Convergence is declared
-    when every correction is below ``tol`` relative to the root
-    magnitudes, or when every residual drops below ``tol`` relative to
+    when every correction is below ``ROOT_TOL`` relative to the root
+    magnitudes, or when every residual drops below it relative to
     the coefficient majorant (which also covers multiple roots, where
-    corrections stagnate near sqrt(eps)).
+    corrections stagnate near sqrt(eps)), and NonConvergence is raised
+    when neither holds after ``ROOT_MAX_ITER`` steps.
     """
     pol = as_poly(p)
     d = pol.degree
@@ -150,7 +143,7 @@ def roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> RootSet:
         reduced = Polynomial(pol.coeffs[zero_count:])
         if reduced.degree == 0:
             return RootSet((0j,) * zero_count, 0.0)
-        inner = roots(reduced, tol=tol, max_iter=max_iter)
+        inner = roots(reduced)
         return RootSet((0j,) * zero_count + inner.roots, inner.residual)
 
     c = np.asarray(pol.coeffs, dtype=complex)
@@ -170,10 +163,10 @@ def roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> RootSet:
         z = _initial_points(c)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         pv = np.polyval(crev, z)
         major = np.polyval(cabs, np.abs(z))
-        if float((np.abs(pv) / major).max()) <= tol:
+        if float((np.abs(pv) / major).max()) <= ROOT_TOL:
             converged = True
             break
         dv = np.polyval(dcrev, z)
@@ -186,13 +179,13 @@ def roots(p, tol: float = ROOT_TOL, max_iter: int = ROOT_MAX_ITER) -> RootSet:
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         corr = w / denom
         z = z - corr
-        if bool((np.abs(corr) <= tol * (1.0 + np.abs(z))).all()):
+        if bool((np.abs(corr) <= ROOT_TOL * (1.0 + np.abs(z))).all()):
             converged = True
             break
     residual = float(rel_residual(z).max())
-    if not converged and residual > tol:
+    if not converged and residual > ROOT_TOL:
         raise NonConvergence(
-            f"root iteration did not converge in {max_iter} steps "
+            f"root iteration did not converge in {ROOT_MAX_ITER} steps "
             f"(relative residual {residual:.3e})")
     return RootSet(tuple(complex(r) for r in z), residual)
 
@@ -242,26 +235,24 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     return bool(c[0] != 0)
 
 
-def min_modulus_disc(p, angles: int = CIRCLE_ANGLES,
-                     boundary_tol: float = BOUNDARY_TOL,
-                     refine_tol: float = 1e-12) -> float:
+def min_modulus_disc(p) -> float:
     """Infimum of |p| over the open unit disc.
 
-    Zero unless p is zero-free on the disc of radius 1 + boundary_tol,
+    Zero unless p is zero-free on the disc of radius 1 + ``BOUNDARY_TOL``,
     which :func:`zero_free_disc` decides without computing a root. On a
     zero-free p, 1/p is holomorphic on a neighbourhood of the closed
     disc, so the minimum of |p| is attained on the circle; it is located
-    by uniform angular sampling followed by golden-section refinement of
-    the three best brackets.
+    by sampling ``CIRCLE_ANGLES`` equally spaced angles followed by
+    golden-section refinement of the three best brackets.
     """
     pol = as_poly(p)
     if pol.degree == 0:
         return abs(pol.coeffs[0])
-    if not zero_free_disc(pol.coeffs, 1.0 + boundary_tol):
+    if not zero_free_disc(pol.coeffs, 1.0 + BOUNDARY_TOL):
         return 0.0
 
     crev = np.asarray(pol.coeffs[::-1], dtype=complex)
-    theta = 2.0 * np.pi * np.arange(angles) / angles
+    theta = 2.0 * np.pi * np.arange(CIRCLE_ANGLES) / CIRCLE_ANGLES
     vals = np.abs(np.polyval(crev, np.exp(1j * theta)))
 
     left = np.roll(vals, 1)
@@ -272,10 +263,10 @@ def min_modulus_disc(p, angles: int = CIRCLE_ANGLES,
     def f(t: float) -> float:
         return abs(eval_poly(pol, complex(math.cos(t), math.sin(t))))
 
-    step = 2.0 * np.pi / angles
+    step = 2.0 * np.pi / CIRCLE_ANGLES
     best = float(vals.min())
     for idx in order:
         t0 = theta[idx]
-        _, fmin = golden_min(f, t0 - step, t0 + step, tol=refine_tol)
+        _, fmin = golden_min(f, t0 - step, t0 + step)
         best = min(best, fmin)
     return best

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-12
 # the most calls of f in the narrowing phase of bisect_monotone
 _NARROW_STEPS = 24
 
@@ -40,15 +41,15 @@ def log_nome(q: float) -> float:
     return math.log1p(-t) if t < 1.0 else math.log(q)
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-12):
+def golden_min(f, a: float, b: float):
     """Golden-section minimum of a unimodal scalar function on [a, b].
 
-    Returns (argmin, minimum). The interval is shrunk until b - a <= tol.
+    Returns (argmin, minimum), shrinking [a, b] to width ``GOLDEN_TOL``.
     """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

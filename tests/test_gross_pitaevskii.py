@@ -61,11 +61,23 @@ def test_nome_self_complementary_point():
 
 
 def test_nome_roundtrip_and_monotone():
-    for mu in np.arange(0.1, 0.95, 0.1):
-        assert abs(gp.modulus_from_nome(gp.nome(mu)) - mu) < 1e-10
+    for mu in np.linspace(0.01, 0.99, 99):
+        assert abs(gp.modulus_from_nome(gp.nome(mu)) - mu) <= 1e-15
     qs = [gp.nome(mu) for mu in np.arange(0.05, 1.0, 0.05)]
     assert all(q1 < q2 for q1, q2 in zip(qs, qs[1:]))
     assert qs[0] < 1e-3
+
+
+def test_modulus_from_nome_in_range_or_refused_on_whole_nome_range():
+    # the modulus rounds to 1 from q about 0.77 on; no q may fail to
+    # bracket (BracketFailure) as a bisection on the modulus did
+    for q in np.linspace(0.001, 0.999, 57):
+        try:
+            k = gp.modulus_from_nome(float(q))
+        except ModulusOutOfRange:
+            assert q > 0.76
+            continue
+        assert 0.0 < k < 1.0
 
 
 def test_elliptic_point_invariants():

@@ -87,11 +87,10 @@ def test_root_recovery_roundtrip():
         assert best < 1e-8
 
 
-def test_leading_zero_rejected_unless_padded():
+def test_leading_zero_rejected_and_trimmed_by_as_poly():
     with pytest.raises(ValueError):
         pf.Polynomial((1.0, 0.0))
-    padded = pf.Polynomial((1.0, 0.5, 0.0), padded=True)
-    assert padded.trimmed().coeffs == (1.0, 0.5)
+    assert pf.as_poly((1.0, 0.5, 0.0)).coeffs == (1.0, 0.5)
 
 
 def test_min_modulus_examples():
