@@ -24,7 +24,7 @@ from . import spread_toeplitz as st
 from . import weierstrass as ws
 from .certificate import Certificate
 from .config import Settings, load_settings
-from .errors import RieszcertError
+from .errors import NotInG2, RieszcertError
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -295,7 +295,12 @@ def _section_setup(params: dict, terms: int):
         margins = gp.certify_T1(spec.sup_q, spec.alpha, spec.p,
                                 spec.terms).margins
         a, b, tail = margins["a"], margins["b"], margins["tail_sum"]
-        structured = gp.min_quadratic(a, b)
+        try:
+            structured = gp.min_quadratic(a, b)
+        except NotInG2:
+            # outside G_2, 1 + a z + b z^2 has a zero in the closed disc
+            # (or within MEMBERSHIP_TOL of it): 0 is the floor that holds
+            structured = 0.0
         floor = max(0.0, structured - tail)
         extra = {"a": a, "b": b, "perturbation_tail": tail,
                  "structured_symbol": structured}

@@ -7,8 +7,10 @@ Coefficients are always stored in ascending degree order, so
 ``coeffs[k]`` multiplies ``z**k``.
 
 The disc minimum runs no root finder: zero-freeness is decided by the
-O(d^2) Schur-Cohn recursion. :func:`roots` stays as the independent
-oracle of the polydisc membership test and of the test suite.
+O(d^2) Schur-Cohn recursion, and the circle minimum by one FFT, which
+only picks starting points, and a few Newton steps of one Horner pass
+each. :func:`roots` stays as the independent oracle of the polydisc
+membership test and of the test suite.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 500
 BOUNDARY_TOL = 1e-10
 CIRCLE_ANGLES = 4096
+NEWTON_STEPS = 8
+NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -215,6 +219,10 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     the disc.
     Every step costs O(d) and is renormalised by max |c_k|, so weights
     spread over hundreds of decades neither overflow nor underflow.
+    When the renormalised coefficients are real (positive inputs, as
+    every S1 and Td symbol), the recursion runs in float64: complex
+    arithmetic on zero imaginary parts rounds the real parts the same
+    way, so the verdict is the same bit for bit.
     Vanishing top coefficients are zeros at infinity; the zero
     polynomial has zeros everywhere.
     """
@@ -226,13 +234,59 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     if logs.max() == -math.inf:
         return False
     c = np.exp(logs - logs.max() + 1j * np.angle(c))
+    if not c.imag.any():
+        c = c.real
     while c.size > 1:
-        c = (c[0].conjugate() * c - c[-1] * c[::-1].conj())[:-1]
-        # the new constant term is the real number |c_0|^2 - |c_d|^2
+        # the top coefficient cancels; the new constant term is the
+        # real number |c_0|^2 - |c_d|^2
+        c = np.conj(c[0]) * c[:-1] - c[-1] * c[:0:-1].conj()
         if not c[0].real > 0.0:
             return False
-        c = c / np.abs(c).max()
+        # numpy divides a complex number by a real m + 0j as a product
+        # with 1 / m, so both dtypes round alike
+        c *= 1.0 / np.maximum.reduce(np.abs(c))
     return bool(c[0] != 0)
+
+
+def _horner2(desc: tuple, z: complex):
+    """p(z), z p'(z) and z^2 p''(z) from one Horner pass over the
+    coefficients ``desc`` in descending order; p(z) is rounded as in
+    :func:`eval_poly`."""
+    p = d1 = d2 = 0j
+    for c in desc:
+        d2 = d2 * z + d1
+        d1 = d1 * z + p
+        p = p * z + c
+    return p, z * d1, 2.0 * z * z * d2
+
+
+def _circle_newton(desc: tuple, t0: float, h: float):
+    """Newton's method for a minimum of phi(t) = |p(e^{it})|^2 from t0.
+
+    Returns the least |p| at its iterates and whether a step fell to
+    ``NEWTON_TOL`` max(1, |t|). It gives up when phi'' is not a
+    positive float, when an iterate leaves [t0 - h, t0 + h], or after
+    ``NEWTON_STEPS`` steps.
+    """
+    best = math.inf
+    t = t0
+    for _ in range(NEWTON_STEPS):
+        pz, zp1, zzp2 = _horner2(desc, complex(math.cos(t), math.sin(t)))
+        best = min(best, abs(pz))
+        # phi' / 2 = -Im(conj(p) z p'),
+        # phi'' / 2 = |z p'|^2 - Re(conj(p) (z p' + z^2 p'')); products
+        # past the float range give inf or nan here, not OverflowError
+        curve = ((zp1.conjugate() * zp1).real
+                 - (pz.conjugate() * (zp1 + zzp2)).real)
+        if not 0.0 < curve < math.inf:
+            break
+        step = -(pz.conjugate() * zp1).imag / curve
+        t -= step
+        if abs(step) <= NEWTON_TOL * max(1.0, abs(t)):
+            return best, True
+        if not t0 - h <= t <= t0 + h:
+            break
+    return best, False
 
 
 def min_modulus_disc(p) -> float:
@@ -241,9 +295,16 @@ def min_modulus_disc(p) -> float:
     Zero unless p is zero-free on the disc of radius 1 + ``BOUNDARY_TOL``,
     which :func:`zero_free_disc` decides without computing a root. On a
     zero-free p, 1/p is holomorphic on a neighbourhood of the closed
-    disc, so the minimum of |p| is attained on the circle; it is located
-    by sampling ``CIRCLE_ANGLES`` equally spaced angles followed by
-    golden-section refinement of the three best brackets.
+    disc, so the minimum of |p| is attained on the circle.
+
+    One FFT of the coefficients, folded mod ``CIRCLE_ANGLES`` (z^M = 1
+    at every sample, so this is exact at any degree), samples p at
+    ``CIRCLE_ANGLES`` equally spaced angles t_m. These samples only pick
+    the three least local minima; each is refined by
+    :func:`_circle_newton`, or by :func:`~rieszcert.util.golden_min` on
+    [t_m - h, t_m + h] (h the grid step) where Newton gives up. The
+    result is the least |p| that these Horner evaluations found, so it
+    is a value of |p| at a point of the circle.
     """
     pol = as_poly(p)
     if pol.degree == 0:
@@ -251,9 +312,11 @@ def min_modulus_disc(p) -> float:
     if not zero_free_disc(pol.coeffs, 1.0 + BOUNDARY_TOL):
         return 0.0
 
-    crev = np.asarray(pol.coeffs[::-1], dtype=complex)
-    theta = 2.0 * np.pi * np.arange(CIRCLE_ANGLES) / CIRCLE_ANGLES
-    vals = np.abs(np.polyval(crev, np.exp(1j * theta)))
+    c = np.asarray(pol.coeffs, dtype=complex)
+    c = np.pad(c, (0, -c.size % CIRCLE_ANGLES))
+    c = c.reshape(-1, CIRCLE_ANGLES).sum(axis=0)
+    # unscaled inverse DFT: sum_k c_k e^{2 pi i m k / M} = p(e^{i t_m})
+    vals = np.abs(np.fft.ifft(c, norm="forward"))
 
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
@@ -263,10 +326,13 @@ def min_modulus_disc(p) -> float:
     def f(t: float) -> float:
         return abs(eval_poly(pol, complex(math.cos(t), math.sin(t))))
 
-    step = 2.0 * np.pi / CIRCLE_ANGLES
-    best = float(vals.min())
-    for idx in order:
-        t0 = theta[idx]
-        _, fmin = golden_min(f, t0 - step, t0 + step)
-        best = min(best, fmin)
+    desc = pol.coeffs[::-1]
+    h = 2.0 * math.pi / CIRCLE_ANGLES
+    best = math.inf
+    for m in order:
+        t0 = 2.0 * math.pi * int(m) / CIRCLE_ANGLES
+        value, converged = _circle_newton(desc, t0, h)
+        if not converged:
+            value = min(value, golden_min(f, t0 - h, t0 + h)[1])
+        best = min(best, value)
     return best

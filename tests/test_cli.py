@@ -247,6 +247,18 @@ def test_section_gp_floor(capsys):
     assert sigma >= predicted - 1e-9
 
 
+def test_section_gp_outside_g2(capsys):
+    # at q = 0.9, alpha = 1.5, p = 5 the pair (a, b) = (2.21, 3.80) is
+    # outside G_2: the structured symbol has a zero in the disc, so its
+    # infimum and the floor are 0, and the section is still computed
+    code, out, err = run(capsys, "section",
+                         '{"family":"gp","q":0.9,"alpha":1.5,"p":5}')
+    assert (code, err) == (0, "")
+    assert "structured_symbol 0\n" in out
+    assert "predicted floor   0\n" in out
+    assert float(out.split("sigma_min")[1].split()[0]) > 0.0
+
+
 @pytest.mark.parametrize("q", ["1e-17", "1e-100", "5e-324"])
 def test_tiny_nomes_are_in_domain(capsys, q):
     # below about 5.6e-17, 1 - q rounds to 1; the nome's logarithm,

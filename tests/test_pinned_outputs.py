@@ -2,13 +2,16 @@
 symbol kernel (Aberth roots in ``min_modulus_disc``).
 
 The Schur-Cohn zero test decides the same zero-freeness, and the circle
-minimum is computed as before, so every certificate that the old kernel
-returned keeps its numbers: ``certify_Td`` on a seeded grid of degrees
-3..7 (q in (0.02, 0.98), alpha in (0, 2), p in {3, 5, 7}) and
-``certify_S1`` on the S1 band nu = 0.98 .. 0.99 of the certify-mix
-benchmark. The grid points on which the old kernel raised (overflow
-warnings, NonConvergence) are listed under ``td_raised``; they must now
-return, with the zero decision of an independent 50-digit root finder.
+minimum, now found by Newton steps from FFT samples instead of
+golden-section search from np.polyval samples, agrees with the old one
+to about 1e-14 relative, so every certificate that the old kernel
+returned keeps its numbers within the tolerance below: ``certify_Td``
+on a seeded grid of degrees 3..7 (q in (0.02, 0.98), alpha in (0, 2),
+p in {3, 5, 7}) and ``certify_S1`` on the S1 band nu = 0.98 .. 0.99 of
+the certify-mix benchmark. The grid points on which the old kernel
+raised (overflow warnings, NonConvergence) are listed under
+``td_raised``; they must now return, with the zero decision of an
+independent 50-digit root finder.
 
 Keys, verdict, mode and parameters must match exactly and margins to
 1e-12 relative, as in the golden CLI test, so that another libm cannot

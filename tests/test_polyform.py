@@ -2,14 +2,23 @@
 zero test and disc minima."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszcert import polyform as pf
+from rieszcert import util
 from rieszcert.gross_pitaevskii import OddModeProfile
-from rieszcert.weierstrass import minimal_degree, truncated_symbol_floor
+from rieszcert.weierstrass import (WeierstrassSpec, minimal_degree,
+                                   truncated_symbol_floor)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=300)
 
 
 def test_eval_examples():
@@ -219,3 +228,194 @@ def test_gp_weights_spread_over_hundreds_of_decades(degree):
     assert pf.zero_free_disc([1.0] + w)
     assert pf.min_modulus_disc([1.0] + w) == pytest.approx(
         1.0 - w[0] + w[1], rel=1e-12)
+
+
+def reference_zero_free_disc(coeffs, radius):
+    """zero_free_disc with the recursion in complex arithmetic for every
+    input, as it was before real coefficients ran it in float64."""
+    c = np.asarray(coeffs, dtype=complex)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c)) + np.arange(c.size) * math.log(radius)
+    if logs.max() == -math.inf:
+        return False
+    c = np.exp(logs - logs.max() + 1j * np.angle(c))
+    while c.size > 1:
+        c = (c[0].conjugate() * c - c[-1] * c[::-1].conj())[:-1]
+        if not c[0].real > 0.0:
+            return False
+        c = c / np.abs(c).max()
+    return bool(c[0] != 0)
+
+
+def reference_min_modulus(coeffs):
+    """min_modulus_disc as it was before the FFT grid and the Newton
+    steps: np.polyval at the CIRCLE_ANGLES angles, then golden_min on
+    the grid cell around each of the three least local minima, and the
+    least of all these values."""
+    pol = pf.as_poly(coeffs)
+    if pol.degree == 0:
+        return abs(pol.coeffs[0])
+    if not reference_zero_free_disc(pol.coeffs, 1.0 + pf.BOUNDARY_TOL):
+        return 0.0
+    crev = np.asarray(pol.coeffs[::-1], dtype=complex)
+    theta = 2.0 * np.pi * np.arange(pf.CIRCLE_ANGLES) / pf.CIRCLE_ANGLES
+    vals = np.abs(np.polyval(crev, np.exp(1j * theta)))
+    local = np.flatnonzero((vals <= np.roll(vals, 1))
+                           & (vals <= np.roll(vals, -1)))
+    order = local[np.argsort(vals[local])][:3]
+
+    def f(t):
+        return abs(pf.eval_poly(pol, complex(math.cos(t), math.sin(t))))
+
+    step = 2.0 * np.pi / pf.CIRCLE_ANGLES
+    best = float(vals.min())
+    for idx in order:
+        best = min(best, util.golden_min(f, theta[idx] - step,
+                                         theta[idx] + step)[1])
+    return best
+
+
+def assert_matches_reference(coeffs, rounding=0.0):
+    """Same zero decision as the reference, the same value to 1e-13
+    relative, and never above it by more than 1e-14 relative, each up to
+    an absolute allowance ``rounding`` for the rounding of both values."""
+    got, ref = pf.min_modulus_disc(coeffs), reference_min_modulus(coeffs)
+    assert (got == 0.0) == (ref == 0.0), (got, ref)
+    if ref:
+        assert abs(got - ref) <= 1e-13 * ref + rounding, (got, ref)
+        assert got - ref <= 1e-14 * ref + rounding, (got, ref)
+
+
+def horner_rounding(coeffs):
+    """Twice gamma_{4d} sum_k |c_k|: Horner's a priori error bound on p(z)
+    at |z| = 1 is gamma_{2d} sum_k |c_k| in real arithmetic (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, eq. (5.3)), and
+    a complex product rounds about twice as much. Near a zero of p, where
+    sum_k |c_k| / |p| is large, the two kernels' values differ by this
+    much whatever points they evaluate."""
+    pol = pf.as_poly(coeffs)
+    u = 2.0 ** -53
+    return 8.0 * pol.degree * u * sum(abs(c) for c in pol.coeffs)
+
+
+COEFF = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def disc_polynomials(draw, entry):
+    """Degree 1-12 with the constant term s sum_{k>=1} |c_k|, s in
+    [1/2, 2]: zero-free on the disc for s > 1 by Rouche's theorem, with
+    or without zeros there below."""
+    tail = draw(st.lists(entry, min_size=1, max_size=12))
+    scale = draw(st.floats(0.5, 2.0))
+    return [scale * (sum(abs(c) for c in tail) or 1.0)] + tail
+
+
+@PROPERTY
+@given(disc_polynomials(COEFF))
+def test_min_modulus_matches_reference_real(coeffs):
+    assert_matches_reference(coeffs, horner_rounding(coeffs))
+
+
+@PROPERTY
+@given(disc_polynomials(st.builds(complex, COEFF, COEFF)))
+def test_min_modulus_matches_reference_complex(coeffs):
+    assert_matches_reference(coeffs, horner_rounding(coeffs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.one_of(st.floats(0.0, 0.99, exclude_min=True),
+                 st.floats(0.9, 0.99)))
+def test_min_modulus_matches_reference_S1_symbol(nu):
+    assert_matches_reference([nu ** k for k in range(minimal_degree(nu) + 1)])
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1e160, 1e200, 1e299))
+def test_min_modulus_far_from_unit_scale(scale):
+    # |p'|^2 and the other products of a Newton step underflow or
+    # overflow here, so golden_min takes over, as at the reference
+    coeffs = [scale * c for c in (1.0, 0.3, 0.1, 0.02)]
+    assert_matches_reference(coeffs)
+    assert pf.min_modulus_disc(coeffs) == pytest.approx(0.78 * scale,
+                                                        rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", (1 / math.sqrt(2), 0.95, 0.98, 0.99, 0.999))
+def test_S1_symbol_minimum_closed_form(nu):
+    # on the circle, |sum_{k<=d} nu^k z^k| = |1 - (nu z)^{d+1}| / |1 - nu z|
+    # is at least (1 - nu^{d+1}) / (1 + nu), with equality at z = -1 when
+    # d + 1 is even. Degree 7597 at nu = 0.999 exceeds CIRCLE_ANGLES, so
+    # the grid comes from the folded coefficients there.
+    d = minimal_degree(nu)
+    assert d % 2 == 1
+    c = [nu ** k for k in range(d + 1)]
+    assert pf.min_modulus_disc(c) == pytest.approx(
+        truncated_symbol_floor(nu, d), rel=1e-13)
+    # one degree more, an odd number d + 2 of terms: the minimum lies
+    # between (1 - nu^{d+2}) / (1 + nu) and p(-1) = (1 + nu^{d+2}) / (1 + nu)
+    c.append(nu ** (d + 1))
+    low, high = ((1.0 + s * nu ** (d + 2)) / (1.0 + nu) for s in (-1, 1))
+    m = pf.min_modulus_disc(c)
+    assert low * (1.0 - 1e-13) <= m <= high * (1.0 + 1e-13)
+
+
+PINNED = json.loads((Path(__file__).parent / "data"
+                     / "pinned_certificates.json").read_text())
+
+
+def _pinned_symbols():
+    """The S1 band and the Td grid of pinned_certificates.json as the
+    polynomials their certificates minimise."""
+    for p, alpha, mu in (row["args"] for row in PINNED["s1_band"]):
+        nu = WeierstrassSpec(p=p, alpha=alpha, mu=mu).nu
+        yield [nu ** k for k in range(minimal_degree(nu) + 1)]
+    for q, alpha, p, degree in (row["args"] for row in PINNED["td"]):
+        profile = OddModeProfile(q, alpha)
+        yield [1.0] + [float(p) ** (k * alpha) * profile.coeff(p ** k)
+                       for k in range(1, degree + 1)]
+
+
+def _count_kernel_work(monkeypatch):
+    """Counters of Horner passes and golden-section fallbacks inside
+    min_modulus_disc."""
+    counts = {"passes": 0, "fallbacks": 0}
+    horner, golden = pf._horner2, pf.golden_min
+
+    def counted_horner(*args):
+        counts["passes"] += 1
+        return horner(*args)
+
+    def counted_golden(*args):
+        counts["fallbacks"] += 1
+        return golden(*args)
+
+    monkeypatch.setattr(pf, "_horner2", counted_horner)
+    monkeypatch.setattr(pf, "golden_min", counted_golden)
+    return counts
+
+
+def test_newton_passes_on_pinned_symbols(monkeypatch):
+    counts = _count_kernel_work(monkeypatch)
+    passes = []
+    for coeffs in _pinned_symbols():
+        counts["passes"] = 0
+        pf.min_modulus_disc(coeffs)
+        passes.append(counts["passes"])
+    assert len(passes) == len(PINNED["s1_band"]) + len(PINNED["td"])
+    assert counts["fallbacks"] == 0
+    assert sum(passes) / len(passes) <= 8 and max(passes) <= 27
+
+
+# 1 + (2/3) z + z^2 / 5 has phi''(pi) = 0: the minimum 8/15 at z = -1 is
+# quartic, where Newton's steps shrink by only 2/3 each. The rotation
+# z -> e^{i 5e-4} z moves it off the grid.
+FLAT_MINIMUM = tuple(c * complex(math.cos(5e-4 * k), math.sin(5e-4 * k))
+                     for k, c in enumerate((1.0, 2.0 / 3.0, 0.2)))
+
+
+def test_flat_minimum_takes_golden_fallback(monkeypatch):
+    counts = _count_kernel_work(monkeypatch)
+    got = pf.min_modulus_disc(FLAT_MINIMUM)
+    assert counts["fallbacks"] >= 1
+    assert got == pytest.approx(8.0 / 15.0, rel=1e-13)
+    assert_matches_reference(FLAT_MINIMUM)
