@@ -10,15 +10,14 @@ well, with finite-section singular values as a numerical cross-check.
 """
 
 from .certificate import Certificate, TOOL_VERSION as __version__
-from .errors import (BracketFailure, DimensionMismatch, DivergentProfile,
-                     InvalidBeta, ModulusOutOfRange, NonConvergence,
-                     NotInG2, NotInPolydisc, PoleAtZ, RankDeficiency,
-                     RieszcertError)
+from .errors import (BracketFailure, DimensionMismatch, InvalidBeta,
+                     ModulusOutOfRange, NonConvergence, NotInG2,
+                     NotInPolydisc, PoleAtZ, RankDeficiency, RieszcertError)
 
 __all__ = [
     "Certificate",
     "RieszcertError", "NonConvergence", "InvalidBeta", "DimensionMismatch",
     "PoleAtZ", "NotInPolydisc", "NotInG2", "RankDeficiency",
-    "DivergentProfile", "ModulusOutOfRange", "BracketFailure",
+    "ModulusOutOfRange", "BracketFailure",
     "__version__",
 ]

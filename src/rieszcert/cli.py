@@ -74,9 +74,6 @@ def cmd_sweep(args, settings: Settings) -> int:
         print("sweep: need 0 <= alpha-min <= alpha-max and steps >= 1",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.p < 2:
-        print("sweep: need p >= 2", file=sys.stderr)
-        return EXIT_USAGE
     try:
         for alpha in (args.alpha_min, args.alpha_max):
             gp.check_p_alpha(args.p, alpha)

@@ -11,32 +11,17 @@ spread-shift machinery consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentProfile
-from .util import log_nome, sin_pi
-
-SAMPLE_TOL = 1e-12
-SAMPLE_MAX_MODES = 10 ** 6
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """Truncated Sobolev norm plus an upper bound for the squared tail."""
-
-    value: float
-    tail_sq_bound: float
-
-    def __float__(self) -> float:
-        return self.value
+from .util import log_nome
 
 
 class FourierProfile:
-    """Base profile: sine coefficients with f_hat(1) = 1 and an explicit
-    decay certificate supplied by each subclass."""
+    """Base profile: sine coefficients f_hat(j) with f_hat(1) = 1, at one
+    int (:meth:`coeff`) or at every entry of an int array
+    (:meth:`coeffs`)."""
 
     alpha: float = 0.0
 
@@ -48,39 +33,6 @@ class FourierProfile:
         array of the same shape."""
         raise NotImplementedError
 
-    def nonzero_modes(self, j_max: int) -> Iterator[int]:
-        return iter(range(1, j_max + 1))
-
-    def sobolev_tail_sq(self, terms: int) -> float:
-        """Upper bound for sum_{n > terms} n^{2 alpha} |f_hat(n)|^2."""
-        raise NotImplementedError
-
-    def abs_tail(self, j_max: int) -> float:
-        """Upper bound for sum_{j > j_max} |f_hat(j)|."""
-        raise NotImplementedError
-
-
-class SingleModeProfile(FourierProfile):
-    """f_hat(1) = 1 and nothing else."""
-
-    def __init__(self, alpha: float = 0.0):
-        self.alpha = float(alpha)
-
-    def coeff(self, j: int) -> float:
-        return 1.0 if j == 1 else 0.0
-
-    def coeffs(self, j: np.ndarray) -> np.ndarray:
-        return (np.asarray(j) == 1).astype(float)
-
-    def nonzero_modes(self, j_max: int):
-        return iter((1,)) if j_max >= 1 else iter(())
-
-    def sobolev_tail_sq(self, terms: int) -> float:
-        return 0.0
-
-    def abs_tail(self, j_max: int) -> float:
-        return 0.0
-
 
 def _p_adic_split(j: int, p: int) -> tuple:
     """(v, m) with j = p^v m and m not divisible by p, for j >= 1."""
@@ -91,20 +43,10 @@ def _p_adic_split(j: int, p: int) -> tuple:
     return v, j
 
 
-def _top_level(p: int, limit: int) -> int:
-    """Largest level l with p^l <= limit (0 when limit < p)."""
-    level = 0
-    while p ** (level + 1) <= limit:
-        level += 1
-    return level
-
-
 class LacunaryGeometricProfile(FourierProfile):
     """f_hat(p^j) = lam^j on the lacunary modes p^j, zero elsewhere.
 
-    Belongs to the alpha-scale exactly for lam < p^{-alpha}; the decay
-    certificate is the geometric ratio p^{2 alpha} lam^2 of the squared
-    weighted modes.
+    Belongs to the alpha-scale exactly for lam < p^{-alpha}.
     """
 
     def __init__(self, lam: float, p: int, alpha: float = 0.0):
@@ -135,24 +77,6 @@ class LacunaryGeometricProfile(FourierProfile):
         powers = np.array(powers)
         level = np.minimum(np.searchsorted(powers, j), len(powers) - 1)
         return np.where(powers[level] == j, np.array(values)[level], 0.0)
-
-    def nonzero_modes(self, j_max: int):
-        j = 1
-        while j <= j_max:
-            yield j
-            j *= self.p
-
-    def sobolev_tail_sq(self, terms: int) -> float:
-        ratio = self.p ** (2.0 * self.alpha) * self.lam ** 2
-        if ratio >= 1.0:
-            return math.inf
-        # first omitted lacunary mode has index level + 1
-        level = _top_level(self.p, terms)
-        return ratio ** (level + 1) / (1.0 - ratio)
-
-    def abs_tail(self, j_max: int) -> float:
-        level = _top_level(self.p, j_max)
-        return self.lam ** (level + 1) / (1.0 - self.lam)
 
 
 class OddModeProfile(FourierProfile):
@@ -185,41 +109,6 @@ class OddModeProfile(FourierProfile):
         lq = log_nome(self.q)
         out[odd] = -(1.0 - self.q) * np.exp(l * lq) / np.expm1((2 * l + 1) * lq)
         return out
-
-    def nonzero_modes(self, j_max: int):
-        return iter(range(1, j_max + 1, 2))
-
-    def sobolev_tail_sq(self, terms: int) -> float:
-        # sum over odd n > terms of n^{2a} f(n)^2 <= sum_{l>L} (2l+1)^{2a} q^{2l}
-        L = (terms - 1) // 2
-        alpha = self.alpha
-        first = (2 * L + 3.0) ** (2 * alpha) * self.q ** (2 * (L + 1))
-        ratio = ((2 * L + 5.0) / (2 * L + 3.0)) ** (2 * alpha) * self.q ** 2
-        if ratio >= 1.0:
-            return math.inf
-        return first / (1.0 - ratio)
-
-    def abs_tail(self, j_max: int) -> float:
-        L = (j_max - 1) // 2
-        return self.q ** (L + 1) / (1.0 - self.q)
-
-
-def sobolev_norm(profile: FourierProfile, terms: int) -> NormResult:
-    """Truncated norm sqrt(sum_{n<=terms} n^{2 alpha} |f_hat(n)|^2) at
-    the profile's own exponent, with the profile's certified bound for
-    the squared tail. Raises DivergentProfile when that bound is
-    infinite."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    alpha = profile.alpha
-    tail = profile.sobolev_tail_sq(terms)
-    if not math.isfinite(tail):
-        raise DivergentProfile(
-            f"profile has no finite tail bound at alpha={alpha}")
-    total = 0.0
-    for j in profile.nonzero_modes(terms):
-        total += float(j) ** (2.0 * alpha) * abs(profile.coeff(j)) ** 2
-    return NormResult(math.sqrt(total), tail)
 
 
 def _flat(j, n) -> tuple:
@@ -320,35 +209,3 @@ def section_rule(profile_of: Callable[[float], FourierProfile],
         return c.reshape(shape)[()]
 
     return cj
-
-
-def h_basis(n: int, alpha: float, x) -> np.ndarray:
-    """Orthonormal basis function h_n(x) = sqrt(2) sin(n pi x) / n^alpha."""
-    return math.sqrt(2.0) * sin_pi(np.asarray(x, dtype=float) * n) / float(n) ** alpha
-
-
-def dilated_sample(profile: FourierProfile, n: int, alpha: float,
-                   x_grid) -> np.ndarray:
-    """Partial-sum evaluation of g_n(x) = f(n x) / n^alpha on a grid,
-    using the odd 2-periodic extension of the profile's sine series.
-
-    The truncation index is chosen from the profile's certified tail
-    bound so the error is below ``SAMPLE_TOL`` uniformly on the grid; only
-    the profile's nonzero modes are summed, at most ``SAMPLE_MAX_MODES``.
-    DivergentProfile is raised when no usable truncation exists.
-    """
-    x = np.asarray(x_grid, dtype=float)
-    j_max = 64
-    while profile.abs_tail(j_max) * math.sqrt(2.0) > SAMPLE_TOL:
-        if j_max > 1 << 62:
-            raise DivergentProfile("no usable truncation at the target tolerance")
-        j_max *= 2
-    out = np.zeros_like(x)
-    for count, j in enumerate(profile.nonzero_modes(j_max)):
-        if count >= SAMPLE_MAX_MODES:
-            raise DivergentProfile(
-                f"truncation needs more than {SAMPLE_MAX_MODES} modes")
-        c = profile.coeff(j)
-        if c:
-            out += c * math.sqrt(2.0) * sin_pi(j * n * x)
-    return out / float(n) ** alpha

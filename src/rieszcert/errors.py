@@ -33,10 +33,6 @@ class RankDeficiency(RieszcertError):
     """A Gramian match failed beyond tolerance during isometry extension."""
 
 
-class DivergentProfile(RieszcertError):
-    """A Fourier profile has no finite tail bound at the requested exponent."""
-
-
 class ModulusOutOfRange(RieszcertError):
     """Elliptic modulus outside [0, 1)."""
 

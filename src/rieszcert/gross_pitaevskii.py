@@ -4,7 +4,7 @@ thresholds.
 The eigenpairs of u'' - u^3 + eta u = 0 with u(0) = u(1) = 0 are
 elliptic-sine waves; in the nome coordinate q their sine profiles have
 odd-mode coefficients (1-q) q^l / (1 - q^{2l+1}). This module bundles
-the elliptic kernel (complete integrals by AGM, nome transforms, theta
+the elliptic kernel (complete integrals by AGM, the nome, theta
 series), the mode-sum s_alpha(q) with its Lambert-series and elliptic
 closed forms, the closed-form disc minimum for quadratic symbols, the
 threshold solvers r0 / r1 / r1_tilde, and the certification pipeline
@@ -94,35 +94,6 @@ def nome(mu: float) -> float:
     K, _ = _ke_from_moduli(mu, kp)
     Kp, _ = _ke_from_moduli(kp, mu)
     return math.exp(-math.pi * Kp / K)
-
-
-def modulus_from_nome(q: float) -> float:
-    """Inverse of :func:`nome` in closed form, the theta quotient
-    k = (theta2(q) / theta3(q))^2. From q about 0.77 on, k rounds to 1
-    and ModulusOutOfRange is raised; nome-side evaluations should then
-    use the theta series directly."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    t2, t3, _ = _thetas(q)
-    k = (t2 / t3) ** 2
-    if not k < 1.0:
-        raise ModulusOutOfRange(f"the modulus at nome {q} rounds to 1")
-    return k
-
-
-@dataclass(frozen=True)
-class EllipticPoint:
-    """Coupled modulus/nome record with both complete integrals."""
-
-    mu: float
-    q: float
-    K: float
-    E: float
-
-
-def elliptic_point(mu: float) -> EllipticPoint:
-    K, E = complete_elliptic(mu)
-    return EllipticPoint(mu, nome(mu), K, E)
 
 
 def _thetas(r: float) -> tuple:

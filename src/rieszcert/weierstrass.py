@@ -52,13 +52,6 @@ class WeierstrassSpec:
         return self.mu * self.p ** self.alpha
 
 
-def membership_space(lam: float, p: int, alpha: float) -> bool:
-    """W_lam belongs to the alpha-scale iff lam < p^{-alpha} (strict)."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    return lam < p ** (-alpha)
-
-
 def geometric_tail(nu: float, d: int) -> float:
     """Perturbation budget left after keeping degrees 1..d of a
     geometric family: sum_{l > d} nu^l = nu^{d+1} / (1 - nu)."""

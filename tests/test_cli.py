@@ -93,7 +93,8 @@ def test_sweep_usage_error(capsys):
     assert code == 2 and "alpha" in err
     for p in ("1", "0"):
         code, out, err = run(capsys, "sweep", "--p", p, "--steps", "3")
-        assert code == 2 and out == "" and err == "sweep: need p >= 2\n"
+        assert code == 2 and out == ""
+        assert err == "sweep: p must be an integer >= 2\n"
 
 
 def test_sweep_refuses_alpha_and_p_outside_the_family_domain(capsys):

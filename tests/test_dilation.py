@@ -1,4 +1,4 @@
-"""Profiles, Sobolev norms, and the dilation-to-coefficients bridge."""
+"""Profiles and the dilation-to-coefficients bridge."""
 
 import math
 
@@ -6,27 +6,7 @@ import numpy as np
 import pytest
 
 from rieszcert import dilation as dl
-from rieszcert.errors import DivergentProfile
-
-
-def test_single_mode_norm():
-    for alpha in (0.0, 0.7, 2.0):
-        res = dl.sobolev_norm(dl.SingleModeProfile(alpha), 10)
-        assert res.value == 1.0 and res.tail_sq_bound == 0.0
-
-
-def test_lacunary_norm_geometric():
-    lam = 0.5
-    res = dl.sobolev_norm(dl.LacunaryGeometricProfile(lam, 2, 0.0), 10 ** 6)
-    assert res.value ** 2 + res.tail_sq_bound >= 1 / (1 - lam ** 2) - 1e-12
-    assert res.value ** 2 <= 1 / (1 - lam ** 2)
-
-
-def test_lacunary_divergence_at_critical_exponent():
-    # lam = p^-alpha is exactly the membership boundary
-    prof = dl.LacunaryGeometricProfile(0.5, 2, alpha=1.0)
-    with pytest.raises(DivergentProfile):
-        dl.sobolev_norm(prof, 100)
+from rieszcert import gross_pitaevskii as gp
 
 
 def test_lacunary_coeff_examples():
@@ -72,37 +52,41 @@ def test_trajectory_coeffs_odd_modes():
     assert dl.trajectory_coeffs(lambda n: prof, alpha, 6, 3) == 0.0
 
 
-def test_dilated_sample_single_mode():
-    x = np.linspace(0, 1, 301)
-    got = dl.dilated_sample(dl.SingleModeProfile(), 1, 0.0, x)
-    assert np.abs(got - math.sqrt(2) * np.sin(np.pi * x)).max() < 1e-12
+def _chain(prof, alpha, n, j, x):
+    """sum_j c_j(n) h_{jn}(x) over the modes j, with the basis function
+    h_m(x) = sqrt(2) sin(m pi x) / m^alpha written out."""
+    c = dl.trajectory_coeffs(lambda m: prof, alpha, j, n)
+    m = j[:, None] * n
+    return (c[:, None] * math.sqrt(2) * np.sin(np.pi * m * x)
+            / m.astype(float) ** alpha).sum(axis=0)
 
 
-def test_dilated_sample_vanishes_at_zero():
-    x = np.array([0.0, 0.5, 1.0])
-    for prof in (dl.LacunaryGeometricProfile(0.5, 2, 0.0),
-                 dl.OddModeProfile(0.6, 0.0)):
-        vals = dl.dilated_sample(prof, 3, 0.0, x)
-        assert vals[0] == 0.0 and vals[-1] == 0.0
-
-
-@pytest.mark.parametrize("prof,alpha", [
-    (dl.LacunaryGeometricProfile(0.45, 2, 0.5), 0.5),
-    (dl.OddModeProfile(0.5, 1.0), 1.0),
-])
-def test_basis_chain_identity(prof, alpha):
-    # direct dilation of the profile series vs the h-basis expansion
-    # g_n = sum_j c_j(n) h_{jn}
+@pytest.mark.parametrize("family", ["weierstrass", "gp"])
+def test_basis_chain_identity(family):
+    # the dilation g_n = f(n x) / n^alpha of the family's function vs
+    # its h-basis expansion g_n = sum_j c_j(n) h_{jn}
     x = np.linspace(0, 1, 257)
     n = 3
-    direct = dl.dilated_sample(prof, n, alpha, x)
-    chain = np.zeros_like(x)
-    for j in prof.nonzero_modes(1 << 50):
-        c = dl.trajectory_coeffs(lambda m: prof, alpha, j, n)
-        if abs(c) * (j * n) ** (-alpha) < 1e-14 and j > 64:
-            break
-        chain += c * dl.h_basis(j * n, alpha, x)
-    assert np.abs(direct - chain).max() < 1e-10
+    if family == "weierstrass":
+        lam, p, alpha = 0.45, 2, 0.5
+        levels = np.arange(48)
+        direct = math.sqrt(2) * sum(
+            lam ** l * np.sin(p ** l * n * np.pi * x) for l in levels) \
+            / n ** alpha
+        chain = _chain(dl.LacunaryGeometricProfile(lam, p, alpha), alpha,
+                       n, p ** levels, x)
+        assert np.abs(direct - chain).max() < 1e-12
+        return
+    # u_n = 2^{5/2} pi n sqrt(q) / (1 - q) sum_j f_hat(j) sin(j n pi x)
+    j = np.arange(1, 400)
+    for mu in (0.5, 0.9, 0.99):
+        q = gp.nome(mu)
+        for alpha in (0.0, 1.0):
+            scale = ((1 - q) * math.sqrt(2)
+                     / (2 ** 2.5 * math.pi * n * math.sqrt(q) * n ** alpha))
+            direct = gp.eigenfunction(n, mu, x) * scale
+            chain = _chain(dl.OddModeProfile(q, alpha), alpha, n, j, x)
+            assert np.abs(direct - chain).max() < 1e-12
 
 
 def test_h_basis_norm_is_one():
@@ -112,11 +96,3 @@ def test_h_basis_norm_is_one():
         for n in range(1, 101):
             norm_sq = (n ** alpha * n ** (-alpha)) ** 2
             assert abs(norm_sq - 1.0) < 1e-14
-
-
-def test_sobolev_norm_monotone_in_alpha():
-    values = []
-    for alpha in (0.0, 0.5, 1.0, 1.5):
-        prof = dl.OddModeProfile(0.5, alpha)
-        values.append(dl.sobolev_norm(prof, 400).value)
-    assert all(v1 <= v2 + 1e-12 for v1, v2 in zip(values, values[1:]))

@@ -60,34 +60,24 @@ def test_nome_self_complementary_point():
         math.exp(-math.pi), abs=1e-12)
 
 
-def test_nome_roundtrip_and_monotone():
-    for mu in np.linspace(0.01, 0.99, 99):
-        assert abs(gp.modulus_from_nome(gp.nome(mu)) - mu) <= 1e-15
+def test_nome_monotone():
     qs = [gp.nome(mu) for mu in np.arange(0.05, 1.0, 0.05)]
     assert all(q1 < q2 for q1, q2 in zip(qs, qs[1:]))
     assert qs[0] < 1e-3
 
 
-def test_modulus_from_nome_in_range_or_refused_on_whole_nome_range():
-    # the modulus rounds to 1 from q about 0.77 on; no q may fail to
-    # bracket (BracketFailure) as a bisection on the modulus did
-    for q in np.linspace(0.001, 0.999, 57):
-        try:
-            k = gp.modulus_from_nome(float(q))
-        except ModulusOutOfRange:
-            assert q > 0.76
-            continue
-        assert 0.0 < k < 1.0
-
-
-def test_elliptic_point_invariants():
-    for mu in (0.2, 0.5, 0.8):
-        pt = gp.elliptic_point(mu)
-        K, _ = gp.complete_elliptic(mu)
-        Kp, _ = gp.complete_elliptic(math.sqrt(1 - mu * mu))
-        assert pt.q == pytest.approx(math.exp(-math.pi * Kp / K), abs=1e-12)
-        assert pt.K > math.pi / 2
-        assert 0.0 < pt.E < math.pi / 2
+def test_nome_and_complete_elliptic_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for mu in np.linspace(0.01, 0.99, 99):
+        want = float(mpmath.qfrom(k=float(mu)))
+        assert abs(gp.nome(mu) - want) <= 1e-14 * want
+    # mpmath takes the parameter m = mu^2
+    for mu in np.linspace(0.0, 0.99, 100):
+        K, E = gp.complete_elliptic(mu)
+        m = float(mu) ** 2
+        for got, want in ((K, float(mpmath.ellipk(m))),
+                          (E, float(mpmath.ellipe(m)))):
+            assert abs(got - want) <= 1e-15 * want
 
 
 # ---------------------------------------------------------------------------

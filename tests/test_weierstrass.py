@@ -11,13 +11,6 @@ from rieszcert import weierstrass as ws
 from rieszcert.certificate import ENVELOPE_RIGOROUS
 
 
-def test_membership_space():
-    assert ws.membership_space(0.4, 2, 1.0)
-    assert not ws.membership_space(0.5, 2, 1.0)  # boundary excluded
-    for lam in (0.01, 0.5, 0.99):
-        assert ws.membership_space(lam, 2, 0.0)
-
-
 def test_certify_S0_examples():
     cert = ws.certify_S0(ws.WeierstrassSpec(2, 0.0, 0.4, "S0"))
     assert cert.verdict is True
