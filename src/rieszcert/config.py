@@ -3,8 +3,8 @@
 The config file is a plain key-value format: one ``key = value`` pair
 per line, ``#`` starts a comment. Recognised keys (all optional):
 
-    terms               series truncation, 1..1000000 (default 500)
-    bisection_tol       threshold solver tolerance in q, finite, > 0 (1e-9)
+    terms               series truncation, 1..1000000 (gp.DEFAULT_TERMS)
+    bisection_tol       solver tolerance in q, finite, > 0 (gp.BISECTION_TOL)
 
 The environment variable RIESZCERT_CONFIG names a default config path;
 an explicit --config flag wins over it, and command-line flags win over
@@ -17,15 +17,15 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .gross_pitaevskii import MAX_TERMS
+from .gross_pitaevskii import BISECTION_TOL, DEFAULT_TERMS, MAX_TERMS
 
 ENV_CONFIG = "RIESZCERT_CONFIG"
 
 
 @dataclass
 class Settings:
-    terms: int = 500
-    bisection_tol: float = 1e-9
+    terms: int = DEFAULT_TERMS
+    bisection_tol: float = BISECTION_TOL
 
     def __post_init__(self):
         if not 1 <= self.terms <= MAX_TERMS:

@@ -33,6 +33,7 @@ from .util import bisect_monotone, log_nome, sin_pi
 log = logging.getLogger(__name__)
 
 DEFAULT_TERMS = 500
+BISECTION_TOL = 1e-9
 LAMBERT_TERMS = 2000
 # s_alpha holds about 36 bytes per term: 1e6 terms take ~40 ms and ~35 MB
 MAX_TERMS = 10 ** 6
@@ -145,9 +146,6 @@ class SeriesValue:
 
     value: float
     tail_bound: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _mode_weights(alpha: float, terms: int) -> tuple:
@@ -397,7 +395,7 @@ def b_weight(q: float, alpha: float, p: int) -> float:
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
-             tol: float = 1e-9) -> float:
+             tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
     uniqueness); bisection to ``tol`` in q."""
     weights = _mode_weights(alpha, terms)
@@ -444,7 +442,7 @@ def _single_sign_change(f, alpha: float, terms: int, lo: float, hi: float,
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
-             tol: float = 1e-9) -> float:
+             tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 + b(q) / (2 p^alpha).
 
     A 64-point prescan confirms a single sign change of the difference
@@ -467,7 +465,7 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
 
 
 def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
-                   tol: float = 1e-9) -> float:
+                   tol: float = BISECTION_TOL) -> float:
     """Solution of s_alpha(q) = 1 + a(q) + b(q) + min |1 + a(q) z +
     b(q) z^2|, the sharp version of the r1 equation. Conjectural as a
     basis threshold; the certificates report it as such.
@@ -762,8 +760,6 @@ def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 < mu < 1.0:
-        raise ModulusOutOfRange(f"modulus {mu} outside (0, 1)")
     q = nome(mu)
     lq = math.log(q)
     terms = max(24, min(100000, int(-41.5 / lq) + 1))

@@ -81,12 +81,6 @@ def ptak_young(betas: Sequence[complex]) -> PtakYoungMatrix:
     return PtakYoungMatrix(bs, Y)
 
 
-def default_ptak_young(d: int) -> PtakYoungMatrix:
-    # beta = 0 is forbidden by the spectrum-plus-defect definition (the
-    # nilpotent Jordan block), so a fixed nonzero default is used.
-    return ptak_young((DEFAULT_BETA,) * d)
-
-
 def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     """Root oracle: (a_1, ..., a_d) is in G_d iff 1 + sum a_k z^k has all
     roots outside the closed unit disc. Margin is min |root| - 1.
@@ -204,24 +198,28 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     Schur-Cohn Hermitian form.
     """
     a = [complex(c) for c in coeffs]
-    d = len(a)
-    Y = ptak_young(betas) if betas is not None else default_ptak_young(d)
+    # beta = 0 is forbidden by the spectrum-plus-defect definition (the
+    # nilpotent Jordan block), so a fixed nonzero default is used.
+    Y = ptak_young((DEFAULT_BETA,) * len(a) if betas is None else betas)
     H = schur_cohn_form([c.conjugate() for c in a], Y)
     margin = float(np.linalg.eigvalsh(H)[0])
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin, "schur_cohn",
                              indeterminate=abs(margin) <= MEMBERSHIP_TOL)
 
 
-def blaschke(lambdas: Sequence[complex], z: complex) -> complex:
-    """Finite Blaschke product prod (z + lam_j) / (1 + conj(lam_j) z)."""
-    out = 1.0 + 0j
-    for lam in lambdas:
-        lam = complex(lam)
+def _tm_values(lams: list, z: complex) -> tuple:
+    """(E_1(z), ..., E_d(z)) and the Blaschke product B(z) from one
+    running product: E_j(z) = sqrt(1-|lam_j|^2) / (1 + conj(lam_j) z)
+    times the first j - 1 factors (z + lam_k) / (1 + conj(lam_k) z)."""
+    values = []
+    b = 1.0 + 0j
+    for lam in lams:
         den = 1.0 + lam.conjugate() * z
         if abs(den) < 1e-14:
             raise PoleAtZ(f"evaluation point {z} hits a pole")
-        out *= (z + lam) / den
-    return out
+        values.append(math.sqrt(1.0 - abs(lam) ** 2) / den * b)
+        b *= (z + lam) / den
+    return values, b
 
 
 def takenaka_malmquist(lambdas: Sequence[complex], j: int,
@@ -238,13 +236,7 @@ def takenaka_malmquist(lambdas: Sequence[complex], j: int,
         raise ValueError(f"j={j} out of range 1..{len(lams)}")
     if any(abs(l) >= 1 for l in lams):
         raise ValueError("every |lambda| must be < 1")
-    lam_j = lams[j - 1]
-    den = 1.0 + lam_j.conjugate() * z
-    if abs(den) < 1e-14:
-        raise PoleAtZ(f"evaluation point {z} hits a pole")
-    out = math.sqrt(1.0 - abs(lam_j) ** 2) / den
-    out *= blaschke(lams[: j - 1], z)
-    return out
+    return _tm_values(lams[:j], z)[0][-1]
 
 
 def model_residual(lambdas: Sequence[complex], z: complex,
@@ -257,12 +249,15 @@ def model_residual(lambdas: Sequence[complex], z: complex,
     lambdas in the open disc.
     """
     lams = [complex(l) for l in lambdas]
-    lhs = 1.0 - blaschke(lams, w).conjugate() * blaschke(lams, z)
+    if any(abs(l) >= 1 for l in lams):
+        raise ValueError("every |lambda| must be < 1")
+    e_w, b_w = _tm_values(lams, w)
+    e_z, b_z = _tm_values(lams, z)
+    lhs = 1.0 - b_w.conjugate() * b_z
     rhs = 0j
     factor = 1.0 - complex(w).conjugate() * complex(z)
-    for j in range(1, len(lams) + 1):
-        rhs += (takenaka_malmquist(lams, j, w).conjugate() * factor
-                * takenaka_malmquist(lams, j, z))
+    for ew, ez in zip(e_w, e_z):
+        rhs += ew.conjugate() * factor * ez
     return abs(lhs - rhs)
 
 

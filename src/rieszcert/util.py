@@ -8,8 +8,9 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-12
-# the most calls of f in the narrowing phase of bisect_monotone
+# the most calls of f in bisect_monotone's narrowing, and its halvings
 _NARROW_STEPS = 24
+BISECT_MAX_ITER = 200
 
 
 def sin_pi(x):
@@ -62,15 +63,15 @@ def golden_min(f, a: float, b: float):
     return x, f(x)
 
 
-def bisect_monotone(f, lo: float, hi: float, tol: float = 1e-9,
-                    max_iter: int = 200, flo: float | None = None,
+def bisect_monotone(f, lo: float, hi: float, tol: float,
+                    flo: float | None = None,
                     fhi: float | None = None) -> float:
     """Bisection root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
 
     Returns what plain bisection returns: halve [lo, hi] at
     mid = 0.5 * (lo + hi), keep the half whose ends differ in sign, stop
-    once the width is <= tol or after ``max_iter`` halvings, and return
-    the first mid with f(mid) == 0, else the midpoint of the last
+    once the width is <= tol or after ``BISECT_MAX_ITER`` halvings, and
+    return the first mid with f(mid) == 0, else the midpoint of the last
     bracket. A caller that already holds f(lo) or f(hi) passes it as
     ``flo`` or ``fhi``, and f is not evaluated there again.
 
@@ -83,8 +84,8 @@ def bisect_monotone(f, lo: float, hi: float, tol: float = 1e-9,
        bracket [a, b] around r. The midpoint of [a, b] is taken instead
        while an end value is not finite, and after 3 steps running that
        neither halved b - a nor halved the least |f| seen. This stops
-       once b - a <= tol / 4 (or a quarter of the width ``max_iter``
-       halvings leave, if that is larger), once no float lies strictly
+       once b - a <= tol / 4 (or a quarter of what ``BISECT_MAX_ITER``
+       halvings leave, if larger), once no float lies strictly
        between a and b, or after ``_NARROW_STEPS`` (24) calls.
     2. Replay. Walk the midpoints of plain bisection: one at or below a
        takes flo's side, one at or above b takes fhi's side, and only
@@ -111,7 +112,7 @@ def bisect_monotone(f, lo: float, hi: float, tol: float = 1e-9,
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
     # narrowing past a quarter of the last bracket of the replay saves
     # no call there
-    goal = 0.25 * max(tol, (hi - lo) * 0.5 ** max(max_iter, 0))
+    goal = 0.25 * max(tol, (hi - lo) * 0.5 ** BISECT_MAX_ITER)
     a, b, fa, fb = lo, hi, flo, fhi
     root = None
     moved = 0   # -1 after a step that moved a, +1 after one that moved b
@@ -159,7 +160,7 @@ def bisect_monotone(f, lo: float, hi: float, tol: float = 1e-9,
         else:
             stalls += 1
         least = min(least, abs(fx))
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

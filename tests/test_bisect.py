@@ -1,12 +1,15 @@
 """bisect_monotone returns plain bisection's float, bit for bit, with
 far fewer calls of f."""
 
+import functools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rieszcert import util
 from rieszcert.errors import BracketFailure
 from rieszcert.util import bisect_monotone
 
@@ -82,17 +85,19 @@ class Counted:
 
 
 def check_same(f, lo, hi, tol, max_iter, pass_ends):
-    """Both bisections on f: equal floats, or the same BracketFailure,
-    and bisect_monotone within EXTRA_CALLS calls of the reference."""
+    """Both bisections on f, with at most ``max_iter`` halvings: equal
+    floats, or the same BracketFailure, and bisect_monotone within
+    EXTRA_CALLS calls of the reference."""
     ends = dict(flo=f(lo), fhi=f(hi)) if pass_ends else {}
     new, ref = Counted(f), Counted(f)
+    plain = functools.partial(plain_bisection, max_iter=max_iter)
     outcomes = []
-    for run, g in ((bisect_monotone, new), (plain_bisection, ref)):
-        try:
-            outcomes.append(run(g, lo, hi, tol=tol, max_iter=max_iter,
-                                **ends).hex())
-        except BracketFailure as exc:
-            outcomes.append(str(exc))
+    with mock.patch.object(util, "BISECT_MAX_ITER", max_iter):
+        for run, g in ((bisect_monotone, new), (plain, ref)):
+            try:
+                outcomes.append(run(g, lo, hi, tol=tol, **ends).hex())
+            except BracketFailure as exc:
+                outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert new.calls <= ref.calls + EXTRA_CALLS
     return new.calls, ref.calls

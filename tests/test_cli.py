@@ -215,6 +215,21 @@ def test_appendix_verify_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_appendix_verify_fails_on_one_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli.polydisc, "model_residual",
+                        lambda lams, z, w: 1.0)
+    code, out, err = run(capsys, "appendix-verify", "--d", "2",
+                         "--trials", "10")
+    lines = out.strip().split("\n")[1:]
+    assert code == 1 and err == ""
+    assert [line.split()[0] for line in lines] == [
+        "oracle-agreement", "model-identity", "form-representation",
+        "realization-identity"]
+    assert [line.split()[-1] for line in lines] == [
+        "PASS", "FAIL", "PASS", "PASS"]
+    assert "max residual 1.000e+00  (tolerance 1e-10)" in lines[1]
+
+
 def test_appendix_verify_usage(capsys):
     code, _, err = run(capsys, "appendix-verify", "--d", "9")
     assert code == 2 and "1..8" in err

@@ -87,12 +87,3 @@ def test_basis_chain_identity(family):
             direct = gp.eigenfunction(n, mu, x) * scale
             chain = _chain(dl.OddModeProfile(q, alpha), alpha, n, j, x)
             assert np.abs(direct - chain).max() < 1e-12
-
-
-def test_h_basis_norm_is_one():
-    # h_n = sqrt(2) sin(n pi x)/n^alpha: its alpha-norm n^alpha * n^-alpha
-    # is 1 by construction (up to one rounding of the power function)
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        for n in range(1, 101):
-            norm_sq = (n ** alpha * n ** (-alpha)) ** 2
-            assert abs(norm_sq - 1.0) < 1e-14

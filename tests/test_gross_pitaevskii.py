@@ -748,6 +748,13 @@ def test_eigenfunction_boundary_values_exact():
         assert u[0] == 0.0 and u[-1] == 0.0
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0, math.nan])
+def test_eigenfunction_refuses_a_modulus_outside_the_open_interval(mu):
+    with pytest.raises(ModulusOutOfRange) as info:
+        gp.eigenfunction(1, mu, [0.5])
+    assert str(info.value) == f"modulus {mu} outside (0, 1)"
+
+
 def test_eigenfunction_matches_amplitude():
     # peak value of the elliptic sine wave is 2^{3/2} n mu K(mu)
     x = np.linspace(0.0, 1.0, 4001)

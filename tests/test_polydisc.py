@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rieszcert import polydisc as pd
-from rieszcert.errors import (DimensionMismatch, InvalidBeta, NotInPolydisc)
+from rieszcert.errors import (DimensionMismatch, InvalidBeta, NotInPolydisc,
+                              PoleAtZ)
 
 
 def _random_disc(rng, d, radius=0.95):
@@ -241,6 +242,61 @@ def test_model_identity_grid():
         assert worst < 1e-10
 
 
+def _blaschke_reference(lams, z):
+    out = 1.0 + 0j
+    for lam in lams:
+        out *= (z + lam) / (1.0 + lam.conjugate() * z)
+    return out
+
+
+def _tm_reference(lams, j, z):
+    """E_j(z) with its own Blaschke prefix, one product per j."""
+    lam_j = lams[j - 1]
+    out = math.sqrt(1.0 - abs(lam_j) ** 2) / (1.0 + lam_j.conjugate() * z)
+    out *= _blaschke_reference(lams[:j - 1], z)
+    return out
+
+
+def _model_residual_reference(lams, z, w):
+    lhs = (1.0 - _blaschke_reference(lams, w).conjugate()
+           * _blaschke_reference(lams, z))
+    rhs = 0j
+    factor = 1.0 - complex(w).conjugate() * complex(z)
+    for j in range(1, len(lams) + 1):
+        rhs += (_tm_reference(lams, j, w).conjugate() * factor
+                * _tm_reference(lams, j, z))
+    return abs(lhs - rhs)
+
+
+def _bits(value):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_tm_values_and_model_residual_match_the_per_j_products(d):
+    # complex128 lambdas, z and w, as appendix-verify passes them; the
+    # one running product must give the per-j products' floats
+    rng = np.random.default_rng(100 + d)
+    for _ in range(200):
+        lams = _random_disc(rng, d)
+        z, w = _random_disc(rng, 2, 0.9)
+        ref_lams = [complex(l) for l in lams]
+        for j in range(1, d + 1):
+            assert (_bits(pd.takenaka_malmquist(lams, j, z))
+                    == _bits(_tm_reference(ref_lams, j, z)))
+        assert (pd.model_residual(lams, z, w).hex()
+                == _model_residual_reference(ref_lams, z, w).hex())
+
+
+def test_model_residual_checks_the_lambdas_before_the_poles():
+    # z = -2 is the pole of lam = 0.5; lam = 2 lies outside the disc
+    with pytest.raises(ValueError, match="every"):
+        pd.model_residual([0.5, 2.0], -2.0, 0.0)
+    with pytest.raises(PoleAtZ):
+        pd.model_residual([0.5, 0.3], -2.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian form through the model, and the realization block
 
@@ -323,7 +379,6 @@ def test_realization_dimension_mismatch():
 
 
 def test_tm_pole_guard():
-    from rieszcert.errors import PoleAtZ
     with pytest.raises(PoleAtZ):
         pd.takenaka_malmquist([0.5], 1, -2.0)  # pole at -1/conj(lam)
 
