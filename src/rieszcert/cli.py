@@ -31,7 +31,8 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# the largest section size: about 2 s and 110 MB on one core
+# the largest section size: up to about 1 s and 90 MB on one core
+# for gp, 0.3 s and 40 MB for weierstrass
 MAX_SECTION_SIZE = 65536
 
 

@@ -9,6 +9,10 @@ class NonConvergence(RieszcertError):
     """An iterative scheme failed to converge within its iteration cap."""
 
 
+class InverseOverflow(RieszcertError):
+    """An inverse has entries past the float range."""
+
+
 class InvalidBeta(RieszcertError):
     """A contraction parameter lies on or outside the unit circle."""
 

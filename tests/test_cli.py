@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rieszcert import cli
+from rieszcert import weierstrass as ws
 from test_cli_golden import SWEEP_ARGS, SWEEP_CSV
 
 
@@ -306,6 +307,7 @@ def test_section_size_range(capsys):
 LARGE_SECTIONS = [
     ('{"family":"weierstrass","lam":0.45,"p":2}', "weierstrass"),
     ('{"family":"gp","q":0.6,"alpha":0.5}', "gp"),
+    ('{"family":"weierstrass","lam":0.99,"p":2}', "weierstrass_nu099"),
 ]
 
 
@@ -407,6 +409,19 @@ def test_overflow_is_numerical_failure(capsys, command, params):
     error = ("OverflowError" if json.loads(params)["alpha"] > 1e300
              else "RieszcertError")
     assert err.startswith(f"numerical failure: {error}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_section_inverse_overflow_is_numerical_failure(capsys, monkeypatch):
+    # c_2 = 1e200: the inverse of the chain of 1 holds (-1e200)^6
+    monkeypatch.setattr(ws, "cj_rule", lambda *args: (
+        lambda j, n: (j == 2) * 1e200))
+    code, out, err = run(capsys, "section",
+                         '{"family":"weierstrass","lam":0.5,"p":2}',
+                         "--size", "64")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: InverseOverflow: ")
     assert err.count("\n") == 1
 
 

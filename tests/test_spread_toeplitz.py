@@ -14,7 +14,7 @@ from rieszcert import gross_pitaevskii as gp
 from rieszcert import spread_toeplitz as st
 from rieszcert import weierstrass as ws
 from rieszcert.certificate import SAMPLE_HEURISTIC
-from rieszcert.errors import NonConvergence
+from rieszcert.errors import NonConvergence, RieszcertError
 
 
 def test_symbol_inf_identity_family():
@@ -235,11 +235,11 @@ def test_smallest_singular_step_guard(monkeypatch):
     S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64)
     monkeypatch.setattr(st, "LANCZOS_MAX_STEPS", 3)
     with pytest.raises(NonConvergence):
-        st.smallest_singular(S)
+        st._lanczos_sigma_min(S)
     # a section no larger than the guard ends by exhausting its Krylov space
     monkeypatch.setattr(st, "LANCZOS_RTOL", 0.0)
     monkeypatch.setattr(st, "LANCZOS_MAX_STEPS", 64)
-    assert st.smallest_singular(S) == pytest.approx(
+    assert st._lanczos_sigma_min(S) == pytest.approx(
         _dense_smallest_singular(S), rel=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_smallest_singular_ends_on_an_exhausted_krylov_space(monkeypatch):
     S = st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64)
     monkeypatch.setattr(st, "LANCZOS_RTOL", 0.0)
     seen, value = _lanczos_tridiagonals(
-        monkeypatch, lambda: st.smallest_singular(S))
+        monkeypatch, lambda: st._lanczos_sigma_min(S))
     assert len(seen) < 64
     assert value == pytest.approx(_dense_smallest_singular(S), rel=1e-12)
 
@@ -368,7 +368,7 @@ def test_smallest_singular_two_products_per_step(monkeypatch, N):
 
     monkeypatch.setattr(st.SectionMatrix, "_apply_l", counted_apply_l)
     monkeypatch.setattr(st, "_top_ritz_pair", counted_ritz)
-    st.smallest_singular(st.finite_section(INVERSE_RULES["gp"], N))
+    st._lanczos_sigma_min(st.finite_section(INVERSE_RULES["gp"], N))
     assert steps == list(range(1, len(steps) + 1)) and len(steps) > 8
     assert calls == [False, True] * len(steps)
 
@@ -390,6 +390,7 @@ def _lanczos_tridiagonals(monkeypatch, run, stop=True):
         if not stop:
             m.setattr(st, "LANCZOS_RTOL", 0.0)
         value = run()
+    assert seen, "no Lanczos step was made"
     return seen, value
 
 
@@ -398,13 +399,13 @@ def _tridiagonal(alphas, betas):
 
 
 def _section_run(name, N):
-    return lambda: st.smallest_singular(st.finite_section(INVERSE_RULES[name],
-                                                          N))
+    return lambda: st._lanczos_sigma_min(
+        st.finite_section(INVERSE_RULES[name], N))
 
 
 def _halves_run():
     # the section of the step-guard test
-    return st.smallest_singular(
+    return st._lanczos_sigma_min(
         st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64))
 
 
@@ -502,6 +503,108 @@ def test_smallest_singular_pinned_steps(monkeypatch, name, N):
     seen, value = _lanczos_tridiagonals(monkeypatch, _section_run(name, N))
     assert len(seen) == steps
     assert value == pytest.approx(sigma, rel=1e-14, abs=0)
+    # smallest_singular, by blocks or by Lanczos, gives the same sigma
+    S = st.finite_section(INVERSE_RULES[name], N)
+    assert st.smallest_singular(S) == pytest.approx(sigma, rel=1e-14, abs=0)
+
+
+def _ws_periodic_rule():
+    # lam_n = (0.2, 0.5, 0.35)[(n / 2^v_2(n)) mod 3]: a 2-periodic table
+    table = (0.2, 0.5, 0.35)
+
+    def lam_of_n(n):
+        while n % 2 == 0:
+            n //= 2
+        return table[n % 3]
+
+    return ws.cj_rule(lam_of_n, 2, 0.0)
+
+
+@pytest.mark.parametrize("N", [64, 256, 2048, 16384])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("rule", [ws.cj_rule(0.5, 2, 0.0), _ws_periodic_rule()],
+                         ids=["ws", "ws-periodic"])
+def test_dense_blocks_match_lanczos(rule, complex_values, N):
+    # a ws section is a sum of chains {m 2^k}, so it takes the dense
+    # route, and gives Lanczos's sigma_min on the whole section
+    if complex_values:   # the same moduli with a phase per entry
+        S = st.finite_section(
+            lambda j, n: rule(j, n) * np.exp(1j * (j + 2 * n)), N)
+    else:
+        S = st.finite_section(rule, N)
+    assert np.iscomplexobj(S.values) == complex_values
+    assert np.bincount(st._components(S)).max() <= st.DENSE_BLOCK_MAX
+    assert st.smallest_singular(S) == pytest.approx(
+        st._lanczos_sigma_min(S), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("c", [3.0, 6.0])
+def test_dense_chain_against_mpmath(c):
+    # c_2 = c alone: the chain of 1 is the 12 x 12 bidiagonal block
+    # I + c (subdiagonal), and sigma_min (5.02e-6, 2.68e-9) is far below
+    # the rounding of its other singular values
+    mpmath = pytest.importorskip("mpmath")
+    S = st.finite_section(lambda j, n: np.where(j == 2, c, 0.0), 2048)
+    with mpmath.workdps(50):
+        M = mpmath.eye(12)
+        for i in range(1, 12):
+            M[i, i - 1] = c
+        ref = float(min(mpmath.svd_r(M, compute_uv=False)))
+    assert ref == pytest.approx(5.02e-6 if c == 3.0 else 2.68e-9, rel=1e-3)
+    assert st.smallest_singular(S) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+def _union_find_labels(S):
+    parent = list(range(S.N))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for r, c in zip(S.rows.tolist(), S.cols.tolist()):
+        a, b = root(r), root(c)
+        parent[max(a, b)] = min(a, b)
+    return np.array([root(i) for i in range(S.N)])
+
+
+@pytest.mark.parametrize("N", [1, 2, 97, 3000])
+@pytest.mark.parametrize("support", ["2-3", "4-6-9", "random-0", "random-1"])
+def test_components_match_union_find(support, N):
+    # j in {2, 3} links 2^a 3^b m one step at a time. Under {4, 6, 9}
+    # two least indices 2 and 3 meet only at their common multiple 12,
+    # so the labels need a second sweep; the random sparse sets of j
+    # (12 of 2..199, seeds 0 and 1) take three at N = 3000
+    if support.startswith("random"):
+        js = np.random.default_rng(int(support[-1])).choice(
+            np.arange(2, 200), 12, replace=False)
+    else:
+        js = np.array([int(j) for j in support.split("-")])
+    S = st.finite_section(lambda j, n: np.isin(j, js) * 0.25, N)
+    assert np.array_equal(st._components(S), _union_find_labels(S))
+
+
+def test_routing_by_largest_component(monkeypatch):
+    # the odd j of gp couple each 2-adic class (1024 indices at N = 2048)
+    # into one component: Lanczos; the chains of ws: no Lanczos step
+    calls = []
+    lanczos = st._lanczos_sigma_min
+    monkeypatch.setattr(st, "_lanczos_sigma_min",
+                        lambda S: calls.append(S.N) or lanczos(S))
+    gp_section = st.finite_section(INVERSE_RULES["gp"], 2048)
+    seen, _ = _lanczos_tridiagonals(
+        monkeypatch, lambda: st.smallest_singular(gp_section))
+    assert len(seen) == PINNED_LANCZOS["gp", 2048][0] and calls == [2048]
+    st.smallest_singular(st.finite_section(INVERSE_RULES["ws"], 2048))
+    assert calls == [2048]
+
+
+@pytest.mark.filterwarnings("error")
+def test_dense_inverse_overflow_raises():
+    # the inverse of the chain of 1 holds (-1e200)^6: no float, no warning
+    S = st.finite_section(lambda j, n: np.where(j == 2, 1e200, 0.0), 64)
+    with pytest.raises(RieszcertError):
+        st.smallest_singular(S)
 
 
 def test_smallest_singular_memory():
