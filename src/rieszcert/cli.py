@@ -219,12 +219,11 @@ def cmd_appendix_verify(args, settings: Settings) -> int:
     worst_form = 0.0
     for _ in range(batches):
         lams = _random_disc(rng, d, 0.9)
-        cs = polydisc.monic_coeffs(lams)
         Y = polydisc.ptak_young(_random_disc(rng, d, 0.9))
-        H = polydisc.schur_cohn_form(cs, Y)
+        H = polydisc.schur_cohn_form(polydisc.monic_coeffs(lams), Y)
         x = _random_disc(rng, d, 1.0)
         quad = float((x.conj() @ (H @ x)).real)
-        tm = polydisc.hermitian_form_tm([c.conjugate() for c in cs], Y, x)
+        tm = polydisc.hermitian_form_tm(lams, Y, x)
         worst_form = max(worst_form, abs(quad - tm))
 
     # 4. realization identity over random vectors
@@ -235,8 +234,7 @@ def cmd_appendix_verify(args, settings: Settings) -> int:
         H = polydisc.realization(Y, lams)
         cs = polydisc.monic_coeffs(lams)
         SC = polydisc.schur_cohn_form(cs, Y)
-        stack = np.vstack([polydisc.tm_matrix(lams, j, Y.matrix)
-                           for j in range(1, d + 1)])
+        stack = polydisc.tm_stack(lams, Y.matrix)
         q_asc = [1.0] + [c.conjugate() for c in cs]
         QY = polydisc._matrix_poly(q_asc, Y.matrix)
         for _ in range(100):

@@ -4,9 +4,13 @@ machinery behind them.
 Two independent oracles decide whether coefficients (a_1, ..., a_d) of
 alpha(z) = 1 + sum a_k z^k lie in G_d: a root criterion (all roots of
 alpha outside the closed unit disc) and a Schur-Cohn positivity test on
-Ptak-Young matrices. The module also provides Takenaka-Malmquist
-functions, the Blaschke-product model identity, and the lurking-isometry
-realization of the Schur-Cohn Hermitian form.
+Ptak-Young matrices. The model machinery takes the disc parameters
+lam_1, ..., lam_d (every |lam_j| < 1) instead, with
+alpha(z) = prod (1 + conj(lam_j) z), so no root solve recovers them. From
+them it builds the Takenaka-Malmquist functions (at a point or at a
+matrix, by one running product), the Blaschke-product model identity,
+and the model representation and lurking-isometry realization of the
+Schur-Cohn Hermitian form.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ class PtakYoungMatrix:
 class MembershipVerdict:
     inside: bool
     margin: float
-    method: str
     indeterminate: bool = False
 
 
@@ -106,7 +109,7 @@ def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
                    for k, c in enumerate(pol.coeffs[1:], start=1)),
                   default=0.0)
     if w * sys.float_info.max < 1.0:
-        return MembershipVerdict(True, math.inf, "roots")
+        return MembershipVerdict(True, math.inf)
     k = _deflated_degree(pol)
     z = min(polyform.roots(pol.coeffs[:k + 1]).roots, key=abs)
     margin = abs(z) - 1.0
@@ -117,7 +120,7 @@ def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     # a NaN or infinite margin or inclusion radius decides nothing
     decisive = (math.isfinite(margin) and abs(margin) > MEMBERSHIP_TOL
                 and abs(margin) > inclusion)
-    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin, "roots",
+    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
                              indeterminate=not decisive)
 
 
@@ -203,8 +206,16 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     Y = ptak_young((DEFAULT_BETA,) * len(a) if betas is None else betas)
     H = schur_cohn_form([c.conjugate() for c in a], Y)
     margin = float(np.linalg.eigvalsh(H)[0])
-    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin, "schur_cohn",
+    return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
                              indeterminate=abs(margin) <= MEMBERSHIP_TOL)
+
+
+def _disc_lambdas(lambdas: Sequence[complex]) -> list:
+    """The lambdas as complex numbers, each checked to lie in the disc."""
+    lams = [complex(l) for l in lambdas]
+    if any(abs(l) >= 1 for l in lams):
+        raise NotInPolydisc("every |lambda| must be < 1")
+    return lams
 
 
 def _tm_values(lams: list, z: complex) -> tuple:
@@ -231,12 +242,9 @@ def takenaka_malmquist(lambdas: Sequence[complex], j: int,
 
     These form an orthonormal family in the Hardy space of the disc.
     """
-    lams = [complex(l) for l in lambdas]
-    if not 1 <= j <= len(lams):
-        raise ValueError(f"j={j} out of range 1..{len(lams)}")
-    if any(abs(l) >= 1 for l in lams):
-        raise ValueError("every |lambda| must be < 1")
-    return _tm_values(lams[:j], z)[0][-1]
+    if not 1 <= j <= len(lambdas):
+        raise ValueError(f"j={j} out of range 1..{len(lambdas)}")
+    return _tm_values(_disc_lambdas(lambdas)[:j], z)[0][-1]
 
 
 def model_residual(lambdas: Sequence[complex], z: complex,
@@ -248,9 +256,7 @@ def model_residual(lambdas: Sequence[complex], z: complex,
     with B the Blaschke product of the lambdas. Near zero for any
     lambdas in the open disc.
     """
-    lams = [complex(l) for l in lambdas]
-    if any(abs(l) >= 1 for l in lams):
-        raise ValueError("every |lambda| must be < 1")
+    lams = _disc_lambdas(lambdas)
     e_w, b_w = _tm_values(lams, w)
     e_z, b_z = _tm_values(lams, z)
     lhs = 1.0 - b_w.conjugate() * b_z
@@ -261,65 +267,47 @@ def model_residual(lambdas: Sequence[complex], z: complex,
     return abs(lhs - rhs)
 
 
-def tm_matrix(lambdas: Sequence[complex], j: int,
-              Y: np.ndarray) -> np.ndarray:
-    """E_j evaluated at a matrix argument by rational calculus.
-
-    The inverses of I + conj(lam_k) Y exist because the spectrum of Y
-    lies in the open disc.
-    """
-    lams = [complex(l) for l in lambdas]
-    d = Y.shape[0]
-    eye = np.eye(d)
-    lam_j = lams[j - 1]
-    out = math.sqrt(1.0 - abs(lam_j) ** 2) * np.linalg.solve(
-        eye + lam_j.conjugate() * Y, eye)
-    for k in range(j - 1):
-        lam = lams[k]
-        out = out @ np.linalg.solve(eye + lam.conjugate() * Y, Y + lam * eye)
-    return out
-
-
-def _lambdas_from_coeffs(coeffs: Sequence[complex]) -> list:
-    """Recover the disc parameters lam_j from (a_1, ..., a_d): the roots
-    of 1 + sum a_k z^k are -1/conj(lam_j). Vanishing top coefficients
-    correspond to roots at infinity, i.e. lam_j = 0."""
-    a = [complex(c) for c in coeffs]
-    pol = polyform.as_poly([1.0] + a)
-    lams = [0j] * (len(a) - pol.degree)
-    if pol.degree >= 1:
-        lams += [-1.0 / r.conjugate() for r in polyform.roots(pol).roots]
-    return lams
+def tm_stack(lambdas: Sequence[complex], Y: np.ndarray) -> np.ndarray:
+    """E_1(Y), ..., E_d(Y) at a d x d matrix, stacked d^2 x d, by one
+    running product as :func:`_tm_values` at a point, 2d - 1 solves:
+    E_j = sqrt(1-|lam_j|^2) (I + conj(lam_j) Y)^{-1} B_{j-1} and
+    B_j = B_{j-1} (I + conj(lam_j) Y)^{-1} (Y + lam_j I), B_0 = I. The
+    inverses exist because the spectrum of Y lies in the open disc."""
+    lams = _disc_lambdas(lambdas)
+    eye = np.eye(Y.shape[0])
+    blocks = []
+    b = eye
+    for j, lam in enumerate(lams, start=1):
+        den = eye + lam.conjugate() * Y
+        blocks.append(math.sqrt(1.0 - abs(lam) ** 2)
+                      * np.linalg.solve(den, b))
+        if j < len(lams):
+            b = b @ np.linalg.solve(den, Y + lam * eye)
+    return np.vstack(blocks)
 
 
-def hermitian_form_tm(coeffs: Sequence[complex], Y: PtakYoungMatrix,
+def hermitian_form_tm(lambdas: Sequence[complex], Y: PtakYoungMatrix,
                       x: Sequence[complex]) -> float:
     """Quadratic value of the Schur-Cohn form through its model
     representation:
 
         sum_j < Q(Y)* E_j(Y)* (I - Y*Y) E_j(Y) Q(Y) x, x >
 
-    which must agree with x* schur_cohn_form(...) x whenever the
-    coefficients lie in G_d.
+    with Q(z) = prod (1 + conj(lam_j) z), which must agree with
+    x* schur_cohn_form(monic_coeffs(lambdas), Y) x.
     """
-    verdict = in_polydisc_roots(coeffs)
-    if not verdict.inside:
-        raise NotInPolydisc(
-            f"coefficients outside G_d (margin {verdict.margin:.3e})")
-    a = [complex(c) for c in coeffs]
-    d = len(a)
+    lams = _disc_lambdas(lambdas)
+    d = len(lams)
     if Y.dim != d:
         raise DimensionMismatch(f"Y is {Y.dim}x{Y.dim}, need {d}")
-    lams = _lambdas_from_coeffs(a)
     Ymat = Y.matrix
-    QY = _matrix_poly([1.0] + a, Ymat)
+    QY = _matrix_poly([1.0] + [c.conjugate() for c in monic_coeffs(lams)],
+                      Ymat)
     defect = np.eye(d) - Ymat.conj().T @ Ymat
-    v = QY @ np.asarray(x, dtype=complex)
-    total = 0.0
-    for j in range(1, d + 1):
-        wvec = tm_matrix(lams, j, Ymat) @ v
-        total += float((wvec.conj() @ (defect @ wvec)).real)
-    return total
+    # row j of w is E_j(Y) Q(Y) x
+    w = (tm_stack(lams, Ymat) @ (QY @ np.asarray(x, dtype=complex))
+         ).reshape(d, d)
+    return float(np.vdot(w, w @ defect.T).real)
 
 
 def _orthonormal_complement(Q: np.ndarray) -> np.ndarray:
@@ -335,21 +323,19 @@ def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex]) -> np.ndarray:
 
         || H(Y) u(Y) Q(Y) x ||^2 = ||Q(Y)x||^2 - ||P(Y)x||^2
 
-    where u(Y) stacks E_1(Y), ..., E_d(Y), P(z) = prod (z + lam_j) and Q
+    where u(Y) is :func:`tm_stack`, P(z) = prod (z + lam_j) and Q
     is its conjugate. The block is the top-right corner of a unitary
     extension of the isometry mapping (0, u(Y)z) to (y_z, (I ox Y)u(Y)z),
     obtained by completing orthonormal bases of the complements of the
     domain and range spans (rank tolerance ``RANK_TOL``); a Gramian
     mismatch above ``GRAM_TOL`` raises RankDeficiency.
     """
-    lams = [complex(l) for l in lambdas]
-    if any(abs(l) >= 1 for l in lams):
-        raise NotInPolydisc("every |lambda| must be < 1")
+    lams = _disc_lambdas(lambdas)
     d = Y.dim
     if len(lams) != d:
         raise DimensionMismatch(f"{len(lams)} lambdas for a {d}x{d} matrix")
     Ymat = Y.matrix
-    stack = np.vstack([tm_matrix(lams, j, Ymat) for j in range(1, d + 1)])
+    stack = tm_stack(lams, Ymat)
     defect = np.eye(d) - Ymat.conj().T @ Ymat
 
     gram_diff = stack.conj().T @ np.kron(np.eye(d), defect) @ stack

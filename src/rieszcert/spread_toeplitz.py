@@ -239,12 +239,15 @@ def smallest_singular(S: SectionMatrix) -> float:
     ``DENSE_BLOCK_MAX`` indices, sigma_min is the least over the blocks
     (:func:`_dense_sigma_min`), and a block inverse past the float
     range raises InverseOverflow; otherwise sigma_min comes from Lanczos
-    on the whole section (:func:`_lanczos_sigma_min`).
+    on the whole section (:func:`_lanczos_sigma_min`), which raises it
+    for an inverse or a Lanczos step past the float range.
     """
     labels = _components(S)
     sizes = np.bincount(labels)
     if sizes.max() > DENSE_BLOCK_MAX:
-        return _lanczos_sigma_min(S)
+        # an overflow raises InverseOverflow below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _lanczos_sigma_min(S)
     return _dense_sigma_min(S, labels, sizes)
 
 
@@ -335,8 +338,9 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
     of T^{-H} T^{-1} from a fixed-seed random start, and stops when the
     Ritz residual is below ``LANCZOS_RTOL`` of the Ritz value or the
     Krylov space is exhausted (beta_k <= eps theta k); NonConvergence
-    is raised if neither
-    happens within ``LANCZOS_MAX_STEPS`` steps. T^{-1} = I + B is
+    is raised if neither happens within ``LANCZOS_MAX_STEPS`` steps,
+    and InverseOverflow if B or a step's alpha_k or beta_k is not
+    finite. T^{-1} = I + B is
     built once as a sparse section (:meth:`SectionMatrix.inverse`), and
     each step applies T^{-1} and T^{-H} by one sparse product with B
     each and finds the Ritz pair of the k x k tridiagonal in O(k)
@@ -345,6 +349,8 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
     """
     N = S.N
     inv = S.inverse()
+    if not np.isfinite(inv.values).all():
+        raise InverseOverflow("the section inverse overflows the float range")
     v = np.random.default_rng(0).standard_normal(N).astype(S.values.dtype)
     v /= np.linalg.norm(v)
     blocks = []
@@ -365,6 +371,8 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
             for Q in basis:
                 w -= (Q @ w.conj()).conj() @ Q
         beta = float(np.linalg.norm(w))
+        if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
+            raise InverseOverflow("a Lanczos step overflows the float range")
         pair = _top_ritz_pair(alphas, betas, pair)
         theta, y_last = pair
         # converged, or the Krylov space is exhausted: the k products

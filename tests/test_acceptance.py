@@ -126,13 +126,12 @@ def test_criterion_05_model_and_realization_residuals():
     for d in (2, 3, 4):
         for _ in range(10):
             lams = disc(d, 0.9)
-            coeffs = [c.conjugate() for c in pd.monic_coeffs(lams)]
             Y = pd.ptak_young(disc(d, 0.9))
-            H = pd.schur_cohn_form([c.conjugate() for c in coeffs], Y)
+            H = pd.schur_cohn_form(pd.monic_coeffs(lams), Y)
             x = disc(d, 1.0)
             quad = float((x.conj() @ (H @ x)).real)
             worst_form = max(worst_form,
-                             abs(quad - pd.hermitian_form_tm(coeffs, Y, x)))
+                             abs(quad - pd.hermitian_form_tm(lams, Y, x)))
 
     worst_real = 0.0
     for d in (1, 2, 3, 4):
@@ -142,8 +141,7 @@ def test_criterion_05_model_and_realization_residuals():
             H = pd.realization(Y, lams)
             cs = pd.monic_coeffs(lams)
             SC = pd.schur_cohn_form(cs, Y)
-            stack = np.vstack([pd.tm_matrix(lams, j, Y.matrix)
-                               for j in range(1, d + 1)])
+            stack = pd.tm_stack(lams, Y.matrix)
             QY = pd._matrix_poly([1.0] + [c.conjugate() for c in cs],
                                  Y.matrix)
             for _ in range(100):

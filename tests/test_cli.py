@@ -231,6 +231,18 @@ def test_appendix_verify_fails_on_one_check(capsys, monkeypatch):
     assert "max residual 1.000e+00  (tolerance 1e-10)" in lines[1]
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_appendix_verify_form_representation_without_a_root_solve(capsys, d):
+    # the form takes the drawn lambdas themselves; recovering them from
+    # the roots of the coefficients cost up to 9.3e-11 here
+    code, out, _ = run(capsys, "appendix-verify", "--d", str(d),
+                       "--seed", "0")
+    line = next(line for line in out.split("\n")
+                if line.startswith("form-representation"))
+    assert code == 0
+    assert float(line.split("max residual")[1].split()[0]) < 1e-11
+
+
 def test_appendix_verify_usage(capsys):
     code, _, err = run(capsys, "appendix-verify", "--d", "9")
     assert code == 2 and "1..8" in err

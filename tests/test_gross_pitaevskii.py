@@ -337,7 +337,7 @@ def test_solve_r1_tilde_cross_check_tolerates_a_boundary_split():
 
 def test_solve_r1_tilde_cross_check_catches_a_disagreeing_oracle(monkeypatch):
     monkeypatch.setattr(gp, "in_polydisc_roots", lambda coeffs: (
-        polydisc.MembershipVerdict(False, -0.5, "roots")))
+        polydisc.MembershipVerdict(False, -0.5)))
     with pytest.raises(RieszcertError, match="disagrees with the root oracle"):
         gp.solve_r1_tilde(0.5, 3)
 

@@ -291,7 +291,7 @@ def test_tm_values_and_model_residual_match_the_per_j_products(d):
 
 def test_model_residual_checks_the_lambdas_before_the_poles():
     # z = -2 is the pole of lam = 0.5; lam = 2 lies outside the disc
-    with pytest.raises(ValueError, match="every"):
+    with pytest.raises(NotInPolydisc, match="every"):
         pd.model_residual([0.5, 2.0], -2.0, 0.0)
     with pytest.raises(PoleAtZ):
         pd.model_residual([0.5, 0.3], -2.0, 0.0)
@@ -321,18 +321,18 @@ def test_hermitian_form_tm_matches_schur_cohn():
     for _ in range(25):
         d = 3
         lams = _random_disc(rng, d, 0.9)
-        coeffs = [c.conjugate() for c in pd.monic_coeffs(lams)]
         Y = pd.ptak_young(_random_disc(rng, d, 0.9))
-        H = pd.schur_cohn_form([c.conjugate() for c in coeffs], Y)
+        H = pd.schur_cohn_form(pd.monic_coeffs(lams), Y)
         x = _random_disc(rng, d, 1.0)
         quad = float((x.conj() @ (H @ x)).real)
-        assert pd.hermitian_form_tm(coeffs, Y, x) == pytest.approx(
+        assert pd.hermitian_form_tm(lams, Y, x) == pytest.approx(
             quad, abs=1e-9)
 
 
 def test_hermitian_form_tm_rejects_outside():
     with pytest.raises(NotInPolydisc):
-        pd.hermitian_form_tm([2.5, 1.0], pd.ptak_young([0.5, 0.5]), [1.0, 0.0])
+        pd.hermitian_form_tm([0.5, 1.25], pd.ptak_young([0.5, 0.5]),
+                             [1.0, 0.0])
 
 
 def _realization_residual(rng, d, lams=None):
@@ -341,8 +341,7 @@ def _realization_residual(rng, d, lams=None):
     H = pd.realization(Y, lams)
     cs = pd.monic_coeffs(lams)
     SC = pd.schur_cohn_form(cs, Y)
-    stack = np.vstack([pd.tm_matrix(lams, j, Y.matrix)
-                       for j in range(1, d + 1)])
+    stack = pd.tm_stack(lams, Y.matrix)
     QY = pd._matrix_poly([1.0] + [c.conjugate() for c in cs], Y.matrix)
     worst = 0.0
     for _ in range(100):
@@ -353,10 +352,66 @@ def _realization_residual(rng, d, lams=None):
     return worst
 
 
+def _tm_matrix_reference(lams, j, Y):
+    """E_j(Y) with its own Blaschke prefix, one product per j."""
+    d = Y.shape[0]
+    eye = np.eye(d)
+    lam_j = lams[j - 1]
+    out = math.sqrt(1.0 - abs(lam_j) ** 2) * np.linalg.solve(
+        eye + lam_j.conjugate() * Y, eye)
+    for k in range(j - 1):
+        lam = lams[k]
+        out = out @ np.linalg.solve(eye + lam.conjugate() * Y, Y + lam * eye)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_tm_stack_matches_the_per_j_products(d):
+    # lambdas and Ptak-Young betas as appendix-verify draws them; the one
+    # running product reassociates the per-j products
+    rng = np.random.default_rng(200 + d)
+    for _ in range(200):
+        lams = [complex(l) for l in _random_disc(rng, d, 0.9)]
+        Y = pd.ptak_young(_random_disc(rng, d, 0.9)).matrix
+        ref = np.vstack([_tm_matrix_reference(lams, j, Y)
+                         for j in range(1, d + 1)])
+        got = pd.tm_stack(lams, Y)
+        assert got.shape == (d * d, d)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_form_and_realization_solve_no_roots(monkeypatch):
+    calls = []
+    roots = pd.polyform.roots
+    monkeypatch.setattr(pd.polyform, "roots",
+                        lambda *a, **k: calls.append(1) or roots(*a, **k))
+    rng = np.random.default_rng(47)
+    lams = _random_disc(rng, 4, 0.9)
+    Y = pd.ptak_young(_random_disc(rng, 4, 0.9))
+    pd.hermitian_form_tm(lams, Y, _random_disc(rng, 4, 1.0))
+    pd.realization(Y, lams)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda lams: pd.takenaka_malmquist(lams, 1, 0.0),
+    lambda lams: pd.model_residual(lams, 0.0, 0.0),
+    lambda lams: pd.tm_stack(lams, pd.ptak_young([0.5, 0.5]).matrix),
+    lambda lams: pd.hermitian_form_tm(lams, pd.ptak_young([0.5, 0.5]),
+                                      [1.0, 0.0]),
+    lambda lams: pd.realization(pd.ptak_young([0.5, 0.5]), lams),
+], ids=["takenaka_malmquist", "model_residual", "tm_stack",
+        "hermitian_form_tm", "realization"])
+@pytest.mark.parametrize("lam", [1.0, -1j, 1.25])
+def test_model_functions_refuse_a_lambda_off_the_disc(call, lam):
+    with pytest.raises(NotInPolydisc, match="every"):
+        call([0.3, lam])
+
+
 def test_realization_scalar_case():
     Y = pd.ptak_young([0.5])
     H = pd.realization(Y, [0.5])
-    E1 = pd.tm_matrix([0.5], 1, Y.matrix)
+    E1 = pd.tm_stack([0.5], Y.matrix)
     QY = pd._matrix_poly([1.0, 0.5], Y.matrix)
     val = float(np.linalg.norm(H @ (E1 @ (QY @ np.array([1.0 + 0j])))) ** 2)
     assert val == pytest.approx(0.5625, abs=1e-12)

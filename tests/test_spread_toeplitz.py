@@ -14,7 +14,7 @@ from rieszcert import gross_pitaevskii as gp
 from rieszcert import spread_toeplitz as st
 from rieszcert import weierstrass as ws
 from rieszcert.certificate import SAMPLE_HEURISTIC
-from rieszcert.errors import NonConvergence, RieszcertError
+from rieszcert.errors import InverseOverflow, NonConvergence, RieszcertError
 
 
 def test_symbol_inf_identity_family():
@@ -605,6 +605,24 @@ def test_dense_inverse_overflow_raises():
     S = st.finite_section(lambda j, n: np.where(j == 2, 1e200, 0.0), 64)
     with pytest.raises(RieszcertError):
         st.smallest_singular(S)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e200, 1e50, 1e30, 1e20])
+def test_lanczos_overflow_raises(c):
+    # c_j = c on odd j couples the 128 odd indices into one component:
+    # Lanczos. T^{-1} leaves the float range in the inverse (1e200) or
+    # in the steps' products and norms (the others)
+    S = st.finite_section(lambda j, n: np.where(j % 2 == 1, c, 0.0), 256)
+    assert np.bincount(st._components(S)).max() > st.DENSE_BLOCK_MAX
+    with pytest.raises(InverseOverflow):
+        st.smallest_singular(S)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lanczos_large_inverse_stays_finite():
+    S = st.finite_section(lambda j, n: np.where(j % 2 == 1, 1e10, 0.0), 256)
+    assert st.smallest_singular(S) == 1.0000000004000001e-50
 
 
 def test_smallest_singular_memory():
