@@ -183,6 +183,10 @@ def cmd_appendix_verify(args, settings: Settings) -> int:
     if not 1 <= d <= 8:
         print("appendix-verify: d must be in 1..8", file=sys.stderr)
         return EXIT_USAGE
+    if trials < 1:
+        # no polynomial would be checked, and every line would PASS
+        print("appendix-verify: trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     batches = max(1, trials // 10)
 

@@ -6,11 +6,13 @@ orthonormal basis h_n(x) = sqrt(2) sin(n pi x) / n^alpha, the dilations
 g_n(x) = f_{s_n}(n x) / n^alpha expand as g_n = sum_j c_j(n) h_{jn} with
 c_j(n) = j^alpha f_hat_{s_n}(j), which is exactly the data the
 spread-shift machinery consumes.
+
+A profile evaluates f_hat on int arrays only: ``coeffs(j)`` returns a
+float array of the shape of j, zero where j < 1.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -18,32 +20,7 @@ import numpy as np
 from .util import log_nome
 
 
-class FourierProfile:
-    """Base profile: sine coefficients f_hat(j) with f_hat(1) = 1, at one
-    int (:meth:`coeff`) or at every entry of an int array
-    (:meth:`coeffs`)."""
-
-    alpha: float = 0.0
-
-    def coeff(self, j: int) -> float:
-        raise NotImplementedError
-
-    def coeffs(self, j: np.ndarray) -> np.ndarray:
-        """:meth:`coeff` at every entry of an int array, as a float
-        array of the same shape."""
-        raise NotImplementedError
-
-
-def _p_adic_split(j: int, p: int) -> tuple:
-    """(v, m) with j = p^v m and m not divisible by p, for j >= 1."""
-    v = 0
-    while j % p == 0:
-        j //= p
-        v += 1
-    return v, j
-
-
-class LacunaryGeometricProfile(FourierProfile):
+class LacunaryGeometricProfile:
     """f_hat(p^j) = lam^j on the lacunary modes p^j, zero elsewhere.
 
     Belongs to the alpha-scale exactly for lam < p^{-alpha}.
@@ -58,16 +35,10 @@ class LacunaryGeometricProfile(FourierProfile):
         self.p = int(p)
         self.alpha = float(alpha)
 
-    def coeff(self, j: int) -> float:
-        if j < 1:
-            return 0.0
-        level, m = _p_adic_split(j, self.p)
-        return self.lam ** level if m == 1 else 0.0
-
     def coeffs(self, j: np.ndarray) -> np.ndarray:
         """lam^v at the entries p^v, looked up in a table of the powers
-        of lam taken as :meth:`coeff` takes them, so the values are the
-        same bit for bit."""
+        lam ** v taken in Python, so each value is the scalar power bit
+        for bit."""
         j = np.asarray(j)
         powers, values = [1], [1.0]
         top = int(j.max(initial=0))
@@ -79,7 +50,7 @@ class LacunaryGeometricProfile(FourierProfile):
         return np.where(powers[level] == j, np.array(values)[level], 0.0)
 
 
-class OddModeProfile(FourierProfile):
+class OddModeProfile:
     """f_hat(2l+1) = (1-q) q^l / (1 - q^{2l+1}) on odd modes, zero on
     even ones; the natural profile of the soliton-like stationary states
     considered in the q-family module."""
@@ -90,18 +61,10 @@ class OddModeProfile(FourierProfile):
         self.q = float(q)
         self.alpha = float(alpha)
 
-    def coeff(self, j: int) -> float:
-        """The denominator is evaluated as -expm1((2l+1) log q) to keep
-        the ratio stable as q approaches 1."""
-        if j < 1 or j % 2 == 0:
-            return 0.0
-        l = (j - 1) // 2
-        lq = log_nome(self.q)
-        return -(1.0 - self.q) * math.exp(l * lq) / math.expm1((2 * l + 1) * lq)
-
     def coeffs(self, j: np.ndarray) -> np.ndarray:
-        """:meth:`coeff` in numpy's exp and expm1, which may differ from
-        the scalar libm values in the last bits."""
+        """The denominator is evaluated as -expm1((2l+1) log q) to keep
+        the ratio stable as q approaches 1. numpy's exp and expm1 may
+        differ from the scalar libm values in the last bits."""
         j = np.asarray(j)
         out = np.zeros(j.shape)
         odd = (j >= 1) & (j % 2 == 1)
@@ -130,8 +93,9 @@ def _weighted(alpha: float, j: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _trajectory(profiles: Callable[[int], FourierProfile], alpha: float,
-                j: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _trajectory(profiles: Callable[[int], LacunaryGeometricProfile
+                                    | OddModeProfile],
+                alpha: float, j: np.ndarray, n: np.ndarray) -> np.ndarray:
     """:func:`trajectory_coeffs` on flat int arrays."""
     ns, at = np.unique(n, return_inverse=True)
     slot, profs, of = {}, [], []
@@ -153,7 +117,8 @@ def _trajectory(profiles: Callable[[int], FourierProfile], alpha: float,
     return _weighted(alpha, j, c)
 
 
-def trajectory_coeffs(profiles: Callable[[int], FourierProfile],
+def trajectory_coeffs(profiles: Callable[[int], LacunaryGeometricProfile
+                                         | OddModeProfile],
                       alpha: float, j, n):
     """(n, n) entry of the diagonal coefficient operator C_j in the
     h-basis: c_j(n) = j^alpha f_hat_{s_n}(j). C_1 is the identity.
@@ -162,13 +127,14 @@ def trajectory_coeffs(profiles: Callable[[int], FourierProfile],
     other; the result is a float, or a float array of their shape.
     ``profiles`` is called once per distinct n, with a Python int, and
     each distinct profile it returns (by identity) evaluates all of its
-    entries in one :meth:`FourierProfile.coeffs` call.
+    entries in one ``coeffs`` call.
     """
     j, n, shape = _flat(j, n)
     return _trajectory(profiles, alpha, j, n).reshape(shape)[()]
 
 
-def section_rule(profile_of: Callable[[float], FourierProfile],
+def section_rule(profile_of: Callable[[float], LacunaryGeometricProfile
+                                      | OddModeProfile],
                  index: Callable[[int], float] | float,
                  alpha: float) -> Callable:
     """c_j(n) rule for finite sections of a family indexed by s_n:
@@ -179,16 +145,16 @@ def section_rule(profile_of: Callable[[float], FourierProfile],
     :func:`spread_toeplitz.finite_section` calls it, and is
     :func:`trajectory_coeffs` for j >= 2 and 0 at j = 1, since the
     section supplies the identity itself. A constant index is one
-    profile, built here and evaluated in one
-    :meth:`FourierProfile.coeffs` call per rule call. A callable index
-    is called once per distinct n, and one profile is built per
-    distinct value it takes (kept for the later calls of the rule), so
-    a p-periodic index table costs one coeffs call per table entry.
+    profile, built here and evaluated in one ``coeffs`` call per rule
+    call. A callable index is called once per distinct n, and one
+    profile is built per distinct value it takes (kept for the later
+    calls of the rule), so a p-periodic index table costs one coeffs
+    call per table entry.
     """
     if callable(index):
         built = {}
 
-        def profiles(n: int) -> FourierProfile:
+        def profiles(n: int) -> LacunaryGeometricProfile | OddModeProfile:
             s = index(n)
             if s not in built:
                 built[s] = profile_of(s)

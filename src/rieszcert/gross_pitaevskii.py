@@ -377,21 +377,15 @@ def _cross_check_g2(a: float, b: float) -> None:
             f"disagrees with the root oracle's {oracle}")
 
 
-def a_weight(q: float, alpha: float, p: int) -> float:
-    """p^alpha-scaled profile weight at mode p:
-    p^alpha (1-q) q^{(p-1)/2} / (1 - q^p)."""
+def structured_weight(q: float, alpha: float, p: int, k: int) -> float:
+    """Weight w_k = p^{k alpha} f_hat_q(p^k) of the structured mode p^k:
+    p^{k alpha} (1-q) q^{(m-1)/2} / (1 - q^m) with m = p^k. The
+    threshold equations and :func:`certify_T1` call w_1 and w_2 a(q)
+    and b(q); :func:`certify_Td` keeps w_1 .. w_degree."""
+    m = p ** k
     lq = log_nome(q)
-    return (float(p) ** alpha * (1.0 - q) * math.exp(0.5 * (p - 1) * lq)
-            / (-math.expm1(p * lq)))
-
-
-def b_weight(q: float, alpha: float, p: int) -> float:
-    """p^{2 alpha}-scaled profile weight at mode p^2:
-    p^{2 alpha} (1-q) q^{(p^2-1)/2} / (1 - q^{p^2})."""
-    lq = log_nome(q)
-    pp = p * p
-    return (float(p) ** (2.0 * alpha) * (1.0 - q)
-            * math.exp(0.5 * (pp - 1) * lq) / (-math.expm1(pp * lq)))
+    return (float(p) ** (k * alpha) * (1.0 - q) * math.exp(0.5 * (m - 1) * lq)
+            / (-math.expm1(m * lq)))
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
@@ -455,7 +449,7 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
 
     def f(q: float, s: float) -> float:
         return (_finite_sum(s, q, alpha) - 2.0
-                - 0.5 * b_weight(q, alpha, p) / pa)
+                - 0.5 * structured_weight(q, alpha, p, 2) / pa)
 
     lo, hi, flo, fhi = _single_sign_change(f, alpha, terms, _Q_LO, _Q_HI,
                                            "r1")
@@ -483,8 +477,8 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     """
 
     def f(q: float, s: float) -> float:
-        a = a_weight(q, alpha, p)
-        b = b_weight(q, alpha, p)
+        a = structured_weight(q, alpha, p, 1)
+        b = structured_weight(q, alpha, p, 2)
         return (_finite_sum(s, q, alpha)
                 - 1.0 - a - b - min_quadratic_closed(a, b))
 
@@ -502,7 +496,8 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         # q. Only rounding within a few ulps of the float max could break
         # this; tests/test_gross_pitaevskii.py checks it at the overflow
         # edge of alpha
-        min_quadratic_closed(a_weight(q, alpha, p), b_weight(q, alpha, p))
+        min_quadratic_closed(structured_weight(q, alpha, p, 1),
+                             structured_weight(q, alpha, p, 2))
 
     weights = _mode_weights(alpha, terms)
     lo, hi = _Q_LO, _Q_HI
@@ -542,7 +537,8 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     q = bisect_monotone(
         lambda q: g(q, s_alpha(q, alpha, terms, weights=weights).value),
         lo, hi, tol=tol, flo=flo, fhi=fhi)
-    _cross_check_g2(a_weight(q, alpha, p), b_weight(q, alpha, p))
+    _cross_check_g2(structured_weight(q, alpha, p, 1),
+                    structured_weight(q, alpha, p, 2))
     return q
 
 
@@ -621,7 +617,8 @@ def certify_T1(sup_q: float, alpha: float, p: int,
                terms: int = DEFAULT_TERMS) -> Certificate:
     """Certificate for p-periodic nome sequences with sup q_n = sup_q.
 
-    The verdict is the threshold inequality itself,
+    The weights are a = w_1 and b = w_2 of :func:`structured_weight` at
+    r = sup_q. The verdict is the threshold inequality itself,
     s_alpha(r) + truncation bound < 2 + b(r)/(2 p^alpha), which is the
     budget-vs-floor comparison of the envelope argument in cancellation-
     free form and is equivalent to r < r1(alpha). The structural checks
@@ -642,8 +639,8 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     r = float(sup_q)
     GpSpec(p, alpha, r, terms)
     pa = float(p) ** alpha
-    a = a_weight(r, alpha, p)
-    b = b_weight(r, alpha, p)
+    a = structured_weight(r, alpha, p, 1)
+    b = structured_weight(r, alpha, p, 2)
     s = s_alpha(r, alpha, terms)
     threshold_rhs = 2.0 + 0.5 * b / pa
     tail_ok = s.value + s.tail_bound < threshold_rhs
@@ -694,17 +691,17 @@ def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
                terms: int = DEFAULT_TERMS) -> Certificate:
     """Experimental higher-degree variant of :func:`certify_T1`.
 
-    Keeps the first ``degree`` shift-power weights w_k = p^{k alpha}
-    times the profile coefficient at mode p^k as the structured part
-    and moves everything else into the perturbation budget. The symbol
-    minimum of 1 + sum w_k z^k is computed numerically at the envelope
-    parameter; no closed-form threshold or parameter-monotone bound is
-    claimed, so the certificate is labeled sample-heuristic.
+    Keeps the first ``degree`` weights w_k of :func:`structured_weight`
+    at r = sup_q as the structured part, so w_1 and w_2 are the a and b
+    of :func:`certify_T1` bit for bit, and moves everything else into
+    the perturbation budget. The symbol minimum of 1 + sum w_k z^k is
+    computed numerically at the envelope parameter; no closed-form
+    threshold or parameter-monotone bound is claimed, so the
+    certificate is labeled sample-heuristic.
     """
     r = float(sup_q)
     GpSpec(p, alpha, r, terms, degree)
-    profile = OddModeProfile(r, alpha)
-    weights = [float(p) ** (k * alpha) * profile.coeff(p ** k)
+    weights = [structured_weight(r, alpha, p, k)
                for k in range(1, degree + 1)]
     s = s_alpha(r, alpha, terms)
     budget = max(0.0, s.value + s.tail_bound - 1.0 - sum(weights))

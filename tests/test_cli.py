@@ -248,6 +248,15 @@ def test_appendix_verify_usage(capsys):
     assert code == 2 and "1..8" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_appendix_verify_refuses_fewer_than_one_trial(capsys, trials):
+    # no polynomial would be checked, yet every line would read PASS
+    code, out, err = run(capsys, "appendix-verify", "--d", "2",
+                         "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == "appendix-verify: trials must be >= 1\n"
+
+
 def test_section_identity(capsys):
     code, out, _ = run(capsys, "section", '{"family":"identity"}',
                        "--size", "12")

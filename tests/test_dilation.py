@@ -10,17 +10,18 @@ from rieszcert import gross_pitaevskii as gp
 
 
 def test_lacunary_coeff_examples():
-    assert dl.LacunaryGeometricProfile(0.7, 2).coeff(1) == 1.0
-    assert dl.LacunaryGeometricProfile(0.3, 2).coeff(8) == pytest.approx(0.027)
-    assert dl.LacunaryGeometricProfile(0.3, 2).coeff(3) == 0.0
+    assert dl.LacunaryGeometricProfile(0.7, 2).coeffs(1) == 1.0
+    assert dl.LacunaryGeometricProfile(0.3, 2).coeffs(8) == \
+        pytest.approx(0.027)
+    assert dl.LacunaryGeometricProfile(0.3, 2).coeffs(3) == 0.0
     # 12 = 3 * 4 is not a pure power
-    assert dl.LacunaryGeometricProfile(0.3, 3).coeff(12) == 0.0
+    assert dl.LacunaryGeometricProfile(0.3, 3).coeffs(12) == 0.0
 
 
 def test_odd_mode_coeff_values():
-    assert dl.OddModeProfile(0.37).coeff(1) == pytest.approx(1.0)
-    assert dl.OddModeProfile(0.37).coeff(2) == 0.0
-    assert dl.OddModeProfile(0.5).coeff(3) == pytest.approx(2 / 7)
+    assert dl.OddModeProfile(0.37).coeffs(1) == pytest.approx(1.0)
+    assert dl.OddModeProfile(0.37).coeffs(2) == 0.0
+    assert dl.OddModeProfile(0.5).coeffs(3) == pytest.approx(2 / 7)
 
 
 def test_trajectory_coeffs_identity_at_one():

@@ -369,7 +369,7 @@ def test_solve_r1_root_residual():
     for alpha, p in ((0.0, 3), (1.0, 3), (0.5, 5)):
         r = gp.solve_r1(alpha, p)
         lhs = gp.s_alpha(r, alpha).value
-        rhs = 2.0 + 0.5 * gp.b_weight(r, alpha, p) / p ** alpha
+        rhs = 2.0 + 0.5 * gp.structured_weight(r, alpha, p, 2) / p ** alpha
         assert abs(lhs - rhs) < 1e-7
 
 
@@ -378,8 +378,8 @@ def test_solve_r1_tilde_ordering_and_residual():
         r1 = gp.solve_r1(alpha, 3)
         rt = gp.solve_r1_tilde(alpha, 3)
         assert rt > r1
-        a = gp.a_weight(rt, alpha, 3)
-        b = gp.b_weight(rt, alpha, 3)
+        a = gp.structured_weight(rt, alpha, 3, 1)
+        b = gp.structured_weight(rt, alpha, 3, 2)
         resid = (gp.s_alpha(rt, alpha).value - 1.0 - a - b
                  - gp.min_quadratic(a, b))
         assert abs(resid) < 1e-7
@@ -479,10 +479,12 @@ def test_log_nome_bit_identical_and_defined_for_tiny_q():
     for q in (5.5e-17, 1e-17, 1e-100, 2.2250738585072014e-308, 5e-324):
         assert 1.0 - q == 1.0 and log_nome(q) == math.log(q)
     assert gp.s_alpha(5e-324, 0.5).value == 1.0
-    assert OddModeProfile(1e-100).coeff(3) == pytest.approx(1e-100,
-                                                            rel=1e-13)
-    assert gp.a_weight(1e-17, 0.0, 3) == pytest.approx(1e-17, rel=1e-13)
-    assert gp.b_weight(1e-17, 0.0, 3) == pytest.approx(1e-68, rel=1e-13)
+    assert OddModeProfile(1e-100).coeffs(3) == pytest.approx(1e-100,
+                                                             rel=1e-13)
+    assert gp.structured_weight(1e-17, 0.0, 3, 1) == pytest.approx(
+        1e-17, rel=1e-13)
+    assert gp.structured_weight(1e-17, 0.0, 3, 2) == pytest.approx(
+        1e-68, rel=1e-13)
 
 
 @pytest.mark.parametrize("terms", [1, 300, 500, 2000, 3000])
@@ -650,6 +652,78 @@ def test_certify_Td_experimental():
         assert m3 >= m2 - 1e-12
 
 
+def _a_weight_reference(q, alpha, p):
+    lq = log_nome(q)
+    return (float(p) ** alpha * (1.0 - q) * math.exp(0.5 * (p - 1) * lq)
+            / (-math.expm1(p * lq)))
+
+
+def _b_weight_reference(q, alpha, p):
+    lq = log_nome(q)
+    pp = p * p
+    return (float(p) ** (2.0 * alpha) * (1.0 - q)
+            * math.exp(0.5 * (pp - 1) * lq) / (-math.expm1(pp * lq)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def test_structured_weight_is_the_old_a_and_b_bit_for_bit():
+    # w_1 and w_2 against the separate a(q) and b(q) bodies they
+    # replaced, so no threshold float moves: 10^5 draws of q over the
+    # whole of (0, 1), alpha in [0, 6], then alpha up to 2000, where
+    # p^{k alpha} overflows
+    rng = np.random.default_rng(24)
+    ps = [2, 3, 5, 7, 9, 11, 13, 101]
+    n = 25000
+    qs = np.concatenate([10.0 ** -rng.uniform(0.0, 323.3, n),
+                         rng.uniform(0.0, 1.0, n),
+                         1.0 - 10.0 ** -rng.uniform(0.0, 15.0, n),
+                         rng.uniform(0.9, 1.0, n)])
+    draws = [(float(q), float(a), int(p)) for q, a, p in zip(
+        qs, rng.uniform(0.0, 6.0, len(qs)), rng.choice(ps, len(qs)))]
+    draws += [(q, float(a), p) for q in (5e-324, 1e-17, 1.0 - 2.0 ** -53)
+              for a in (0.0, 0.5, 6.0) for p in ps]
+    draws += [(float(q), float(a), int(p)) for q, a, p in zip(
+        rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 2000.0, 2000),
+        rng.choice(ps, 2000))]
+    assert len(draws) > 10 ** 5
+    overflows = 0
+    for q, alpha, p in draws:
+        for k, reference in ((1, _a_weight_reference),
+                             (2, _b_weight_reference)):
+            want = _outcome(reference, q, alpha, p)
+            assert _outcome(gp.structured_weight, q, alpha, p, k) == want, \
+                (q, alpha, p, k)
+            overflows += want is OverflowError
+    assert overflows > 100
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_certify_Td_weights_start_with_the_T1_weights(monkeypatch, degree):
+    seen = []
+    symbol_inf = gp.st.symbol_inf
+
+    def recorded(weights):
+        seen.append(list(weights))
+        return symbol_inf(weights)
+
+    monkeypatch.setattr(gp.st, "symbol_inf", recorded)
+    rng = np.random.default_rng(degree)
+    for sup_q, alpha, p in [(0.05, 0.3, 3), (0.7, 0.0, 3)] + [
+            (float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.0, 2.0)),
+             int(rng.choice([3, 5, 7]))) for _ in range(8)]:
+        seen.clear()
+        gp.certify_Td(sup_q, alpha, p, degree)
+        t1 = gp.certify_T1(sup_q, alpha, p).margins
+        assert len(seen) == 1 and len(seen[0]) == degree
+        assert seen[0][0] == t1["a"] and seen[0][1] == t1["b"]
+
+
 def test_certify_T1_structural_checks_follow_for_odd_p():
     # the threshold inequality implies every structural check of the
     # envelope argument when the weights are genuine series terms
@@ -779,7 +853,7 @@ def test_eigenfunction_ode_residual_second_differences():
 
 def test_cj_rule_matches_profile():
     def coeff(q, j):
-        return OddModeProfile(q).coeff(j)
+        return OddModeProfile(q).coeffs(j)
 
     rule = gp.cj_rule(0.5, 1.0)
     assert rule(3, 1) == pytest.approx(3.0 * coeff(0.5, 3))

@@ -58,8 +58,7 @@ def test_certify_S1_band_pinned(row):
 
 
 def _weights(q, alpha, p, degree):
-    profile = gp.OddModeProfile(q, alpha)
-    return [float(p) ** (k * alpha) * profile.coeff(p ** k)
+    return [gp.structured_weight(q, alpha, p, k)
             for k in range(1, degree + 1)]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rieszcert import polyform as pf
 from rieszcert import util
-from rieszcert.gross_pitaevskii import OddModeProfile
+from rieszcert.gross_pitaevskii import structured_weight
 from rieszcert.weierstrass import (WeierstrassSpec, minimal_degree,
                                    truncated_symbol_floor)
 
@@ -218,11 +218,10 @@ def test_truncated_geometric_symbol_closed_form(nu):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("degree", range(3, 9))
 def test_gp_weights_spread_over_hundreds_of_decades(degree):
-    # the weights p^{k alpha} coeff(p^k) run 1.7e-2, 5.9e-28, 1.4e-219
+    # the weights p^{k alpha} f_hat(p^k) run 1.7e-2, 5.9e-28, 1.4e-219
     # and then underflow to 0
     p, alpha = 7, 2.6253512273463824
-    profile = OddModeProfile(0.048017423417903715, alpha)
-    w = [float(p) ** (k * alpha) * profile.coeff(p ** k)
+    w = [structured_weight(0.048017423417903715, alpha, p, k)
          for k in range(1, degree + 1)]
     assert 1e-220 < w[2] < 1e-218
     assert pf.zero_free_disc([1.0] + w)
@@ -370,8 +369,7 @@ def _pinned_symbols():
         nu = WeierstrassSpec(p=p, alpha=alpha, mu=mu).nu
         yield [nu ** k for k in range(minimal_degree(nu) + 1)]
     for q, alpha, p, degree in (row["args"] for row in PINNED["td"]):
-        profile = OddModeProfile(q, alpha)
-        yield [1.0] + [float(p) ** (k * alpha) * profile.coeff(p ** k)
+        yield [1.0] + [structured_weight(q, alpha, p, k)
                        for k in range(1, degree + 1)]
 
 
