@@ -187,6 +187,10 @@ def cmd_appendix_verify(args, settings: Settings) -> int:
         # no polynomial would be checked, and every line would PASS
         print("appendix-verify: trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        # np.random.default_rng would raise a ValueError traceback
+        print("appendix-verify: seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     batches = max(1, trials // 10)
 

@@ -10,6 +10,7 @@ degree-d structured part plus a geometric perturbation tail).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,9 @@ from typing import Callable
 
 from .certificate import ENVELOPE_RIGOROUS, Certificate
 from .dilation import LacunaryGeometricProfile, section_rule
+# unused here; perfbench's tracer and its tests rebind this name
 from .polyform import min_modulus_disc
+from .util import golden_min
 
 REGION_S0 = "S0"
 REGION_S1 = "S1"
@@ -70,14 +73,47 @@ def minimal_degree(nu: float) -> int:
 
     Exists for every nu < 1 since the tail tends to 0 while the floor
     tends to 1. Algebraically the condition reduces to
-    2 nu^{d+1} < 1 - nu.
+    2 nu^{d+1} < 1 - nu, so d = ceil(log((1 - nu)/2) / log(nu)) - 1 up
+    to rounding. That estimate is only a start: d steps from it, down
+    while the float predicate holds one degree lower and up while it
+    fails, so the predicate itself decides, at a cost independent of nu.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
-    d = 1
-    while not geometric_tail(nu, d) < truncated_symbol_floor(nu, d):
+
+    def holds(d: int) -> bool:
+        return geometric_tail(nu, d) < truncated_symbol_floor(nu, d)
+
+    d = max(1, math.ceil(math.log((1.0 - nu) / 2.0) / math.log(nu)) - 1)
+    while d > 1 and holds(d - 1):
+        d -= 1
+    while not holds(d):
         d += 1
     return d
+
+
+def truncated_symbol_min(nu: float, d: int) -> float:
+    """Minimum over the closed disc of |sum_{k<=d} (nu z)^k|, in closed form.
+
+    The sum is (1 - (nu z)^{d+1}) / (1 - nu z), zero-free on the disc,
+    so the minimum lies on the circle. At odd d, z = -1 minimises the
+    numerator and maximises the denominator, and the minimum is
+    :func:`truncated_symbol_floor`. At even d the numerator is least at
+    the angles 2 pi k/(d+1), and shifting by one of them towards pi only
+    grows the denominator, so the minimum lies within pi/(d+1) of pi. With
+    t = pi - u/(d+1), u in [0, pi], the modulus is
+    |1 + nu^{d+1} e^{-iu}| / |1 + nu e^{-iu/(d+1)}|, which
+    :func:`~rieszcert.util.golden_min` minimises over u.
+    """
+    if d % 2 == 1:
+        return truncated_symbol_floor(nu, d)
+    r = nu ** (d + 1)
+
+    def modulus(u: float) -> float:
+        return (abs(1.0 + r * cmath.exp(-1j * u))
+                / abs(1.0 + nu * cmath.exp(-1j * u / (d + 1))))
+
+    return golden_min(modulus, 0.0, math.pi)[1]
 
 
 def certify_S0(spec: WeierstrassSpec) -> Certificate:
@@ -107,14 +143,17 @@ def certify_S1(spec: WeierstrassSpec) -> Certificate:
 
     The rigorous verdict rests on the (tail, floor) pair. The exact
     truncated symbol at the envelope parameter, minimised over the disc
-    by the independent :func:`min_modulus_disc`, is reported alongside
-    it to quantify the slack of the floor.
+    in closed form by :func:`truncated_symbol_min`, is reported alongside
+    it to quantify the slack of the floor. Neither step builds the d + 1
+    coefficients, so the cost does not grow as nu -> 1; the tests check
+    both against the stepwise degree search, :func:`min_modulus_disc` and
+    a 50-digit minimum.
     """
     nu = spec.nu
     d = minimal_degree(nu)
     tail = geometric_tail(nu, d)
     floor = truncated_symbol_floor(nu, d)
-    exact_symbol = min_modulus_disc([nu ** k for k in range(0, d + 1)])
+    exact_symbol = truncated_symbol_min(nu, d)
 
     return Certificate(
         kind="S1",

@@ -257,6 +257,15 @@ def test_appendix_verify_refuses_fewer_than_one_trial(capsys, trials):
     assert err == "appendix-verify: trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_appendix_verify_refuses_a_negative_seed(capsys, seed):
+    # numpy's generator rejects it, which used to end in a traceback
+    code, out, err = run(capsys, "appendix-verify", "--d", "2",
+                         "--trials", "2", "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == "appendix-verify: seed must be >= 0\n"
+
+
 def test_section_identity(capsys):
     code, out, _ = run(capsys, "section", '{"family":"identity"}',
                        "--size", "12")

@@ -8,8 +8,8 @@ warning. Inside the domain, the floor ``section`` predicts lies below
 sigma_min of every finite section, and sigma_min does not grow with the
 section size.
 
-The draws reach the Weierstrass S1 certificate at nu = 0.99 (symbol
-degree 527) and the experimental gp certificate at degrees 3..8, and
+The draws reach the Weierstrass S1 certificate at nu = 0.999 (symbol
+degree 7597) and the experimental gp certificate at degrees 3..8, and
 the two tests at the end pin the inputs on which the symbol kernel
 once printed RuntimeWarnings.
 """
@@ -31,10 +31,6 @@ from rieszcert.errors import NotInG2
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
-
-# S1 minimises a symbol of the minimal degree, which grows without
-# bound as nu -> 1: 527 at nu = 0.99
-S1_NU_MAX = 0.99
 
 ABSENT = object()
 
@@ -133,8 +129,7 @@ def certify_params(draw):
         alpha = _key(draw, "alpha" in broken, ALPHA_OK, ALPHA_BAD, NOT_FLOAT)
         region = _key(draw, "region" in broken, REGION_OK, REGION_BAD,
                       NOT_STR)
-        nu_max = 0.999 if region == "S0" else S1_NU_MAX
-        mu = _envelope(draw, "mu" in broken, p, alpha, nu_max)
+        mu = _envelope(draw, "mu" in broken, p, alpha, 0.999)
         return _object(family, {"p": p, "alpha": alpha, "mu": mu,
                                 "region": region}, broken)
     return draw(_garbage())

@@ -56,6 +56,38 @@ def test_minimal_degree_matches_simplified_inequality():
         assert d_direct == d_simple
 
 
+def _stepwise_minimal_degree(nu):
+    # the definition, one degree at a time: O(d) steps
+    d = 1
+    while not ws.geometric_tail(nu, d) < ws.truncated_symbol_floor(nu, d):
+        d += 1
+    return d
+
+
+# the pinned S1 band of the certify-mix benchmark
+S1_BAND = (0.98, 0.981, 0.982, 0.983, 0.984, 0.985, 0.986, 0.988, 0.99)
+
+
+def test_minimal_degree_matches_the_stepwise_definition():
+    rng = np.random.default_rng(26)
+    nus = [*rng.uniform(0.0, 0.9999, 10_000),
+           *(1.0 - 10.0 ** -rng.uniform(0.5, 3.0, 300)),
+           *S1_BAND, 0.9999, 5e-324, 1e-300, 2.0 ** -53]
+    for nu in nus:
+        if nu > 0.0:
+            assert ws.minimal_degree(nu) == _stepwise_minimal_degree(nu), nu
+
+
+@pytest.mark.parametrize("k", range(20, 51))
+def test_minimal_degree_decided_by_the_predicate_near_one(k):
+    # d reaches 4e16 here, far beyond any stepwise search
+    nu = 1.0 - 2.0 ** -k
+    d = ws.minimal_degree(nu)
+    assert ws.geometric_tail(nu, d) < ws.truncated_symbol_floor(nu, d)
+    assert not (ws.geometric_tail(nu, d - 1)
+                < ws.truncated_symbol_floor(nu, d - 1))
+
+
 def test_symbol_floor_geometric_envelope():
     # full geometric symbol 1/(1 - nu z): disc minimum 1/(1 + nu) = 0.8 at
     # nu = 0.25, split exactly into the truncated floor and its tail
@@ -92,6 +124,80 @@ def test_certify_S1_reports_both_margins():
     # the exact symbol minimum is at least the proven floor
     assert (cert.margins["symbol_exact_at_envelope"]
             >= cert.margins["symbol_floor"] - 1e-9)
+
+
+def _symbol_min_50_digits(nu, d):
+    """Least |1 - (nu z)^{d+1}| / |1 - nu z| at 50 digits, over the arc
+    of z = e^{i pi t} with t in [1 - 1/(d+1), 1]: 33 samples, then
+    golden-section steps between the neighbours of the least."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(nu)
+
+        def g(t):
+            z = mpmath.expjpi(t)
+            return abs(1 - (nu * z) ** (d + 1)) / abs(1 - nu * z)
+
+        lo = 1 - mpmath.mpf(1) / (d + 1)
+        ts = [lo + (1 - lo) * k / 32 for k in range(33)]
+        m = min(range(33), key=lambda k: g(ts[k]))
+        a, b = ts[max(m - 1, 0)], ts[min(m + 1, 32)]
+        shrink = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            c, e = b - shrink * (b - a), a + shrink * (b - a)
+            if g(c) < g(e):
+                b = e
+            else:
+                a = c
+        return min(g((a + b) / 2), g(ts[m]))
+
+
+# even minimal degrees at which polyform.min_modulus_disc overstates the
+# minimum by 3e-5 to 6e-5 relative, and the CLI's degree near nu = 1
+EVEN_DEGREES = ((0.9888095238095238, 460), (0.9905345325286374, 562),
+                (0.9961411901186279, 1616), (0.9999999, 168112420))
+
+
+def test_even_minimal_degrees():
+    for nu, d in EVEN_DEGREES:
+        assert ws.minimal_degree(nu) == d
+
+
+@pytest.mark.parametrize("nu, d", [
+    (0.25, 1), (0.3, 2), (0.5, 2), (0.7, 5), (0.9, 28), (0.95, 71),
+    (0.98, 227), (0.99, 527), (0.999, 7597), (0.999, 7598), *EVEN_DEGREES])
+def test_truncated_symbol_min_against_50_digits(nu, d):
+    got = ws.truncated_symbol_min(nu, d)
+    want = _symbol_min_50_digits(nu, d)
+    assert abs(got - want) <= 1e-14 * want
+    if d % 2 == 1:
+        assert got == ws.truncated_symbol_floor(nu, d)
+
+
+def test_truncated_symbol_min_matches_min_modulus_disc():
+    # every minimal degree below 460, and other degrees up to 40
+    rng = np.random.default_rng(460)
+    cases = [(float(nu), ws.minimal_degree(nu))
+             for nu in rng.uniform(0.01, 0.9888, 200)]
+    cases += [(float(rng.uniform(0.01, 0.99)), int(rng.integers(1, 41)))
+              for _ in range(200)]
+    for nu, d in cases:
+        want = pf.min_modulus_disc([nu ** k for k in range(d + 1)])
+        assert ws.truncated_symbol_min(nu, d) == pytest.approx(
+            want, rel=1e-13, abs=0.0), (nu, d)
+
+
+@pytest.mark.parametrize("mu", (0.98, 0.99, 0.9999999))
+def test_certify_S1_builds_no_coefficients(monkeypatch, mu):
+    def refuse(*args):
+        raise AssertionError("O(d) work on the S1 path")
+
+    monkeypatch.setattr(ws, "min_modulus_disc", refuse)
+    monkeypatch.setattr(pf, "zero_free_disc", refuse)
+    cert = ws.certify_S1(ws.WeierstrassSpec(2, 0.0, mu, "S1"))
+    assert cert.verdict is True
+    assert (cert.margins["symbol_exact_at_envelope"]
+            >= cert.margins["symbol_floor"])
 
 
 def test_symbol_floor_is_true_lower_bound():
