@@ -8,7 +8,12 @@ c_j(n) = j^alpha f_hat_{s_n}(j), which is exactly the data the
 spread-shift machinery consumes.
 
 A profile evaluates f_hat on int arrays only: ``coeffs(j)`` returns a
-float array of the shape of j, zero where j < 1.
+float array of the shape of j, zero where j < 1. The odd-mode profile
+f_hat_q(2l+1) = (1-q) q^l / (1 - q^{2l+1}) has one array kernel,
+:func:`odd_modes`. It feeds the finite sections here, the mode sums
+s_alpha of the certificates and the stationary states u_n(x) =
+A_n f_q(n x) in :mod:`gross_pitaevskii`, which are the dilation systems
+phi(nx) of Hedenmalm, Lindqvist and Seip (Duke Math. J. 86, 1997).
 """
 
 from __future__ import annotations
@@ -62,16 +67,39 @@ class OddModeProfile:
         self.alpha = float(alpha)
 
     def coeffs(self, j: np.ndarray) -> np.ndarray:
-        """The denominator is evaluated as -expm1((2l+1) log q) to keep
-        the ratio stable as q approaches 1. numpy's exp and expm1 may
-        differ from the scalar libm values in the last bits."""
+        """:func:`odd_modes` at the odd entries of j."""
         j = np.asarray(j)
         out = np.zeros(j.shape)
         odd = (j >= 1) & (j % 2 == 1)
-        l = (j[odd] - 1) // 2
-        lq = log_nome(self.q)
-        out[odd] = -(1.0 - self.q) * np.exp(l * lq) / np.expm1((2 * l + 1) * lq)
+        out[odd] = odd_modes(log_nome(self.q), 1.0 - self.q,
+                             (j[odd] - 1) // 2)
         return out
+
+
+def odd_modes(lq, one_minus_q, l: np.ndarray,
+              weights: np.ndarray | None = None) -> np.ndarray:
+    """w e^{l lq} (1-q) / (-expm1((2l+1) lq)), that is w f_hat_q(2l+1)
+    of :class:`OddModeProfile` at lq = log q, for an int or float array
+    l. ``lq`` and ``one_minus_q`` are floats, or columns against l that
+    give one row per nome; ``weights`` w multiplies each term (and is
+    skipped when None).
+
+    Each operation runs in the order written, in place in two
+    temporaries, so a row equals the one-nome call bit for bit. The
+    denominator -expm1 keeps the ratio stable as q approaches 1; numpy's
+    exp and expm1 may differ from the scalar libm values in the last
+    bits.
+    """
+    out = np.multiply(l, lq)
+    np.exp(out, out=out)
+    if weights is not None:
+        np.multiply(weights, out, out=out)
+    out *= one_minus_q
+    denominator = np.multiply(2.0 * l + 1.0, lq)
+    np.expm1(denominator, out=denominator)
+    np.negative(denominator, out=denominator)
+    out /= denominator
+    return out
 
 
 def _flat(j, n) -> tuple:

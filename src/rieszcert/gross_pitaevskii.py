@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spread_toeplitz as st
 from .certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC, Certificate
-from .dilation import OddModeProfile, section_rule
+from .dilation import OddModeProfile, odd_modes, section_rule
 from .errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                      RieszcertError)
 from .polydisc import MEMBERSHIP_TOL, in_polydisc_roots
@@ -84,9 +84,9 @@ def complete_elliptic(mu: float) -> tuple:
     return _ke_from_moduli(mu, kp)
 
 
-def nome(mu: float) -> float:
-    """Nome q = exp(-pi K(mu') / K(mu)) with mu' the complementary
-    modulus."""
+def _log_nome_of(mu: float) -> float:
+    """log q = -pi K(mu') / K(mu), with mu' the complementary modulus;
+    finite where q itself underflows (mu below about 1e-161)."""
     if not 0.0 < mu < 1.0:
         raise ModulusOutOfRange(f"modulus {mu} outside (0, 1)")
     kp = math.sqrt((1.0 - mu) * (1.0 + mu))
@@ -94,7 +94,13 @@ def nome(mu: float) -> float:
     # complete_elliptic would lose mu' to rounding for tiny mu
     K, _ = _ke_from_moduli(mu, kp)
     Kp, _ = _ke_from_moduli(kp, mu)
-    return math.exp(-math.pi * Kp / K)
+    return -math.pi * Kp / K
+
+
+def nome(mu: float) -> float:
+    """Nome q = exp(-pi K(mu') / K(mu)) with mu' the complementary
+    modulus."""
+    return math.exp(_log_nome_of(mu))
 
 
 def _thetas(r: float) -> tuple:
@@ -148,13 +154,16 @@ class SeriesValue:
     tail_bound: float
 
 
+@functools.lru_cache(maxsize=1)
 def _mode_weights(alpha: float, terms: int) -> tuple:
-    """(l, 2l+1, (2l+1)^alpha) for l < ``terms``: the q-free factors of
-    the mode sum, built once per solver call and reused at every q."""
+    """(l, (2l+1)^alpha) for l < ``terms``: the q-free factors of the
+    mode sum, read-only. The last result is kept, so the solvers of one
+    threshold row build them once."""
     l = np.arange(terms, dtype=float)
-    odd = 2.0 * l + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return l, odd, odd ** alpha
+        w = (2.0 * l + 1.0) ** alpha
+    l.flags.writeable = w.flags.writeable = False
+    return l, w
 
 
 def _column(xs: list):
@@ -163,37 +172,27 @@ def _column(xs: list):
     return xs[0] if len(xs) == 1 else np.array(xs)[:, None]
 
 
-def _mode_sums(qs, alpha: float, terms: int,
-               weights: tuple | None = None) -> np.ndarray:
+def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
     """Raw partial sums of :func:`s_alpha` at each q of ``qs``, not
-    checked for overflow. ``weights`` is :func:`_mode_weights` of
-    (alpha, terms), built here when not given.
+    checked for overflow.
 
-    Row i of a block holds the summands at qs[i], computed with the
-    operations of a single q in the same order, and numpy sums each row
-    of a C-contiguous block as it sums a 1-d array, so every sum is
+    Row i of a block holds the summands at qs[i] from
+    :func:`dilation.odd_modes`, and numpy sums each row of a
+    C-contiguous block as it sums a 1-d array, so every sum is
     bit-identical to a one-q call. A block holds at most
     ``_BLOCK_ELEMENTS`` summands (one row at least), so a batch needs
     no more memory than one q does at large ``terms``.
     """
-    l, odd, w = _mode_weights(alpha, terms) if weights is None else weights
+    l, w = _mode_weights(alpha, terms)
     lqs = [log_nome(q) for q in qs]
     rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
     sums = np.empty(len(qs))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(qs), rows):
-            lq = _column(lqs[i:i + rows])
-            # w e^{l lq} (1-q) / (-expm1((2l+1) lq)), one operation at a
-            # time in that order, in place in two temporaries
-            summand = np.multiply(l, lq)
-            np.exp(summand, out=summand)
-            np.multiply(w, summand, out=summand)
-            summand *= _column([1.0 - q for q in qs[i:i + rows]])
-            denominator = np.multiply(odd, lq)
-            np.expm1(denominator, out=denominator)
-            np.negative(denominator, out=denominator)
-            summand /= denominator
-            sums[i:i + rows] = summand.sum(axis=-1)
+            summands = odd_modes(_column(lqs[i:i + rows]),
+                                 _column([1.0 - q for q in qs[i:i + rows]]),
+                                 l, w)
+            sums[i:i + rows] = summands.sum(axis=-1)
     return sums
 
 
@@ -206,23 +205,24 @@ def _finite_sum(total: float, q: float, alpha: float) -> float:
     return float(total)
 
 
-def s_alpha(q: float, alpha: float, terms: int = DEFAULT_TERMS, *,
-            weights: tuple | None = None) -> SeriesValue:
+def s_alpha(q: float, alpha: float,
+            terms: int = DEFAULT_TERMS) -> SeriesValue:
     """Weighted mode sum s_alpha(q) = sum_l (2l+1)^alpha (1-q) q^l /
     (1 - q^{2l+1}), strictly increasing in both q and alpha.
+
+    The summands are (2l+1)^alpha f_hat_q(2l+1), the section
+    coefficients c_{2l+1}(n) of a constant nome q, from the one kernel
+    :func:`dilation.odd_modes` (through :func:`_mode_sums`), so the value
+    is the l1 sum of one column of C.
 
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
     decreasing, so the tail after ``terms`` summands is bounded by a
     geometric series started at the first omitted term. Raises
     RieszcertError when a summand or the sum overflows.
-
-    The partial sum is the kernel :func:`_mode_sums` at this one q; the
-    threshold solvers pass ``weights`` (:func:`_mode_weights` of alpha
-    and terms) so that the q-free factors are built once per solve.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    total = _finite_sum(_mode_sums((q,), alpha, terms, weights)[0], q, alpha)
+    total = _finite_sum(_mode_sums((q,), alpha, terms)[0], q, alpha)
     lq = log_nome(q)
     first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
@@ -392,9 +392,8 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
              tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
     uniqueness); bisection to ``tol`` in q."""
-    weights = _mode_weights(alpha, terms)
     return bisect_monotone(
-        lambda q: s_alpha(q, alpha, terms, weights=weights).value - 2.0,
+        lambda q: s_alpha(q, alpha, terms).value - 2.0,
         _Q_LO, _Q_HI, tol=tol)
 
 
@@ -445,7 +444,6 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     and the bisection starts from the prescan's values at its bracket.
     """
     pa = float(p) ** alpha
-    weights = _mode_weights(alpha, terms)
 
     def f(q: float, s: float) -> float:
         return (_finite_sum(s, q, alpha) - 2.0
@@ -454,7 +452,7 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     lo, hi, flo, fhi = _single_sign_change(f, alpha, terms, _Q_LO, _Q_HI,
                                            "r1")
     return bisect_monotone(
-        lambda q: f(q, s_alpha(q, alpha, terms, weights=weights).value),
+        lambda q: f(q, s_alpha(q, alpha, terms).value),
         lo, hi, tol=tol, flo=flo, fhi=fhi)
 
 
@@ -486,7 +484,7 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         # the order of f: a, b, the overflow check of s, membership. a
         # and b can only raise for (p, alpha) alone, so once they pass
         # here the bisection may check s first, in s_alpha
-        f(q, _mode_sums((q,), alpha, terms, weights)[0])
+        f(q, _mode_sums((q,), alpha, terms)[0])
 
     def in_g2(q: float) -> None:
         # a mode sum finite at _Q_HI is finite at every smaller q: no
@@ -499,7 +497,6 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         min_quadratic_closed(structured_weight(q, alpha, p, 1),
                              structured_weight(q, alpha, p, 2))
 
-    weights = _mode_weights(alpha, terms)
     lo, hi = _Q_LO, _Q_HI
     check = first
     while True:
@@ -535,7 +532,7 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         if f_end == math.inf:
             lost(q_end)
     q = bisect_monotone(
-        lambda q: g(q, s_alpha(q, alpha, terms, weights=weights).value),
+        lambda q: g(q, s_alpha(q, alpha, terms).value),
         lo, hi, tol=tol, flo=flo, fhi=fhi)
     _cross_check_g2(structured_weight(q, alpha, p, 1),
                     structured_weight(q, alpha, p, 2))
@@ -745,24 +742,26 @@ def eigenvalue(n: int, mu: float) -> float:
 
 
 def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:
-    """n-th stationary state u_n(x) = 2^{3/2} n mu K(mu) sn(2 K(mu) n x)
-    evaluated through its sine series
+    """n-th stationary state u_n(x) = 2^{3/2} n mu K(mu) sn(2 K(mu) n x),
+    a dilation of the odd-mode profile f_q of the nome q of mu:
 
-        u_n(x) = 2^{5/2} pi n sqrt(q) sum_l q^l/(1-q^{2l+1})
-                 sin((2l+1) n pi x),
+        u_n(x) = A_n f_q(n x),  A_n = 2^{5/2} pi n sqrt(q) / (1-q),
+        f_q(x) = sum_l f_hat_q(2l+1) sin((2l+1) pi x),
 
-    with q the nome of mu. The sine evaluation folds its argument, so
-    u_n vanishes exactly at x = 0 and x = 1. The truncation puts the
-    series tail below 1e-18 relative to the leading coefficient.
+    with f_hat_q from :func:`dilation.odd_modes`. log q is taken as
+    -pi K(mu')/K(mu) directly, so a nome that underflows still gives
+    sqrt(q) and 1 - q. The sine evaluation folds its argument, so u_n
+    vanishes exactly at x = 0 and x = 1. The truncation puts the series
+    tail below 1e-18 relative to the leading coefficient.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = nome(mu)
-    lq = math.log(q)
+    lq = _log_nome_of(mu)
+    one_minus_q = -math.expm1(lq)
     terms = max(24, min(100000, int(-41.5 / lq) + 1))
     l = np.arange(terms, dtype=float)
-    coeff = (2.0 ** 2.5 * math.pi * n * math.sqrt(q) * np.exp(l * lq)
-             / (-np.expm1((2.0 * l + 1.0) * lq)))
+    amplitude = 2.0 ** 2.5 * math.pi * n * math.exp(0.5 * lq) / one_minus_q
+    coeff = amplitude * odd_modes(lq, one_minus_q, l)
     x = np.asarray(x_grid, dtype=float)
     out = (coeff[None, :]
            * sin_pi((2.0 * l[None, :] + 1.0) * n * x.reshape(-1, 1))).sum(axis=1)

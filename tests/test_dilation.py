@@ -7,6 +7,7 @@ import pytest
 
 from rieszcert import dilation as dl
 from rieszcert import gross_pitaevskii as gp
+from rieszcert.util import log_nome
 
 
 def test_lacunary_coeff_examples():
@@ -88,3 +89,45 @@ def test_basis_chain_identity(family):
             direct = gp.eigenfunction(n, mu, x) * scale
             chain = _chain(dl.OddModeProfile(q, alpha), alpha, n, j, x)
             assert np.abs(direct - chain).max() < 1e-12
+
+
+def _odd_mode_coeffs_reference(q, j):
+    """OddModeProfile.coeffs as spelled before the odd-mode kernel."""
+    out = np.zeros(j.shape)
+    odd = (j >= 1) & (j % 2 == 1)
+    l = (j[odd] - 1) // 2
+    lq = log_nome(q)
+    out[odd] = -(1.0 - q) * np.exp(l * lq) / np.expm1((2 * l + 1) * lq)
+    return out
+
+
+def test_odd_mode_profile_is_the_old_spelling_bit_for_bit():
+    # -(1-q) e / expm1 and e (1-q) / (-expm1) round alike: 3000 nomes
+    # over [1e-300, 1) at the modes j <= 4000
+    rng = np.random.default_rng(27)
+    qs = np.concatenate([10.0 ** -rng.uniform(0.0, 300.0, 1000),
+                         rng.uniform(0.0, 1.0, 1000),
+                         1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 1000)])
+    j = np.arange(-1, 4001)
+    for q in qs.tolist():
+        if 0.0 < q < 1.0:
+            assert np.array_equal(dl.OddModeProfile(q).coeffs(j),
+                                  _odd_mode_coeffs_reference(q, j))
+
+
+def test_sections_and_s_alpha_read_one_kernel():
+    # s_alpha is the l1 sum of column n = 1 of C: 1 + sum of the section
+    # coefficients c_j(1) over the odd 3 <= j <= 2 terms - 1. The powers
+    # j^alpha are taken in Python on one side and by numpy on the other,
+    # and the sums run in different orders, so they agree to rounding
+    rng = np.random.default_rng(2027)
+    worst = 0.0
+    for _ in range(2000):
+        q = float(10.0 ** -rng.uniform(0.0, 6.0)) if rng.random() < 0.3 \
+            else float(rng.uniform(0.0, 0.99))
+        alpha, terms = float(rng.uniform(0.0, 4.0)), int(rng.integers(1, 600))
+        column = gp.cj_rule(q, alpha)(np.arange(3, 2 * terms, 2), 1)
+        total = 1.0 + float(column.sum())
+        want = gp.s_alpha(q, alpha, terms).value
+        worst = max(worst, abs(total - want) / want)
+    assert worst <= 16 * np.finfo(float).eps

@@ -507,6 +507,57 @@ def test_batched_mode_sums_one_row_per_block_at_large_terms():
         _s_alpha_reference(q, 0.5, 10 ** 5) for q in qs]
 
 
+def _mode_sums_reference(qs, alpha, terms):
+    """_mode_sums as spelled before the odd-mode kernel: the summands of
+    each block written out, with the weights built here."""
+    l = np.arange(terms, dtype=float)
+    odd = 2.0 * l + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = odd ** alpha
+    lqs = [log_nome(q) for q in qs]
+    rows = max(1, gp._BLOCK_ELEMENTS // max(terms, 1))
+    sums = np.empty(len(qs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(qs), rows):
+            lq = gp._column(lqs[i:i + rows])
+            summand = np.multiply(l, lq)
+            np.exp(summand, out=summand)
+            np.multiply(w, summand, out=summand)
+            summand *= gp._column([1.0 - q for q in qs[i:i + rows]])
+            denominator = np.multiply(odd, lq)
+            np.expm1(denominator, out=denominator)
+            np.negative(denominator, out=denominator)
+            summand /= denominator
+            sums[i:i + rows] = summand.sum(axis=-1)
+    return sums
+
+
+def test_mode_sums_are_the_old_blocked_loop_bit_for_bit():
+    # 2000 sums in batches of 1-40 nomes, q over (0, 1), alpha in
+    # [0, 4], up to 3000 terms: blocks of one row and of many
+    rng = np.random.default_rng(26)
+    count = 0
+    while count < 2000:
+        size = int(rng.integers(1, 41))
+        qs = [float(q) for q in np.where(
+            rng.random(size) < 0.3, 10.0 ** -rng.uniform(0.0, 300.0, size),
+            rng.uniform(0.0, 1.0, size)) if 0.0 < q < 1.0]
+        alpha, terms = float(rng.uniform(0.0, 4.0)), int(rng.integers(1, 3001))
+        assert np.array_equal(gp._mode_sums(qs, alpha, terms),
+                              _mode_sums_reference(qs, alpha, terms))
+        count += len(qs)
+
+
+def test_mode_weights_are_kept_and_read_only():
+    l, w = gp._mode_weights(0.5, 10)
+    assert gp._mode_weights(0.5, 10)[1] is w
+    assert not l.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    assert np.array_equal(l, np.arange(10.0))
+    assert np.array_equal(w, (2.0 * np.arange(10.0) + 1.0) ** 0.5)
+
+
 def _count_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = gp._mode_sums
@@ -837,6 +888,21 @@ def test_eigenfunction_matches_amplitude():
         K, _ = gp.complete_elliptic(mu)
         assert np.abs(u).max() == pytest.approx(2 ** 1.5 * n * mu * K,
                                                 rel=1e-6)
+
+
+def test_eigenfunction_at_a_nome_that_underflows():
+    # below mu ~ 1e-161 the nome underflows to 0.0, and log q used to
+    # end in "math domain error"; the amplitude is still 2^{3/2} n mu K
+    x = np.linspace(0.0, 1.0, 1001)
+    for n in (1, 3):
+        u = gp.eigenfunction(n, 1e-300, x)
+        K, _ = gp.complete_elliptic(1e-300)
+        assert gp.nome(1e-300) == 0.0
+        assert np.abs(u).max() == pytest.approx(2 ** 1.5 * n * 1e-300 * K,
+                                                rel=1e-6)
+        assert u[0] == 0.0 and u[-1] == 0.0
+    u = gp.eigenfunction(1, 5e-324, x)
+    assert np.isfinite(u).all() and np.abs(u).max() < 1e-322
 
 
 def test_eigenfunction_ode_residual_second_differences():
