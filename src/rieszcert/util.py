@@ -32,14 +32,13 @@ def sin_pi(x):
 
 
 def log_nome(q: float) -> float:
-    """log q for a nome q in (0, 1).
+    """log q for a nome q in (0, 1), to a few ulps relative.
 
-    Computed as log1p(-(1 - q)), which keeps the digits of 1 - q as q
-    approaches 1. Below about 5.6e-17, 1 - q rounds to 1 and log1p(-1)
-    is a domain error; there q is far from 1 and log q is exact enough.
+    log1p(q - 1) from q = 1/2 up, where q - 1 is exact, so the digits
+    of 1 - q are kept as q approaches 1; log(q) below, where rounding
+    1 - q first would cost about eps / q relative in log q.
     """
-    t = 1.0 - q
-    return math.log1p(-t) if t < 1.0 else math.log(q)
+    return math.log1p(q - 1.0) if q >= 0.5 else math.log(q)
 
 
 def golden_min(f, a: float, b: float):

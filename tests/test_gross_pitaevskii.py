@@ -406,7 +406,7 @@ def test_threshold_solvers_pinned():
 SOLVER_ERRORS = {
     60.0: ((BracketFailure,
             "no sign change on [1e-09, 0.999999999]: "
-            "f(lo)=1.3772232109281203e+24, f(hi)=8.328418562408979e+177"),
+            "f(lo)=1.3772233032974997e+24, f(hi)=8.328418562408979e+177"),
            (BracketFailure, "r1: no sign change on [1e-09, 0.999999999]"),
            (BracketFailure, "no subinterval with (a, b) in G_2")),
     150.0: ((RieszcertError, "s_alpha overflows the float range at "
@@ -459,8 +459,8 @@ def test_threshold_row_log_records_pinned(caplog):
 
 def _s_alpha_reference(q, alpha, terms):
     """The one-q partial sum, spelled as s_alpha spelled it before the
-    kernel was batched."""
-    lq = math.log1p(-(1.0 - q))
+    kernel was batched, with log q as log_nome takes it."""
+    lq = math.log1p(q - 1.0) if q >= 0.5 else math.log(q)
     l = np.arange(terms, dtype=float)
     odd = 2.0 * l + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -470,11 +470,11 @@ def _s_alpha_reference(q, alpha, terms):
 
 
 def test_log_nome_bit_identical_and_defined_for_tiny_q():
-    # log1p(-(1 - q)) wherever 1 - q < 1, bit for bit; log q below
-    # about 5.6e-17, where that spelling is a domain error
+    # the old spelling log1p(-(1 - q)) bit for bit from q = 1/2 up, where
+    # 1 - q is exact; below, it rounded 1 - q first and lost about
+    # eps / q relative, and below about 5.6e-17 it was a domain error
     rng = np.random.default_rng(11)
-    for q in [*rng.uniform(0.0, 1.0, 200), *10.0 ** -rng.uniform(0, 16, 200),
-              1.0 - 2.0 ** -53, 2.0 ** -53, 1.2e-16, 6e-17]:
+    for q in [*rng.uniform(0.5, 1.0, 200), 0.5, 1.0 - 2.0 ** -53]:
         assert log_nome(q) == math.log1p(-(1.0 - q))
     for q in (5.5e-17, 1e-17, 1e-100, 2.2250738585072014e-308, 5e-324):
         assert 1.0 - q == 1.0 and log_nome(q) == math.log(q)
@@ -485,6 +485,33 @@ def test_log_nome_bit_identical_and_defined_for_tiny_q():
         1e-17, rel=1e-13)
     assert gp.structured_weight(1e-17, 0.0, 3, 2) == pytest.approx(
         1e-68, rel=1e-13)
+
+
+def test_log_nome_and_weights_against_50_digits():
+    # log q to 1 eps relative, and the weights w_k = f_hat_q(p^k) at
+    # alpha = 0 to (|l log q| + 4) eps with l = (p^k - 1)/2, over q in
+    # [1e-300, 1); at q = 1e-15 the old log q had put b off by 3.2e-3
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(27)
+    qs = np.concatenate([10.0 ** -rng.uniform(0.0, 300.0, 1500),
+                         rng.uniform(0.0, 1.0, 1500),
+                         1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 500)])
+    with mpmath.workdps(50):
+        for q in qs.tolist():
+            if not 0.0 < q < 1.0:
+                continue
+            exact = mpmath.log(q)
+            assert abs(log_nome(q) - exact) <= eps * abs(exact)
+            for k in (1, 2):
+                m = 3 ** k
+                want = (1 - mpmath.mpf(q)) * mpmath.mpf(q) ** ((m - 1) // 2) \
+                    / (1 - mpmath.mpf(q) ** m)
+                if want < 1e-300:
+                    continue
+                got = gp.structured_weight(q, 0.0, 3, k)
+                bound = (abs((m - 1) // 2 * float(exact)) + 4) * eps
+                assert abs(got - want) <= bound * want
 
 
 @pytest.mark.parametrize("terms", [1, 300, 500, 2000, 3000])
