@@ -53,10 +53,11 @@ _BLOCK_ELEMENTS = 32768
 # ---------------------------------------------------------------------------
 # elliptic kernel
 
-def _ke_from_moduli(k: float, kp: float) -> tuple:
-    """K and E from the modulus pair (k, k') by the arithmetic-geometric
-    mean, K = pi / (2 agm(1, k')) and E = K (1 - sum 2^{n-1} c_n^2) with
-    c_0 = k and c_{n+1} = (a_n - b_n)/2.
+def _k_and_csum(k: float, kp: float) -> tuple:
+    """K and sum 2^{n-1} c_n^2 from the modulus pair (k, k') by the
+    arithmetic-geometric mean: K = pi / (2 agm(1, k')), with c_0 = k and
+    c_{n+1} = (a_n - b_n)/2, and E = K (1 - sum), so K - E = K sum
+    without cancellation.
 
     The loop stops as soon as c falls below the relative noise floor;
     iterating past that point would keep doubling the 2^{n-1} weights on
@@ -71,8 +72,7 @@ def _ke_from_moduli(k: float, kp: float) -> tuple:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         weight *= 2.0
         csum += 0.5 * weight * c * c
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
+    return math.pi / (2.0 * a), csum
 
 
 def complete_elliptic(mu: float) -> tuple:
@@ -80,8 +80,8 @@ def complete_elliptic(mu: float) -> tuple:
     [0, 1), to close to machine precision."""
     if not 0.0 <= mu < 1.0:
         raise ModulusOutOfRange(f"modulus {mu} outside [0, 1)")
-    kp = math.sqrt((1.0 - mu) * (1.0 + mu))
-    return _ke_from_moduli(mu, kp)
+    K, csum = _k_and_csum(mu, math.sqrt((1.0 - mu) * (1.0 + mu)))
+    return K, K * (1.0 - csum)
 
 
 def _log_nome_of(mu: float) -> float:
@@ -92,8 +92,8 @@ def _log_nome_of(mu: float) -> float:
     kp = math.sqrt((1.0 - mu) * (1.0 + mu))
     # evaluate both integrals from the same (k, k') pair; going through
     # complete_elliptic would lose mu' to rounding for tiny mu
-    K, _ = _ke_from_moduli(mu, kp)
-    Kp, _ = _ke_from_moduli(kp, mu)
+    K, _ = _k_and_csum(mu, kp)
+    Kp, _ = _k_and_csum(kp, mu)
     return -math.pi * Kp / K
 
 
@@ -128,19 +128,17 @@ def _thetas(r: float) -> tuple:
     return t2, t3, t4
 
 
-def _ke_at_nome(r: float) -> tuple:
-    """(K, E) at the modulus whose nome is r, going through the theta
-    quotients k = (theta2/theta3)^2 and k' = (theta4/theta3)^2. This
-    stays accurate where the modulus itself would round to 1."""
-    t2, t3, t4 = _thetas(r)
-    return _ke_from_moduli((t2 / t3) ** 2, (t4 / t3) ** 2)
-
-
 def lambert_kernel_elliptic(r: float) -> float:
     """Closed form K (K - E) / (2 pi^2), at the modulus with nome r, for
-    the weighted series sum_n n r^n / (1 - r^{2n})."""
-    K, E = _ke_at_nome(r)
-    return K * (K - E) / (2.0 * math.pi ** 2)
+    the weighted series sum_n n r^n / (1 - r^{2n}).
+
+    The modulus comes from the theta quotients k = (theta2/theta3)^2 and
+    k' = (theta4/theta3)^2, which stay accurate where the modulus itself
+    would round to 1, and K - E from :func:`_k_and_csum`, which stays
+    accurate where E rounds to K (r below about 1e-16)."""
+    t2, t3, t4 = _thetas(r)
+    K, csum = _k_and_csum((t2 / t3) ** 2, (t4 / t3) ** 2)
+    return K * (K * csum) / (2.0 * math.pi ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,9 @@ def s_alpha_lambert(q: float, alpha: float) -> float:
 
     with f(n) = n^alpha and g(n) = (2n)^alpha, each truncated after
     ``LAMBERT_TERMS`` terms. Splitting each series into even and odd
-    parts shows this reproduces the odd-mode sum.
+    parts shows this reproduces the odd-mode sum. Where q^2 underflows
+    (q below about 1.5e-154) the L_g(q^2) term is dropped: its part of
+    the result is about 2^alpha q^{3/2}.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
@@ -273,8 +273,9 @@ def s_alpha_lambert(q: float, alpha: float) -> float:
     sq = math.sqrt(q)
     val = (lambert_series(f, sq, LAMBERT_TERMS).value
            - lambert_series(f, q, LAMBERT_TERMS).value
-           - lambert_series(g, q, LAMBERT_TERMS).value
-           + lambert_series(g, q * q, LAMBERT_TERMS).value)
+           - lambert_series(g, q, LAMBERT_TERMS).value)
+    if q * q > 0.0:
+        val += lambert_series(g, q * q, LAMBERT_TERMS).value
     return (1.0 - q) / sq * val
 
 

@@ -163,6 +163,21 @@ def test_s1_elliptic_agreement():
                    - gp.s_alpha(q, 1.0, 3000).value) < 1e-8
 
 
+def test_closed_forms_of_s_alpha_at_tiny_q():
+    # K - E as K sum 2^{n-1} c_n^2 keeps s1_elliptic from cancelling to
+    # 0.0 below q ~ 1e-40; s_alpha_lambert drops L_g(q^2) where q^2
+    # underflows instead of refusing r = 0
+    rng = np.random.default_rng(31)
+    qs = [*10.0 ** -rng.uniform(0.0, 300.0, 40), 0.6, 1e-16, 1e-40,
+          1.5e-154, 1e-160, 1e-300]
+    for q in (float(q) for q in qs if q <= 0.6):
+        want = gp.s_alpha(q, 1.0, 3000).value
+        assert abs(gp.s1_elliptic(q) - want) <= 1e-13 * want
+        for alpha in (0.0, 1.0, 2.5):
+            want = gp.s_alpha(q, alpha, 3000).value
+            assert abs(gp.s_alpha_lambert(q, alpha) - want) <= 1e-13 * want
+
+
 def test_lambert_kernel_identity_at_self_complementary_nome():
     K, E = gp.complete_elliptic(1 / math.sqrt(2))
     want = K * (K - E) / (2 * math.pi ** 2)
