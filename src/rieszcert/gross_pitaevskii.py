@@ -35,7 +35,8 @@ log = logging.getLogger(__name__)
 DEFAULT_TERMS = 500
 BISECTION_TOL = 1e-9
 LAMBERT_TERMS = 2000
-# s_alpha holds about 36 bytes per term: 1e6 terms take ~40 ms and ~35 MB
+# s_alpha holds about 40 bytes per term, 16 of them in the cached q-free
+# factors it keeps after returning: 1e6 terms take ~40 ms and ~40 MB
 MAX_TERMS = 10 ** 6
 # degree * ln p at or above this makes the mode p^degree overflow a float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
