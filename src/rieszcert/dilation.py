@@ -71,18 +71,19 @@ class OddModeProfile:
         j = np.asarray(j)
         out = np.zeros(j.shape)
         odd = (j >= 1) & (j % 2 == 1)
+        modes = j[odd]
         out[odd] = odd_modes(log_nome(self.q), 1.0 - self.q,
-                             (j[odd] - 1) // 2)
+                             (modes - 1) // 2, modes)
         return out
 
 
-def odd_modes(lq, one_minus_q, l: np.ndarray,
+def odd_modes(lq, one_minus_q, l: np.ndarray, modes: np.ndarray,
               weights: np.ndarray | None = None) -> np.ndarray:
     """w e^{l lq} (1-q) / (-expm1((2l+1) lq)), that is w f_hat_q(2l+1)
-    of :class:`OddModeProfile` at lq = log q, for an int or float array
-    l. ``lq`` and ``one_minus_q`` are floats, or columns against l that
-    give one row per nome; ``weights`` w multiplies each term (and is
-    skipped when None).
+    of :class:`OddModeProfile` at lq = log q, for int or float arrays l
+    and ``modes`` = 2l+1. ``lq`` and ``one_minus_q`` are floats, or
+    columns against l that give one row per nome; ``weights`` w
+    multiplies each term (and is skipped when None).
 
     Each operation runs in the order written, in place in two
     temporaries, so a row equals the one-nome call bit for bit. The
@@ -95,7 +96,7 @@ def odd_modes(lq, one_minus_q, l: np.ndarray,
     if weights is not None:
         np.multiply(weights, out, out=out)
     out *= one_minus_q
-    denominator = np.multiply(2.0 * l + 1.0, lq)
+    denominator = np.multiply(modes, lq)
     np.expm1(denominator, out=denominator)
     np.negative(denominator, out=denominator)
     out /= denominator

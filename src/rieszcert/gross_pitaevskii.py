@@ -35,7 +35,7 @@ log = logging.getLogger(__name__)
 DEFAULT_TERMS = 500
 BISECTION_TOL = 1e-9
 LAMBERT_TERMS = 2000
-# s_alpha holds about 40 bytes per term, 16 of them in the cached q-free
+# s_alpha holds about 40 bytes per term, 24 of them in the cached q-free
 # factors it keeps after returning: 1e6 terms take ~40 ms and ~40 MB
 MAX_TERMS = 10 ** 6
 # degree * ln p at or above this makes the mode p^degree overflow a float
@@ -155,14 +155,16 @@ class SeriesValue:
 
 @functools.lru_cache(maxsize=1)
 def _mode_weights(alpha: float, terms: int) -> tuple:
-    """(l, (2l+1)^alpha) for l < ``terms``: the q-free factors of the
-    mode sum, read-only. The last result is kept, so the solvers of one
-    threshold row build them once."""
+    """(l, 2l+1, (2l+1)^alpha) for l < ``terms``: the q-free factors of
+    the mode sum, read-only. The last result is kept, so the solvers of
+    one threshold row build them once."""
     l = np.arange(terms, dtype=float)
+    modes = 2.0 * l + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (2.0 * l + 1.0) ** alpha
-    l.flags.writeable = w.flags.writeable = False
-    return l, w
+        w = modes ** alpha
+    for factor in (l, modes, w):
+        factor.flags.writeable = False
+    return l, modes, w
 
 
 def _column(xs: list):
@@ -182,7 +184,7 @@ def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
     ``_BLOCK_ELEMENTS`` summands (one row at least), so a batch needs
     no more memory than one q does at large ``terms``.
     """
-    l, w = _mode_weights(alpha, terms)
+    l, modes, w = _mode_weights(alpha, terms)
     lqs = [log_nome(q) for q in qs]
     rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
     sums = np.empty(len(qs))
@@ -190,7 +192,7 @@ def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
         for i in range(0, len(qs), rows):
             summands = odd_modes(_column(lqs[i:i + rows]),
                                  _column([1.0 - q for q in qs[i:i + rows]]),
-                                 l, w)
+                                 l, modes, w)
             sums[i:i + rows] = summands.sum(axis=-1)
     return sums
 
@@ -762,11 +764,12 @@ def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:
     one_minus_q = -math.expm1(lq)
     terms = max(24, min(100000, int(-41.5 / lq) + 1))
     l = np.arange(terms, dtype=float)
+    modes = 2.0 * l + 1.0
     amplitude = 2.0 ** 2.5 * math.pi * n * math.exp(0.5 * lq) / one_minus_q
-    coeff = amplitude * odd_modes(lq, one_minus_q, l)
+    coeff = amplitude * odd_modes(lq, one_minus_q, l, modes)
     x = np.asarray(x_grid, dtype=float)
     out = (coeff[None, :]
-           * sin_pi((2.0 * l[None, :] + 1.0) * n * x.reshape(-1, 1))).sum(axis=1)
+           * sin_pi(modes[None, :] * n * x.reshape(-1, 1))).sum(axis=1)
     return out.reshape(x.shape) if x.shape else float(out[0])
 
 

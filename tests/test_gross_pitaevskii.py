@@ -591,13 +591,15 @@ def test_mode_sums_are_the_old_blocked_loop_bit_for_bit():
 
 
 def test_mode_weights_are_kept_and_read_only():
-    l, w = gp._mode_weights(0.5, 10)
-    assert gp._mode_weights(0.5, 10)[1] is w
-    assert not l.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0] = 2.0
+    l, modes, w = gp._mode_weights(0.5, 10)
+    assert gp._mode_weights(0.5, 10)[2] is w
+    for factor in (l, modes, w):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 2.0
     assert np.array_equal(l, np.arange(10.0))
-    assert np.array_equal(w, (2.0 * np.arange(10.0) + 1.0) ** 0.5)
+    assert np.array_equal(modes, 2.0 * np.arange(10.0) + 1.0)
+    assert np.array_equal(w, modes ** 0.5)
 
 
 def _count_kernel_calls(monkeypatch) -> list:
