@@ -765,7 +765,10 @@ def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:
     terms = max(24, min(100000, int(-41.5 / lq) + 1))
     l = np.arange(terms, dtype=float)
     modes = 2.0 * l + 1.0
-    amplitude = 2.0 ** 2.5 * math.pi * n * math.exp(0.5 * lq) / one_minus_q
+    # the factor 2^{5/2} pi n goes into the exponent: e^{lq/2} alone
+    # underflows to 0 below mu ~ 2e-323, where A_n is still subnormal
+    amplitude = (math.exp(0.5 * lq + math.log(2.0 ** 2.5 * math.pi * n))
+                 / one_minus_q)
     coeff = amplitude * odd_modes(lq, one_minus_q, l, modes)
     x = np.asarray(x_grid, dtype=float)
     out = (coeff[None, :]

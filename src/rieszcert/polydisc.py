@@ -15,6 +15,7 @@ Schur-Cohn Hermitian form.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -82,6 +83,15 @@ def ptak_young(betas: Sequence[complex]) -> PtakYoungMatrix:
             Y[j, k] = s[j] * prod * s[k]
             prod *= -bs[k].conjugate()
     return PtakYoungMatrix(bs, Y)
+
+
+@functools.lru_cache(maxsize=16)
+def _default_ptak_young(d: int) -> PtakYoungMatrix:
+    """ptak_young((DEFAULT_BETA,) * d), built once per d and shared, so
+    its matrix is read-only."""
+    Y = ptak_young((DEFAULT_BETA,) * d)
+    Y.matrix.setflags(write=False)
+    return Y
 
 
 def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
@@ -158,13 +168,20 @@ def _deflated_degree(pol: polyform.Polynomial) -> int:
     return d
 
 
-def _matrix_poly(asc_coeffs: Sequence[complex], M: np.ndarray) -> np.ndarray:
-    """Horner evaluation of a scalar polynomial at a square matrix."""
+def _matrix_poly(asc_coeffs, M: np.ndarray) -> np.ndarray:
+    """Horner evaluation of a scalar polynomial at a square matrix.
+
+    Coefficients in rows, of the same length, give a stack of values
+    from one pass: each step takes ``acc @ M`` for the whole stack and
+    adds each row's coefficient times I to its layer, so every layer is
+    rounded as the polynomial alone would be.
+    """
+    c = np.asarray(asc_coeffs, dtype=complex)
     d = M.shape[0]
-    acc = np.zeros((d, d), dtype=complex)
+    acc = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
     eye = np.eye(d)
-    for c in reversed(list(asc_coeffs)):
-        acc = acc @ M + complex(c) * eye
+    for k in range(c.shape[-1] - 1, -1, -1):
+        acc = acc @ M + c[..., k, None, None] * eye
     return acc
 
 
@@ -176,6 +193,8 @@ def schur_cohn_form(coeffs: Sequence[complex],
     P(z) = z^d + c_1 z^{d-1} + ... + c_d; Q is the conjugate polynomial.
     Positive definiteness for one (hence every) Ptak-Young matrix Y
     characterises membership of (c_1, ..., c_d) in G_d.
+
+    P(Y) and Q(Y) come from one Horner pass on a (2, d, d) stack.
     """
     cs = [complex(c) for c in coeffs]
     d = len(cs)
@@ -183,8 +202,7 @@ def schur_cohn_form(coeffs: Sequence[complex],
         raise DimensionMismatch(f"Y is {Y.dim}x{Y.dim}, coefficients give d={d}")
     p_asc = list(reversed(cs)) + [1.0]
     q_asc = [1.0] + [c.conjugate() for c in cs]
-    P = _matrix_poly(p_asc, Y.matrix)
-    Q = _matrix_poly(q_asc, Y.matrix)
+    P, Q = _matrix_poly([p_asc, q_asc], Y.matrix)
     H = Q.conj().T @ Q - P.conj().T @ P
     return 0.5 * (H + H.conj().T)
 
@@ -198,12 +216,13 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     The coefficients of alpha(z) = 1 + sum a_k z^k are converted to the
     monic convention via the conjugate-polynomial correspondence
     (c_k = conj(a_k)); the margin is the smallest eigenvalue of the
-    Schur-Cohn Hermitian form.
+    Schur-Cohn Hermitian form. Without ``betas`` every beta_j is
+    ``DEFAULT_BETA``, and that matrix is built once per d.
     """
     a = [complex(c) for c in coeffs]
     # beta = 0 is forbidden by the spectrum-plus-defect definition (the
     # nilpotent Jordan block), so a fixed nonzero default is used.
-    Y = ptak_young((DEFAULT_BETA,) * len(a) if betas is None else betas)
+    Y = _default_ptak_young(len(a)) if betas is None else ptak_young(betas)
     H = schur_cohn_form([c.conjugate() for c in a], Y)
     margin = float(np.linalg.eigvalsh(H)[0])
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,

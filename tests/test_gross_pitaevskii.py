@@ -949,6 +949,17 @@ def test_eigenfunction_at_a_nome_that_underflows():
     assert np.isfinite(u).all() and np.abs(u).max() < 1e-322
 
 
+def test_eigenfunction_amplitude_at_the_smallest_modulus():
+    # at mu = 5e-324, e^{lq/2} = e^{-745.8} underflows on its own, and u
+    # came out all zeros; with 2^{5/2} pi n in the exponent the peak is
+    # the subnormal 2^{3/2} mu K(mu)
+    x = np.linspace(0.0, 1.0, 1001)
+    u = gp.eigenfunction(1, 5e-324, x)
+    K, _ = gp.complete_elliptic(5e-324)
+    assert np.abs(u).max() > 0.0
+    assert abs(np.abs(u).max() - 2 ** 1.5 * 5e-324 * K) <= 1e-323
+
+
 def test_eigenfunction_ode_residual_second_differences():
     # plain 3-point second differences at h = 1e-3 for the fundamental
     # mode at mu = 0.5

@@ -5,14 +5,38 @@ import math
 import numpy as np
 import pytest
 
+from rieszcert import cli
 from rieszcert import polydisc as pd
-from rieszcert.errors import (DimensionMismatch, InvalidBeta, NotInPolydisc,
-                              PoleAtZ)
+from rieszcert import polyform as pf
+from rieszcert.errors import (DimensionMismatch, InvalidBeta, NonConvergence,
+                              NotInPolydisc, PoleAtZ)
 
 
 def _random_disc(rng, d, radius=0.95):
     r = radius * np.sqrt(rng.uniform(0, 1, d))
     return r * np.exp(2j * np.pi * rng.uniform(0, 1, d))
+
+
+def _boundary_coeffs(rng, d):
+    """(a_1, ..., a_d) of 1 + sum a_k z^k with one root at modulus
+    1 +- eps, eps log-uniform in [1e-9, 1e-2], and the others anywhere
+    in the annulus 0.3 <= |z| <= 3."""
+    eps = 10.0 ** rng.uniform(-9.0, -2.0)
+    mods = [1.0 + (eps if rng.random() < 0.5 else -eps)]
+    mods += list(rng.uniform(0.3, 3.0, d - 1))
+    asc = np.poly(np.asarray(mods) * np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+    asc = asc[::-1] / asc[-1]
+    return [complex(x) for x in asc[1:]]
+
+
+def _membership_draw(rng, i):
+    """Draw i of the membership mix: every 8th near the boundary of
+    G_d, the others from ``appendix-verify`` (uniform in [-2, 2]^2,
+    clipped to modulus 2), at d = 2..8."""
+    d = 2 + i % 7
+    if i % 8 == 7:
+        return _boundary_coeffs(rng, d)
+    return [complex(x) for x in cli._random_coeffs(rng, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +163,126 @@ def test_root_oracle_indeterminate_near_a_double_root():
     assert cert.verdict == "boundary-indeterminate"
     # a simple root at the same distance stays decisive
     assert not pd.in_polydisc_roots((1.0 / r,)).indeterminate
+
+
+def test_roots_match_mpmath_polyroots():
+    # every computed root of 1 + sum a_k z^k lies within
+    # max(1e-11 max(1, |z|), d |p(z) / p'(z)|) of a 50-digit root, and
+    # every 50-digit root within that radius of a computed root
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(30)
+    for d in range(2, 9):
+        for draw in range(24):
+            coeffs = [1.0 + 0j] + (
+                _boundary_coeffs(rng, d) if draw % 2
+                else [complex(x) for x in cli._random_coeffs(rng, d)])
+            got = pf.roots(coeffs).roots
+            with mpmath.workdps(50):
+                desc = [mpmath.mpc(c) for c in reversed(coeffs)]
+                want = mpmath.polyroots(desc, maxsteps=200, extraprec=100)
+                radii = []
+                for z in got:
+                    pz = mpmath.polyval(desc, mpmath.mpc(z), derivative=True)
+                    newton = float(d * abs(pz[0] / pz[1]))
+                    radii.append(max(1e-11 * max(1.0, abs(z)), newton))
+                dist = [[float(abs(w - mpmath.mpc(z))) for w in want]
+                        for z in got]
+            for i in range(d):
+                assert min(dist[i]) <= radii[i], (coeffs, got[i])
+                assert min(dist[k][i] - radii[k] for k in range(d)) <= 0.0
+
+
+def _numpy_roots(p):
+    """The Aberth iteration of :func:`polyform.roots` spelled with numpy
+    arrays and ``np.polyval``, a reference for the scalar one (without
+    the zero-root split and the linear start, which no draw here needs)."""
+    pol = pf.as_poly(p)
+    d = pol.degree
+    c = np.asarray(pol.coeffs, dtype=complex)
+    dc = c[1:] * np.arange(1, d + 1)
+    crev, dcrev = c[::-1], dc[::-1]
+    cabs = np.abs(crev)
+    z = pf._initial_points(c)
+    converged = False
+    for _ in range(pf.ROOT_MAX_ITER):
+        pv = np.polyval(crev, z)
+        major = np.polyval(cabs, np.abs(z))
+        if float((np.abs(pv) / major).max()) <= pf.ROOT_TOL:
+            converged = True
+            break
+        dv = np.polyval(dcrev, z)
+        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
+        w = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        s = (1.0 / diff).sum(axis=1) - 1.0
+        denom = 1.0 - w * s
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        corr = w / denom
+        z = z - corr
+        if bool((np.abs(corr) <= pf.ROOT_TOL * (1.0 + np.abs(z))).all()):
+            converged = True
+            break
+    residual = float((np.abs(np.polyval(crev, z))
+                      / np.polyval(cabs, np.abs(z))).max())
+    if not converged and residual > pf.ROOT_TOL:
+        raise NonConvergence("no convergence")
+    return pf.RootSet(tuple(complex(r) for r in z), residual)
+
+
+def test_membership_matches_the_numpy_iteration(monkeypatch):
+    # the same verdict, and min |root| to 1e-12 relative, as the numpy
+    # iteration on 10^4 draws of the membership mix; every draw here has
+    # a nonzero constant term and finite roots
+    rng = np.random.default_rng(2030)
+    draws = [_membership_draw(rng, i) for i in range(10_000)]
+    scalar = [pd.membership_certificate(c) for c in draws]
+    monkeypatch.setattr(pd.polyform, "roots", _numpy_roots)
+    for coeffs, new in zip(draws, scalar):
+        old = pd.membership_certificate(coeffs)
+        assert new.verdict == old.verdict, coeffs
+        got, want = (1.0 + c.margins["root_margin"] for c in (new, old))
+        assert abs(got - want) <= 1e-12 * want, coeffs
+        assert (new.margins["schur_cohn_margin"]
+                == old.margins["schur_cohn_margin"])
+
+
+def _two_pass_form(coeffs, Y):
+    """:func:`schur_cohn_form` as two separate Horner passes, one matrix
+    at a time."""
+    cs = [complex(c) for c in coeffs]
+    eye = np.eye(len(cs))
+
+    def horner(asc):
+        acc = np.zeros_like(eye, dtype=complex)
+        for c in reversed(asc):
+            acc = acc @ Y.matrix + complex(c) * eye
+        return acc
+
+    P = horner(list(reversed(cs)) + [1.0])
+    Q = horner([1.0] + [c.conjugate() for c in cs])
+    H = Q.conj().T @ Q - P.conj().T @ P
+    return 0.5 * (H + H.conj().T)
+
+
+def test_schur_cohn_form_matches_the_two_pass_horner():
+    rng = np.random.default_rng(2031)
+    for i in range(2000):
+        coeffs = [c.conjugate() for c in _membership_draw(rng, i)]
+        d = len(coeffs)
+        Y = (pd._default_ptak_young(d) if i % 2
+             else pd.ptak_young(_random_disc(rng, d, 0.9)))
+        got = pd.schur_cohn_form(coeffs, Y)
+        assert got.tobytes() == _two_pass_form(coeffs, Y).tobytes()
+
+
+def test_default_ptak_young_is_built_once_and_read_only():
+    Y = pd._default_ptak_young(4)
+    assert pd._default_ptak_young(4) is Y
+    assert Y.matrix.tobytes() == pd.ptak_young((pd.DEFAULT_BETA,) * 4
+                                               ).matrix.tobytes()
+    with pytest.raises(ValueError):
+        Y.matrix[0, 0] = 0.0
 
 
 def test_schur_cohn_scalar_values():

@@ -74,6 +74,26 @@ def test_roots_linear_and_tiny_leading_coefficients():
     assert [abs(r) for r in rts] == pytest.approx([1e160, 1e160], rel=1e-3)
 
 
+def test_roots_raise_nothing_at_a_coefficient_past_the_float_range():
+    # abs() of a Python complex past the float range raises
+    # OverflowError, where numpy's abs gave inf; the iteration takes inf
+    big = complex(1.5e308, 1.5e308)
+    with np.errstate(over="ignore"):   # numpy's abs in _initial_points
+        for coeffs in ([1, big], [1, 1, big], [big, 1, 1e-300]):
+            assert len(pf.roots(coeffs).roots) == len(coeffs) - 1
+
+
+def test_roots_make_no_numpy_polyval_call(monkeypatch):
+    # the iteration runs on Python complex scalars
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyval called")
+
+    monkeypatch.setattr(np, "polyval", refuse)
+    rts = sorted(pf.roots([-6, 11, -6, 1]).roots, key=lambda r: r.real)
+    assert rts == pytest.approx([1, 2, 3], abs=1e-12)
+    assert pf.roots([1, 1e-305]).roots == (-1e305 + 0j,)
+
+
 def test_elementary_symmetric_examples():
     l1, l2 = 0.3 + 0.1j, -0.7j
     assert pf.elementary_symmetric([l1, l2]) == [l1 + l2, l1 * l2]
