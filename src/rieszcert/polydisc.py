@@ -115,16 +115,16 @@ def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     # |z| >= 1 / w. Past the float range no root is representable, and
     # none lies in the disc (the constant polynomial included)
     d = pol.degree
-    w = 2.0 * max((abs(c / 2.0 if k == d else c) ** (1.0 / k)
+    w = 2.0 * max((polyform.modulus(c / 2.0 if k == d else c) ** (1.0 / k)
                    for k, c in enumerate(pol.coeffs[1:], start=1)),
                   default=0.0)
     if w * sys.float_info.max < 1.0:
         return MembershipVerdict(True, math.inf)
     k = _deflated_degree(pol)
-    z = min(polyform.roots(pol.coeffs[:k + 1]).roots, key=abs)
-    margin = abs(z) - 1.0
-    pz = abs(polyform.eval_poly(pol, z))
-    dz = abs(polyform.eval_poly(
+    z = min(polyform.roots(pol.coeffs[:k + 1]).roots, key=polyform.modulus)
+    margin = polyform.modulus(z) - 1.0
+    pz = polyform.modulus(polyform.eval_poly(pol, z))
+    dz = polyform.modulus(polyform.eval_poly(
         [k * c for k, c in enumerate(pol.coeffs)][1:], z))
     inclusion = 0.0 if pz == 0 else (pol.degree * pz / dz if dz else math.inf)
     # a NaN or infinite margin or inclusion radius decides nothing
@@ -152,8 +152,9 @@ def _deflated_degree(pol: polyform.Polynomial) -> int:
     |c_d| R below |c_k| / 2, which is checked first.
     """
     cs, d = pol.coeffs, pol.degree
-    # sum |c_i| >= |c_0| = 1: the quotient cannot overflow
-    r = (sys.float_info.max / sum(map(abs, cs))) ** (1.0 / d)
+    # sum |c_i| >= |c_0| = 1: the quotient cannot overflow; a modulus
+    # past the float range makes it 0, and no root is deflated
+    r = (sys.float_info.max / sum(map(polyform.modulus, cs))) ** (1.0 / d)
     if not (r >= 2.0 ** 53 and abs(cs[d]) * r < max(map(abs, cs[:d])) / 2.0):
         return d
     log_r = math.log(r)

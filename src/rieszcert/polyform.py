@@ -122,7 +122,7 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=complex)
 
 
-def _modulus(z: complex) -> float:
+def modulus(z: complex) -> float:
     """|z|, and inf where abs() raises OverflowError past the float
     range."""
     try:
@@ -172,9 +172,15 @@ def roots(p) -> RootSet:
         return RootSet((0j,) * zero_count + inner.roots, inner.residual)
 
     c = pol.coeffs
+    # a modulus past the float range makes the majorant inf and every
+    # relative residual 0 at the starting points; halving each
+    # coefficient keeps the roots and brings each modulus, at most
+    # sqrt(2) times its larger finite part, back in range
+    if any(modulus(ck) == math.inf for ck in c):
+        c = tuple(complex(0.5 * ck.real, 0.5 * ck.imag) for ck in c)
     desc = c[::-1]
     ddesc = [k * c[k] for k in range(d, 0, -1)]
-    cabs = [_modulus(ck) for ck in desc]
+    cabs = [modulus(ck) for ck in desc]
 
     def values(zs: list) -> tuple:
         """p at each of zs, and |p| relative to the majorant there."""
@@ -183,17 +189,17 @@ def roots(p) -> RootSet:
             pv = 0j
             for ck in desc:
                 pv = pv * zi + ck
-            az = _modulus(zi)
+            az = modulus(zi)
             major = 0.0
             for ak in cabs:
                 major = major * az + ak
             pvs.append(pv)
-            rel.append(_modulus(pv) / major)
+            rel.append(modulus(pv) / major)
         return pvs, rel
 
     # the iteration clamps |p'| to 1e-300, so it cannot move towards the
     # root of a linear p with |c_1| below that: such a p starts there
-    if d == 1 and _modulus(c[1]) < 1e-300:
+    if d == 1 and modulus(c[1]) < 1e-300:
         z = [-c[0] / c[1]]
     else:
         z = _initial_points(np.asarray(c, dtype=complex)).tolist()
@@ -221,16 +227,16 @@ def roots(p) -> RootSet:
             dv = 0j
             for ck in ddesc:
                 dv = dv * zi + ck
-            if _modulus(dv) < 1e-300:
+            if modulus(dv) < 1e-300:
                 dv = 1e-300 + 0j
             w = pvs[i] / dv
             denom = 1.0 - w * s[i]
-            if _modulus(denom) < 1e-300:
+            if modulus(denom) < 1e-300:
                 denom = 1e-300 + 0j
             corr.append(w / denom)
         z = [zi - ci for zi, ci in zip(z, corr)]
         rel = None      # the residuals were those of the previous z
-        if all(_modulus(ci) <= ROOT_TOL * (1.0 + _modulus(zi))
+        if all(modulus(ci) <= ROOT_TOL * (1.0 + modulus(zi))
                for zi, ci in zip(z, corr)):
             converged = True
             break

@@ -106,6 +106,23 @@ def test_root_oracle_roots_past_the_float_range():
     assert v.inside and v.margin == pytest.approx(1e160, rel=1e-3)
 
 
+def test_roots_of_a_coefficient_modulus_past_the_float_range():
+    # |c_1| = 2.1e308: the majorant sum |c_k| |z|^k was inf, so the
+    # starting point 9.2e-305 + 3.6e-305j passed with residual 0, and
+    # the Fujiwara bound of the root oracle raised OverflowError. The
+    # coefficients are halved, and the root is -1 / c_1
+    big = complex(1.5e308, 1.5e308)
+    (root,) = pf.roots([1, big]).roots
+    assert root == pytest.approx(complex(-0.5 / 1.5e308, 0.5 / 1.5e308),
+                                 rel=1e-11, abs=0.0)
+    for coeffs in ([big], [0.5, big]):
+        v = pd.in_polydisc_roots(coeffs)
+        assert (v.inside, v.indeterminate) == (False, False)
+        assert v.margin == pytest.approx(-1.0, abs=1e-300)
+    (root,) = pf.roots([1, 1e308]).roots
+    assert root == pytest.approx(-1e-308, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("coeffs, inside, indeterminate", [
     ([1.0, 1e-320], False, True),       # roots -1 and about -1e320
