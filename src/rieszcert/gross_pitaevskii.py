@@ -49,6 +49,10 @@ _Q_HI = 1.0 - 1e-9
 # summands the mode-sum kernel builds at once (256 kB of floats)
 _PRESCAN_POINTS = 64
 _BLOCK_ELEMENTS = 32768
+# the prescan encloses each grid point's mode sum from its first K
+# summands, widened by tau = c (terms + K) eps (see _enclosures)
+_ENCLOSURE_TERMS = 32
+_ENCLOSURE_ULPS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +157,12 @@ class SeriesValue:
     tail_bound: float
 
 
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=1)
 def _mode_weights(alpha: float, terms: int) -> tuple:
     """(l, 2l+1, (2l+1)^alpha) for l < ``terms``: the q-free factors of
@@ -162,9 +172,7 @@ def _mode_weights(alpha: float, terms: int) -> tuple:
     modes = 2.0 * l + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         w = modes ** alpha
-    for factor in (l, modes, w):
-        factor.flags.writeable = False
-    return l, modes, w
+    return _read_only(l, modes, w)
 
 
 def _column(xs: list):
@@ -229,6 +237,54 @@ def s_alpha(q: float, alpha: float,
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesValue(total, tail)
+
+
+def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
+                alpha: float, terms: int):
+    """Bounds (s_lo, s_hi) with s_lo <= s <= s_hi for the raw partial
+    sum s of :func:`_mode_sums` at each nome of ``q`` (log q and 1 - q
+    given alongside), from one kernel call on the first
+    K = ``_ENCLOSURE_TERMS`` summands; None where nothing is proven:
+    at alpha < 0, where the tail bound of :func:`s_alpha` fails, and
+    when a weight (2l+1)^alpha is infinite.
+
+    With S_K the sum of the first K summands and tail_K the tail bound
+    of :func:`s_alpha` after them, s_lo = S_K (1 - tau) and s_hi =
+    (S_K + tail_K) (1 + tau), with tau = ``_ENCLOSURE_ULPS`` (terms + K)
+    eps. tail_K takes its ratio times 1 + tau, so that the rounding of q
+    and log q cannot lower it, and is inf where that ratio reaches 1.
+    s_hi is also capped by the total of the weights times 1 + tau, as no
+    summand exceeds its weight, so an s_hi that is finite proves s
+    finite. Both sums use the same weights, so tau covers their other
+    roundings: terms + K ulps of summation, a few ulps per summand for
+    exp, expm1 and the products, and the rounding of l log q, which
+    costs summand l at most l |log q| ulps and, averaged over the
+    summands, at most alpha ln(2 terms - 1) + ln(terms) ulps, below
+    710 + ln(terms) while the weights are finite. Each sum is at least
+    its first summand, about 1. At terms <= K the block is the full sum
+    and s_lo = s_hi = s.
+    """
+    l, modes, w = _mode_weights(alpha, terms)
+    if not (alpha >= 0.0 and math.isfinite(w[-1])):
+        return None
+    k = min(terms, _ENCLOSURE_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = odd_modes(lq[:, None], one_minus_q[:, None], l[:k],
+                            modes[:k], w[:k]).sum(axis=-1)
+    if k == terms:
+        return partial, partial
+    tau = _ENCLOSURE_ULPS * (terms + k) * sys.float_info.epsilon
+    cap = float(w.sum()) * (1.0 + tau)
+    try:
+        first_omitted = (2.0 * k + 1.0) ** alpha
+        growth = ((2.0 * k + 3.0) / (2.0 * k + 1.0)) ** alpha * (1.0 + tau)
+    except OverflowError:
+        return partial * (1.0 - tau), np.full_like(partial, cap)
+    ratio = growth * q
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = first_omitted * np.exp(k * lq) / (1.0 - ratio)
+        s_hi = np.where(ratio < 1.0, (partial + tail) * (1.0 + tau), math.inf)
+    return partial * (1.0 - tau), np.minimum(s_hi, cap)
 
 
 def lambert_series(f: Callable[[int], float], r: float,
@@ -385,11 +441,19 @@ def structured_weight(q: float, alpha: float, p: int, k: int) -> float:
     """Weight w_k = p^{k alpha} f_hat_q(p^k) of the structured mode p^k:
     p^{k alpha} (1-q) q^{(m-1)/2} / (1 - q^m) with m = p^k. The
     threshold equations and :func:`certify_T1` call w_1 and w_2 a(q)
-    and b(q); :func:`certify_Td` keeps w_1 .. w_degree."""
+    and b(q); :func:`certify_Td` keeps w_1 .. w_degree. The threshold
+    prescans build it from the same factors (:func:`_grid_weights`)."""
     m = p ** k
     lq = log_nome(q)
-    return (float(p) ** (k * alpha) * (1.0 - q) * math.exp(0.5 * (m - 1) * lq)
-            / (-math.expm1(m * lq)))
+    scale = float(p) ** (k * alpha)
+    root, denominator = _weight_factors(lq, m)
+    return scale * (1.0 - q) * root / denominator
+
+
+def _weight_factors(lq: float, m: int) -> tuple:
+    """The q-dependent factors q^{(m-1)/2} and 1 - q^m of the weight at
+    the mode m, from lq = log q."""
+    return math.exp(0.5 * (m - 1) * lq), -math.expm1(m * lq)
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
@@ -407,35 +471,117 @@ def _prescan_grid(lo: float, hi: float) -> list:
 
 
 @functools.lru_cache(maxsize=32)
-def _prescan_sums(alpha: float, terms: int, lo: float, hi: float) -> tuple:
-    """Raw mode sums on the prescan grid of [lo, hi], one kernel call.
-
-    They depend on (alpha, terms, lo, hi) alone, so :func:`solve_r1`
-    and :func:`solve_r1_tilde` share them whenever the latter's bracket
-    did not shrink. The cache holds immutable tuples of floats, which
-    keeps the solvers pure and safe for concurrent use.
-    """
-    return tuple(_mode_sums(_prescan_grid(lo, hi), alpha, terms).tolist())
-
-
-def _single_sign_change(f, alpha: float, terms: int, lo: float, hi: float,
-                        label: str) -> tuple:
-    """First sign change of ``f(q, s)`` on the 64-point grid of
-    [lo, hi], with s the raw mode sum at q from :func:`_prescan_sums`;
-    f checks s for overflow itself. More than one sign change is
-    logged. Returns the bracket and f at its ends, (lo, hi, f(lo),
-    f(hi)), so that the bisection does not evaluate them again."""
+def _prescan_nomes(lo: float, hi: float) -> tuple:
+    """The prescan grid of [lo, hi] as a tuple of floats, and its q,
+    log q and 1 - q as read-only arrays."""
     qs = _prescan_grid(lo, hi)
-    vals = [f(q, s) for q, s in zip(qs, _prescan_sums(alpha, terms, lo, hi))]
-    changes = [i for i in range(_PRESCAN_POINTS - 1)
-               if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
+    return (tuple(qs), *_read_only(np.array(qs),
+                                   np.array([log_nome(q) for q in qs]),
+                                   np.array([1.0 - q for q in qs])))
+
+
+@functools.lru_cache(maxsize=32)
+def _prescan_factors(lo: float, hi: float, p: int) -> tuple:
+    """The alpha-free factors (q^{(m-1)/2}, 1 - q^m) of w_1 and w_2,
+    m = p and p^2, at each point of the prescan grid of [lo, hi], as
+    read-only arrays: every row of a threshold grid at this p shares
+    them, whatever its alpha."""
+    lqs = _prescan_nomes(lo, hi)[2].tolist()
+    factors = []
+    for m in (p, p * p):
+        roots, denominators = zip(*[_weight_factors(lq, m) for lq in lqs])
+        factors.append(_read_only(np.array(roots), np.array(denominators)))
+    return tuple(factors)
+
+
+def _grid_weights(lo: float, hi: float, alpha: float, p: int,
+                  k: int) -> np.ndarray:
+    """:func:`structured_weight` at each point of the prescan grid of
+    [lo, hi], bit for bit, with the same exceptions in the same order."""
+    scale = float(p) ** (k * alpha)
+    one_minus_q = _prescan_nomes(lo, hi)[3]
+    root, denominator = _prescan_factors(lo, hi, p)[k - 1]
+    with np.errstate(over="ignore"):
+        return scale * one_minus_q * root / denominator
+
+
+def _prescan(f, parts, alpha: float, terms: int, lo: float,
+             hi: float) -> tuple:
+    """f(q, s) on the prescan grid of [lo, hi], with s the raw mode sum
+    at q: (qs, negative, values), where negative[i] is f(q_i, s_i) < 0
+    and values(indices) returns f at those points, each as a full
+    evaluation gives it.
+
+    ``parts(lo, hi)`` evaluates the s-free part of f at every grid
+    point, in grid order, with the side effects and exceptions that f
+    has there when s is finite, and returns ``chain``: chain(s)[i] is
+    f(q_i, s[i]) bit for bit for a vector s of finite sums, and is
+    nondecreasing in s[i], since rounding is monotone.
+
+    Each sum is enclosed as s_lo <= s <= s_hi (:func:`_enclosures`).
+    Full-length sums are taken first where s_hi is not finite, as f
+    raises on an infinite sum; then chain(s_hi) < 0 proves a point
+    negative and chain(s_lo) >= 0 proves it not, and only the points
+    left open are summed in full, as are the points whose value is
+    asked for unless chain(s_lo) == chain(s_hi) pins it. Where the
+    weights admit no enclosure, or a sum is not finite, every point is
+    summed and f called in turn, so f raises where it did.
+    """
+    qs, q, lq, one_minus_q = _prescan_nomes(lo, hi)
+    bounds = _enclosures(q, lq, one_minus_q, alpha, terms)
+    sums = np.full(len(qs), math.nan)
+    summed = set()
+
+    def take(indices: list) -> np.ndarray:
+        new = [i for i in indices if i not in summed]
+        if new:
+            sums[new] = _mode_sums([qs[i] for i in new], alpha, terms)
+            summed.update(new)
+        return sums
+
+    if bounds is not None:
+        s_lo, s_hi = bounds
+        unbounded = np.flatnonzero(~np.isfinite(s_hi)).tolist()
+        if np.isfinite(take(unbounded)[unbounded]).all():
+            chain = parts(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_lo, v_hi = chain(s_lo), chain(s_hi)
+                negative = v_hi < 0.0
+                open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
+                if open_:
+                    negative[open_] = chain(take(open_))[open_] < 0.0
+
+            def values(indices: list) -> list:
+                # chain(s_lo) == chain(s_hi) pins the value without a sum
+                unpinned = [i for i in indices if not v_lo[i] == v_hi[i]]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    exact = chain(take(unpinned)) if unpinned else v_lo
+                return [float(exact[i] if i in unpinned else v_lo[i])
+                        for i in indices]
+
+            return qs, negative, values
+    vals = [f(x, s) for x, s in zip(qs, _mode_sums(qs, alpha, terms))]
+    return (qs, np.array([v < 0.0 for v in vals]),
+            lambda indices: [vals[i] for i in indices])
+
+
+def _single_sign_change(f, parts, alpha: float, terms: int, lo: float,
+                        hi: float, label: str) -> tuple:
+    """First sign change of ``f(q, s)`` on the 64-point grid of
+    [lo, hi], with s the raw mode sum at q (:func:`_prescan`, whose
+    ``parts`` gives f's s-free part); f checks s for overflow itself.
+    More than one sign change is logged. Returns the bracket and f at
+    its ends, (lo, hi, f(lo), f(hi)), so that the bisection does not
+    evaluate them again."""
+    qs, negative, values = _prescan(f, parts, alpha, terms, lo, hi)
+    changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
     if not changes:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
     if len(changes) > 1:
         log.warning("%s: %d sign changes on the prescan grid; using the "
                     "first bracket", label, len(changes))
     i = changes[0]
-    return qs[i], qs[i + 1], vals[i], vals[i + 1]
+    return (qs[i], qs[i + 1], *values([i, i + 1]))
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -443,9 +589,9 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     """Unique solution of s_alpha(q) = 2 + b(q) / (2 p^alpha).
 
     A 64-point prescan confirms a single sign change of the difference
-    (logged if violated) before bisecting. The prescan's mode sums come
-    from one batched kernel call, shared with :func:`solve_r1_tilde`,
-    and the bisection starts from the prescan's values at its bracket.
+    (logged if violated) before bisecting. It decides most signs from
+    32-term enclosures of the mode sum (:func:`_prescan`), and the
+    bisection starts from its values at the bracket.
     """
     pa = float(p) ** alpha
 
@@ -453,8 +599,12 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         return (_finite_sum(s, q, alpha) - 2.0
                 - 0.5 * structured_weight(q, alpha, p, 2) / pa)
 
-    lo, hi, flo, fhi = _single_sign_change(f, alpha, terms, _Q_LO, _Q_HI,
-                                           "r1")
+    def parts(lo: float, hi: float):
+        half_b = 0.5 * _grid_weights(lo, hi, alpha, p, 2) / pa
+        return lambda s: s - 2.0 - half_b
+
+    lo, hi, flo, fhi = _single_sign_change(f, parts, alpha, terms, _Q_LO,
+                                           _Q_HI, "r1")
     return bisect_monotone(
         lambda q: f(q, s_alpha(q, alpha, terms).value),
         lo, hi, tol=tol, flo=flo, fhi=fhi)
@@ -473,9 +623,9 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     Where (a(q), b(q)) leaves G_2 the difference is treated as past the
     root: the upper bracket is shrunk (and the event logged) until the
     closed-form minimum is defined. The shrink steps after the first
-    decide on (a, b) alone, without the mode sum; the prescan is that
-    of :func:`solve_r1` (one batched kernel call, cached) when the
-    bracket did not shrink, and the bisection starts from its values.
+    decide on (a, b) alone, without the mode sum. The prescan is that
+    of :func:`solve_r1`, with a, b, membership and the disc minimum
+    taken once per grid point, and the bisection starts from its values.
     """
 
     def f(q: float, s: float) -> float:
@@ -527,7 +677,22 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         except NotInG2:
             return lost(q)
 
-    lo, hi, flo, fhi = _single_sign_change(g, alpha, terms, lo, hi,
+    def parts(lo: float, hi: float):
+        a = _grid_weights(lo, hi, alpha, p, 1)
+        b = _grid_weights(lo, hi, alpha, p, 2)
+        minima, outside = [], []
+        for q, x, y in zip(_prescan_nomes(lo, hi)[0], a.tolist(), b.tolist()):
+            try:
+                minima.append(min_quadratic_closed(x, y))
+                outside.append(False)
+            except NotInG2:
+                lost(q)
+                minima.append(0.0)
+                outside.append(True)
+        minima, outside = np.array(minima), np.array(outside)
+        return lambda s: np.where(outside, math.inf, s - 1.0 - a - b - minima)
+
+    lo, hi, flo, fhi = _single_sign_change(g, parts, alpha, terms, lo, hi,
                                            "r1_tilde")
     # f is finite wherever (a, b) is in G_2, so an infinite end is one
     # where membership was lost; the search logs it on taking the

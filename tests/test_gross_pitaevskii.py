@@ -406,11 +406,16 @@ def test_thresholds_record():
     assert t.r0 == pytest.approx(0.76806, abs=1e-3)
 
 
+def _clear_prescan_caches():
+    gp._prescan_nomes.cache_clear()
+    gp._prescan_factors.cache_clear()
+
+
 def test_threshold_solvers_pinned():
-    # r1_tilde first, from a cold prescan cache, then r1 and r0 from a
-    # warm one: the cache changes no float
+    # r1_tilde first, from cold prescan caches, then r1 and r0 from warm
+    # ones: the caches change no float
     for (alpha, p), (r0, r1, r1t) in THRESHOLDS.items():
-        gp._prescan_sums.cache_clear()
+        _clear_prescan_caches()
         assert gp.solve_r1_tilde(alpha, p) == r1t
         assert gp.solve_r1(alpha, p) == r1
         assert gp.solve_r0(alpha) == r0
@@ -439,7 +444,7 @@ SOLVER_ERRORS = {
 
 def test_threshold_solver_errors_pinned():
     for alpha, errors in SOLVER_ERRORS.items():
-        gp._prescan_sums.cache_clear()
+        _clear_prescan_caches()
         for solve, (kind, message) in zip(
                 (lambda: gp.solve_r0(alpha), lambda: gp.solve_r1(alpha, 3),
                  lambda: gp.solve_r1_tilde(alpha, 3)), errors):
@@ -462,7 +467,7 @@ def test_threshold_row_log_records_pinned(caplog):
     for row in pinned:
         for _ in ("cold cache", "warm cache"):
             if _ == "cold cache":
-                gp._prescan_sums.cache_clear()
+                _clear_prescan_caches()
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="rieszcert"):
                 gp.solve_r0(row["alpha"])
@@ -536,9 +541,8 @@ def test_batched_mode_sums_match_s_alpha_bit_for_bit(terms):
         qs = gp._prescan_grid(lo, hi)
         for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
             batch = gp._mode_sums(qs, alpha, terms)
-            cached = gp._prescan_sums(alpha, terms, lo, hi)
-            for q, got, kept in zip(qs, batch, cached):
-                assert got == kept == gp.s_alpha(q, alpha, terms).value
+            for q, got in zip(qs, batch):
+                assert got == gp.s_alpha(q, alpha, terms).value
                 assert got == _s_alpha_reference(q, alpha, terms)
 
 
@@ -602,59 +606,218 @@ def test_mode_weights_are_kept_and_read_only():
     assert np.array_equal(w, modes ** 0.5)
 
 
-def _count_kernel_calls(monkeypatch) -> list:
-    calls = []
+def _count_mode_sum_rows(monkeypatch) -> list:
+    # the rows of each _mode_sums call: one full-length sum each
+    rows = []
     kernel = gp._mode_sums
 
     def counted(qs, *args, **kwargs):
-        calls.append(len(qs))
+        rows.append(len(qs))
         return kernel(qs, *args, **kwargs)
 
     monkeypatch.setattr(gp, "_mode_sums", counted)
-    return calls
+    return rows
 
 
 def test_threshold_row_kernel_calls(monkeypatch):
-    # about 10 calls for r0 (its two ends, 6-8 secant steps of the
-    # narrowing phase of bisect_monotone, 0-2 on the replayed path), one
-    # 64-point prescan, and 4-6 calls each for r1 and r1_tilde: 20-22
-    # per row at odd p. Plain bisection made about 82 (32 for r0, 24 each
-    # for r1 and r1_tilde). At p = 2, alpha = 3 the narrowing takes
-    # midpoints while r1_tilde's bracket end is infinite: 38 calls
-    calls = _count_kernel_calls(monkeypatch)
+    # full-length mode sums per row: about 10 for r0 (its two ends, 6-8
+    # secant steps of the narrowing phase of bisect_monotone, 0-2 on the
+    # replayed path); for r1 and r1_tilde the two ends of the prescan's
+    # bracket and 4-6 bisection steps each, and r1_tilde's check of its
+    # upper end: 22-24 per row at odd p. The 64-point prescans summed
+    # every grid point in full (116 sums per row on the grid below). At
+    # p = 2, alpha = 3 the narrowing takes midpoints while r1_tilde's
+    # bracket end is infinite: 39 sums
+    rows = _count_mode_sum_rows(monkeypatch)
     for (alpha, p), want in THRESHOLDS.items():
-        gp._prescan_sums.cache_clear()
-        calls.clear()
+        _clear_prescan_caches()
+        rows.clear()
         assert (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
                 gp.solve_r1_tilde(alpha, p)) == want
-        assert len(calls) <= (22 if p % 2 else 38)
-        # r1_tilde shares r1's prescan unless its bracket shrank
-        assert calls.count(gp._PRESCAN_POINTS) == (1 if alpha <= 0.5 else 2)
+        assert sum(rows) <= (24 if p % 2 else 39)
+        # the enclosures decide every prescan sign: only a bracket's two
+        # ends are summed in full
+        assert max(rows) <= 2
 
 
 def test_threshold_grid_kernel_calls(monkeypatch):
     # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
-    # p = 3, 5, 7 from a cold prescan cache: 20.46 calls per row on
-    # average, 22 at most (plain bisection: 82.1 and 83)
-    calls = _count_kernel_calls(monkeypatch)
+    # p = 3, 5, 7 from cold prescan caches: 22.8 full-length mode sums
+    # per row on average, 25 at most (116.2 and 148 when the prescans
+    # summed every grid point)
+    rows = _count_mode_sum_rows(monkeypatch)
     counts = []
     for p in (3, 5, 7):
         for i in range(23):
             alpha = 2.0 * i / 22
-            gp._prescan_sums.cache_clear()
-            calls.clear()
+            _clear_prescan_caches()
+            rows.clear()
             gp.solve_r0(alpha)
             gp.solve_r1(alpha, p)
             gp.solve_r1_tilde(alpha, p)
-            counts.append(len(calls))
-    assert max(counts) <= 22
-    assert sum(counts) / len(counts) <= 21.0
+            counts.append(sum(rows))
+    assert max(counts) <= 25
+    assert sum(counts) / len(counts) <= 23.0
+
+
+def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
+    """_single_sign_change as it was before the enclosures: f at the
+    full-length sum of every grid point, in grid order."""
+    qs = gp._prescan_grid(lo, hi)
+    vals = [f(q, s) for q, s in zip(qs, gp._mode_sums(qs, alpha, terms))]
+    changes = [i for i in range(gp._PRESCAN_POINTS - 1)
+               if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
+    if not changes:
+        raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
+    if len(changes) > 1:
+        logging.getLogger("rieszcert.gross_pitaevskii").warning(
+            "%s: %d sign changes on the prescan grid; using the first "
+            "bracket", label, len(changes))
+    i = changes[0]
+    return qs[i], qs[i + 1], vals[i], vals[i + 1]
+
+
+def _prescan_outcome(call, caplog) -> tuple:
+    # (result or exception, log records), floats as hex
+    caplog.clear()
+    try:
+        got = tuple(float(x).hex() for x in call())
+    except Exception as error:
+        got = (type(error), str(error))
+    return got, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
+    # every prescan of solve_r1 and solve_r1_tilde, shrunk r1_tilde
+    # brackets included (alpha = 1.3 and up at p = 3), against the old
+    # prescan on the same f: the same bracket, end values, records and
+    # sign at every grid point, with no RuntimeWarning
+    calls = []
+    real = gp._single_sign_change
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gp, "_single_sign_change", spy)
+    caplog.set_level(logging.INFO, logger="rieszcert")
+    alphas = [*np.linspace(0.0, 3.0, 13).tolist(), 1.3]
+    for alpha in alphas:
+        for p in (3, 5, 7, 11, 13):
+            for terms in (1, 31, 32, 33, 500, 3000):
+                for solve in (gp.solve_r1, gp.solve_r1_tilde):
+                    try:
+                        solve(alpha, p, terms)
+                    except RieszcertError:
+                        pass
+    assert len(calls) == 2 * len(alphas) * 5 * 6
+    shrunk = 0
+    rows = _count_mode_sum_rows(monkeypatch)
+    for f, parts, alpha, terms, lo, hi, label in calls:
+        shrunk += hi < gp._Q_HI
+        rows.clear()
+        got = _prescan_outcome(lambda: real(f, parts, alpha, terms, lo, hi, label),
+                       caplog)
+        summed = sum(rows)
+        want = _prescan_outcome(lambda: _single_sign_change_reference(
+            f, alpha, terms, lo, hi, label), caplog)
+        assert got == want, (alpha, terms, lo, hi, label)
+        # the enclosures left no sign open here: only the bracket's ends
+        # were summed, and none at terms <= 32, where they are the sums
+        assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
+        caplog.clear()
+        qs, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
+        sums = gp._mode_sums(qs, alpha, terms)
+        with caplog.at_level(logging.CRITICAL, logger="rieszcert"):
+            assert negative.tolist() == [f(q, s) < 0.0
+                                         for q, s in zip(qs, sums)]
+    assert shrunk >= 100
+
+
+def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
+    # f(q, s) = s - c: c is the full sum from grid point 20 on, where f
+    # is 0 and no enclosure decides its sign, and the sum plus 1 before
+    lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
+    qs = gp._prescan_grid(lo, hi)
+    sums = gp._mode_sums(qs, alpha, terms)
+    c = sums + (np.arange(gp._PRESCAN_POINTS) < 20)
+    offsets = dict(zip(qs, c.tolist()))
+
+    def f(q, s):
+        return s - offsets[q]
+
+    def parts(lo, hi):
+        return lambda s: s - c
+
+    rows = _count_mode_sum_rows(monkeypatch)
+    _, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
+    assert negative.tolist() == [True] * 20 + [False] * 44
+    assert rows == [44]
+    rows.clear()
+    assert gp._single_sign_change(f, parts, alpha, terms, lo, hi, "f") == (
+        qs[19], qs[20], f(qs[19], sums[19]), 0.0)
+    assert rows == [44, 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("terms", [1, 31, 32, 33, 500, 3000])
+def test_enclosures_hold_the_mode_sums(terms):
+    # s_lo <= s <= s_hi at random q from 1e-300 to 1 - 1e-15 and alpha
+    # in [0, 3]; at terms <= 32 both bounds are the sum itself
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        q = np.sort(np.concatenate([
+            10.0 ** -rng.uniform(0.0, 300.0, 24), rng.uniform(0.0, 1.0, 24),
+            1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 16)]))
+        q = q[(q > 0.0) & (q < 1.0)]
+        alpha = float(rng.uniform(0.0, 3.0))
+        lq = np.array([log_nome(x) for x in q.tolist()])
+        s_lo, s_hi = gp._enclosures(q, lq, np.array([1.0 - x for x in q]),
+                                    alpha, terms)
+        sums = gp._mode_sums(q.tolist(), alpha, terms)
+        assert (s_lo <= sums).all() and (sums <= s_hi).all()
+        if terms <= gp._ENCLOSURE_TERMS:
+            assert np.array_equal(s_lo, sums) and np.array_equal(s_hi, sums)
+        else:
+            # a bound that decides: tight where the tail is small
+            small = q < 0.3
+            assert (s_hi[small] - s_lo[small]
+                    <= 1e-9 * sums[small]).all()
+
+
+def test_enclosures_refuse_infinite_weights_and_negative_alpha():
+    _, q, lq, one_minus_q = gp._prescan_nomes(gp._Q_LO, gp._Q_HI)
+    assert gp._enclosures(q, lq, one_minus_q, 150.0, 500) is None
+    assert gp._enclosures(q, lq, one_minus_q, -0.5, 500) is None
+    assert gp._enclosures(q, lq, one_minus_q, math.nan, 500) is None
+
+
+def test_structured_weight_on_the_prescan_grid_bit_for_bit():
+    for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
+        qs = gp._prescan_grid(lo, hi)
+        for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
+            for p in (3, 5, 7, 13):
+                for k in (1, 2):
+                    got = gp._grid_weights(lo, hi, alpha, p, k).tolist()
+                    assert got == [gp.structured_weight(q, alpha, p, k)
+                                   for q in qs]
+    # the same exception first: p^{2 alpha} overflows before p^2 is
+    # taken as a float
+    big = 10 ** 200 + 1
+    for alpha, message in ((1.5, "Numerical result out of range"),
+                           (0.0, "int too large to convert to float")):
+        for weight in (lambda: gp.structured_weight(0.5, alpha, big, 2),
+                       lambda: gp._grid_weights(gp._Q_LO, gp._Q_HI, alpha,
+                                                big, 2)):
+            with pytest.raises(OverflowError, match=message):
+                weight()
 
 
 def test_solve_r1_memory_at_large_terms():
     # one s_alpha call holds ~3.5 MB at 1e5 terms; an unblocked 64-point
     # prescan would hold ~51 MB per temporary
-    gp._prescan_sums.cache_clear()
+    _clear_prescan_caches()
     tracemalloc.start()
     try:
         gp.solve_r1(0.5, 3, terms=10 ** 5)
