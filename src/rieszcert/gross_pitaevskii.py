@@ -473,7 +473,10 @@ def _prescan_grid(lo: float, hi: float) -> list:
 @functools.lru_cache(maxsize=32)
 def _prescan_nomes(lo: float, hi: float) -> tuple:
     """The prescan grid of [lo, hi] as a tuple of floats, and its q,
-    log q and 1 - q as read-only arrays."""
+    log q and 1 - q as read-only arrays. They are kept apart from
+    :func:`_prescan_factors`, which raises where p^2 is past the float
+    range and so must come after the scale p^{k alpha}, as in
+    :func:`structured_weight`."""
     qs = _prescan_grid(lo, hi)
     return (tuple(qs), *_read_only(np.array(qs),
                                    np.array([log_nome(q) for q in qs]),
