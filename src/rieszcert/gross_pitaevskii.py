@@ -181,6 +181,15 @@ def _column(xs: list):
     return xs[0] if len(xs) == 1 else np.array(xs)[:, None]
 
 
+def _row_sums(lq, one_minus_q, alpha: float, terms: int):
+    """The sum of the first ``terms`` summands of :func:`s_alpha` at
+    log q = lq and 1 - q, floats or columns (one row each), not checked
+    for overflow. Every full-length mode sum is taken here."""
+    l, modes, w = _mode_weights(alpha, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return odd_modes(lq, one_minus_q, l, modes, w).sum(axis=-1)
+
+
 def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
     """Raw partial sums of :func:`s_alpha` at each q of ``qs``, not
     checked for overflow.
@@ -192,17 +201,23 @@ def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
     ``_BLOCK_ELEMENTS`` summands (one row at least), so a batch needs
     no more memory than one q does at large ``terms``.
     """
-    l, modes, w = _mode_weights(alpha, terms)
     lqs = [log_nome(q) for q in qs]
     rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
     sums = np.empty(len(qs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(qs), rows):
-            summands = odd_modes(_column(lqs[i:i + rows]),
-                                 _column([1.0 - q for q in qs[i:i + rows]]),
-                                 l, modes, w)
-            sums[i:i + rows] = summands.sum(axis=-1)
+    for i in range(0, len(qs), rows):
+        sums[i:i + rows] = _row_sums(
+            _column(lqs[i:i + rows]),
+            _column([1.0 - q for q in qs[i:i + rows]]), alpha, terms)
     return sums
+
+
+# 1024 sums: the rows of a threshold grid at up to about 60 rows
+@functools.lru_cache(maxsize=1024)
+def _mode_sum(q: float, alpha: float, terms: int) -> float:
+    """The raw partial sum of :func:`s_alpha` at one q, as
+    :func:`_mode_sums` gives it, not checked for overflow. The threshold
+    solvers of a row take each sum once: they share this cache."""
+    return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
 
 
 def _finite_sum(total: float, q: float, alpha: float) -> float:
@@ -221,7 +236,7 @@ def s_alpha(q: float, alpha: float,
 
     The summands are (2l+1)^alpha f_hat_q(2l+1), the section
     coefficients c_{2l+1}(n) of a constant nome q, from the one kernel
-    :func:`dilation.odd_modes` (through :func:`_mode_sums`), so the value
+    :func:`dilation.odd_modes` (through :func:`_mode_sum`), so the value
     is the l1 sum of one column of C.
 
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
@@ -231,7 +246,7 @@ def s_alpha(q: float, alpha: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    total = _finite_sum(_mode_sums((q,), alpha, terms)[0], q, alpha)
+    total = _finite_sum(_mode_sum(q, alpha, terms), q, alpha)
     lq = log_nome(q)
     first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
@@ -415,6 +430,24 @@ def min_quadratic_closed(a: float, b: float) -> float:
     return _min_quadratic(a, b, quadratic_root_margin)
 
 
+def _min_quadratic_closed_grid(a: np.ndarray, b: np.ndarray) -> tuple:
+    """:func:`min_quadratic_closed` at each (a[i], b[i]), bit for bit,
+    as arrays (minima, inside): inside[i] is False where it raises
+    NotInG2, and minima[i] is then meaningless. Each branch takes the
+    IEEE operations of the scalar form in the same order."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        margin = np.where(a * a < 4.0 * b, 1.0 / np.sqrt(b) - 1.0,
+                          2.0 / (a + np.sqrt(a * a - 4.0 * b)) - 1.0)
+        linear = b == 0.0
+        inside = (~(a < 0.0) & ~(b < 0.0)
+                  & np.where(linear, ~(a >= 1.0), margin > MEMBERSHIP_TOL))
+        minima = np.where(
+            linear, 1.0 - a,
+            np.where(a * (b + 1.0) / (4.0 * b) >= 1.0, 1.0 - a + b,
+                     (1.0 - b) * np.sqrt(1.0 - a * a / (4.0 * b))))
+    return minima, inside
+
+
 def _cross_check_g2(a: float, b: float) -> None:
     """Check the closed form against the root oracle at one (a, b):
     :func:`min_quadratic` and :func:`min_quadratic_closed` must return
@@ -456,21 +489,12 @@ def _weight_factors(lq: float, m: int) -> tuple:
     return math.exp(0.5 * (m - 1) * lq), -math.expm1(m * lq)
 
 
-def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
-             tol: float = BISECTION_TOL) -> float:
-    """Unique solution of s_alpha(q) = 2 (monotonicity gives
-    uniqueness); bisection to ``tol`` in q."""
-    return bisect_monotone(
-        lambda q: s_alpha(q, alpha, terms).value - 2.0,
-        _Q_LO, _Q_HI, tol=tol)
-
-
 def _prescan_grid(lo: float, hi: float) -> list:
     return [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
             for i in range(_PRESCAN_POINTS)]
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=256)
 def _prescan_nomes(lo: float, hi: float) -> tuple:
     """The prescan grid of [lo, hi] as a tuple of floats, and its q,
     log q and 1 - q as read-only arrays. They are kept apart from
@@ -483,7 +507,7 @@ def _prescan_nomes(lo: float, hi: float) -> tuple:
                                    np.array([1.0 - q for q in qs])))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=256)
 def _prescan_factors(lo: float, hi: float, p: int) -> tuple:
     """The alpha-free factors (q^{(m-1)/2}, 1 - q^m) of w_1 and w_2,
     m = p and p^2, at each point of the prescan grid of [lo, hi], as
@@ -508,6 +532,53 @@ def _grid_weights(lo: float, hi: float, alpha: float, p: int,
         return scale * one_minus_q * root / denominator
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
+    """:func:`_enclosures` on the prescan grid of [lo, hi], read-only:
+    the solvers of a threshold row share one block."""
+    bounds = _enclosures(*_prescan_nomes(lo, hi)[1:], alpha, terms)
+    return None if bounds is None else _read_only(*bounds)
+
+
+def _enclosed_prescan(parts, alpha: float, terms: int, lo: float,
+                      hi: float):
+    """:func:`_prescan` from the enclosures alone, or None where the
+    weights admit no enclosure or a sum that no enclosure bounds is not
+    finite; ``parts`` is not called then."""
+    bounds = _grid_enclosures(lo, hi, alpha, terms)
+    if bounds is None:
+        return None
+    qs = _prescan_nomes(lo, hi)[0]
+    s_lo, s_hi = bounds
+    sums = np.full(len(qs), math.nan)
+
+    def take(indices: list) -> np.ndarray:
+        for i in indices:
+            sums[i] = _mode_sum(qs[i], alpha, terms)
+        return sums
+
+    unbounded = np.flatnonzero(~np.isfinite(s_hi)).tolist()
+    if not np.isfinite(take(unbounded)[unbounded]).all():
+        return None
+    chain = parts(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_lo, v_hi = chain(s_lo), chain(s_hi)
+        negative = v_hi < 0.0
+        open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
+        if open_:
+            negative[open_] = chain(take(open_))[open_] < 0.0
+
+    def values(indices: list) -> list:
+        # chain(s_lo) == chain(s_hi) pins the value without a sum
+        unpinned = [i for i in indices if not v_lo[i] == v_hi[i]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = chain(take(unpinned)) if unpinned else v_lo
+        return [float(exact[i] if i in unpinned else v_lo[i])
+                for i in indices]
+
+    return qs, negative, values
+
+
 def _prescan(f, parts, alpha: float, terms: int, lo: float,
              hi: float) -> tuple:
     """f(q, s) on the prescan grid of [lo, hi], with s the raw mode sum
@@ -526,43 +597,15 @@ def _prescan(f, parts, alpha: float, terms: int, lo: float,
     raises on an infinite sum; then chain(s_hi) < 0 proves a point
     negative and chain(s_lo) >= 0 proves it not, and only the points
     left open are summed in full, as are the points whose value is
-    asked for unless chain(s_lo) == chain(s_hi) pins it. Where the
-    weights admit no enclosure, or a sum is not finite, every point is
-    summed and f called in turn, so f raises where it did.
+    asked for unless chain(s_lo) == chain(s_hi) pins it
+    (:func:`_enclosed_prescan`). Where the weights admit no enclosure,
+    or a sum is not finite, every point is summed and f called in turn,
+    so f raises where it did.
     """
-    qs, q, lq, one_minus_q = _prescan_nomes(lo, hi)
-    bounds = _enclosures(q, lq, one_minus_q, alpha, terms)
-    sums = np.full(len(qs), math.nan)
-    summed = set()
-
-    def take(indices: list) -> np.ndarray:
-        new = [i for i in indices if i not in summed]
-        if new:
-            sums[new] = _mode_sums([qs[i] for i in new], alpha, terms)
-            summed.update(new)
-        return sums
-
-    if bounds is not None:
-        s_lo, s_hi = bounds
-        unbounded = np.flatnonzero(~np.isfinite(s_hi)).tolist()
-        if np.isfinite(take(unbounded)[unbounded]).all():
-            chain = parts(lo, hi)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v_lo, v_hi = chain(s_lo), chain(s_hi)
-                negative = v_hi < 0.0
-                open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
-                if open_:
-                    negative[open_] = chain(take(open_))[open_] < 0.0
-
-            def values(indices: list) -> list:
-                # chain(s_lo) == chain(s_hi) pins the value without a sum
-                unpinned = [i for i in indices if not v_lo[i] == v_hi[i]]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    exact = chain(take(unpinned)) if unpinned else v_lo
-                return [float(exact[i] if i in unpinned else v_lo[i])
-                        for i in indices]
-
-            return qs, negative, values
+    scan = _enclosed_prescan(parts, alpha, terms, lo, hi)
+    if scan is not None:
+        return scan
+    qs = _prescan_nomes(lo, hi)[0]
     vals = [f(x, s) for x, s in zip(qs, _mode_sums(qs, alpha, terms))]
     return (qs, np.array([v < 0.0 for v in vals]),
             lambda indices: [vals[i] for i in indices])
@@ -587,6 +630,37 @@ def _single_sign_change(f, parts, alpha: float, terms: int, lo: float,
     return (qs[i], qs[i + 1], *values([i, i + 1]))
 
 
+def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
+             tol: float = BISECTION_TOL) -> float:
+    """Unique solution of s_alpha(q) = 2 (monotonicity gives
+    uniqueness); bisection to ``tol`` in q.
+
+    The signs of s - 2 on the 64-point grid of [_Q_LO, _Q_HI] are read
+    from the 32-term enclosures of the mode sum that :func:`solve_r1`
+    and :func:`solve_r1_tilde` share (:func:`_enclosed_prescan`). Where
+    they change once, :func:`util.bisect_monotone` narrows from that
+    grid cell and replays the midpoints of plain bisection on the whole
+    [_Q_LO, _Q_HI], so r0 is the float plain bisection gives. Where the
+    weights admit no enclosure, a sum past the enclosures is not finite
+    or the grid shows no single sign change, the bisection starts from
+    the ends of [_Q_LO, _Q_HI] and reports what they show.
+    """
+
+    def f(q: float) -> float:
+        return _finite_sum(_mode_sum(q, alpha, terms), q, alpha) - 2.0
+
+    cell = None
+    scan = _enclosed_prescan(lambda lo, hi: lambda s: s - 2.0, alpha,
+                             terms, _Q_LO, _Q_HI)
+    if scan is not None:
+        qs, negative, values = scan
+        changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
+        if len(changes) == 1:
+            i = changes[0]
+            cell = (qs[i], qs[i + 1], *values([i, i + 1]))
+    return bisect_monotone(f, _Q_LO, _Q_HI, tol=tol, bracket=cell)
+
+
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
              tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 + b(q) / (2 p^alpha).
@@ -606,11 +680,9 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         half_b = 0.5 * _grid_weights(lo, hi, alpha, p, 2) / pa
         return lambda s: s - 2.0 - half_b
 
-    lo, hi, flo, fhi = _single_sign_change(f, parts, alpha, terms, _Q_LO,
-                                           _Q_HI, "r1")
-    return bisect_monotone(
-        lambda q: f(q, s_alpha(q, alpha, terms).value),
-        lo, hi, tol=tol, flo=flo, fhi=fhi)
+    cell = _single_sign_change(f, parts, alpha, terms, _Q_LO, _Q_HI, "r1")
+    return bisect_monotone(lambda q: f(q, _mode_sum(q, alpha, terms)),
+                           *cell[:2], tol=tol, bracket=cell)
 
 
 def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -628,7 +700,9 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     closed-form minimum is defined. The shrink steps after the first
     decide on (a, b) alone, without the mode sum. The prescan is that
     of :func:`solve_r1`, with a, b, membership and the disc minimum
-    taken once per grid point, and the bisection starts from its values.
+    taken once per grid point, as arrays over the grid
+    (:func:`_min_quadratic_closed_grid`), and the bisection starts from
+    its values.
     """
 
     def f(q: float, s: float) -> float:
@@ -638,10 +712,8 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
                 - 1.0 - a - b - min_quadratic_closed(a, b))
 
     def first(q: float) -> None:
-        # the order of f: a, b, the overflow check of s, membership. a
-        # and b can only raise for (p, alpha) alone, so once they pass
-        # here the bisection may check s first, in s_alpha
-        f(q, _mode_sums((q,), alpha, terms)[0])
+        # the order of f: a, b, the overflow check of s, membership
+        f(q, _mode_sum(q, alpha, terms))
 
     def in_g2(q: float) -> None:
         # a mode sum finite at _Q_HI is finite at every smaller q: no
@@ -683,29 +755,22 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     def parts(lo: float, hi: float):
         a = _grid_weights(lo, hi, alpha, p, 1)
         b = _grid_weights(lo, hi, alpha, p, 2)
-        minima, outside = [], []
-        for q, x, y in zip(_prescan_nomes(lo, hi)[0], a.tolist(), b.tolist()):
-            try:
-                minima.append(min_quadratic_closed(x, y))
-                outside.append(False)
-            except NotInG2:
-                lost(q)
-                minima.append(0.0)
-                outside.append(True)
-        minima, outside = np.array(minima), np.array(outside)
-        return lambda s: np.where(outside, math.inf, s - 1.0 - a - b - minima)
+        minima, inside = _min_quadratic_closed_grid(a, b)
+        qs = _prescan_nomes(lo, hi)[0]
+        for i in np.flatnonzero(~inside).tolist():
+            lost(qs[i])
+        return lambda s: np.where(inside, s - 1.0 - a - b - minima, math.inf)
 
-    lo, hi, flo, fhi = _single_sign_change(g, parts, alpha, terms, lo, hi,
-                                           "r1_tilde")
+    cell = _single_sign_change(g, parts, alpha, terms, lo, hi, "r1_tilde")
+    lo, hi, flo, fhi = cell
     # f is finite wherever (a, b) is in G_2, so an infinite end is one
     # where membership was lost; the search logs it on taking the
     # bracket, as it logs every such point it meets
     for q_end, f_end in ((lo, flo), (hi, fhi)):
         if f_end == math.inf:
             lost(q_end)
-    q = bisect_monotone(
-        lambda q: g(q, s_alpha(q, alpha, terms).value),
-        lo, hi, tol=tol, flo=flo, fhi=fhi)
+    q = bisect_monotone(lambda q: g(q, _mode_sum(q, alpha, terms)),
+                        lo, hi, tol=tol, bracket=cell)
     _cross_check_g2(structured_weight(q, alpha, p, 1),
                     structured_weight(q, alpha, p, 2))
     return q

@@ -34,6 +34,10 @@ BETA_LIMIT = 1.0 - 1e-12
 DEFAULT_BETA = 0.5
 RANK_TOL = 1e-10
 GRAM_TOL = 1e-8
+# below this coefficient modulus no entry of the Schur-Cohn form, nor of
+# the products that build it, overflows at any practical degree d: each
+# is at most d (1 + d max |a_k|)^2, as ||Y|| <= 1
+_FORM_SCALE_MAX = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,16 +222,29 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     monic convention via the conjugate-polynomial correspondence
     (c_k = conj(a_k)); the margin is the smallest eigenvalue of the
     Schur-Cohn Hermitian form. Without ``betas`` every beta_j is
-    ``DEFAULT_BETA``, and that matrix is built once per d.
+    ``DEFAULT_BETA``, and that matrix is built once per d. A form that
+    is not finite (a coefficient past about 1e154, or not finite) gives
+    no margin: the verdict is indeterminate, with margin nan.
     """
     a = [complex(c) for c in coeffs]
     # beta = 0 is forbidden by the spectrum-plus-defect definition (the
     # nilpotent Jordan block), so a fixed nonzero default is used.
     Y = _default_ptak_young(len(a)) if betas is None else ptak_young(betas)
-    H = schur_cohn_form([c.conjugate() for c in a], Y)
+    monic = [c.conjugate() for c in a]
+    try:
+        in_range = max(map(abs, a), default=0.0) < _FORM_SCALE_MAX
+    except OverflowError:   # a modulus past the float range
+        in_range = False
+    if in_range:
+        H = schur_cohn_form(monic, Y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = schur_cohn_form(monic, Y)
+        if not np.isfinite(H).all():
+            return MembershipVerdict(False, math.nan, indeterminate=True)
     margin = float(np.linalg.eigvalsh(H)[0])
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
-                             indeterminate=abs(margin) <= MEMBERSHIP_TOL)
+                             indeterminate=not abs(margin) > MEMBERSHIP_TOL)
 
 
 def _disc_lambdas(lambdas: Sequence[complex]) -> list:

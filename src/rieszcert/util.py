@@ -63,21 +63,23 @@ def golden_min(f, a: float, b: float):
 
 
 def bisect_monotone(f, lo: float, hi: float, tol: float,
-                    flo: float | None = None,
-                    fhi: float | None = None) -> float:
+                    bracket: tuple | None = None) -> float:
     """Bisection root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
 
     Returns what plain bisection returns: halve [lo, hi] at
     mid = 0.5 * (lo + hi), keep the half whose ends differ in sign, stop
     once the width is <= tol or after ``BISECT_MAX_ITER`` halvings, and
     return the first mid with f(mid) == 0, else the midpoint of the last
-    bracket. A caller that already holds f(lo) or f(hi) passes it as
-    ``flo`` or ``fhi``, and f is not evaluated there again.
+    bracket. A caller that holds f at the ends of [a, b], with
+    lo <= a < b <= hi and the sign change in [a, b], passes ``bracket``
+    = (a, b, f(a), f(b)): f is not evaluated at lo or hi, whose signs
+    are those of f(a) and f(b), and step 1 starts from [a, b]. Without
+    it, [a, b] is [lo, hi].
 
     The identity holds when the float values of f change sign once on
-    [lo, hi]: they have flo's sign below some point r, fhi's sign above
-    it (a NaN counts as non-negative, as in plain bisection), and f is 0
-    at r alone if anywhere. f is then called far less often:
+    [lo, hi]: they have f(a)'s sign below some point r in [a, b], f(b)'s
+    sign above it (a NaN counts as non-negative, as in plain bisection),
+    and f is 0 at r alone if anywhere. f is then called far less often:
 
     1. Narrow. Anderson-Bjorck regula-falsi steps shrink an inner
        bracket [a, b] around r. The midpoint of [a, b] is taken instead
@@ -87,7 +89,7 @@ def bisect_monotone(f, lo: float, hi: float, tol: float,
        halvings leave, if larger), once no float lies strictly
        between a and b, or after ``_NARROW_STEPS`` (24) calls.
     2. Replay. Walk the midpoints of plain bisection: one at or below a
-       takes flo's side, one at or above b takes fhi's side, and only
+       takes lo's side, one at or above b takes hi's side, and only
        one strictly inside (a, b) calls f, whose value then tightens
        [a, b]. If step 1 met f(x) == 0, every midpoint is compared with
        x instead, and mid == x returns mid.
@@ -97,30 +99,34 @@ def bisect_monotone(f, lo: float, hi: float, tol: float,
     plain bisection. The threshold solvers make 4-11 calls each, their
     ends included, where plain bisection made 24-32.
     """
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    below = flo < 0.0
-    if below == (fhi < 0.0):
+    a, b, fa, fb = (lo, hi, f(lo), f(hi)) if bracket is None else bracket
+    # a zero at an end of [a, b] is r: plain bisection returns it at lo
+    # or hi, and meets it on its path of midpoints elsewhere
+    root = None
+    if fa == 0.0:
+        if a == lo:
+            return lo
+        root = a
+    elif fb == 0.0:
+        if b == hi:
+            return hi
+        root = b
+    below = fa < 0.0
+    if root is None and below == (fb < 0.0):
         from .errors import BracketFailure
 
         raise BracketFailure(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+            f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
     # narrowing past a quarter of the last bracket of the replay saves
     # no call there
     goal = 0.25 * max(tol, (hi - lo) * 0.5 ** BISECT_MAX_ITER)
-    a, b, fa, fb = lo, hi, flo, fhi
-    root = None
     moved = 0   # -1 after a step that moved a, +1 after one that moved b
     # a step stalls when it neither halves b - a (against its width at
     # the last halving) nor halves the least |f| seen; a midpoint step
     # follows 3 stalls running
-    width, least, stalls = hi - lo, min(abs(flo), abs(fhi)), 0
+    width, least, stalls = b - a, min(abs(fa), abs(fb)), 0
     for _ in range(_NARROW_STEPS):
-        if b - a <= goal:
+        if root is not None or b - a <= goal:
             break
         x = 0.5 * (a + b)
         if stalls < 3 and math.isfinite(fa) and math.isfinite(fb):

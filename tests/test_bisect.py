@@ -6,7 +6,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rieszcert import util
@@ -90,12 +90,14 @@ def check_same(f, lo, hi, tol, max_iter, pass_ends):
     EXTRA_CALLS calls of the reference."""
     ends = dict(flo=f(lo), fhi=f(hi)) if pass_ends else {}
     new, ref = Counted(f), Counted(f)
-    plain = functools.partial(plain_bisection, max_iter=max_iter)
+    plain = functools.partial(plain_bisection, max_iter=max_iter, **ends)
+    bracket = (lo, hi, ends["flo"], ends["fhi"]) if pass_ends else None
+    fast = functools.partial(bisect_monotone, bracket=bracket)
     outcomes = []
     with mock.patch.object(util, "BISECT_MAX_ITER", max_iter):
-        for run, g in ((bisect_monotone, new), (plain, ref)):
+        for run, g in ((fast, new), (plain, ref)):
             try:
-                outcomes.append(run(g, lo, hi, tol=tol, **ends).hex())
+                outcomes.append(run(g, lo, hi, tol=tol).hex())
             except BracketFailure as exc:
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -147,6 +149,53 @@ def test_same_float_with_a_zero_on_the_path(ends, target, step, tol,
     f = lambda x: x - m  # noqa: E731
     assert plain_bisection(f, lo, hi, tol, max_iter) == m
     check_same(f, lo, hi, tol, max_iter, pass_ends)
+
+
+@PROPERTY
+@given(shape=st.sampled_from(sorted(SHAPES)), ends=ENDS,
+       r=st.floats(0.0, 1.0), on_path=st.integers(0, 60),
+       below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0),
+       k=st.floats(1.0, 30.0), decreasing=st.booleans(), tol=TOLS,
+       max_iter=MAX_ITERS)
+@example(shape="expm1", ends=(1e-9, 1.0 - 1e-9), r=0.3, on_path=0,
+         below=0.01, above=0.01, k=30.0, decreasing=False, tol=1e-9,
+         max_iter=200)
+@example(shape="affine", ends=(0.0, 1.0), r=0.0, on_path=0, below=0.5,
+         above=0.5, k=1.0, decreasing=False, tol=1e-9, max_iter=200)
+@example(shape="affine", ends=(0.0, 1.0), r=1.0, on_path=0, below=0.5,
+         above=1.0, k=1.0, decreasing=True, tol=1e-9, max_iter=200)
+def test_same_float_from_an_inner_bracket(shape, ends, r, on_path, below,
+                                          above, k, decreasing, tol,
+                                          max_iter):
+    # any [a, b] around the one sign change r, given with f(a) and f(b):
+    # plain bisection's float on [lo, hi], and f never evaluated at lo or
+    # hi. r is a midpoint of plain bisection's path when on_path > 0, and
+    # at an end of [a, b] when below or above is 0
+    lo, hi = ends
+    r = lo + r * (hi - lo)
+    if on_path:
+        mids = path_midpoints(lo, hi, r, tol, max_iter)
+        r = mids[min(on_path, len(mids)) - 1] if mids else r
+    a, b = r - below * (r - lo), r + above * (hi - r)
+    assume(lo <= a < b <= hi)
+    sign = -1.0 if decreasing else 1.0
+    f = lambda x: sign * SHAPES[shape](x, r, k)  # noqa: E731
+    new = Counted(f)
+    calls = []
+    with mock.patch.object(util, "BISECT_MAX_ITER", max_iter):
+        got = bisect_monotone(lambda x: calls.append(x) or new(x), lo, hi,
+                              tol=tol, bracket=(a, b, f(a), f(b)))
+    ref = Counted(f)
+    assert got.hex() == plain_bisection(ref, lo, hi, tol, max_iter).hex()
+    assert lo not in calls and hi not in calls
+    assert new.calls <= ref.calls + EXTRA_CALLS
+
+
+def test_an_inner_bracket_without_a_sign_change_is_refused():
+    with pytest.raises(BracketFailure,
+                       match=r"no sign change on \[0.25, 0.5\]"):
+        bisect_monotone(lambda x: x, 0.0, 1.0, tol=1e-9,
+                        bracket=(0.25, 0.5, 0.25, 0.5))
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-14, 1e-300])

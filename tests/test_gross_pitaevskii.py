@@ -287,6 +287,33 @@ def test_min_quadratic_closed_agrees_with_min_quadratic():
         gp.min_quadratic_closed(-0.1, 0.2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_min_quadratic_closed_on_a_grid_bit_for_bit():
+    # the array form of r1_tilde's prescan against the scalar, point by
+    # point: the same minimum, or NotInG2 where inside is False. Random
+    # weights of every magnitude join the membership grid, and the edge
+    # values 0, negative, inf and nan
+    rng = np.random.default_rng(32)
+    edges = [0.0, -0.0, -1.0, 5e-324, 1.0, math.inf, math.nan]
+    points = (_membership_grid()
+              + [(a, b) for a in edges for b in edges]
+              + list(zip((10.0 ** rng.uniform(-300, 300, 4000)).tolist(),
+                         (10.0 ** rng.uniform(-300, 300, 4000)).tolist()))
+              + list(zip(rng.uniform(0.0, 3.0, 4000).tolist(),
+                         rng.uniform(0.0, 2.0, 4000).tolist())))
+    a, b = (np.array(x) for x in zip(*points))
+    minima, inside = gp._min_quadratic_closed_grid(a, b)
+    for x, y, got, ok in zip(a.tolist(), b.tolist(), minima.tolist(),
+                             inside.tolist()):
+        try:
+            want = gp.min_quadratic_closed(x, y)
+        except NotInG2:
+            assert not ok, (x, y)
+        else:
+            assert ok, (x, y)
+            assert got == want or math.isnan(got) and math.isnan(want)
+
+
 # (r0, r1, r1_tilde) at the default terms and tolerance, recorded before
 # the solvers shared one batched prescan; the r1_tilde values of the
 # first twelve rows are as the root-oracle membership test of
@@ -406,16 +433,19 @@ def test_thresholds_record():
     assert t.r0 == pytest.approx(0.76806, abs=1e-3)
 
 
-def _clear_prescan_caches():
-    gp._prescan_nomes.cache_clear()
-    gp._prescan_factors.cache_clear()
+def _clear_caches():
+    # every functools.lru_cache of the module, so that no cache, a new
+    # one included, turns a cold-cache test warm
+    for value in vars(gp).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
 
 
 def test_threshold_solvers_pinned():
-    # r1_tilde first, from cold prescan caches, then r1 and r0 from warm
-    # ones: the caches change no float
+    # r1_tilde first, from cold caches, then r1 and r0 from warm ones:
+    # the caches change no float
     for (alpha, p), (r0, r1, r1t) in THRESHOLDS.items():
-        _clear_prescan_caches()
+        _clear_caches()
         assert gp.solve_r1_tilde(alpha, p) == r1t
         assert gp.solve_r1(alpha, p) == r1
         assert gp.solve_r0(alpha) == r0
@@ -444,7 +474,7 @@ SOLVER_ERRORS = {
 
 def test_threshold_solver_errors_pinned():
     for alpha, errors in SOLVER_ERRORS.items():
-        _clear_prescan_caches()
+        _clear_caches()
         for solve, (kind, message) in zip(
                 (lambda: gp.solve_r0(alpha), lambda: gp.solve_r1(alpha, 3),
                  lambda: gp.solve_r1_tilde(alpha, 3)), errors):
@@ -467,7 +497,7 @@ def test_threshold_row_log_records_pinned(caplog):
     for row in pinned:
         for _ in ("cold cache", "warm cache"):
             if _ == "cold cache":
-                _clear_prescan_caches()
+                _clear_caches()
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="rieszcert"):
                 gp.solve_r0(row["alpha"])
@@ -607,57 +637,159 @@ def test_mode_weights_are_kept_and_read_only():
 
 
 def _count_mode_sum_rows(monkeypatch) -> list:
-    # the rows of each _mode_sums call: one full-length sum each
+    # the rows of each call of the kernel that every full-length sum
+    # passes through: one sum each
     rows = []
-    kernel = gp._mode_sums
+    kernel = gp._row_sums
 
-    def counted(qs, *args, **kwargs):
-        rows.append(len(qs))
-        return kernel(qs, *args, **kwargs)
+    def counted(lq, *args, **kwargs):
+        rows.append(int(np.size(lq)))
+        return kernel(lq, *args, **kwargs)
 
-    monkeypatch.setattr(gp, "_mode_sums", counted)
+    monkeypatch.setattr(gp, "_row_sums", counted)
     return rows
 
 
 def test_threshold_row_kernel_calls(monkeypatch):
-    # full-length mode sums per row: about 10 for r0 (its two ends, 6-8
-    # secant steps of the narrowing phase of bisect_monotone, 0-2 on the
-    # replayed path); for r1 and r1_tilde the two ends of the prescan's
-    # bracket and 4-6 bisection steps each, and r1_tilde's check of its
-    # upper end: 22-24 per row at odd p. The 64-point prescans summed
-    # every grid point in full (116 sums per row on the grid below). At
-    # p = 2, alpha = 3 the narrowing takes midpoints while r1_tilde's
-    # bracket end is infinite: 39 sums
+    # full-length mode sums per row: for each solver the two ends of
+    # its prescan bracket, unless a sum the row already took or the
+    # enclosures pin them, and 2-6 bisection steps; r1_tilde's check of
+    # its upper end besides: 14-18 per row at odd p. r0 bisected from
+    # [_Q_LO, _Q_HI] with about 10 sums, and each solver took the sums
+    # it shared with another again (22-24 per row). At p = 2, alpha = 3
+    # the narrowing takes midpoints while r1_tilde's bracket end is
+    # infinite: 34 sums (39 before)
     rows = _count_mode_sum_rows(monkeypatch)
     for (alpha, p), want in THRESHOLDS.items():
-        _clear_prescan_caches()
+        _clear_caches()
         rows.clear()
         assert (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
                 gp.solve_r1_tilde(alpha, p)) == want
-        assert sum(rows) <= (24 if p % 2 else 39)
-        # the enclosures decide every prescan sign: only a bracket's two
-        # ends are summed in full
-        assert max(rows) <= 2
+        # the kernel sums one q at a time
+        assert rows == [1] * len(rows)
+        assert sum(rows) <= (18 if p % 2 else 34)
 
 
 def test_threshold_grid_kernel_calls(monkeypatch):
     # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
-    # p = 3, 5, 7 from cold prescan caches: 22.8 full-length mode sums
-    # per row on average, 25 at most (116.2 and 148 when the prescans
-    # summed every grid point)
+    # p = 3, 5, 7 from cold caches: 16.1 full-length mode sums per row
+    # on average, 19 at most (22.8 and 25 when r0 bisected from the ends
+    # of [_Q_LO, _Q_HI] and the solvers did not share their sums, 116.2
+    # and 148 when the prescans summed every grid point)
     rows = _count_mode_sum_rows(monkeypatch)
     counts = []
     for p in (3, 5, 7):
         for i in range(23):
             alpha = 2.0 * i / 22
-            _clear_prescan_caches()
+            _clear_caches()
             rows.clear()
             gp.solve_r0(alpha)
             gp.solve_r1(alpha, p)
             gp.solve_r1_tilde(alpha, p)
             counts.append(sum(rows))
-    assert max(counts) <= 25
-    assert sum(counts) / len(counts) <= 23.0
+    assert max(counts) <= 19
+    assert sum(counts) / len(counts) <= 17.0
+
+
+def _plain_bisection(f, lo, hi, tol):
+    """Plain bisection, as solve_r0 took it before bisect_monotone: the
+    reference r0 must reproduce."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_r0_is_plain_bisection_on_the_threshold_grid(monkeypatch):
+    # r0 at every alpha of the 69-row grid and of the pinned rows, at
+    # terms 32 (where the enclosures are the sums), 33 and 3000, against
+    # plain bisection of s_alpha - 2 on [_Q_LO, _Q_HI]; every one starts
+    # from a grid cell of the enclosure prescan. The CI job runs this on
+    # each SIMD path of numpy's exp and expm1
+    cells = []
+    real = gp.bisect_monotone
+
+    def spy(*args, **kwargs):
+        cells.append(kwargs["bracket"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "bisect_monotone", spy)
+    alphas = sorted({2.0 * i / 22 for i in range(23)}
+                    | {alpha for alpha, _ in THRESHOLDS})
+    for terms in (gp.DEFAULT_TERMS, 32, 33, 3000):
+        for alpha in alphas:
+            _clear_caches()
+            want = _plain_bisection(
+                lambda q: gp.s_alpha(q, alpha, terms).value - 2.0,
+                gp._Q_LO, gp._Q_HI, gp.BISECTION_TOL)
+            assert gp.solve_r0(alpha, terms).hex() == want.hex()
+            assert cells[-1] is not None
+    for (alpha, _), (r0, _, _) in THRESHOLDS.items():
+        assert gp.solve_r0(alpha) == r0
+
+
+def test_solve_r0_errors_come_from_the_ends_of_the_range(monkeypatch):
+    # no enclosure (alpha = 150, 1e308) or no sign change on the grid
+    # (alpha = 60): r0 bisects from the ends, as SOLVER_ERRORS pins
+    ends = []
+    real = gp.bisect_monotone
+
+    def spy(*args, **kwargs):
+        ends.append(kwargs["bracket"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "bisect_monotone", spy)
+    for alpha in SOLVER_ERRORS:
+        _clear_caches()
+        with pytest.raises(RieszcertError):
+            gp.solve_r0(alpha)
+    assert ends == [None] * len(SOLVER_ERRORS)
+
+
+def test_prescan_caches_hold_the_threshold_grid():
+    # the 69-row grid twice: the second pass finds every prescan grid
+    # and weight factor in the caches
+    def grid():
+        for p in (3, 5, 7):
+            for i in range(23):
+                alpha = 2.0 * i / 22
+                gp.solve_r0(alpha)
+                gp.solve_r1(alpha, p)
+                gp.solve_r1_tilde(alpha, p)
+
+    _clear_caches()
+    grid()
+    misses = (gp._prescan_nomes.cache_info().misses,
+              gp._prescan_factors.cache_info().misses)
+    grid()
+    assert (gp._prescan_nomes.cache_info().misses,
+            gp._prescan_factors.cache_info().misses) == misses
+
+
+def test_solvers_of_a_row_share_one_enclosure_block():
+    _clear_caches()
+    for solve in (lambda: gp.solve_r0(0.5), lambda: gp.solve_r1(0.5, 3),
+                  lambda: gp.solve_r1_tilde(0.5, 3)):
+        solve()
+    info = gp._grid_enclosures.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    s_lo, s_hi = gp._grid_enclosures(gp._Q_LO, gp._Q_HI, 0.5,
+                                     gp.DEFAULT_TERMS)
+    assert not s_lo.flags.writeable and not s_hi.flags.writeable
 
 
 def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
@@ -737,7 +869,10 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
 
 def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     # f(q, s) = s - c: c is the full sum from grid point 20 on, where f
-    # is 0 and no enclosure decides its sign, and the sum plus 1 before
+    # is 0 and no enclosure decides its sign, and the sum plus 1 before.
+    # Each sum is taken once: the bracket's upper end comes from the
+    # cache
+    _clear_caches()
     lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
     qs = gp._prescan_grid(lo, hi)
     sums = gp._mode_sums(qs, alpha, terms)
@@ -753,11 +888,11 @@ def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     rows = _count_mode_sum_rows(monkeypatch)
     _, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
     assert negative.tolist() == [True] * 20 + [False] * 44
-    assert rows == [44]
+    assert rows == [1] * 44
     rows.clear()
     assert gp._single_sign_change(f, parts, alpha, terms, lo, hi, "f") == (
         qs[19], qs[20], f(qs[19], sums[19]), 0.0)
-    assert rows == [44, 1]
+    assert rows == [1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -817,7 +952,7 @@ def test_structured_weight_on_the_prescan_grid_bit_for_bit():
 def test_solve_r1_memory_at_large_terms():
     # one s_alpha call holds ~3.5 MB at 1e5 terms; an unblocked 64-point
     # prescan would hold ~51 MB per temporary
-    _clear_prescan_caches()
+    _clear_caches()
     tracemalloc.start()
     try:
         gp.solve_r1(0.5, 3, terms=10 ** 5)
@@ -860,7 +995,8 @@ def test_bisect_monotone_starts_from_given_end_values():
         seen.append(x)
         return x - 0.3
 
-    root = bisect_monotone(f, 0.0, 1.0, tol=1e-6, flo=-0.3, fhi=0.7)
+    root = bisect_monotone(f, 0.0, 1.0, tol=1e-6,
+                           bracket=(0.0, 1.0, -0.3, 0.7))
     assert 0.0 not in seen and 1.0 not in seen
     assert root == bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, tol=1e-6)
 

@@ -332,6 +332,34 @@ def test_schur_cohn_verdict_examples():
             [2.5, 1], _random_disc(rng, 2, 0.9)).inside
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [
+    [1e200, 1e200], [1e308, 1e308, 1e308], [math.nan, 0.1], [math.inf],
+    [complex(1.5e308, 1.5e308), 1.0]])
+def test_schur_cohn_form_that_is_not_finite_is_indeterminate(coeffs):
+    # the form overflows above about 1e154: no margin, no warning, and
+    # no decisive "outside" from a nan margin
+    verdict = pd.in_polydisc_schur_cohn(coeffs)
+    assert (verdict.inside, verdict.indeterminate) == (False, True)
+    assert math.isnan(verdict.margin)
+    cert = pd.membership_certificate(coeffs)
+    assert math.isnan(cert.margins["schur_cohn_margin"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_schur_cohn_margin_is_the_smallest_eigenvalue_of_the_form():
+    # below _FORM_SCALE_MAX and above it, while the form stays finite
+    rng = np.random.default_rng(32)
+    for scale in (1.0, 1e99, 1e101, 1e150):
+        for d in range(1, 8):
+            c = scale * (rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
+            form = pd.schur_cohn_form(np.conj(c), pd._default_ptak_young(d))
+            margin = float(np.linalg.eigvalsh(form)[0])
+            assert pd.in_polydisc_schur_cohn(c) == pd.MembershipVerdict(
+                margin > pd.MEMBERSHIP_TOL, margin,
+                indeterminate=abs(margin) <= pd.MEMBERSHIP_TOL)
+
+
 def test_oracle_agreement_and_beta_independence():
     rng = np.random.default_rng(99)
     checked = 0
