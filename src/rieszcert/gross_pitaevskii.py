@@ -211,8 +211,9 @@ def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
     return sums
 
 
-# 1024 sums: the rows of a threshold grid at up to about 60 rows
-@functools.lru_cache(maxsize=1024)
+# 512 sums: those of the last 40 or so threshold rows, so that rows of
+# one alpha at several p share r0's
+@functools.lru_cache(maxsize=512)
 def _mode_sum(q: float, alpha: float, terms: int) -> float:
     """The raw partial sum of :func:`s_alpha` at one q, as
     :func:`_mode_sums` gives it, not checked for overflow. The threshold
@@ -532,7 +533,7 @@ def _grid_weights(lo: float, hi: float, alpha: float, p: int,
         return scale * one_minus_q * root / denominator
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=32)
 def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
     """:func:`_enclosures` on the prescan grid of [lo, hi], read-only:
     the solvers of a threshold row share one block."""
