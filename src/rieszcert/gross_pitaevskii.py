@@ -45,10 +45,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ORACLE_SLACK = 1e-5
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
-# the threshold solvers' prescan grid, and the largest block of
-# summands the mode-sum kernel builds at once (256 kB of floats)
+# the threshold solvers' prescan grid
 _PRESCAN_POINTS = 64
-_BLOCK_ELEMENTS = 32768
 # the prescan encloses each grid point's mode sum from its first K
 # summands, widened by tau = c (terms + K) eps (see _enclosures)
 _ENCLOSURE_TERMS = 32
@@ -175,49 +173,22 @@ def _mode_weights(alpha: float, terms: int) -> tuple:
     return _read_only(l, modes, w)
 
 
-def _column(xs: list):
-    """Values per row, as a column against the terms axis; a lone value
-    stays a float, numpy's fastest path for a one-row block."""
-    return xs[0] if len(xs) == 1 else np.array(xs)[:, None]
-
-
-def _row_sums(lq, one_minus_q, alpha: float, terms: int):
+def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int):
     """The sum of the first ``terms`` summands of :func:`s_alpha` at
-    log q = lq and 1 - q, floats or columns (one row each), not checked
-    for overflow. Every full-length mode sum is taken here."""
+    log q = lq and 1 - q, not checked for overflow. Every full-length
+    mode sum is taken here."""
     l, modes, w = _mode_weights(alpha, terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        return odd_modes(lq, one_minus_q, l, modes, w).sum(axis=-1)
-
-
-def _mode_sums(qs, alpha: float, terms: int) -> np.ndarray:
-    """Raw partial sums of :func:`s_alpha` at each q of ``qs``, not
-    checked for overflow.
-
-    Row i of a block holds the summands at qs[i] from
-    :func:`dilation.odd_modes`, and numpy sums each row of a
-    C-contiguous block as it sums a 1-d array, so every sum is
-    bit-identical to a one-q call. A block holds at most
-    ``_BLOCK_ELEMENTS`` summands (one row at least), so a batch needs
-    no more memory than one q does at large ``terms``.
-    """
-    lqs = [log_nome(q) for q in qs]
-    rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
-    sums = np.empty(len(qs))
-    for i in range(0, len(qs), rows):
-        sums[i:i + rows] = _row_sums(
-            _column(lqs[i:i + rows]),
-            _column([1.0 - q for q in qs[i:i + rows]]), alpha, terms)
-    return sums
+        return odd_modes(lq, one_minus_q, l, modes, w).sum()
 
 
 # 512 sums: those of the last 40 or so threshold rows, so that rows of
 # one alpha at several p share r0's
 @functools.lru_cache(maxsize=512)
 def _mode_sum(q: float, alpha: float, terms: int) -> float:
-    """The raw partial sum of :func:`s_alpha` at one q, as
-    :func:`_mode_sums` gives it, not checked for overflow. The threshold
-    solvers of a row take each sum once: they share this cache."""
+    """The raw partial sum of :func:`s_alpha` at one q, not checked for
+    overflow. :func:`s_alpha` and the threshold solvers' prescans share
+    this cache, so the solvers of a row take each sum once."""
     return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
 
 
@@ -258,7 +229,7 @@ def s_alpha(q: float, alpha: float,
 def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
                 alpha: float, terms: int):
     """Bounds (s_lo, s_hi) with s_lo <= s <= s_hi for the raw partial
-    sum s of :func:`_mode_sums` at each nome of ``q`` (log q and 1 - q
+    sum s of :func:`_mode_sum` at each nome of ``q`` (log q and 1 - q
     given alongside), from one kernel call on the first
     K = ``_ENCLOSURE_TERMS`` summands; None where nothing is proven:
     at alpha < 0, where the tail bound of :func:`s_alpha` fails, and
@@ -600,16 +571,30 @@ def _prescan(f, parts, alpha: float, terms: int, lo: float,
     left open are summed in full, as are the points whose value is
     asked for unless chain(s_lo) == chain(s_hi) pins it
     (:func:`_enclosed_prescan`). Where the weights admit no enclosure,
-    or a sum is not finite, every point is summed and f called in turn,
-    so f raises where it did.
+    or a sum is not finite, f is called on the full-length sum of each
+    point in turn, so it raises where it did.
     """
     scan = _enclosed_prescan(parts, alpha, terms, lo, hi)
     if scan is not None:
         return scan
     qs = _prescan_nomes(lo, hi)[0]
-    vals = [f(x, s) for x, s in zip(qs, _mode_sums(qs, alpha, terms))]
+    vals = [f(x, _mode_sum(x, alpha, terms)) for x in qs]
     return (qs, np.array([v < 0.0 for v in vals]),
             lambda indices: [vals[i] for i in indices])
+
+
+def _grid_cell(scan, single: bool) -> tuple:
+    """(n, cell) for a prescan ``scan`` = (qs, negative, values): the
+    number n of sign changes on its grid, and the cell of the first,
+    (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is none, or
+    where there are several and ``single`` is set. Only the ends of the
+    cell returned are evaluated."""
+    qs, negative, values = scan
+    changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
+    if not changes or (single and len(changes) > 1):
+        return len(changes), None
+    i = changes[0]
+    return len(changes), (qs[i], qs[i + 1], *values([i, i + 1]))
 
 
 def _single_sign_change(f, parts, alpha: float, terms: int, lo: float,
@@ -620,15 +605,14 @@ def _single_sign_change(f, parts, alpha: float, terms: int, lo: float,
     More than one sign change is logged. Returns the bracket and f at
     its ends, (lo, hi, f(lo), f(hi)), so that the bisection does not
     evaluate them again."""
-    qs, negative, values = _prescan(f, parts, alpha, terms, lo, hi)
-    changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
-    if not changes:
+    changes, cell = _grid_cell(_prescan(f, parts, alpha, terms, lo, hi),
+                               single=False)
+    if cell is None:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
-    if len(changes) > 1:
+    if changes > 1:
         log.warning("%s: %d sign changes on the prescan grid; using the "
-                    "first bracket", label, len(changes))
-    i = changes[0]
-    return (qs[i], qs[i + 1], *values([i, i + 1]))
+                    "first bracket", label, changes)
+    return cell
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
@@ -646,20 +630,11 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
     or the grid shows no single sign change, the bisection starts from
     the ends of [_Q_LO, _Q_HI] and reports what they show.
     """
-
-    def f(q: float) -> float:
-        return _finite_sum(_mode_sum(q, alpha, terms), q, alpha) - 2.0
-
-    cell = None
     scan = _enclosed_prescan(lambda lo, hi: lambda s: s - 2.0, alpha,
                              terms, _Q_LO, _Q_HI)
-    if scan is not None:
-        qs, negative, values = scan
-        changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
-        if len(changes) == 1:
-            i = changes[0]
-            cell = (qs[i], qs[i + 1], *values([i, i + 1]))
-    return bisect_monotone(f, _Q_LO, _Q_HI, tol=tol, bracket=cell)
+    cell = None if scan is None else _grid_cell(scan, single=True)[1]
+    return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
+                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -682,7 +657,7 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         return lambda s: s - 2.0 - half_b
 
     cell = _single_sign_change(f, parts, alpha, terms, _Q_LO, _Q_HI, "r1")
-    return bisect_monotone(lambda q: f(q, _mode_sum(q, alpha, terms)),
+    return bisect_monotone(lambda q: f(q, s_alpha(q, alpha, terms).value),
                            *cell[:2], tol=tol, bracket=cell)
 
 
@@ -713,7 +688,9 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
                 - 1.0 - a - b - min_quadratic_closed(a, b))
 
     def first(q: float) -> None:
-        # the order of f: a, b, the overflow check of s, membership
+        # the order of f: a, b, the overflow check of s, membership. a
+        # and b can only raise for (p, alpha) alone, so once they pass
+        # here the bisection may check s first, in s_alpha
         f(q, _mode_sum(q, alpha, terms))
 
     def in_g2(q: float) -> None:
@@ -770,7 +747,7 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     for q_end, f_end in ((lo, flo), (hi, fhi)):
         if f_end == math.inf:
             lost(q_end)
-    q = bisect_monotone(lambda q: g(q, _mode_sum(q, alpha, terms)),
+    q = bisect_monotone(lambda q: g(q, s_alpha(q, alpha, terms).value),
                         lo, hi, tol=tol, bracket=cell)
     _cross_check_g2(structured_weight(q, alpha, p, 1),
                     structured_weight(q, alpha, p, 2))

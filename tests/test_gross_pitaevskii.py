@@ -12,7 +12,7 @@ import pytest
 
 from rieszcert import gross_pitaevskii as gp
 from rieszcert import polydisc
-from rieszcert.dilation import OddModeProfile
+from rieszcert.dilation import OddModeProfile, odd_modes
 from rieszcert.errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                               RieszcertError)
 from rieszcert.util import bisect_monotone, log_nome
@@ -564,13 +564,44 @@ def test_log_nome_and_weights_against_50_digits():
                 assert abs(got - want) <= bound * want
 
 
+# the largest block of summands _mode_sums builds at once (256 kB of
+# floats)
+_BLOCK_ELEMENTS = 32768
+
+
+def _column(xs: list):
+    """Values per row, as a column against the terms axis; a lone value
+    stays a float."""
+    return xs[0] if len(xs) == 1 else np.array(xs)[:, None]
+
+
+def _mode_sums(qs, alpha, terms):
+    """Raw partial sums of s_alpha at each q of ``qs`` from blocks of
+    rows of the odd-mode kernel, one row per q, as the threshold
+    prescans once took them: numpy sums each row of a C-contiguous block
+    as it sums a 1-d array. A block holds at most ``_BLOCK_ELEMENTS``
+    summands (one row at least). Not counted as a kernel call of
+    gross_pitaevskii, and it fills none of its caches but the weights'."""
+    l, modes, w = gp._mode_weights(alpha, terms)
+    lqs = [log_nome(q) for q in qs]
+    rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
+    sums = np.empty(len(qs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(qs), rows):
+            sums[i:i + rows] = odd_modes(
+                _column(lqs[i:i + rows]),
+                _column([1.0 - q for q in qs[i:i + rows]]),
+                l, modes, w).sum(axis=-1)
+    return sums
+
+
 @pytest.mark.parametrize("terms", [1, 300, 500, 2000, 3000])
 def test_batched_mode_sums_match_s_alpha_bit_for_bit(terms):
     # 3000 terms split the 64 rows into blocks of 10 with a short last one
     for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
         qs = gp._prescan_grid(lo, hi)
         for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
-            batch = gp._mode_sums(qs, alpha, terms)
+            batch = _mode_sums(qs, alpha, terms)
             for q, got in zip(qs, batch):
                 assert got == gp.s_alpha(q, alpha, terms).value
                 assert got == _s_alpha_reference(q, alpha, terms)
@@ -578,9 +609,10 @@ def test_batched_mode_sums_match_s_alpha_bit_for_bit(terms):
 
 def test_batched_mode_sums_one_row_per_block_at_large_terms():
     qs = [1e-3, 0.5, 0.999]
-    got = gp._mode_sums(qs, 0.5, 10 ** 5)
+    got = _mode_sums(qs, 0.5, 10 ** 5)
     assert [float(s) for s in got] == [
-        _s_alpha_reference(q, 0.5, 10 ** 5) for q in qs]
+        _s_alpha_reference(q, 0.5, 10 ** 5) for q in qs] == [
+        gp.s_alpha(q, 0.5, 10 ** 5).value for q in qs]
 
 
 def _mode_sums_reference(qs, alpha, terms):
@@ -591,15 +623,15 @@ def _mode_sums_reference(qs, alpha, terms):
     with np.errstate(over="ignore", invalid="ignore"):
         w = odd ** alpha
     lqs = [log_nome(q) for q in qs]
-    rows = max(1, gp._BLOCK_ELEMENTS // max(terms, 1))
+    rows = max(1, _BLOCK_ELEMENTS // max(terms, 1))
     sums = np.empty(len(qs))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(qs), rows):
-            lq = gp._column(lqs[i:i + rows])
+            lq = _column(lqs[i:i + rows])
             summand = np.multiply(l, lq)
             np.exp(summand, out=summand)
             np.multiply(w, summand, out=summand)
-            summand *= gp._column([1.0 - q for q in qs[i:i + rows]])
+            summand *= _column([1.0 - q for q in qs[i:i + rows]])
             denominator = np.multiply(odd, lq)
             np.expm1(denominator, out=denominator)
             np.negative(denominator, out=denominator)
@@ -609,8 +641,9 @@ def _mode_sums_reference(qs, alpha, terms):
 
 
 def test_mode_sums_are_the_old_blocked_loop_bit_for_bit():
-    # 2000 sums in batches of 1-40 nomes, q over (0, 1), alpha in
-    # [0, 4], up to 3000 terms: blocks of one row and of many
+    # 2000 one-q sums against the old blocked loop in batches of 1-40
+    # nomes, q over (0, 1), alpha in [0, 4], up to 3000 terms: blocks of
+    # one row and of many
     rng = np.random.default_rng(26)
     count = 0
     while count < 2000:
@@ -619,7 +652,7 @@ def test_mode_sums_are_the_old_blocked_loop_bit_for_bit():
             rng.random(size) < 0.3, 10.0 ** -rng.uniform(0.0, 300.0, size),
             rng.uniform(0.0, 1.0, size)) if 0.0 < q < 1.0]
         alpha, terms = float(rng.uniform(0.0, 4.0)), int(rng.integers(1, 3001))
-        assert np.array_equal(gp._mode_sums(qs, alpha, terms),
+        assert np.array_equal([gp._mode_sum(q, alpha, terms) for q in qs],
                               _mode_sums_reference(qs, alpha, terms))
         count += len(qs)
 
@@ -796,7 +829,7 @@ def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
     """_single_sign_change as it was before the enclosures: f at the
     full-length sum of every grid point, in grid order."""
     qs = gp._prescan_grid(lo, hi)
-    vals = [f(q, s) for q, s in zip(qs, gp._mode_sums(qs, alpha, terms))]
+    vals = [f(q, s) for q, s in zip(qs, _mode_sums(qs, alpha, terms))]
     changes = [i for i in range(gp._PRESCAN_POINTS - 1)
                if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
     if not changes:
@@ -860,7 +893,7 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
         assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
         caplog.clear()
         qs, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
-        sums = gp._mode_sums(qs, alpha, terms)
+        sums = _mode_sums(qs, alpha, terms)
         with caplog.at_level(logging.CRITICAL, logger="rieszcert"):
             assert negative.tolist() == [f(q, s) < 0.0
                                          for q, s in zip(qs, sums)]
@@ -875,7 +908,7 @@ def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     _clear_caches()
     lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
     qs = gp._prescan_grid(lo, hi)
-    sums = gp._mode_sums(qs, alpha, terms)
+    sums = _mode_sums(qs, alpha, terms)
     c = sums + (np.arange(gp._PRESCAN_POINTS) < 20)
     offsets = dict(zip(qs, c.tolist()))
 
@@ -910,7 +943,7 @@ def test_enclosures_hold_the_mode_sums(terms):
         lq = np.array([log_nome(x) for x in q.tolist()])
         s_lo, s_hi = gp._enclosures(q, lq, np.array([1.0 - x for x in q]),
                                     alpha, terms)
-        sums = gp._mode_sums(q.tolist(), alpha, terms)
+        sums = _mode_sums(q.tolist(), alpha, terms)
         assert (s_lo <= sums).all() and (sums <= s_hi).all()
         if terms <= gp._ENCLOSURE_TERMS:
             assert np.array_equal(s_lo, sums) and np.array_equal(s_hi, sums)
@@ -968,7 +1001,7 @@ def test_mode_sum_stays_finite_below_q_hi_at_the_overflow_edge(terms):
     # mode sum finite at _Q_HI is finite at every smaller upper end;
     # check that at the largest alpha where it is finite at _Q_HI
     def finite(alpha):
-        return math.isfinite(gp._mode_sums((gp._Q_HI,), alpha, terms)[0])
+        return math.isfinite(_mode_sums((gp._Q_HI,), alpha, terms)[0])
 
     lo, hi = 10.0, 400.0
     for _ in range(100):
@@ -979,7 +1012,7 @@ def test_mode_sum_stays_finite_below_q_hi_at_the_overflow_edge(terms):
         shrink_ends.append(gp._Q_LO + 0.95 * (shrink_ends[-1] - gp._Q_LO))
     assert len(shrink_ends) > 400
     assert all(math.isfinite(s)
-               for s in gp._mode_sums(shrink_ends, lo, terms))
+               for s in _mode_sums(shrink_ends, lo, terms))
     with pytest.raises(BracketFailure, match="no subinterval"):
         gp.solve_r1_tilde(lo, 3, terms)
     # one step past the edge the overflow is reported before any shrink
