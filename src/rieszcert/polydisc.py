@@ -34,10 +34,6 @@ BETA_LIMIT = 1.0 - 1e-12
 DEFAULT_BETA = 0.5
 RANK_TOL = 1e-10
 GRAM_TOL = 1e-8
-# below this coefficient modulus no entry of the Schur-Cohn form, nor of
-# the products that build it, overflows at any practical degree d: each
-# is at most d (1 + d max |a_k|)^2, as ||Y|| <= 1
-_FORM_SCALE_MAX = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,18 +226,10 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     # beta = 0 is forbidden by the spectrum-plus-defect definition (the
     # nilpotent Jordan block), so a fixed nonzero default is used.
     Y = _default_ptak_young(len(a)) if betas is None else ptak_young(betas)
-    monic = [c.conjugate() for c in a]
-    try:
-        in_range = max(map(abs, a), default=0.0) < _FORM_SCALE_MAX
-    except OverflowError:   # a modulus past the float range
-        in_range = False
-    if in_range:
-        H = schur_cohn_form(monic, Y)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            H = schur_cohn_form(monic, Y)
-        if not np.isfinite(H).all():
-            return MembershipVerdict(False, math.nan, indeterminate=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = schur_cohn_form([c.conjugate() for c in a], Y)
+    if not np.isfinite(H).all():
+        return MembershipVerdict(False, math.nan, indeterminate=True)
     margin = float(np.linalg.eigvalsh(H)[0])
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
                              indeterminate=not abs(margin) > MEMBERSHIP_TOL)
