@@ -243,8 +243,7 @@ def cmd_appendix_verify(args, settings: Settings) -> int:
         cs = polydisc.monic_coeffs(lams)
         SC = polydisc.schur_cohn_form(cs, Y)
         stack = polydisc.tm_stack(lams, Y.matrix)
-        q_asc = [1.0] + [c.conjugate() for c in cs]
-        QY = polydisc._matrix_poly(q_asc, Y.matrix)
+        QY = polydisc.conjugate_poly(cs, Y.matrix)
         for _ in range(100):
             x = _random_disc(rng, d, 1.0)
             lhs = float(np.linalg.norm(H @ (stack @ (QY @ x))) ** 2)

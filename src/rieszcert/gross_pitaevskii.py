@@ -192,12 +192,16 @@ def _mode_sum(q: float, alpha: float, terms: int) -> float:
     return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
 
 
+def _overflow(q: float, alpha: float) -> RieszcertError:
+    return RieszcertError(f"s_alpha overflows the float range at "
+                          f"q={q}, alpha={alpha}")
+
+
 def _finite_sum(total: float, q: float, alpha: float) -> float:
     # the summands are nonnegative: an inf or nan among them leaves the
     # sum inf or nan too
     if not math.isfinite(total):
-        raise RieszcertError(f"s_alpha overflows the float range at "
-                             f"q={q}, alpha={alpha}")
+        raise _overflow(q, alpha)
     return float(total)
 
 
@@ -233,7 +237,9 @@ def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
     given alongside), from one kernel call on the first
     K = ``_ENCLOSURE_TERMS`` summands; None where nothing is proven:
     at alpha < 0, where the tail bound of :func:`s_alpha` fails, and
-    when a weight (2l+1)^alpha is infinite.
+    when a weight (2l+1)^alpha is infinite. Where the weights are
+    finite and terms > K, (2K + 1)^alpha is at most the last weight, so
+    no Python power below overflows.
 
     With S_K the sum of the first K summands and tail_K the tail bound
     of :func:`s_alpha` after them, s_lo = S_K (1 - tau) and s_hi =
@@ -241,9 +247,11 @@ def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
     eps. tail_K takes its ratio times 1 + tau, so that the rounding of q
     and log q cannot lower it, and is inf where that ratio reaches 1.
     s_hi is also capped by the total of the weights times 1 + tau, as no
-    summand exceeds its weight, so an s_hi that is finite proves s
-    finite. Both sums use the same weights, so tau covers their other
-    roundings: terms + K ulps of summation, a few ulps per summand for
+    summand exceeds its weight; that total is inf where the weights are
+    finite but their sum is not (alpha from about 102.6 to 102.75 at
+    500 terms), and s_hi is then inf where the ratio reaches 1. Both
+    sums use the same weights, so tau covers their other roundings:
+    terms + K ulps of summation, a few ulps per summand for
     exp, expm1 and the products, and the rounding of l log q, which
     costs summand l at most l |log q| ulps and, averaged over the
     summands, at most alpha ln(2 terms - 1) + ln(terms) ulps, below
@@ -261,14 +269,11 @@ def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
     if k == terms:
         return partial, partial
     tau = _ENCLOSURE_ULPS * (terms + k) * sys.float_info.epsilon
-    cap = float(w.sum()) * (1.0 + tau)
-    try:
-        first_omitted = (2.0 * k + 1.0) ** alpha
-        growth = ((2.0 * k + 3.0) / (2.0 * k + 1.0)) ** alpha * (1.0 + tau)
-    except OverflowError:
-        return partial * (1.0 - tau), np.full_like(partial, cap)
+    first_omitted = (2.0 * k + 1.0) ** alpha
+    growth = ((2.0 * k + 3.0) / (2.0 * k + 1.0)) ** alpha * (1.0 + tau)
     ratio = growth * q
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cap = float(w.sum()) * (1.0 + tau)
         tail = first_omitted * np.exp(k * lq) / (1.0 - ratio)
         s_hi = np.where(ratio < 1.0, (partial + tail) * (1.0 + tau), math.inf)
     return partial * (1.0 - tau), np.minimum(s_hi, cap)
@@ -402,24 +407,6 @@ def min_quadratic_closed(a: float, b: float) -> float:
     return _min_quadratic(a, b, quadratic_root_margin)
 
 
-def _min_quadratic_closed_grid(a: np.ndarray, b: np.ndarray) -> tuple:
-    """:func:`min_quadratic_closed` at each (a[i], b[i]), bit for bit,
-    as arrays (minima, inside): inside[i] is False where it raises
-    NotInG2, and minima[i] is then meaningless. Each branch takes the
-    IEEE operations of the scalar form in the same order."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        margin = np.where(a * a < 4.0 * b, 1.0 / np.sqrt(b) - 1.0,
-                          2.0 / (a + np.sqrt(a * a - 4.0 * b)) - 1.0)
-        linear = b == 0.0
-        inside = (~(a < 0.0) & ~(b < 0.0)
-                  & np.where(linear, ~(a >= 1.0), margin > MEMBERSHIP_TOL))
-        minima = np.where(
-            linear, 1.0 - a,
-            np.where(a * (b + 1.0) / (4.0 * b) >= 1.0, 1.0 - a + b,
-                     (1.0 - b) * np.sqrt(1.0 - a * a / (4.0 * b))))
-    return minima, inside
-
-
 def _cross_check_g2(a: float, b: float) -> None:
     """Check the closed form against the root oracle at one (a, b):
     :func:`min_quadratic` and :func:`min_quadratic_closed` must return
@@ -461,11 +448,6 @@ def _weight_factors(lq: float, m: int) -> tuple:
     return math.exp(0.5 * (m - 1) * lq), -math.expm1(m * lq)
 
 
-def _prescan_grid(lo: float, hi: float) -> list:
-    return [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
-            for i in range(_PRESCAN_POINTS)]
-
-
 @functools.lru_cache(maxsize=256)
 def _prescan_nomes(lo: float, hi: float) -> tuple:
     """The prescan grid of [lo, hi] as a tuple of floats, and its q,
@@ -473,7 +455,8 @@ def _prescan_nomes(lo: float, hi: float) -> tuple:
     :func:`_prescan_factors`, which raises where p^2 is past the float
     range and so must come after the scale p^{k alpha}, as in
     :func:`structured_weight`."""
-    qs = _prescan_grid(lo, hi)
+    qs = [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
+          for i in range(_PRESCAN_POINTS)]
     return (tuple(qs), *_read_only(np.array(qs),
                                    np.array([log_nome(q) for q in qs]),
                                    np.array([1.0 - q for q in qs])))
@@ -512,14 +495,34 @@ def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
     return None if bounds is None else _read_only(*bounds)
 
 
-def _enclosed_prescan(parts, alpha: float, terms: int, lo: float,
-                      hi: float):
-    """:func:`_prescan` from the enclosures alone, or None where the
-    weights admit no enclosure or a sum that no enclosure bounds is not
-    finite; ``parts`` is not called then."""
+def _prescan(parts, alpha: float, terms: int, lo: float, hi: float) -> tuple:
+    """The signs of f(q, s) on the prescan grid of [lo, hi], with s the
+    raw mode sum at q: (qs, negative, values), where negative[i] is
+    f(q_i, s_i) < 0 and values(indices) returns f at those points, each
+    as a full evaluation gives it.
+
+    ``parts(lo, hi)`` evaluates the s-free part of f at every grid
+    point, in grid order, with the side effects and exceptions that f
+    has there, and returns ``chain``: chain(s)[i] is f(q_i, s[i]) bit
+    for bit for a vector s of finite sums, and is nondecreasing in
+    s[i], since rounding is monotone.
+
+    Each sum is enclosed as s_lo <= s <= s_hi (:func:`_enclosures`):
+    chain(s_hi) < 0 proves a point negative and chain(s_lo) >= 0 proves
+    it not. Only the points left open are summed in full, as are the
+    points whose value is asked for unless chain(s_lo) == chain(s_hi)
+    pins it. The solvers check their domain first
+    (:func:`_check_solver_domain`), and there every sum is finite where
+    the weights w_l = (2l+1)^alpha are: f_hat_q(2l+1) = 1 / sum_{|k| <=
+    l} q^k is at most 1 / (2l+1), so summand l is at most w_l / (2l+1)
+    and the sum is at most the last weight for alpha >= 1 and at most
+    terms below. Where a weight is
+    infinite, no enclosure exists and the overflow error of
+    :func:`s_alpha` at lo is raised before ``parts`` is called.
+    """
     bounds = _grid_enclosures(lo, hi, alpha, terms)
     if bounds is None:
-        return None
+        raise _overflow(lo, alpha)
     qs = _prescan_nomes(lo, hi)[0]
     s_lo, s_hi = bounds
     sums = np.full(len(qs), math.nan)
@@ -529,9 +532,6 @@ def _enclosed_prescan(parts, alpha: float, terms: int, lo: float,
             sums[i] = _mode_sum(qs[i], alpha, terms)
         return sums
 
-    unbounded = np.flatnonzero(~np.isfinite(s_hi)).tolist()
-    if not np.isfinite(take(unbounded)[unbounded]).all():
-        return None
     chain = parts(lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
         v_lo, v_hi = chain(s_lo), chain(s_hi)
@@ -551,62 +551,27 @@ def _enclosed_prescan(parts, alpha: float, terms: int, lo: float,
     return qs, negative, values
 
 
-def _prescan(f, parts, alpha: float, terms: int, lo: float,
-             hi: float) -> tuple:
-    """f(q, s) on the prescan grid of [lo, hi], with s the raw mode sum
-    at q: (qs, negative, values), where negative[i] is f(q_i, s_i) < 0
-    and values(indices) returns f at those points, each as a full
-    evaluation gives it.
-
-    ``parts(lo, hi)`` evaluates the s-free part of f at every grid
-    point, in grid order, with the side effects and exceptions that f
-    has there when s is finite, and returns ``chain``: chain(s)[i] is
-    f(q_i, s[i]) bit for bit for a vector s of finite sums, and is
-    nondecreasing in s[i], since rounding is monotone.
-
-    Each sum is enclosed as s_lo <= s <= s_hi (:func:`_enclosures`).
-    Full-length sums are taken first where s_hi is not finite, as f
-    raises on an infinite sum; then chain(s_hi) < 0 proves a point
-    negative and chain(s_lo) >= 0 proves it not, and only the points
-    left open are summed in full, as are the points whose value is
-    asked for unless chain(s_lo) == chain(s_hi) pins it
-    (:func:`_enclosed_prescan`). Where the weights admit no enclosure,
-    or a sum is not finite, f is called on the full-length sum of each
-    point in turn, so it raises where it did.
-    """
-    scan = _enclosed_prescan(parts, alpha, terms, lo, hi)
-    if scan is not None:
-        return scan
-    qs = _prescan_nomes(lo, hi)[0]
-    vals = [f(x, _mode_sum(x, alpha, terms)) for x in qs]
-    return (qs, np.array([v < 0.0 for v in vals]),
-            lambda indices: [vals[i] for i in indices])
-
-
-def _grid_cell(scan, single: bool) -> tuple:
+def _grid_cell(scan) -> tuple:
     """(n, cell) for a prescan ``scan`` = (qs, negative, values): the
     number n of sign changes on its grid, and the cell of the first,
-    (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is none, or
-    where there are several and ``single`` is set. Only the ends of the
-    cell returned are evaluated."""
+    (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is none.
+    Only the ends of the cell returned are evaluated."""
     qs, negative, values = scan
     changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
-    if not changes or (single and len(changes) > 1):
-        return len(changes), None
+    if not changes:
+        return 0, None
     i = changes[0]
     return len(changes), (qs[i], qs[i + 1], *values([i, i + 1]))
 
 
-def _single_sign_change(f, parts, alpha: float, terms: int, lo: float,
+def _single_sign_change(parts, alpha: float, terms: int, lo: float,
                         hi: float, label: str) -> tuple:
-    """First sign change of ``f(q, s)`` on the 64-point grid of
-    [lo, hi], with s the raw mode sum at q (:func:`_prescan`, whose
-    ``parts`` gives f's s-free part); f checks s for overflow itself.
-    More than one sign change is logged. Returns the bracket and f at
-    its ends, (lo, hi, f(lo), f(hi)), so that the bisection does not
-    evaluate them again."""
-    changes, cell = _grid_cell(_prescan(f, parts, alpha, terms, lo, hi),
-                               single=False)
+    """First sign change of f(q, s) on the 64-point grid of [lo, hi],
+    with s the raw mode sum at q and ``parts`` giving f's s-free part
+    (:func:`_prescan`). More than one sign change is logged. Returns
+    the bracket and f at its ends, (lo, hi, f(lo), f(hi)), so that the
+    bisection does not evaluate them again."""
+    changes, cell = _grid_cell(_prescan(parts, alpha, terms, lo, hi))
     if cell is None:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
     if changes > 1:
@@ -620,21 +585,23 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
     uniqueness); bisection to ``tol`` in q.
 
-    The signs of s - 2 on the 64-point grid of [_Q_LO, _Q_HI] are read
-    from the 32-term enclosures of the mode sum that :func:`solve_r1`
-    and :func:`solve_r1_tilde` share (:func:`_enclosed_prescan`). Where
-    they change once, :func:`util.bisect_monotone` narrows from that
-    grid cell and replays the midpoints of plain bisection on the whole
-    [_Q_LO, _Q_HI], so r0 is the float plain bisection gives. Where the
-    weights admit no enclosure, a sum past the enclosures is not finite
-    or the grid shows no single sign change, the bisection starts from
-    the ends of [_Q_LO, _Q_HI] and reports what they show.
+    The signs of s - 2 on the 64-point grid of [_Q_LO, _Q_HI] come from
+    the prescan of :func:`solve_r1` and :func:`solve_r1_tilde`
+    (:func:`_prescan`), from the same 32-term enclosures. Where they
+    change, :func:`util.bisect_monotone` narrows from the grid cell of
+    the first change and replays the midpoints of plain bisection on
+    the whole [_Q_LO, _Q_HI], so r0 is the float plain bisection gives.
+    Where the grid shows no sign change, the bisection starts from the
+    ends of [_Q_LO, _Q_HI] and reports what they show. Input outside
+    the solvers' domain (:func:`_check_solver_domain`) raises
+    ValueError, and an infinite weight (2l+1)^alpha the overflow error
+    of :func:`s_alpha` at _Q_LO.
     """
-    scan = _enclosed_prescan(lambda lo, hi: lambda s: s - 2.0, alpha,
-                             terms, _Q_LO, _Q_HI)
-    cell = None if scan is None else _grid_cell(scan, single=True)[1]
+    _check_solver_domain(alpha, terms)
+    scan = _prescan(lambda lo, hi: lambda s: s - 2.0, alpha, terms,
+                    _Q_LO, _Q_HI)
     return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
-                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
+                           _Q_LO, _Q_HI, tol=tol, bracket=_grid_cell(scan)[1])
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -644,8 +611,10 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     A 64-point prescan confirms a single sign change of the difference
     (logged if violated) before bisecting. It decides most signs from
     32-term enclosures of the mode sum (:func:`_prescan`), and the
-    bisection starts from its values at the bracket.
+    bisection starts from its values at the bracket. Input outside the
+    solvers' domain (:func:`_check_solver_domain`) raises ValueError.
     """
+    _check_solver_domain(alpha, terms, p)
     pa = float(p) ** alpha
 
     def f(q: float, s: float) -> float:
@@ -656,7 +625,7 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         half_b = 0.5 * _grid_weights(lo, hi, alpha, p, 2) / pa
         return lambda s: s - 2.0 - half_b
 
-    cell = _single_sign_change(f, parts, alpha, terms, _Q_LO, _Q_HI, "r1")
+    cell = _single_sign_change(parts, alpha, terms, _Q_LO, _Q_HI, "r1")
     return bisect_monotone(lambda q: f(q, s_alpha(q, alpha, terms).value),
                            *cell[:2], tol=tol, bracket=cell)
 
@@ -675,11 +644,12 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     root: the upper bracket is shrunk (and the event logged) until the
     closed-form minimum is defined. The shrink steps after the first
     decide on (a, b) alone, without the mode sum. The prescan is that
-    of :func:`solve_r1`, with a, b, membership and the disc minimum
-    taken once per grid point, as arrays over the grid
-    (:func:`_min_quadratic_closed_grid`), and the bisection starts from
-    its values.
+    of :func:`solve_r1`, with a, b, membership and the disc minimum of
+    :func:`min_quadratic_closed` taken once per grid point, and the
+    bisection starts from its values. Input outside the solvers' domain
+    (:func:`_check_solver_domain`) raises ValueError.
     """
+    _check_solver_domain(alpha, terms, p)
 
     def f(q: float, s: float) -> float:
         a = structured_weight(q, alpha, p, 1)
@@ -730,16 +700,22 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
         except NotInG2:
             return lost(q)
 
+    def disc_min(q: float, a: float, b: float) -> float:
+        # -inf where membership is lost, so that the difference is +inf
+        # there, as g gives it: a and b grow with q and are finite at hi
+        try:
+            return min_quadratic_closed(a, b)
+        except NotInG2:
+            return -lost(q)
+
     def parts(lo: float, hi: float):
         a = _grid_weights(lo, hi, alpha, p, 1)
         b = _grid_weights(lo, hi, alpha, p, 2)
-        minima, inside = _min_quadratic_closed_grid(a, b)
-        qs = _prescan_nomes(lo, hi)[0]
-        for i in np.flatnonzero(~inside).tolist():
-            lost(qs[i])
-        return lambda s: np.where(inside, s - 1.0 - a - b - minima, math.inf)
+        minima = np.array([disc_min(*point) for point in zip(
+            _prescan_nomes(lo, hi)[0], a.tolist(), b.tolist())])
+        return lambda s: s - 1.0 - a - b - minima
 
-    cell = _single_sign_change(g, parts, alpha, terms, lo, hi, "r1_tilde")
+    cell = _single_sign_change(parts, alpha, terms, lo, hi, "r1_tilde")
     lo, hi, flo, fhi = cell
     # f is finite wherever (a, b) is in G_2, so an infinite end is one
     # where membership was lost; the search logs it on taking the
@@ -781,6 +757,33 @@ def thresholds(alpha: float, p: int,
                         solve_r1_tilde(alpha, p, terms), terms)
 
 
+def _check_p_range(p: int) -> None:
+    if p < 2:
+        raise ValueError("p must be an integer >= 2")
+    if p > sys.float_info.max:
+        raise ValueError("p must not exceed the largest float")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
+
+
+def _check_terms(terms: int) -> None:
+    if not 1 <= terms <= MAX_TERMS:
+        raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
+
+
+def _check_solver_domain(alpha: float, terms: int, p: int = 2) -> None:
+    """The threshold solvers' domain, with :class:`GpSpec`'s wording:
+    raises ValueError unless 2 <= p <= the largest float, 0 <= alpha <
+    inf and 1 <= terms <= ``MAX_TERMS``. An even p is admitted: the
+    threshold equations are defined there (:func:`check_p_alpha`)."""
+    _check_p_range(p)
+    _check_alpha(alpha)
+    _check_terms(terms)
+
+
 def check_p_alpha(p: int, alpha: float) -> None:
     """The (p, alpha) part of the family's domain, shared by
     :class:`GpSpec` and the threshold sweep of the CLI: raises
@@ -788,15 +791,11 @@ def check_p_alpha(p: int, alpha: float) -> None:
     0 <= alpha < inf. At an even p the odd-mode series has no
     coefficient at the modes p and p^2, so the structured part of the
     envelope argument is no part of the operator."""
-    if p < 2:
-        raise ValueError("p must be an integer >= 2")
-    if p > sys.float_info.max:
-        raise ValueError("p must not exceed the largest float")
+    _check_p_range(p)
     if p % 2 == 0:
         raise ValueError("p must be odd: the odd-mode series has no "
                          "coefficient at the modes p and p^2")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
+    _check_alpha(alpha)
 
 
 @dataclass(frozen=True)
@@ -817,8 +816,7 @@ class GpSpec:
         if not 0.0 < self.sup_q < 1.0:
             raise ValueError("sup_q must lie in (0, 1)")
         check_p_alpha(self.p, self.alpha)
-        if not 1 <= self.terms <= MAX_TERMS:
-            raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
+        _check_terms(self.terms)
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.degree * math.log(self.p) >= _LOG_FLOAT_MAX:

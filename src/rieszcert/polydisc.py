@@ -186,6 +186,20 @@ def _matrix_poly(asc_coeffs, M: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _conjugate_asc(cs: Sequence[complex]) -> list:
+    """Ascending coefficients of the conjugate polynomial
+    Q(z) = 1 + sum_k conj(c_k) z^k of the monic
+    P(z) = z^d + c_1 z^{d-1} + ... + c_d."""
+    return [1.0] + [complex(c).conjugate() for c in cs]
+
+
+def conjugate_poly(coeffs: Sequence[complex],
+                   M: np.ndarray) -> np.ndarray:
+    """Q(M) for the conjugate polynomial Q of the monic polynomial with
+    coefficients ``coeffs`` = (c_1, ..., c_d), at a square matrix M."""
+    return _matrix_poly(_conjugate_asc(coeffs), M)
+
+
 def schur_cohn_form(coeffs: Sequence[complex],
                     Y: PtakYoungMatrix) -> np.ndarray:
     """Hermitian matrix of the form ||Q(Y)x||^2 - ||P(Y)x||^2.
@@ -202,8 +216,7 @@ def schur_cohn_form(coeffs: Sequence[complex],
     if Y.dim != d:
         raise DimensionMismatch(f"Y is {Y.dim}x{Y.dim}, coefficients give d={d}")
     p_asc = list(reversed(cs)) + [1.0]
-    q_asc = [1.0] + [c.conjugate() for c in cs]
-    P, Q = _matrix_poly([p_asc, q_asc], Y.matrix)
+    P, Q = _matrix_poly([p_asc, _conjugate_asc(cs)], Y.matrix)
     H = Q.conj().T @ Q - P.conj().T @ P
     return 0.5 * (H + H.conj().T)
 
@@ -326,8 +339,7 @@ def hermitian_form_tm(lambdas: Sequence[complex], Y: PtakYoungMatrix,
     if Y.dim != d:
         raise DimensionMismatch(f"Y is {Y.dim}x{Y.dim}, need {d}")
     Ymat = Y.matrix
-    QY = _matrix_poly([1.0] + [c.conjugate() for c in monic_coeffs(lams)],
-                      Ymat)
+    QY = conjugate_poly(monic_coeffs(lams), Ymat)
     defect = np.eye(d) - Ymat.conj().T @ Ymat
     # row j of w is E_j(Y) Q(Y) x
     w = (tm_stack(lams, Ymat) @ (QY @ np.asarray(x, dtype=complex))

@@ -142,8 +142,7 @@ def test_criterion_05_model_and_realization_residuals():
             cs = pd.monic_coeffs(lams)
             SC = pd.schur_cohn_form(cs, Y)
             stack = pd.tm_stack(lams, Y.matrix)
-            QY = pd._matrix_poly([1.0] + [c.conjugate() for c in cs],
-                                 Y.matrix)
+            QY = pd.conjugate_poly(cs, Y.matrix)
             for _ in range(100):
                 x = disc(d, 1.0)
                 lhs = float(np.linalg.norm(H @ (stack @ (QY @ x))) ** 2)

@@ -70,6 +70,18 @@ def test_sweep_keeps_rows_before_overflow(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_sweep_where_the_weights_total_overflows(capsys):
+    # at terms = 500 and alpha = 102.7 every weight (2l+1)^alpha is
+    # finite but their total is not: an exit-3 error row, and no
+    # RuntimeWarning on stderr
+    code, out, err = run(capsys, "sweep", "--alpha-min", "102.7",
+                         "--alpha-max", "102.7", "--steps", "1", "--p", "3")
+    assert (code, err) == (3, "")
+    assert out == ("alpha,r0,r1,r1_tilde\n"
+                   "102.7,ERROR,ERROR,ERROR  # BracketFailure\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_sweep_grid_ends_at_a_finite_alpha_max(capsys):
     # span * i overflows at the last point of this grid; the point is
     # still alpha-max, not inf, and the row stays an exit-3 error row

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -288,30 +289,27 @@ def test_min_quadratic_closed_agrees_with_min_quadratic():
 
 
 @pytest.mark.filterwarnings("error")
-def test_min_quadratic_closed_on_a_grid_bit_for_bit():
-    # the array form of r1_tilde's prescan against the scalar, point by
-    # point: the same minimum, or NotInG2 where inside is False. Random
-    # weights of every magnitude join the membership grid, and the edge
-    # values 0, negative, inf and nan
+def test_min_quadratic_closed_raises_only_not_in_g2():
+    # r1_tilde's prescan takes the disc minimum at every grid point and
+    # treats NotInG2 as past the root: on weights of every magnitude and
+    # the edge values 0, negative, inf and nan, the closed form returns
+    # a minimum in [0, 1] or raises NotInG2, and nothing else. The one
+    # exception is a = nan, b = 0, whose linear branch returns nan
     rng = np.random.default_rng(32)
     edges = [0.0, -0.0, -1.0, 5e-324, 1.0, math.inf, math.nan]
     points = (_membership_grid()
               + [(a, b) for a in edges for b in edges]
               + list(zip((10.0 ** rng.uniform(-300, 300, 4000)).tolist(),
-                         (10.0 ** rng.uniform(-300, 300, 4000)).tolist()))
-              + list(zip(rng.uniform(0.0, 3.0, 4000).tolist(),
-                         rng.uniform(0.0, 2.0, 4000).tolist())))
-    a, b = (np.array(x) for x in zip(*points))
-    minima, inside = gp._min_quadratic_closed_grid(a, b)
-    for x, y, got, ok in zip(a.tolist(), b.tolist(), minima.tolist(),
-                             inside.tolist()):
+                         (10.0 ** rng.uniform(-300, 300, 4000)).tolist())))
+    inside = 0
+    for a, b in points:
         try:
-            want = gp.min_quadratic_closed(x, y)
+            minimum = gp.min_quadratic_closed(a, b)
         except NotInG2:
-            assert not ok, (x, y)
-        else:
-            assert ok, (x, y)
-            assert got == want or math.isnan(got) and math.isnan(want)
+            continue
+        assert 0.0 <= minimum <= 1.0 or math.isnan(a) and b == 0.0, (a, b)
+        inside += 1
+    assert 0 < inside < len(points)
 
 
 # (r0, r1, r1_tilde) at the default terms and tolerance, recorded before
@@ -483,6 +481,66 @@ def test_threshold_solver_errors_pinned():
             assert (type(info.value), str(info.value)) == (kind, message)
 
 
+@pytest.mark.filterwarnings("error")
+def test_threshold_solvers_where_the_weights_total_overflows():
+    # at terms = 500 and alpha from about 102.6 to 102.75 every weight
+    # (2l+1)^alpha is finite but their total is not: no enclosure bounds
+    # a sum from above, and the solvers raise what the full sums give,
+    # with no RuntimeWarning
+    _clear_caches()
+    w = gp._mode_weights(102.7, gp.DEFAULT_TERMS)[2]
+    with np.errstate(over="ignore"):
+        assert np.isfinite(w).all() and math.isinf(w.sum())
+    for solve, message in (
+            (lambda: gp.solve_r0(102.7),
+             "no sign change on [1e-09, 0.999999999]: "
+             "f(lo)=1.926473915921404e+62, f(hi)=6.118483363230872e+305"),
+            (lambda: gp.solve_r1(102.7, 3),
+             "r1: no sign change on [1e-09, 0.999999999]"),
+            (lambda: gp.solve_r1_tilde(102.7, 3),
+             "no subinterval with (a, b) in G_2")):
+        with pytest.raises(BracketFailure) as info:
+            solve()
+        assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_threshold_solvers_refuse_input_outside_their_domain():
+    # GpSpec's wording, raised before any sum; p = 2 is inside, for the
+    # solver-level pins above
+    solvers = (lambda alpha, p, terms: gp.solve_r0(alpha, terms),
+               gp.solve_r1, gp.solve_r1_tilde)
+    cases = [((alpha, 3, 500), "alpha must be finite and >= 0")
+             for alpha in (math.nan, math.inf, -math.inf, -0.5, -5e-324)]
+    cases += [((0.5, 3, terms), r"terms must lie in 1\.\.1000000")
+              for terms in (0, -3, gp.MAX_TERMS + 1)]
+    for (alpha, p, terms), message in cases:
+        for solve in solvers:
+            with pytest.raises(ValueError, match=message):
+                solve(alpha, p, terms)
+    for p, message in ((0, "p must be an integer >= 2"),
+                       (1, "p must be an integer >= 2"),
+                       (-3, "p must be an integer >= 2"),
+                       (10 ** 400, "p must not exceed the largest float")):
+        for solve in solvers[1:]:
+            with pytest.raises(ValueError, match=message):
+                solve(0.5, p, 500)
+    # the closed edges are inside
+    gp._check_solver_domain(0.0, 1, 2)
+    gp._check_solver_domain(1e308, gp.MAX_TERMS, int(sys.float_info.max))
+    _clear_caches()
+    assert gp.solve_r1(3.0, 2) == THRESHOLDS[(3.0, 2)][1]
+
+
+def test_thresholds_refuse_a_misordered_triple():
+    gp.GpThresholds(0.5, 3, 0.1, 0.2, 0.3)
+    for triple in ((0.2, 0.1, 0.3), (0.1, 0.3, 0.2), (0.1, 0.1, 0.3),
+                   (0.1, 0.2, math.nan)):
+        with pytest.raises(ValueError, match="threshold ordering violated: "
+                           + ", ".join(map(str, triple))):
+            gp.GpThresholds(0.5, 3, *triple)
+
+
 def test_threshold_row_log_records_pinned(caplog):
     # alpha = 1.3, p = 3 shrinks the r1_tilde bracket 10 times; p = 2,
     # alpha = 3 shrinks it 54 times, loses G_2 membership on the prescan
@@ -599,7 +657,7 @@ def _mode_sums(qs, alpha, terms):
 def test_batched_mode_sums_match_s_alpha_bit_for_bit(terms):
     # 3000 terms split the 64 rows into blocks of 10 with a short last one
     for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
-        qs = gp._prescan_grid(lo, hi)
+        qs = gp._prescan_nomes(lo, hi)[0]
         for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
             batch = _mode_sums(qs, alpha, terms)
             for q, got in zip(qs, batch):
@@ -776,8 +834,9 @@ def test_solve_r0_is_plain_bisection_on_the_threshold_grid(monkeypatch):
 
 
 def test_solve_r0_errors_come_from_the_ends_of_the_range(monkeypatch):
-    # no enclosure (alpha = 150, 1e308) or no sign change on the grid
-    # (alpha = 60): r0 bisects from the ends, as SOLVER_ERRORS pins
+    # no sign change on the grid (alpha = 60): r0 bisects from the ends,
+    # as SOLVER_ERRORS pins. An infinite weight (alpha = 150, 1e308)
+    # admits no enclosure, and the prescan raises before any bisection
     ends = []
     real = gp.bisect_monotone
 
@@ -790,7 +849,7 @@ def test_solve_r0_errors_come_from_the_ends_of_the_range(monkeypatch):
         _clear_caches()
         with pytest.raises(RieszcertError):
             gp.solve_r0(alpha)
-    assert ends == [None] * len(SOLVER_ERRORS)
+    assert ends == [None]
 
 
 def test_prescan_caches_hold_the_threshold_grid():
@@ -825,10 +884,36 @@ def test_solvers_of_a_row_share_one_enclosure_block():
     assert not s_lo.flags.writeable and not s_hi.flags.writeable
 
 
+def _threshold_difference(label, alpha, p):
+    """f(q, s) of solve_r1 (label "r1") or solve_r1_tilde ("r1_tilde"),
+    the difference of the two sides of its equation at the raw mode sum
+    s, written out: r1_tilde's is +inf, with a record, where (a, b) is
+    outside G_2."""
+    pa = float(p) ** alpha
+
+    def r1(q, s):
+        assert math.isfinite(s)
+        return s - 2.0 - 0.5 * gp.structured_weight(q, alpha, p, 2) / pa
+
+    def r1_tilde(q, s):
+        a = gp.structured_weight(q, alpha, p, 1)
+        b = gp.structured_weight(q, alpha, p, 2)
+        assert math.isfinite(s)
+        try:
+            return s - 1.0 - a - b - gp.min_quadratic_closed(a, b)
+        except NotInG2:
+            logging.getLogger("rieszcert.gross_pitaevskii").info(
+                "r1_tilde: membership lost at q=%.6f during the search; "
+                "treating as past the root", q)
+            return math.inf
+
+    return {"r1": r1, "r1_tilde": r1_tilde}[label]
+
+
 def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
     """_single_sign_change as it was before the enclosures: f at the
     full-length sum of every grid point, in grid order."""
-    qs = gp._prescan_grid(lo, hi)
+    qs = gp._prescan_nomes(lo, hi)[0]
     vals = [f(q, s) for q, s in zip(qs, _mode_sums(qs, alpha, terms))]
     changes = [i for i in range(gp._PRESCAN_POINTS - 1)
                if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
@@ -856,13 +941,15 @@ def _prescan_outcome(call, caplog) -> tuple:
 def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
     # every prescan of solve_r1 and solve_r1_tilde, shrunk r1_tilde
     # brackets included (alpha = 1.3 and up at p = 3), against the old
-    # prescan on the same f: the same bracket, end values, records and
-    # sign at every grid point, with no RuntimeWarning
+    # prescan, which evaluated the equation at the full-length sum of
+    # every grid point: the same bracket, end values, records and sign
+    # at every grid point, with no RuntimeWarning
     calls = []
     real = gp._single_sign_change
+    p = None
 
     def spy(*args):
-        calls.append(args)
+        calls.append((p, *args))
         return real(*args)
 
     monkeypatch.setattr(gp, "_single_sign_change", spy)
@@ -879,11 +966,12 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
     assert len(calls) == 2 * len(alphas) * 5 * 6
     shrunk = 0
     rows = _count_mode_sum_rows(monkeypatch)
-    for f, parts, alpha, terms, lo, hi, label in calls:
+    for p, parts, alpha, terms, lo, hi, label in calls:
+        f = _threshold_difference(label, alpha, p)
         shrunk += hi < gp._Q_HI
         rows.clear()
-        got = _prescan_outcome(lambda: real(f, parts, alpha, terms, lo, hi, label),
-                       caplog)
+        got = _prescan_outcome(
+            lambda: real(parts, alpha, terms, lo, hi, label), caplog)
         summed = sum(rows)
         want = _prescan_outcome(lambda: _single_sign_change_reference(
             f, alpha, terms, lo, hi, label), caplog)
@@ -892,7 +980,7 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
         # were summed, and none at terms <= 32, where they are the sums
         assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
         caplog.clear()
-        qs, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
+        qs, negative, _ = gp._prescan(parts, alpha, terms, lo, hi)
         sums = _mode_sums(qs, alpha, terms)
         with caplog.at_level(logging.CRITICAL, logger="rieszcert"):
             assert negative.tolist() == [f(q, s) < 0.0
@@ -907,7 +995,7 @@ def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     # cache
     _clear_caches()
     lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
-    qs = gp._prescan_grid(lo, hi)
+    qs = gp._prescan_nomes(lo, hi)[0]
     sums = _mode_sums(qs, alpha, terms)
     c = sums + (np.arange(gp._PRESCAN_POINTS) < 20)
     offsets = dict(zip(qs, c.tolist()))
@@ -919,11 +1007,11 @@ def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
         return lambda s: s - c
 
     rows = _count_mode_sum_rows(monkeypatch)
-    _, negative, _ = gp._prescan(f, parts, alpha, terms, lo, hi)
+    _, negative, _ = gp._prescan(parts, alpha, terms, lo, hi)
     assert negative.tolist() == [True] * 20 + [False] * 44
     assert rows == [1] * 44
     rows.clear()
-    assert gp._single_sign_change(f, parts, alpha, terms, lo, hi, "f") == (
+    assert gp._single_sign_change(parts, alpha, terms, lo, hi, "f") == (
         qs[19], qs[20], f(qs[19], sums[19]), 0.0)
     assert rows == [1]
 
@@ -961,9 +1049,46 @@ def test_enclosures_refuse_infinite_weights_and_negative_alpha():
     assert gp._enclosures(q, lq, one_minus_q, math.nan, 500) is None
 
 
+@pytest.mark.filterwarnings("error")
+def test_enclosures_across_the_overflow_edge_of_the_weights():
+    # at terms = 33 the last weight 65^alpha is the first omitted power
+    # (2K + 1)^alpha of the tail bound, which Python takes: across the
+    # alpha where it overflows (about 170.04) the enclosures hold the
+    # sums or are None, as numpy's last weight is finite or not, and
+    # never raise
+    def finite(alpha):
+        try:
+            return math.isfinite(65.0 ** alpha)
+        except OverflowError:
+            return False
+
+    lo, hi = 170.0, 170.1
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    alphas = [lo]
+    for direction in (-math.inf, math.inf):
+        for _ in range(500):
+            alphas.append(math.nextafter(alphas[-1], direction))
+    rng = np.random.default_rng(34)
+    alphas += (lo * (1.0 + rng.uniform(-1e-12, 1e-12, 1000))).tolist()
+    _, q, lq, one_minus_q = gp._prescan_nomes(gp._Q_LO, gp._Q_HI)
+    seen = set()
+    for alpha in alphas:
+        bounds = gp._enclosures(q, lq, one_minus_q, alpha, 33)
+        last = gp._mode_weights(alpha, 33)[2][-1]
+        assert (bounds is None) == math.isinf(last), alpha
+        if bounds is not None:
+            sums = _mode_sums(q.tolist(), alpha, 33)
+            assert (bounds[0] <= sums).all() and (sums <= bounds[1]).all()
+            assert np.isfinite(sums).all()
+        seen.add(bounds is None)
+    assert seen == {True, False}
+
+
 def test_structured_weight_on_the_prescan_grid_bit_for_bit():
     for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
-        qs = gp._prescan_grid(lo, hi)
+        qs = gp._prescan_nomes(lo, hi)[0]
         for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
             for p in (3, 5, 7, 13):
                 for k in (1, 2):
