@@ -778,7 +778,8 @@ def _check_solver_domain(alpha: float, terms: int, p: int = 2) -> None:
     """The threshold solvers' domain, with :class:`GpSpec`'s wording:
     raises ValueError unless 2 <= p <= the largest float, 0 <= alpha <
     inf and 1 <= terms <= ``MAX_TERMS``. An even p is admitted: the
-    threshold equations are defined there (:func:`check_p_alpha`)."""
+    threshold equations are defined there (:func:`check_p_alpha`). r0,
+    which takes no p, checks the default."""
     _check_p_range(p)
     _check_alpha(alpha)
     _check_terms(terms)
