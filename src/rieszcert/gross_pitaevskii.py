@@ -374,7 +374,7 @@ def _min_quadratic(a: float, b: float,
     if a < 0.0 or b < 0.0:
         raise NotInG2("branch formulas need a, b >= 0")
     if b == 0.0:
-        if a >= 1.0:
+        if not a < 1.0:
             raise NotInG2(f"(a, b)=({a}, 0) outside G_2")
         return 1.0 - a
     m = margin(a, b)
@@ -490,88 +490,65 @@ def _grid_weights(lo: float, hi: float, alpha: float, p: int,
 @functools.lru_cache(maxsize=32)
 def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
     """:func:`_enclosures` on the prescan grid of [lo, hi], read-only:
-    the solvers of a threshold row share one block."""
-    bounds = _enclosures(*_prescan_nomes(lo, hi)[1:], alpha, terms)
-    return None if bounds is None else _read_only(*bounds)
+    the solvers of a threshold row share one block.
 
-
-def _prescan(parts, alpha: float, terms: int, lo: float, hi: float) -> tuple:
-    """The signs of f(q, s) on the prescan grid of [lo, hi], with s the
-    raw mode sum at q: (qs, negative, values), where negative[i] is
-    f(q_i, s_i) < 0 and values(indices) returns f at those points, each
-    as a full evaluation gives it.
-
-    ``parts(lo, hi)`` evaluates the s-free part of f at every grid
-    point, in grid order, with the side effects and exceptions that f
-    has there, and returns ``chain``: chain(s)[i] is f(q_i, s[i]) bit
-    for bit for a vector s of finite sums, and is nondecreasing in
-    s[i], since rounding is monotone.
-
-    Each sum is enclosed as s_lo <= s <= s_hi (:func:`_enclosures`):
-    chain(s_hi) < 0 proves a point negative and chain(s_lo) >= 0 proves
-    it not. Only the points left open are summed in full, as are the
-    points whose value is asked for unless chain(s_lo) == chain(s_hi)
-    pins it. The solvers check their domain first
-    (:func:`_check_solver_domain`), and there every sum is finite where
-    the weights w_l = (2l+1)^alpha are: f_hat_q(2l+1) = 1 / sum_{|k| <=
-    l} q^k is at most 1 / (2l+1), so summand l is at most w_l / (2l+1)
-    and the sum is at most the last weight for alpha >= 1 and at most
-    terms below. Where a weight is
-    infinite, no enclosure exists and the overflow error of
-    :func:`s_alpha` at lo is raised before ``parts`` is called.
+    The solvers check their domain first (:func:`_check_solver_domain`),
+    and there every sum is finite where the weights w_l = (2l+1)^alpha
+    are: f_hat_q(2l+1) = 1 / sum_{|k| <= l} q^k is at most 1 / (2l+1),
+    so summand l is at most w_l / (2l+1) and the sum is at most the last
+    weight for alpha >= 1 and at most terms below. Where a weight is
+    infinite no enclosure exists, and the overflow error of
+    :func:`s_alpha` at lo is raised.
     """
-    bounds = _grid_enclosures(lo, hi, alpha, terms)
+    bounds = _enclosures(*_prescan_nomes(lo, hi)[1:], alpha, terms)
     if bounds is None:
         raise _overflow(lo, alpha)
+    return _read_only(*bounds)
+
+
+def _sign_change(chain, bounds, alpha: float, terms: int, lo: float,
+                 hi: float) -> tuple:
+    """(n, cell): the number n of sign changes of f(q, s) on the prescan
+    grid of [lo, hi], with s the raw mode sum at q, and the cell of the
+    first, (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is
+    none.
+
+    ``chain`` holds the s-free part of f, taken once per grid point:
+    chain(s)[i] is f(q_i, s[i]) bit for bit for a vector s of finite
+    sums, and is nondecreasing in s[i], since rounding is monotone.
+    ``bounds`` = (s_lo, s_hi) encloses each sum (:func:`_grid_enclosures`):
+    chain(s_hi) < 0 proves a point negative and chain(s_lo) >= 0 proves
+    it not. Only the points left open are summed in full, and then the
+    ends of the cell unless chain(s_lo) == chain(s_hi) pins them.
+    """
     qs = _prescan_nomes(lo, hi)[0]
-    s_lo, s_hi = bounds
     sums = np.full(len(qs), math.nan)
-
-    def take(indices: list) -> np.ndarray:
-        for i in indices:
-            sums[i] = _mode_sum(qs[i], alpha, terms)
-        return sums
-
-    chain = parts(lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_lo, v_hi = chain(s_lo), chain(s_hi)
+        v_lo, v_hi = chain(bounds[0]), chain(bounds[1])
         negative = v_hi < 0.0
         open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
-        if open_:
-            negative[open_] = chain(take(open_))[open_] < 0.0
-
-    def values(indices: list) -> list:
-        # chain(s_lo) == chain(s_hi) pins the value without a sum
-        unpinned = [i for i in indices if not v_lo[i] == v_hi[i]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            exact = chain(take(unpinned)) if unpinned else v_lo
-        return [float(exact[i] if i in unpinned else v_lo[i])
-                for i in indices]
-
-    return qs, negative, values
-
-
-def _grid_cell(scan) -> tuple:
-    """(n, cell) for a prescan ``scan`` = (qs, negative, values): the
-    number n of sign changes on its grid, and the cell of the first,
-    (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is none.
-    Only the ends of the cell returned are evaluated."""
-    qs, negative, values = scan
-    changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
-    if not changes:
-        return 0, None
-    i = changes[0]
-    return len(changes), (qs[i], qs[i + 1], *values([i, i + 1]))
+        for i in open_:
+            sums[i] = _mode_sum(qs[i], alpha, terms)
+        negative[open_] = chain(sums)[open_] < 0.0
+        changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
+        if not changes:
+            return 0, None
+        i = changes[0]
+        pinned = v_lo == v_hi
+        for j in (i, i + 1):
+            if not pinned[j]:
+                sums[j] = _mode_sum(qs[j], alpha, terms)
+        values = np.where(pinned, v_lo, chain(sums))
+    return len(changes), (qs[i], qs[i + 1], float(values[i]),
+                          float(values[i + 1]))
 
 
-def _single_sign_change(parts, alpha: float, terms: int, lo: float,
+def _single_sign_change(chain, bounds, alpha: float, terms: int, lo: float,
                         hi: float, label: str) -> tuple:
-    """First sign change of f(q, s) on the 64-point grid of [lo, hi],
-    with s the raw mode sum at q and ``parts`` giving f's s-free part
-    (:func:`_prescan`). More than one sign change is logged. Returns
-    the bracket and f at its ends, (lo, hi, f(lo), f(hi)), so that the
-    bisection does not evaluate them again."""
-    changes, cell = _grid_cell(_prescan(parts, alpha, terms, lo, hi))
+    """The cell of :func:`_sign_change`, (lo, hi, f(lo), f(hi)), so that
+    the bisection does not evaluate f at its ends again. No sign change
+    raises BracketFailure, and more than one is logged."""
+    changes, cell = _sign_change(chain, bounds, alpha, terms, lo, hi)
     if cell is None:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
     if changes > 1:
@@ -586,8 +563,8 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
     uniqueness); bisection to ``tol`` in q.
 
     The signs of s - 2 on the 64-point grid of [_Q_LO, _Q_HI] come from
-    the prescan of :func:`solve_r1` and :func:`solve_r1_tilde`
-    (:func:`_prescan`), from the same 32-term enclosures. Where they
+    the 32-term enclosures that :func:`solve_r1` and
+    :func:`solve_r1_tilde` share (:func:`_sign_change`). Where they
     change, :func:`util.bisect_monotone` narrows from the grid cell of
     the first change and replays the midpoints of plain bisection on
     the whole [_Q_LO, _Q_HI], so r0 is the float plain bisection gives.
@@ -598,10 +575,11 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
     of :func:`s_alpha` at _Q_LO.
     """
     _check_solver_domain(alpha, terms)
-    scan = _prescan(lambda lo, hi: lambda s: s - 2.0, alpha, terms,
-                    _Q_LO, _Q_HI)
+    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
+    cell = _sign_change(lambda s: s - 2.0, bounds, alpha, terms,
+                        _Q_LO, _Q_HI)[1]
     return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
-                           _Q_LO, _Q_HI, tol=tol, bracket=_grid_cell(scan)[1])
+                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -610,24 +588,20 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
 
     A 64-point prescan confirms a single sign change of the difference
     (logged if violated) before bisecting. It decides most signs from
-    32-term enclosures of the mode sum (:func:`_prescan`), and the
+    32-term enclosures of the mode sum (:func:`_sign_change`), and the
     bisection starts from its values at the bracket. Input outside the
     solvers' domain (:func:`_check_solver_domain`) raises ValueError.
     """
     _check_solver_domain(alpha, terms, p)
     pa = float(p) ** alpha
-
-    def f(q: float, s: float) -> float:
-        return (_finite_sum(s, q, alpha) - 2.0
-                - 0.5 * structured_weight(q, alpha, p, 2) / pa)
-
-    def parts(lo: float, hi: float):
-        half_b = 0.5 * _grid_weights(lo, hi, alpha, p, 2) / pa
-        return lambda s: s - 2.0 - half_b
-
-    cell = _single_sign_change(parts, alpha, terms, _Q_LO, _Q_HI, "r1")
-    return bisect_monotone(lambda q: f(q, s_alpha(q, alpha, terms).value),
-                           *cell[:2], tol=tol, bracket=cell)
+    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
+    half_b = 0.5 * _grid_weights(_Q_LO, _Q_HI, alpha, p, 2) / pa
+    cell = _single_sign_change(lambda s: s - 2.0 - half_b, bounds, alpha,
+                               terms, _Q_LO, _Q_HI, "r1")
+    return bisect_monotone(
+        lambda q: (s_alpha(q, alpha, terms).value - 2.0
+                   - 0.5 * structured_weight(q, alpha, p, 2) / pa),
+        *cell[:2], tol=tol, bracket=cell)
 
 
 def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
@@ -651,82 +625,70 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     """
     _check_solver_domain(alpha, terms, p)
 
-    def f(q: float, s: float) -> float:
-        a = structured_weight(q, alpha, p, 1)
-        b = structured_weight(q, alpha, p, 2)
-        return (_finite_sum(s, q, alpha)
-                - 1.0 - a - b - min_quadratic_closed(a, b))
-
-    def first(q: float) -> None:
-        # the order of f: a, b, the overflow check of s, membership. a
-        # and b can only raise for (p, alpha) alone, so once they pass
-        # here the bisection may check s first, in s_alpha
-        f(q, _mode_sum(q, alpha, terms))
-
-    def in_g2(q: float) -> None:
-        # a mode sum finite at _Q_HI is finite at every smaller q: no
-        # weight (2l+1)^alpha is then infinite, each numerator
-        # (2l+1)^alpha q^l (1-q) stays below its weight, and each ratio
-        # (1-q) q^l / (1 - q^{2l+1}) = 1 / sum_{|k| <= l} q^k grows with
-        # q. Only rounding within a few ulps of the float max could break
-        # this; tests/test_gross_pitaevskii.py checks it at the overflow
-        # edge of alpha
-        min_quadratic_closed(structured_weight(q, alpha, p, 1),
-                             structured_weight(q, alpha, p, 2))
-
-    lo, hi = _Q_LO, _Q_HI
-    check = first
-    while True:
-        try:
-            check(hi)
-            break
-        except NotInG2:
-            log.info("r1_tilde: (a, b) outside G_2 at q=%.6f; shrinking "
-                     "the bracket", hi)
-            hi = lo + 0.95 * (hi - lo)
-            if hi - lo < tol:
-                raise BracketFailure(
-                    "no subinterval with (a, b) in G_2") from None
-            check = in_g2
+    def weights(q: float) -> tuple:
+        return (structured_weight(q, alpha, p, 1),
+                structured_weight(q, alpha, p, 2))
 
     def lost(q: float) -> float:
         log.info("r1_tilde: membership lost at q=%.6f during the "
                  "search; treating as past the root", q)
         return math.inf
 
-    def g(q: float, s: float) -> float:
-        try:
-            return f(q, s)
-        except NotInG2:
-            return lost(q)
-
     def disc_min(q: float, a: float, b: float) -> float:
         # -inf where membership is lost, so that the difference is +inf
-        # there, as g gives it: a and b grow with q and are finite at hi
+        # there: a and b grow with q, and the search treats such a point
+        # as past the root
         try:
             return min_quadratic_closed(a, b)
         except NotInG2:
             return -lost(q)
 
-    def parts(lo: float, hi: float):
-        a = _grid_weights(lo, hi, alpha, p, 1)
-        b = _grid_weights(lo, hi, alpha, p, 2)
-        minima = np.array([disc_min(*point) for point in zip(
-            _prescan_nomes(lo, hi)[0], a.tolist(), b.tolist())])
-        return lambda s: s - 1.0 - a - b - minima
+    def difference(q: float, s: float) -> float:
+        a, b = weights(q)
+        return s - 1.0 - a - b - disc_min(q, a, b)
 
-    cell = _single_sign_change(parts, alpha, terms, lo, hi, "r1_tilde")
-    lo, hi, flo, fhi = cell
-    # f is finite wherever (a, b) is in G_2, so an infinite end is one
-    # where membership was lost; the search logs it on taking the
-    # bracket, as it logs every such point it meets
-    for q_end, f_end in ((lo, flo), (hi, fhi)):
+    # the order of the difference at _Q_HI: a, b, the overflow check of
+    # the sum, membership. a and b can only raise for (p, alpha) alone,
+    # so once they pass here the bisection may check the sum first, in
+    # s_alpha. A sum finite at _Q_HI is finite at every smaller q: no
+    # weight (2l+1)^alpha is then infinite, each numerator (2l+1)^alpha
+    # q^l (1-q) stays below its weight, and each ratio (1-q) q^l / (1 -
+    # q^{2l+1}) = 1 / sum_{|k| <= l} q^k grows with q. Only rounding
+    # within a few ulps of the float max could break this;
+    # tests/test_gross_pitaevskii.py checks it at the overflow edge of
+    # alpha. So the shrink steps decide on (a, b) alone
+    lo, hi = _Q_LO, _Q_HI
+    a, b = weights(hi)
+    _finite_sum(_mode_sum(hi, alpha, terms), hi, alpha)
+    while True:
+        try:
+            min_quadratic_closed(a, b)
+            break
+        except NotInG2:
+            log.info("r1_tilde: (a, b) outside G_2 at q=%.6f; shrinking "
+                     "the bracket", hi)
+        hi = lo + 0.95 * (hi - lo)
+        if hi - lo < tol:
+            raise BracketFailure("no subinterval with (a, b) in G_2")
+        a, b = weights(hi)
+
+    bounds = _grid_enclosures(lo, hi, alpha, terms)
+    a = _grid_weights(lo, hi, alpha, p, 1)
+    b = _grid_weights(lo, hi, alpha, p, 2)
+    minima = np.array([disc_min(*point) for point in zip(
+        _prescan_nomes(lo, hi)[0], a.tolist(), b.tolist())])
+    cell = _single_sign_change(lambda s: s - 1.0 - a - b - minima, bounds,
+                               alpha, terms, lo, hi, "r1_tilde")
+    # the difference is finite wherever (a, b) is in G_2, so an infinite
+    # end is one where membership was lost; the search logs it on taking
+    # the bracket, as it logs every such point it meets
+    for q_end, f_end in zip(cell[:2], cell[2:]):
         if f_end == math.inf:
             lost(q_end)
-    q = bisect_monotone(lambda q: g(q, s_alpha(q, alpha, terms).value),
-                        lo, hi, tol=tol, bracket=cell)
-    _cross_check_g2(structured_weight(q, alpha, p, 1),
-                    structured_weight(q, alpha, p, 2))
+    q = bisect_monotone(
+        lambda q: difference(q, s_alpha(q, alpha, terms).value),
+        *cell[:2], tol=tol, bracket=cell)
+    _cross_check_g2(*weights(q))
     return q
 
 

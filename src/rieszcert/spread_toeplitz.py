@@ -77,8 +77,7 @@ class SectionMatrix:
     def entries(self) -> np.ndarray:
         """The section assembled as a dense N x N matrix (O(N^2)
         memory; for inspection and reference checks at small N)."""
-        dtype = np.result_type(float, self.values)
-        A = np.zeros((self.N, self.N), dtype=dtype)
+        A = np.zeros((self.N, self.N))
         np.fill_diagonal(A, 1.0)
         A[self.rows, self.cols] = self.values
         return A
@@ -89,11 +88,11 @@ class SectionMatrix:
             src, dst = self.rows, self.cols
         else:
             src, dst = self.cols, self.rows
-        out = np.zeros(self.N, np.result_type(float, x, self.values))
+        out = np.zeros(self.N)
         for s in range(0, len(dst), _CHUNK):
             part = slice(s, s + _CHUNK)
-            vals = self.values[part].conj() if adjoint else self.values[part]
-            out += _bincount(dst[part], vals * x[src[part]], self.N)
+            out += np.bincount(dst[part], self.values[part] * x[src[part]],
+                               self.N)
         return out
 
     def inverse(self) -> "SectionMatrix":
@@ -114,7 +113,7 @@ class SectionMatrix:
         # B's columns and values grow by resize (realloc), not by
         # concatenation, which would hold two copies at the last level
         b_cols = np.zeros(0, dtype=np.intp)
-        b_vals = np.zeros(0, dtype=self.values.dtype)
+        b_vals = np.zeros(0)
         nnz = 0
         lo = 0
         # level k holds the 0-based rows [2^k - 1, 2^{k+1} - 1)
@@ -136,7 +135,7 @@ class SectionMatrix:
                 key *= N
                 key += np.concatenate([cols, b_cols[src]])
                 key, slot = np.unique(key, return_inverse=True)
-                summed = _bincount(slot, np.concatenate(
+                summed = np.bincount(slot, np.concatenate(
                     [vals, np.repeat(vals, count) * b_vals[src]]), len(key))
                 keep = summed != 0
                 key, summed = key[keep], summed[keep]
@@ -155,14 +154,6 @@ class SectionMatrix:
         b_vals.resize(nnz, refcheck=False)
         return SectionMatrix(N, np.repeat(np.arange(N), row_nnz), b_cols,
                              b_vals)
-
-
-def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount for real or complex weights."""
-    if np.iscomplexobj(weights):
-        return (np.bincount(index, weights.real, n)
-                + 1j * np.bincount(index, weights.imag, n))
-    return np.bincount(index, weights, n)
 
 
 def _row_chunks(rows: np.ndarray, cost: np.ndarray):
@@ -196,12 +187,13 @@ def finite_section(cj: Callable, N: int) -> SectionMatrix:
 
     The rule is called as ``cj(j, n)`` on two int arrays of equal
     length, the pairs j >= 2, n <= N // j with jn <= N, and returns
-    c_j(n) for each pair as a real or complex array of that length, or
-    one scalar for all of them. The pairs come ordered by j, then n,
-    in chunks of whole j-ranges of about ``_CHUNK`` pairs, so that one
-    call covers a whole section up to N = 2048 and the temporaries do
-    not grow with N. Only the nonzero entries of the strictly lower
-    part L are stored, in row order and by ascending j within a row.
+    c_j(n) for each pair as a real array of that length, or one real
+    scalar for all of them; complex values raise TypeError. The pairs
+    come ordered by j, then n, in chunks of whole j-ranges of about
+    ``_CHUNK`` pairs, so that one call covers a whole section up to
+    N = 2048 and the temporaries do not grow with N. Only the nonzero
+    entries of the strictly lower part L are stored, in row order and
+    by ascending j within a row.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -216,14 +208,14 @@ def finite_section(cj: Callable, N: int) -> SectionMatrix:
         j = np.repeat(js[s:e], count[s:e])
         n = np.arange(first[0], end[e - 1]) - np.repeat(first - 1, count[s:e])
         c = np.broadcast_to(np.asarray(cj(j, n)), j.shape)
+        if np.iscomplexobj(c):
+            raise TypeError("a section rule must return real values")
         keep = np.flatnonzero(c)
         rows.append(j[keep] * n[keep] - 1)
         cols.append(n[keep] - 1)
         vals.append(c[keep])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     vals = np.concatenate(vals)
-    if np.iscomplexobj(vals) and not vals.imag.any():
-        vals = vals.real
     order = np.argsort(rows, kind="stable")
     return SectionMatrix(N, rows[order], cols[order], vals[order])
 
@@ -299,12 +291,11 @@ def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,
     roots = np.flatnonzero(sizes)
     block = np.empty(S.N, dtype=np.intp)  # a root's block within its size
     entry_size = sizes[labels[S.rows]]
-    dtype = np.result_type(float, S.values)
     distinct = []
     for size in np.unique(sizes[roots]):
         group = roots[sizes[roots] == size]
         block[group] = np.arange(len(group))
-        lower = np.zeros((len(group), size, size), dtype)
+        lower = np.zeros((len(group), size, size))
         mine = entry_size == size
         rows = S.rows[mine]
         lower[block[labels[rows]], pos[rows], pos[S.cols[mine]]] = \
@@ -314,7 +305,7 @@ def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,
                             return_index=True)
         distinct.append(lower[keep])
     top = distinct[-1].shape[1]
-    blocks = np.tile(np.eye(top, dtype=dtype), (sum(map(len, distinct)), 1, 1))
+    blocks = np.tile(np.eye(top), (sum(map(len, distinct)), 1, 1))
     start = 0
     for lower in distinct:
         size = lower.shape[1]
@@ -351,7 +342,7 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
     inv = S.inverse()
     if not np.isfinite(inv.values).all():
         raise InverseOverflow("the section inverse overflows the float range")
-    v = np.random.default_rng(0).standard_normal(N).astype(S.values.dtype)
+    v = np.random.default_rng(0).standard_normal(N)
     v /= np.linalg.norm(v)
     blocks = []
     alphas, betas = [], []
@@ -361,15 +352,15 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
             raise NonConvergence(
                 f"Lanczos: no convergence in {LANCZOS_MAX_STEPS} steps")
         if k % _BASIS_BLOCK == 0:
-            blocks.append(np.empty((min(_BASIS_BLOCK, N - k), N), v.dtype))
+            blocks.append(np.empty((min(_BASIS_BLOCK, N - k), N)))
         blocks[-1][k % _BASIS_BLOCK] = v
         basis = blocks[:-1] + [blocks[-1][:k % _BASIS_BLOCK + 1]]
         x = v + inv._apply_l(v, False)
         w = x + inv._apply_l(x, True)
-        alphas.append(float(np.vdot(v, w).real))
+        alphas.append(float(v @ w))
         for _ in range(2):   # full reorthogonalisation, twice is enough
             for Q in basis:
-                w -= (Q @ w.conj()).conj() @ Q
+                w -= (Q @ w) @ Q
         beta = float(np.linalg.norm(w))
         if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
             raise InverseOverflow("a Lanczos step overflows the float range")

@@ -293,8 +293,7 @@ def test_min_quadratic_closed_raises_only_not_in_g2():
     # r1_tilde's prescan takes the disc minimum at every grid point and
     # treats NotInG2 as past the root: on weights of every magnitude and
     # the edge values 0, negative, inf and nan, the closed form returns
-    # a minimum in [0, 1] or raises NotInG2, and nothing else. The one
-    # exception is a = nan, b = 0, whose linear branch returns nan
+    # a minimum in [0, 1] or raises NotInG2, and nothing else
     rng = np.random.default_rng(32)
     edges = [0.0, -0.0, -1.0, 5e-324, 1.0, math.inf, math.nan]
     points = (_membership_grid()
@@ -307,7 +306,7 @@ def test_min_quadratic_closed_raises_only_not_in_g2():
             minimum = gp.min_quadratic_closed(a, b)
         except NotInG2:
             continue
-        assert 0.0 <= minimum <= 1.0 or math.isnan(a) and b == 0.0, (a, b)
+        assert 0.0 <= minimum <= 1.0, (a, b)
         inside += 1
     assert 0 < inside < len(points)
 
@@ -910,21 +909,30 @@ def _threshold_difference(label, alpha, p):
     return {"r1": r1, "r1_tilde": r1_tilde}[label]
 
 
+def _sign_change_reference(values, qs) -> tuple:
+    """(n, cell) of _sign_change from f at every grid point, as the
+    prescan took them before the enclosures."""
+    changes = [i for i in range(len(qs) - 1)
+               if (values[i] < 0.0) != (values[i + 1] < 0.0)]
+    if not changes:
+        return 0, None
+    i = changes[0]
+    return len(changes), (qs[i], qs[i + 1], values[i], values[i + 1])
+
+
 def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
     """_single_sign_change as it was before the enclosures: f at the
     full-length sum of every grid point, in grid order."""
     qs = gp._prescan_nomes(lo, hi)[0]
-    vals = [f(q, s) for q, s in zip(qs, _mode_sums(qs, alpha, terms))]
-    changes = [i for i in range(gp._PRESCAN_POINTS - 1)
-               if (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
-    if not changes:
+    changes, cell = _sign_change_reference(
+        [f(q, s) for q, s in zip(qs, _mode_sums(qs, alpha, terms))], qs)
+    if cell is None:
         raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
-    if len(changes) > 1:
+    if changes > 1:
         logging.getLogger("rieszcert.gross_pitaevskii").warning(
             "%s: %d sign changes on the prescan grid; using the first "
-            "bracket", label, len(changes))
-    i = changes[0]
-    return qs[i], qs[i + 1], vals[i], vals[i + 1]
+            "bracket", label, changes)
+    return cell
 
 
 def _prescan_outcome(call, caplog) -> tuple:
@@ -942,14 +950,21 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
     # every prescan of solve_r1 and solve_r1_tilde, shrunk r1_tilde
     # brackets included (alpha = 1.3 and up at p = 3), against the old
     # prescan, which evaluated the equation at the full-length sum of
-    # every grid point: the same bracket, end values, records and sign
-    # at every grid point, with no RuntimeWarning
+    # every grid point: the same bracket, end values, records and
+    # (n, cell), with no RuntimeWarning. The records of lost membership
+    # on the grid come from the solver, as it takes the s-free part of
+    # its chain. The chain is the difference at every full sum bit for
+    # bit, every sign the enclosures decide is the full sum's, and from
+    # a cold sum cache only the points they leave open and the unpinned
+    # ends of the cell are summed
     calls = []
     real = gp._single_sign_change
     p = None
 
     def spy(*args):
-        calls.append((p, *args))
+        grid = [(r.levelname, r.getMessage()) for r in caplog.records
+                if "membership lost" in r.getMessage()]
+        calls.append((p, grid, *args))
         return real(*args)
 
     monkeypatch.setattr(gp, "_single_sign_change", spy)
@@ -959,6 +974,7 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
         for p in (3, 5, 7, 11, 13):
             for terms in (1, 31, 32, 33, 500, 3000):
                 for solve in (gp.solve_r1, gp.solve_r1_tilde):
+                    caplog.clear()
                     try:
                         solve(alpha, p, terms)
                     except RieszcertError:
@@ -966,54 +982,84 @@ def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
     assert len(calls) == 2 * len(alphas) * 5 * 6
     shrunk = 0
     rows = _count_mode_sum_rows(monkeypatch)
-    for p, parts, alpha, terms, lo, hi, label in calls:
+    for p, grid, chain, bounds, alpha, terms, lo, hi, label in calls:
         f = _threshold_difference(label, alpha, p)
         shrunk += hi < gp._Q_HI
+        gp._mode_sum.cache_clear()
         rows.clear()
-        got = _prescan_outcome(
-            lambda: real(parts, alpha, terms, lo, hi, label), caplog)
+        cell, records = _prescan_outcome(lambda: real(
+            chain, bounds, alpha, terms, lo, hi, label), caplog)
+        got = cell, grid + records
         summed = sum(rows)
         want = _prescan_outcome(lambda: _single_sign_change_reference(
             f, alpha, terms, lo, hi, label), caplog)
         assert got == want, (alpha, terms, lo, hi, label)
-        # the enclosures left no sign open here: only the bracket's ends
-        # were summed, and none at terms <= 32, where they are the sums
-        assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
-        caplog.clear()
-        qs, negative, _ = gp._prescan(parts, alpha, terms, lo, hi)
+        qs = gp._prescan_nomes(lo, hi)[0]
         sums = _mode_sums(qs, alpha, terms)
         with caplog.at_level(logging.CRITICAL, logger="rieszcert"):
-            assert negative.tolist() == [f(q, s) < 0.0
-                                         for q, s in zip(qs, sums)]
+            full = [f(q, s) for q, s in zip(qs, sums)]
+            n, cell = gp._sign_change(chain, bounds, alpha, terms, lo, hi)
+        assert chain(sums).tolist() == full
+        assert (n, cell) == _sign_change_reference(full, qs)
+        v_lo, v_hi = chain(bounds[0]), chain(bounds[1])
+        negative = np.array(full) < 0.0
+        assert negative[v_hi < 0.0].all() and not negative[v_lo >= 0.0].any()
+        summed_at = set(np.flatnonzero(~(v_hi < 0.0) & ~(v_lo >= 0.0)))
+        if cell is not None:
+            i = qs.index(cell[0])
+            summed_at |= {j for j in (i, i + 1) if not v_lo[j] == v_hi[j]}
+        assert summed == len(summed_at)
+        # the enclosures leave no sign open here: only the cell's ends
+        # are summed, and none at terms <= 32, where they are the sums
+        assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
     assert shrunk >= 100
 
 
 def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     # f(q, s) = s - c: c is the full sum from grid point 20 on, where f
     # is 0 and no enclosure decides its sign, and the sum plus 1 before.
-    # Each sum is taken once: the bracket's upper end comes from the
-    # cache
+    # The 44 open points are summed, then the cell's lower end, which
+    # the enclosures do not pin; its upper end comes from the cache
     _clear_caches()
     lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
     qs = gp._prescan_nomes(lo, hi)[0]
     sums = _mode_sums(qs, alpha, terms)
     c = sums + (np.arange(gp._PRESCAN_POINTS) < 20)
-    offsets = dict(zip(qs, c.tolist()))
-
-    def f(q, s):
-        return s - offsets[q]
-
-    def parts(lo, hi):
-        return lambda s: s - c
-
+    bounds = gp._grid_enclosures(lo, hi, alpha, terms)
     rows = _count_mode_sum_rows(monkeypatch)
-    _, negative, _ = gp._prescan(parts, alpha, terms, lo, hi)
-    assert negative.tolist() == [True] * 20 + [False] * 44
-    assert rows == [1] * 44
-    rows.clear()
-    assert gp._single_sign_change(parts, alpha, terms, lo, hi, "f") == (
-        qs[19], qs[20], f(qs[19], sums[19]), 0.0)
-    assert rows == [1]
+    assert gp._sign_change(lambda s: s - c, bounds, alpha, terms, lo, hi) == (
+        1, (qs[19], qs[20], sums[19] - c[19], 0.0))
+    assert rows == [1] * 45
+
+
+def test_single_sign_change_logs_extra_changes_and_refuses_none(caplog):
+    # synthetic chains, f = s - (full sum) + sign: f is -1 on grid points
+    # 10 to 29 and +1 elsewhere, so the grid shows two sign changes, and
+    # +1 everywhere shows none. The threshold equations show two sign
+    # changes only at p = 2 (alpha 2.9 to 3.15): none at p = 3, 5, ...,
+    # 17, 21, 25, 31 on alpha = 0, 0.05, ..., 19.95
+    lo, hi, alpha, terms = gp._Q_LO, gp._Q_HI, 0.5, 500
+    qs = gp._prescan_nomes(lo, hi)[0]
+    sums = _mode_sums(qs, alpha, terms)
+    bounds = gp._grid_enclosures(lo, hi, alpha, terms)
+    index = np.arange(gp._PRESCAN_POINTS)
+    sign = np.where((index >= 10) & (index < 30), -1.0, 1.0)
+    caplog.set_level(logging.INFO, logger="rieszcert")
+    assert gp._single_sign_change(lambda s: s - sums + sign, bounds, alpha,
+                                  terms, lo, hi, "f") == (
+        qs[9], qs[10], 1.0, -1.0)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "f: 2 sign changes on the prescan grid; using the "
+                    "first bracket")]
+    caplog.clear()
+    with pytest.raises(BracketFailure,
+                       match=r"^f: no sign change on \[1e-09, 0\.999999999\]$"):
+        gp._single_sign_change(lambda s: s - sums + 1.0, bounds, alpha,
+                               terms, lo, hi, "f")
+    assert gp._single_sign_change(lambda s: s - sums - (index >= 30), bounds,
+                                  alpha, terms, lo, hi, "f") == (
+        qs[29], qs[30], 0.0, -1.0)
+    assert not caplog.records
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -238,18 +238,44 @@ def _dense_smallest_singular(S):
     return float(np.linalg.svd(S.entries, compute_uv=False)[-1])
 
 
+def _phased(rule):
+    """The same moduli as ``rule`` with a phase per entry: complex
+    values, which finite_section refuses."""
+    return lambda j, n: rule(j, n) * np.exp(1j * (j + 2 * n))
+
+
+def _assert_refused(rule, N):
+    # the rule is called once N >= 2; at N = 1 no pair (j, n) exists
+    if N == 1:
+        assert st.finite_section(rule, N).values.dtype == float
+        return
+    with pytest.raises(TypeError, match="must return real values"):
+        st.finite_section(rule, N)
+
+
+def test_finite_section_refuses_complex_values():
+    # complex values are refused even where every imaginary part is 0;
+    # a real rule's section holds floats, whatever the rule's dtype
+    for c in (0.5j, 0.5 + 0j, np.complex64(0.5)):
+        _assert_refused(lambda j, n: np.where(j == 2, c, 0.0), 8)
+    _assert_refused(lambda j, n: np.full(len(j), 0.1 + 0j), 2)
+    for c in (1, np.float32(0.5), True):
+        assert st.finite_section(lambda j, n: c, 8).values.dtype == float
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257, 512])
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_smallest_singular_matches_dense_svd(N, complex_values):
     rng = np.random.default_rng([N, complex_values])
 
     def cj(j, n):
-        # one draw per pair (two, real then imaginary, for complex values)
-        c = rng.uniform(-0.4, 0.4, (len(j), 1 + complex_values)) / j[:, None]
-        return c[:, 0] + 1j * c[:, 1] if complex_values else c[:, 0]
+        # one draw per pair
+        return rng.uniform(-0.4, 0.4, len(j)) / j
 
+    if complex_values:
+        _assert_refused(_phased(cj), N)
+        return
     S = st.finite_section(cj, N)
-    assert np.iscomplexobj(S.values) == (complex_values and N > 1)
     assert st.smallest_singular(S) == pytest.approx(
         _dense_smallest_singular(S), rel=1e-12)
     identity = st.finite_section(lambda j, n: 0.0, N)
@@ -327,19 +353,14 @@ INVERSE_RULES = {
 }
 
 
-def _section(name, N, complex_values):
-    rule = INVERSE_RULES[name]
-    if complex_values:   # the same moduli with a phase per entry
-        return st.finite_section(
-            lambda j, n: rule(j, n) * np.exp(1j * (j + 2 * n)), N)
-    return st.finite_section(rule, N)
-
-
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 256])
 @pytest.mark.parametrize("complex_values", [False, True])
 @pytest.mark.parametrize("name", sorted(INVERSE_RULES))
 def test_inverse_times_section_is_identity(name, N, complex_values):
-    S = _section(name, N, complex_values)
+    if complex_values:
+        _assert_refused(_phased(INVERSE_RULES[name]), N)
+        return
+    S = st.finite_section(INVERSE_RULES[name], N)
     inv = S.inverse()
     assert inv.N == N and inv.values.dtype == S.values.dtype
     assert np.abs(inv.entries @ S.entries - np.eye(N)).max() < 1e-13
@@ -349,7 +370,10 @@ def test_inverse_times_section_is_identity(name, N, complex_values):
 @pytest.mark.parametrize("name", sorted(INVERSE_RULES))
 def test_inverse_entries_unique_and_multiplicative(name, complex_values):
     N = 256
-    S = _section(name, N, complex_values)
+    if complex_values:
+        _assert_refused(_phased(INVERSE_RULES[name]), N)
+        return
+    S = st.finite_section(INVERSE_RULES[name], N)
     for M in (S, S.inverse()):
         keys = M.rows * N + M.cols
         assert len(np.unique(keys)) == len(keys)      # no duplicate
@@ -363,9 +387,9 @@ def test_inverse_chunks_match_one_pass(monkeypatch):
     # a chunk holds whole rows, so the chunked expansion sums every
     # entry in the order of one pass; the chunked products agree with
     # one pass to rounding
-    S = _section("all-j", 3000, True)
+    S = st.finite_section(INVERSE_RULES["all-j"], 3000)
     inv = S.inverse()
-    x = np.random.default_rng(3).standard_normal(3000) + 0j
+    x = np.random.default_rng(3).standard_normal(3000)
     y = inv._apply_l(x, False), inv._apply_l(x, True)
     monkeypatch.setattr(st, "_CHUNK", 1 << 40)
     one = S.inverse()
@@ -434,17 +458,17 @@ def _halves_run():
         st.finite_section(lambda j, n: np.where(j == 2, 0.5, 0.0), 64))
 
 
-def _complex_runs():
-    # the random complex rule of the dense-SVD comparison
+def _random_runs():
+    # the random rule of the dense-SVD comparison
     for N in (17, 257, 512):
-        test_smallest_singular_matches_dense_svd(N, True)
+        test_smallest_singular_matches_dense_svd(N, False)
 
 
 @pytest.mark.parametrize("run, stop", [
     (_section_run("gp", 2048), True), (_section_run("ws", 2048), True),
-    (_section_run("periodic", 256), True), (_complex_runs, True),
+    (_section_run("periodic", 256), True), (_random_runs, True),
     (_section_run("gp", 64), False), (_halves_run, False)],
-    ids=["gp", "ws", "periodic", "complex", "gp-full", "halves-full"])
+    ids=["gp", "ws", "periodic", "random", "gp-full", "halves-full"])
 def test_top_ritz_pair_matches_eigh(monkeypatch, run, stop):
     # theta to a few ulps and |y_k| against the dense eigh on every
     # tridiagonal of real Lanczos runs, warm-started as the loop does.
@@ -552,12 +576,10 @@ def _ws_periodic_rule():
 def test_dense_blocks_match_lanczos(rule, complex_values, N):
     # a ws section is a sum of chains {m 2^k}, so it takes the dense
     # route, and gives Lanczos's sigma_min on the whole section
-    if complex_values:   # the same moduli with a phase per entry
-        S = st.finite_section(
-            lambda j, n: rule(j, n) * np.exp(1j * (j + 2 * n)), N)
-    else:
-        S = st.finite_section(rule, N)
-    assert np.iscomplexobj(S.values) == complex_values
+    if complex_values:
+        _assert_refused(_phased(rule), N)
+        return
+    S = st.finite_section(rule, N)
     assert np.bincount(st._components(S)).max() <= st.DENSE_BLOCK_MAX
     assert st.smallest_singular(S) == pytest.approx(
         st._lanczos_sigma_min(S), rel=1e-14, abs=0)
