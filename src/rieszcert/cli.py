@@ -57,7 +57,7 @@ def _sweep_row(alpha: float, p: int, terms: int, tol: float) -> tuple:
         r1 = gp.solve_r1(alpha, p, terms, tol)
         r1t = gp.solve_r1_tilde(alpha, p, terms, tol)
         return (f"{_fmt(alpha)},{_fmt(r0)},{_fmt(r1)},{_fmt(r1t)}", True)
-    except (RieszcertError, OverflowError) as exc:
+    except RieszcertError as exc:
         return (f"{_fmt(alpha)},ERROR,ERROR,ERROR  # {type(exc).__name__}",
                 False)
 

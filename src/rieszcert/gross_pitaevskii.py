@@ -45,12 +45,16 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ORACLE_SLACK = 1e-5
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
-# the threshold solvers' prescan grid
+# r0's prescan grid
 _PRESCAN_POINTS = 64
 # the prescan encloses each grid point's mode sum from its first K
 # summands, widened by tau = c (terms + K) eps (see _enclosures)
 _ENCLOSURE_TERMS = 32
 _ENCLOSURE_ULPS = 32
+# a threshold gap's Newton stops after a step of at most _GAP_STOP tol
+# (see _newton_gap), or raises after _GAP_STEPS steps
+_GAP_STOP = 1e-3
+_GAP_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -173,36 +177,51 @@ def _mode_weights(alpha: float, terms: int) -> tuple:
     return _read_only(l, modes, w)
 
 
-def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int):
-    """The sum of the first ``terms`` summands of :func:`s_alpha` at
-    log q = lq and 1 - q, not checked for overflow. Every full-length
-    mode sum is taken here."""
+def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int,
+              q: float | None = None):
+    """The sum s of the first ``terms`` summands of :func:`s_alpha` at
+    log q = lq and 1 - q, not checked for overflow; with q given, (s,
+    s'), s' the sum of their q-derivatives from the same kernel pass.
+    Every full-length mode sum is taken here.
+
+    Summand l, t_l = w_l (1-q) q^l / (1 - q^m) with m = 2l + 1, has the
+    derivative t_l g_l, g_l = l/q - 1/(1-q) + m q^{m-1} / (1 - q^m) =
+    (m / (1 - q^m) - l - 1) / q - 1/(1-q), so s' = sum t_l (m / (1 -
+    q^m) - l - 1) / q - s / (1-q).
+    """
     l, modes, w = _mode_weights(alpha, terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        return odd_modes(lq, one_minus_q, l, modes, w).sum()
+        summands = odd_modes(lq, one_minus_q, l, modes, w)
+        s = summands.sum()
+        if q is None:
+            return s
+        factor = np.multiply(modes, lq)
+        np.expm1(factor, out=factor)
+        np.divide(modes, factor, out=factor)
+        factor += l
+        factor += 1.0
+        return s, -(summands @ factor) / q - s / one_minus_q
 
 
-# 512 sums: those of the last 40 or so threshold rows, so that rows of
-# one alpha at several p share r0's
+# 512 sums: those of the last 70 or so r0 solves
 @functools.lru_cache(maxsize=512)
 def _mode_sum(q: float, alpha: float, terms: int) -> float:
     """The raw partial sum of :func:`s_alpha` at one q, not checked for
-    overflow. :func:`s_alpha` and the threshold solvers' prescans share
-    this cache, so the solvers of a row take each sum once."""
+    overflow; :func:`s_alpha` and r0's prescan share this cache."""
     return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
+
+
+@functools.lru_cache(maxsize=16)
+def _slope_sums(q: float, alpha: float, terms: int) -> tuple:
+    """(s, s') at one q: the raw partial sum of :func:`_mode_sum`, bit
+    for bit, and its q-derivative, from one kernel pass."""
+    s, slope = _row_sums(log_nome(q), 1.0 - q, alpha, terms, q)
+    return float(s), float(slope)
 
 
 def _overflow(q: float, alpha: float) -> RieszcertError:
     return RieszcertError(f"s_alpha overflows the float range at "
                           f"q={q}, alpha={alpha}")
-
-
-def _finite_sum(total: float, q: float, alpha: float) -> float:
-    # the summands are nonnegative: an inf or nan among them leaves the
-    # sum inf or nan too
-    if not math.isfinite(total):
-        raise _overflow(q, alpha)
-    return float(total)
 
 
 def s_alpha(q: float, alpha: float,
@@ -217,14 +236,22 @@ def s_alpha(q: float, alpha: float,
 
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
     decreasing, so the tail after ``terms`` summands is bounded by a
-    geometric series started at the first omitted term. Raises
+    geometric series started at the first omitted term, and is inf
+    where (2 terms + 1)^alpha is past the float range. Raises
     RieszcertError when a summand or the sum overflows.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    total = _finite_sum(_mode_sum(q, alpha, terms), q, alpha)
+    total = _mode_sum(q, alpha, terms)
+    # nonnegative summands: an inf or nan among them stays in the sum
+    if not math.isfinite(total):
+        raise _overflow(q, alpha)
     lq = log_nome(q)
-    first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
+    try:
+        first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
+    except OverflowError:
+        # the power alone is past the float range: no finite bound
+        first_omitted = math.inf
     ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesValue(total, tail)
@@ -433,28 +460,18 @@ def structured_weight(q: float, alpha: float, p: int, k: int) -> float:
     """Weight w_k = p^{k alpha} f_hat_q(p^k) of the structured mode p^k:
     p^{k alpha} (1-q) q^{(m-1)/2} / (1 - q^m) with m = p^k. The
     threshold equations and :func:`certify_T1` call w_1 and w_2 a(q)
-    and b(q); :func:`certify_Td` keeps w_1 .. w_degree. The threshold
-    prescans build it from the same factors (:func:`_grid_weights`)."""
+    and b(q); :func:`certify_Td` keeps w_1 .. w_degree."""
     m = p ** k
     lq = log_nome(q)
     scale = float(p) ** (k * alpha)
-    root, denominator = _weight_factors(lq, m)
-    return scale * (1.0 - q) * root / denominator
-
-
-def _weight_factors(lq: float, m: int) -> tuple:
-    """The q-dependent factors q^{(m-1)/2} and 1 - q^m of the weight at
-    the mode m, from lq = log q."""
-    return math.exp(0.5 * (m - 1) * lq), -math.expm1(m * lq)
+    return (scale * (1.0 - q) * math.exp(0.5 * (m - 1) * lq)
+            / -math.expm1(m * lq))
 
 
 @functools.lru_cache(maxsize=256)
 def _prescan_nomes(lo: float, hi: float) -> tuple:
     """The prescan grid of [lo, hi] as a tuple of floats, and its q,
-    log q and 1 - q as read-only arrays. They are kept apart from
-    :func:`_prescan_factors`, which raises where p^2 is past the float
-    range and so must come after the scale p^{k alpha}, as in
-    :func:`structured_weight`."""
+    log q and 1 - q as read-only arrays."""
     qs = [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
           for i in range(_PRESCAN_POINTS)]
     return (tuple(qs), *_read_only(np.array(qs),
@@ -462,261 +479,243 @@ def _prescan_nomes(lo: float, hi: float) -> tuple:
                                    np.array([1.0 - q for q in qs])))
 
 
-@functools.lru_cache(maxsize=256)
-def _prescan_factors(lo: float, hi: float, p: int) -> tuple:
-    """The alpha-free factors (q^{(m-1)/2}, 1 - q^m) of w_1 and w_2,
-    m = p and p^2, at each point of the prescan grid of [lo, hi], as
-    read-only arrays: every row of a threshold grid at this p shares
-    them, whatever its alpha."""
-    lqs = _prescan_nomes(lo, hi)[2].tolist()
-    factors = []
-    for m in (p, p * p):
-        roots, denominators = zip(*[_weight_factors(lq, m) for lq in lqs])
-        factors.append(_read_only(np.array(roots), np.array(denominators)))
-    return tuple(factors)
-
-
-def _grid_weights(lo: float, hi: float, alpha: float, p: int,
-                  k: int) -> np.ndarray:
-    """:func:`structured_weight` at each point of the prescan grid of
-    [lo, hi], bit for bit, with the same exceptions in the same order."""
-    scale = float(p) ** (k * alpha)
-    one_minus_q = _prescan_nomes(lo, hi)[3]
-    root, denominator = _prescan_factors(lo, hi, p)[k - 1]
-    with np.errstate(over="ignore"):
-        return scale * one_minus_q * root / denominator
-
-
 @functools.lru_cache(maxsize=32)
 def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
-    """:func:`_enclosures` on the prescan grid of [lo, hi], read-only:
-    the solvers of a threshold row share one block.
-
-    The solvers check their domain first (:func:`_check_solver_domain`),
-    and there every sum is finite where the weights w_l = (2l+1)^alpha
-    are: f_hat_q(2l+1) = 1 / sum_{|k| <= l} q^k is at most 1 / (2l+1),
-    so summand l is at most w_l / (2l+1) and the sum is at most the last
-    weight for alpha >= 1 and at most terms below. Where a weight is
-    infinite no enclosure exists, and the overflow error of
-    :func:`s_alpha` at lo is raised.
-    """
+    """:func:`_enclosures` on the prescan grid of [lo, hi], read-only.
+    On :func:`solve_r0`'s domain every sum is finite where the weights
+    w_l = (2l+1)^alpha are: f_hat_q(2l+1) = 1 / sum_{|k| <= l} q^k is at
+    most 1 / (2l+1), so summand l is at most w_l / (2l+1). Where a
+    weight is infinite no enclosure exists, and the overflow error of
+    :func:`s_alpha` at lo is raised."""
     bounds = _enclosures(*_prescan_nomes(lo, hi)[1:], alpha, terms)
     if bounds is None:
         raise _overflow(lo, alpha)
     return _read_only(*bounds)
 
 
-def _sign_change(chain, bounds, alpha: float, terms: int, lo: float,
-                 hi: float) -> tuple:
-    """(n, cell): the number n of sign changes of f(q, s) on the prescan
-    grid of [lo, hi], with s the raw mode sum at q, and the cell of the
-    first, (q_i, q_{i+1}, f(q_i), f(q_{i+1})), or None where there is
-    none.
-
-    ``chain`` holds the s-free part of f, taken once per grid point:
-    chain(s)[i] is f(q_i, s[i]) bit for bit for a vector s of finite
-    sums, and is nondecreasing in s[i], since rounding is monotone.
-    ``bounds`` = (s_lo, s_hi) encloses each sum (:func:`_grid_enclosures`):
-    chain(s_hi) < 0 proves a point negative and chain(s_lo) >= 0 proves
-    it not. Only the points left open are summed in full, and then the
-    ends of the cell unless chain(s_lo) == chain(s_hi) pins them.
+def _sign_change(level, bounds, alpha: float, terms: int, lo: float,
+                 hi: float):
+    """The cell (q_i, q_{i+1}, f_i, f_{i+1}) of the first sign change of
+    f = s - level on the prescan grid of [lo, hi], s the raw mode sum at
+    each point and ``level`` a float or one per point; None where there
+    is none. ``bounds`` = (s_lo, s_hi) encloses each sum
+    (:func:`_grid_enclosures`), and rounding is monotone: s_hi - level
+    < 0 proves a point negative and s_lo - level >= 0 proves it not.
+    Only the points left open are summed in full, and then the ends of
+    the cell unless the two bounds give them one value.
     """
     qs = _prescan_nomes(lo, hi)[0]
     sums = np.full(len(qs), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_lo, v_hi = chain(bounds[0]), chain(bounds[1])
+        v_lo, v_hi = bounds[0] - level, bounds[1] - level
         negative = v_hi < 0.0
         open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
         for i in open_:
             sums[i] = _mode_sum(qs[i], alpha, terms)
-        negative[open_] = chain(sums)[open_] < 0.0
+        negative[open_] = (sums - level)[open_] < 0.0
         changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
         if not changes:
-            return 0, None
+            return None
         i = changes[0]
         pinned = v_lo == v_hi
         for j in (i, i + 1):
             if not pinned[j]:
                 sums[j] = _mode_sum(qs[j], alpha, terms)
-        values = np.where(pinned, v_lo, chain(sums))
-    return len(changes), (qs[i], qs[i + 1], float(values[i]),
-                          float(values[i + 1]))
+        values = np.where(pinned, v_lo, sums - level)
+    return qs[i], qs[i + 1], float(values[i]), float(values[i + 1])
 
 
-def _single_sign_change(chain, bounds, alpha: float, terms: int, lo: float,
-                        hi: float, label: str) -> tuple:
-    """The cell of :func:`_sign_change`, (lo, hi, f(lo), f(hi)), so that
-    the bisection does not evaluate f at its ends again. No sign change
-    raises BracketFailure, and more than one is logged."""
-    changes, cell = _sign_change(chain, bounds, alpha, terms, lo, hi)
-    if cell is None:
-        raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
-    if changes > 1:
-        log.warning("%s: %d sign changes on the prescan grid; using the "
-                    "first bracket", label, changes)
-    return cell
+@functools.lru_cache(maxsize=64)
+def _r0(alpha: float, terms: int, tol: float) -> float:
+    """:func:`solve_r0` past its domain check; rows of one alpha at
+    several p share it."""
+    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
+    cell = _sign_change(2.0, bounds, alpha, terms, _Q_LO, _Q_HI)
+    return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
+                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
              tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
-    uniqueness); bisection to ``tol`` in q.
-
-    The signs of s - 2 on the 64-point grid of [_Q_LO, _Q_HI] come from
-    the 32-term enclosures that :func:`solve_r1` and
-    :func:`solve_r1_tilde` share (:func:`_sign_change`). Where they
-    change, :func:`util.bisect_monotone` narrows from the grid cell of
-    the first change and replays the midpoints of plain bisection on
-    the whole [_Q_LO, _Q_HI], so r0 is the float plain bisection gives.
-    Where the grid shows no sign change, the bisection starts from the
-    ends of [_Q_LO, _Q_HI] and reports what they show. Input outside
-    the solvers' domain (:func:`_check_solver_domain`) raises
-    ValueError, and an infinite weight (2l+1)^alpha the overflow error
-    of :func:`s_alpha` at _Q_LO.
+    uniqueness); bisection to ``tol`` in q. :func:`util.bisect_monotone`
+    narrows from the first sign-change cell of s - 2 on the 64-point
+    grid of [_Q_LO, _Q_HI] (:func:`_sign_change`) and replays the
+    midpoints of plain bisection on that whole range, so r0 is the float
+    plain bisection gives; with no sign change on the grid it starts
+    from the ends. Input outside the solvers' domain
+    (:func:`_check_solver_domain`) raises ValueError, and an infinite
+    weight (2l+1)^alpha the overflow error of :func:`s_alpha` at _Q_LO.
     """
     _check_solver_domain(alpha, terms)
-    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
-    cell = _sign_change(lambda s: s - 2.0, bounds, alpha, terms,
-                        _Q_LO, _Q_HI)[1]
-    return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
-                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
+    return _r0(alpha, terms, tol)
+
+
+def _newton_gap(f, room: float, tol: float, label: str) -> float:
+    """The root d in (0, room) of f(d) = (G(d), G'(d)), G increasing and
+    G(0) < 0 (or 0, returned), by Newton steps from d = 0. A G that is
+    not finite counts as past the root, as does room; a step leaving
+    the bracket of known signs takes its midpoint. After a step h of at
+    most ``_GAP_STOP`` tol its end is returned, which the mean-value
+    remainder puts within max |G''| h^2 / (2 G') of the root."""
+    lo, hi, d = 0.0, room, 0.0
+    value, slope = f(d)
+    for _ in range(_GAP_STEPS):
+        if value == 0.0:
+            return d
+        if value < 0.0:
+            lo = d
+        elif d == 0.0:
+            raise BracketFailure(f"{label}: no root above the anchor "
+                                 f"(difference {value} there)")
+        else:
+            hi = d
+        new = d - value / slope if slope > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - d) <= _GAP_STOP * tol:
+            return new
+        d = new
+        value, slope = f(d)
+    raise BracketFailure(f"{label}: no Newton convergence in "
+                         f"{_GAP_STEPS} steps")
+
+
+@functools.lru_cache(maxsize=64)
+def _row(alpha: float, p: int, terms: int, tol: float) -> tuple:
+    """(r0, gap1, gap2) of a threshold row: r1 = r0 + gap1, r1_tilde =
+    r0 + (gap1 + gap2), gap2 the error its search raised, if any. With
+    x = r0 (a float) and D(e) = s(x + e) - s(x), gap1 solves D(e)
+    = delta(x + e), delta = b / (2 p^alpha), and gap2 solves
+    D(gap1 + d) - D(gap1) + delta(r1) = R(r1 + d) - 2, R = 1 + a + b +
+    min |1 + a z + b z^2|. At d = 0 these read -delta(x) and, in the
+    first branch of :func:`min_quadratic_closed`, delta(r1) - 2 b(r1):
+    negative without cancellation, and :func:`_newton_gap` keeps every
+    step above 0. Each evaluation sums at the float q = x + e, with rho
+    = (x + e) - q from the two-sum: D(e) = s(q) - s(x) + s'(q) rho, s and
+    s' from one kernel pass (:func:`_slope_sums`), and w(q) + w'(q) rho
+    for a and b. So a gap below the float spacing at x comes from the
+    derivatives, where a subtraction would read 0, off by at most
+    max |s''| rho^2 / 2. A point where (a, b) leaves G_2 is past the
+    root, with a log record. The root oracle checks the closed form
+    once, at the reported r1_tilde (:func:`_cross_check_g2`). A weight
+    past the float range raises RieszcertError."""
+    x = _r0(alpha, terms, tol)
+    s_x = _slope_sums(x, alpha, terms)[0]
+
+    def point(e: float) -> tuple:
+        # q, D(e), s'(q) and the weights (a, a', b, b') at x + e
+        q = x + e
+        moved = q - x
+        rho = (x - (q - moved)) + (e - moved)
+        s, slope = _slope_sums(q, alpha, terms)
+        weights = []
+        for k in (1, 2):
+            # w_k times the factor g of _row_sums at the mode m = p^k
+            w, m = structured_weight(q, alpha, p, k), p ** k
+            dw = w * ((m / -math.expm1(m * log_nome(q)) - 0.5 * (m + 1)) / q
+                      - 1.0 / (1.0 - q))
+            weights += [w + dw * rho, dw]
+        return q, s - s_x + slope * rho, slope, weights
+
+    def r1_difference(e: float) -> tuple:
+        _, d_sum, slope, (_, _, b, db) = point(e)
+        return d_sum - 0.5 * b / pa, slope - 0.5 * db / pa
+
+    def r1_tilde_difference(d: float) -> tuple:
+        q, d_sum, slope, (a, da, b, db) = point(gap1 + d)
+        try:
+            minimum = min_quadratic_closed(a, b)
+        except NotInG2:
+            log.info("r1_tilde: membership lost at q=%.6f during the "
+                     "search; treating as past the root", q)
+            return math.inf, math.nan
+        lhs = d_sum - d_r1 + delta_r1
+        if b == 0.0 or a * (b + 1.0) / (4.0 * b) >= 1.0:
+            return lhs - 2.0 * b, slope - 2.0 * db
+        # R - 2 = a + b - 1 + (1-b) sqrt(g), g = 1 - a^2/(4b)
+        root = minimum / (1.0 - b)
+        dg = (a * a * db / b - 2.0 * a * da) / (4.0 * b)
+        return (lhs - (a + b - 1.0 + minimum), slope - da
+                - db * (1.0 - root) - (1.0 - b) * dg / (2.0 * root))
+
+    try:
+        pa = float(p) ** alpha
+        gap1 = _newton_gap(r1_difference, _Q_HI - x, tol, "r1")
+        q1, d_r1, _, (_, _, b1, _) = point(gap1)
+        delta_r1 = 0.5 * b1 / pa
+        try:
+            gap2 = _newton_gap(r1_tilde_difference, _Q_HI - q1, tol,
+                               "r1_tilde")
+            _cross_check_g2(*(structured_weight(x + (gap1 + gap2), alpha,
+                                                p, k) for k in (1, 2)))
+        except RieszcertError as error:
+            gap2 = error
+    except OverflowError as error:
+        raise RieszcertError(f"a weight p^(k alpha) f_hat_q(p^k) overflows "
+                             f"the float range at alpha={alpha}, "
+                             f"p={p}") from error
+    return x, gap1, gap2
 
 
 def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
              tol: float = BISECTION_TOL) -> float:
-    """Unique solution of s_alpha(q) = 2 + b(q) / (2 p^alpha).
-
-    A 64-point prescan confirms a single sign change of the difference
-    (logged if violated) before bisecting. It decides most signs from
-    32-term enclosures of the mode sum (:func:`_sign_change`), and the
-    bisection starts from its values at the bracket. Input outside the
-    solvers' domain (:func:`_check_solver_domain`) raises ValueError.
-    """
+    """Solution of s_alpha(q) = 2 + b(q) / (2 p^alpha): r0 (to ``tol``,
+    :func:`solve_r0`) plus the gap of :func:`_row`. Input outside the
+    solvers' domain (:func:`_check_solver_domain`) raises ValueError."""
     _check_solver_domain(alpha, terms, p)
-    pa = float(p) ** alpha
-    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
-    half_b = 0.5 * _grid_weights(_Q_LO, _Q_HI, alpha, p, 2) / pa
-    cell = _single_sign_change(lambda s: s - 2.0 - half_b, bounds, alpha,
-                               terms, _Q_LO, _Q_HI, "r1")
-    return bisect_monotone(
-        lambda q: (s_alpha(q, alpha, terms).value - 2.0
-                   - 0.5 * structured_weight(q, alpha, p, 2) / pa),
-        *cell[:2], tol=tol, bracket=cell)
+    r0, gap1, _ = _row(alpha, p, terms, tol)
+    return r0 + gap1
 
 
 def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
                    tol: float = BISECTION_TOL) -> float:
     """Solution of s_alpha(q) = 1 + a(q) + b(q) + min |1 + a(q) z +
-    b(q) z^2|, the sharp version of the r1 equation. Conjectural as a
-    basis threshold; the certificates report it as such.
-
-    G_2 membership along the search is decided in closed form by
-    :func:`min_quadratic_closed`, so the evaluations of a row's search
-    run no root finder; the root oracle runs once, at the reported point,
-    where :func:`_cross_check_g2` holds the two deciders to agreement.
-    Where (a(q), b(q)) leaves G_2 the difference is treated as past the
-    root: the upper bracket is shrunk (and the event logged) until the
-    closed-form minimum is defined. The shrink steps after the first
-    decide on (a, b) alone, without the mode sum. The prescan is that
-    of :func:`solve_r1`, with a, b, membership and the disc minimum of
-    :func:`min_quadratic_closed` taken once per grid point, and the
-    bisection starts from its values. Input outside the solvers' domain
-    (:func:`_check_solver_domain`) raises ValueError.
-    """
+    b(q) z^2|, the sharp version of the r1 equation: r1 plus the gap of
+    :func:`_row`, with G_2 membership decided in closed form. It is
+    conjectural as a basis threshold; the certificates report it as
+    such. Raises what :func:`solve_r1` raises, and BracketFailure where
+    (a, b) leaves G_2 before the root."""
     _check_solver_domain(alpha, terms, p)
-
-    def weights(q: float) -> tuple:
-        return (structured_weight(q, alpha, p, 1),
-                structured_weight(q, alpha, p, 2))
-
-    def lost(q: float) -> float:
-        log.info("r1_tilde: membership lost at q=%.6f during the "
-                 "search; treating as past the root", q)
-        return math.inf
-
-    def disc_min(q: float, a: float, b: float) -> float:
-        # -inf where membership is lost, so that the difference is +inf
-        # there: a and b grow with q, and the search treats such a point
-        # as past the root
-        try:
-            return min_quadratic_closed(a, b)
-        except NotInG2:
-            return -lost(q)
-
-    def difference(q: float, s: float) -> float:
-        a, b = weights(q)
-        return s - 1.0 - a - b - disc_min(q, a, b)
-
-    # the order of the difference at _Q_HI: a, b, the overflow check of
-    # the sum, membership. a and b can only raise for (p, alpha) alone,
-    # so once they pass here the bisection may check the sum first, in
-    # s_alpha. A sum finite at _Q_HI is finite at every smaller q: no
-    # weight (2l+1)^alpha is then infinite, each numerator (2l+1)^alpha
-    # q^l (1-q) stays below its weight, and each ratio (1-q) q^l / (1 -
-    # q^{2l+1}) = 1 / sum_{|k| <= l} q^k grows with q. Only rounding
-    # within a few ulps of the float max could break this;
-    # tests/test_gross_pitaevskii.py checks it at the overflow edge of
-    # alpha. So the shrink steps decide on (a, b) alone
-    lo, hi = _Q_LO, _Q_HI
-    a, b = weights(hi)
-    _finite_sum(_mode_sum(hi, alpha, terms), hi, alpha)
-    while True:
-        try:
-            min_quadratic_closed(a, b)
-            break
-        except NotInG2:
-            log.info("r1_tilde: (a, b) outside G_2 at q=%.6f; shrinking "
-                     "the bracket", hi)
-        hi = lo + 0.95 * (hi - lo)
-        if hi - lo < tol:
-            raise BracketFailure("no subinterval with (a, b) in G_2")
-        a, b = weights(hi)
-
-    bounds = _grid_enclosures(lo, hi, alpha, terms)
-    a = _grid_weights(lo, hi, alpha, p, 1)
-    b = _grid_weights(lo, hi, alpha, p, 2)
-    minima = np.array([disc_min(*point) for point in zip(
-        _prescan_nomes(lo, hi)[0], a.tolist(), b.tolist())])
-    cell = _single_sign_change(lambda s: s - 1.0 - a - b - minima, bounds,
-                               alpha, terms, lo, hi, "r1_tilde")
-    # the difference is finite wherever (a, b) is in G_2, so an infinite
-    # end is one where membership was lost; the search logs it on taking
-    # the bracket, as it logs every such point it meets
-    for q_end, f_end in zip(cell[:2], cell[2:]):
-        if f_end == math.inf:
-            lost(q_end)
-    q = bisect_monotone(
-        lambda q: difference(q, s_alpha(q, alpha, terms).value),
-        *cell[:2], tol=tol, bracket=cell)
-    _cross_check_g2(*weights(q))
-    return q
+    r0, gap1, gap2 = _row(alpha, p, terms, tol)
+    if isinstance(gap2, RieszcertError):
+        raise gap2.with_traceback(None)
+    return r0 + (gap1 + gap2)
 
 
 @dataclass(frozen=True)
 class GpThresholds:
     """Certified nome thresholds at one exponent: r0 (plain smallness),
-    r1 (periodic two-weight certificate), r1_tilde (sharp variant,
-    conjectural). Always r0 < r1 < r1_tilde."""
+    r1 = r0 + gap1 (periodic two-weight certificate) and r1_tilde =
+    r0 + (gap1 + gap2) (sharp variant, conjectural). The gaps are > 0;
+    printed columns may tie, never reverse."""
 
     alpha: float
     p: int
     r0: float
-    r1: float
-    r1_tilde: float
+    gap1: float
+    gap2: float
     terms: int = DEFAULT_TERMS
 
     def __post_init__(self):
-        if not self.r0 < self.r1 < self.r1_tilde:
-            raise ValueError(
-                f"threshold ordering violated: {self.r0}, {self.r1}, "
-                f"{self.r1_tilde}")
+        if not (self.gap1 > 0.0 and self.gap2 > 0.0):
+            raise ValueError(f"threshold gaps must be > 0: {self.gap1}, "
+                             f"{self.gap2}")
+
+    @property
+    def r1(self) -> float:
+        return self.r0 + self.gap1
+
+    @property
+    def r1_tilde(self) -> float:
+        return self.r0 + (self.gap1 + self.gap2)
 
 
 def thresholds(alpha: float, p: int,
                terms: int = DEFAULT_TERMS) -> GpThresholds:
-    return GpThresholds(alpha, p, solve_r0(alpha, terms),
-                        solve_r1(alpha, p, terms),
-                        solve_r1_tilde(alpha, p, terms), terms)
+    solve_r1_tilde(alpha, p, terms)  # raises what the row raised
+    return GpThresholds(alpha, p, *_row(alpha, p, terms, BISECTION_TOL),
+                        terms)
 
 
 def _check_p_range(p: int) -> None:

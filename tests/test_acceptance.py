@@ -54,9 +54,11 @@ def test_criterion_02_threshold_curves():
 
 def test_criterion_03_quadratic_minimum_vs_grid():
     rng = np.random.default_rng(2024)
+    # |1 + a z + b z^2|^2 = 1 + a^2 + b^2 + 2a(1+b) cos t + 2b cos 2t on
+    # the circle z = e^{it}, for real a and b
     theta = 2.0 * np.pi * np.arange(1_000_000) / 1_000_000
-    z = np.exp(1j * theta)
-    z2 = z * z
+    cos1 = np.cos(theta)
+    cos2 = np.cos(2.0 * theta)
     worst = 0.0
     count = 0
     while count < 1000:
@@ -71,7 +73,9 @@ def test_criterion_03_quadratic_minimum_vs_grid():
         if b <= 1e-6:
             continue
         count += 1
-        grid_min = float(np.abs(1.0 + a * z + b * z2).min())
+        grid_min = math.sqrt(float((
+            (2.0 * a * (1.0 + b)) * cos1 + (2.0 * b) * cos2).min())
+            + 1.0 + a * a + b * b)
         closed = gp.min_quadratic(a, b)
         worst = max(worst, abs(closed - grid_min) / grid_min)
     ok = worst <= 1e-6

@@ -368,13 +368,42 @@ def test_section_65536_pinned(capsys, params, name):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sweep_pinned(capsys, p):
     # the 23-point threshold curve on [0, 2], byte for byte as recorded
-    # in tests/data/sweep_p<p>.csv, before bisect_monotone narrowed its
-    # bracket by secant steps. At p = 5 and 7 some rows print out of
-    # strict order r0 < r1 < r1_tilde, as they did then
+    # in tests/data/sweep_p<p>.csv with r1 and r1_tilde as r0 plus gaps.
+    # At p = 5 and 7 columns may tie, never reverse
     path = Path(__file__).parent / "data" / f"sweep_p{p}.csv"
     code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
                          "2", "--steps", "23", "--p", str(p))
     assert (code, out, err) == (0, path.read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [5, 7])
+def test_sweep_never_prints_the_thresholds_out_of_order(capsys, p):
+    # with the bisected r1 and r1_tilde, sweep --p 7 --steps 5 printed
+    # r1_tilde < r1 at alpha = 1 and 2 and exited 0
+    code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
+                         "2", "--steps", "5", "--p", str(p))
+    assert (code, err) == (0, "")
+    rows = [[float(x) for x in line.split(",")]
+            for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for _, r0, r1, r1_tilde in rows:
+        assert r0 <= r1 <= r1_tilde
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_row_where_a_weight_overflows(capsys):
+    # the mode p^2 of an odd p near 1e200 is past the float range: an
+    # exit-3 RieszcertError row, as at alpha = 1e308, where r1 and
+    # r1_tilde raised Python's OverflowError
+    big = str(10 ** 200 + 1)
+    for argv in (["--alpha-max", "0", "--steps", "1", "--p", big],
+                 ["--alpha-min", "1e308", "--alpha-max", "1e308",
+                  "--steps", "1", "--p", "3"]):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, err) == (3, "")
+        assert out.splitlines()[1].endswith(
+            ",ERROR,ERROR,ERROR  # RieszcertError")
 
 
 @pytest.mark.filterwarnings("error")

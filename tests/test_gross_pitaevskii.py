@@ -311,49 +311,64 @@ def test_min_quadratic_closed_raises_only_not_in_g2():
     assert 0 < inside < len(points)
 
 
-# (r0, r1, r1_tilde) at the default terms and tolerance, recorded before
-# the solvers shared one batched prescan; the r1_tilde values of the
-# first twelve rows are as the root-oracle membership test of
-# min_quadratic gave them. From alpha = 1.25 on, the r1_tilde bracket
-# shrinks; at p = 2, alpha = 3 the r1_tilde prescan sees 2 sign changes
-# (and r1_tilde < r0 there: the ordering defect of thresholds)
+# (r0, r1, r1_tilde) at the default terms and tolerance: r0 by
+# bisection, r1 = r0 + gap1 and r1_tilde = r0 + (gap1 + gap2). The rows
+# (2.0, 5), (1.25, 7), (1.3, 7), (1.8, 7) and (2.0, 7) printed out of
+# order with the bisected r1 and r1_tilde; at (2.0, 7) and (1.8, 7) both
+# gaps are below half an ulp of r0, so the three floats tie
 THRESHOLDS = {
-    (0.0, 3): (0.7680624489899168, 0.7864626815342131, 0.8382142193592155),
-    (0.5, 3): (0.4527219818919235, 0.45936016675584823, 0.513188929285435),
-    (1.25, 3): (0.2039480443445656, 0.20439177574136416,
-                0.21188493535400457),
-    (2.0, 3): (0.09315625799232191, 0.093180380510894, 0.09405530612081647),
-    (0.0, 5): (0.7680624489899168, 0.770125123176286, 0.7768395930195431),
-    (0.5, 5): (0.4527219818919235, 0.45273652682220344, 0.4528524332573174),
-    (1.25, 5): (0.2039480443445656, 0.20394804659895757,
-                0.2039481185024204),
-    (2.0, 5): (0.09315625799232191, 0.09315625860581217,
-               0.09315625848405772),
-    (0.0, 7): (0.7680624489899168, 0.7681477769340359, 0.7684059747936316),
-    (0.5, 7): (0.4527219818919235, 0.45272198328890734, 0.4527219955882784),
-    (1.25, 7): (0.2039480443445656, 0.20394804376064116,
-                0.20394804395635047),
-    (2.0, 7): (0.09315625799232191, 0.09315625860581217,
-               0.09315625820231452),
-    (1.3, 3): (0.19350855346600093, 0.19387514264538772,
-               0.20036898694261784),
-    (1.8, 3): (0.11473009858965949, 0.11478297702312615,
-               0.11633535830357723),
-    (1.3, 5): (0.19350855346600093, 0.1935085542125373,
-               0.19350859820193156),
-    (1.8, 5): (0.11473009858965949, 0.11473009824226141,
-               0.11473009874573906),
-    (1.3, 7): (0.19350855346600093, 0.19350855326643182,
-               0.19350855289499436),
-    (1.8, 7): (0.11473009858965949, 0.11473009824226141,
-               0.1147300985216438),
-    (3.0, 2): (0.03282263363083429, 0.0335144745793772, 0.02651122318357141),
+    (0.0, 3): (0.7680624489899168, 0.7864626818769379, 0.8382142196799629),
+    (0.5, 3): (0.4527219818919235, 0.4593601669777369, 0.5131889295504036),
+    (1.25, 3): (0.2039480443445656, 0.2043917766355624,
+                0.21188493584610563),
+    (2.0, 3): (0.09315625799232191, 0.09318038005253945,
+               0.09405530576208235),
+    (0.0, 5): (0.7680624489899168, 0.7701251233690989, 0.7768395934518876),
+    (0.5, 5): (0.4527219818919235, 0.4527365271097752, 0.4528524335380503),
+    (1.25, 5): (0.2039480443445656, 0.20394804684095175,
+                0.20394811900423093),
+    (2.0, 5): (0.09315625799232191, 0.09315625799270157,
+               0.09315625803028758),
+    (0.0, 7): (0.7680624489899168, 0.7681477774653725, 0.7684059752350134),
+    (0.5, 7): (0.4527219818919235, 0.4527219831672301, 0.4527219953885084),
+    (1.25, 7): (0.2039480443445656, 0.20394804434456562,
+                0.20394804434456648),
+    (2.0, 7): (0.09315625799232191, 0.09315625799232191,
+               0.09315625799232191),
+    (1.3, 3): (0.19350855346600093, 0.19387514310507722,
+               0.20036898747293844),
+    (1.8, 3): (0.11473009858965949, 0.11478297733602424,
+               0.11633535863926214),
+    (1.3, 5): (0.19350855346600093, 0.19350855485695065,
+               0.19350859855115152),
+    (1.8, 5): (0.11473009858965949, 0.11473009859363413,
+               0.11473009887773063),
+    (1.3, 7): (0.19350855346600093, 0.19350855346600093,
+               0.19350855346600124),
+    (1.8, 7): (0.11473009858965949, 0.11473009858965949,
+               0.11473009858965949),
 }
+# p = 2, alpha = 3: (alpha, p, r0, r1, r1_tilde's error). (a, b) is
+# outside G_2 at r1 (1 - a + b < 0 there), so r1_tilde has no gap; the
+# bisection had reported r1_tilde < r0 from a shrunk bracket
+P2_ROW = (3.0, 2, 0.03282263363083429, 0.03351447417492194,
+          "r1_tilde: no root above the anchor (difference inf there)")
+
+
+def _near(got, want):
+    """A pinned r1 or r1_tilde within 8 ulps (r0, a midpoint of plain
+    bisection, is compared exactly): their last bits follow those of
+    the mode sums, whose exp and expm1 kernels differ by a few ulps
+    between numpy's SIMD dispatch levels (at AVX2 and baseline dispatch
+    the pinned and grid rows move by up to 3 ulps in r1 and 6 in
+    r1_tilde)."""
+    return abs(got - want) <= 8.0 * math.ulp(want)
 
 
 def test_solve_r1_tilde_runs_the_root_oracle_once(monkeypatch):
-    # the bisection decides G_2 in closed form; only the final
-    # cross-check at the reported point asks the root oracle
+    # the gap search decides G_2 in closed form; only the final
+    # cross-check at the reported point asks the root oracle, once per
+    # row: not at all for a cached row
     calls = []
 
     def counted(coeffs, *args, **kwargs):
@@ -362,23 +377,35 @@ def test_solve_r1_tilde_runs_the_root_oracle_once(monkeypatch):
 
     monkeypatch.setattr(gp, "in_polydisc_roots", counted)
     for (alpha, p), (_, _, want) in THRESHOLDS.items():
+        _clear_caches()
         calls.clear()
-        assert gp.solve_r1_tilde(alpha, p) == want
+        assert _near(gp.solve_r1_tilde(alpha, p), want)
+        assert _near(gp.solve_r1_tilde(alpha, p), want)
         assert len(calls) == 1
 
 
 def test_solve_r1_tilde_cross_check_tolerates_a_boundary_split():
-    # p = 2 near alpha = 2.89: the root lies on the G_2 boundary a = 1 + b,
-    # where both deciders refuse the reported point; the value is the
-    # one the root-oracle search gave
-    assert gp.solve_r1_tilde(4.0 * 71 / 99 + 0.0246, 2) == 0.03708518439200863
+    # on the G_2 boundary a = 1 + b (a root at z = -1) both deciders
+    # refuse (a, b), and the cross-check stands. p = 2 near alpha = 2.89,
+    # where the bisection reported a root on that boundary, has no gap:
+    # (a, b) is outside G_2 at r1 already
+    for b in (0.1, 0.379, 0.9):
+        gp._cross_check_g2(1.0 + b, b)
+    _clear_caches()
+    with pytest.raises(BracketFailure, match=r"^r1_tilde: no root above"):
+        gp.solve_r1_tilde(4.0 * 71 / 99 + 0.0246, 2)
 
 
 def test_solve_r1_tilde_cross_check_catches_a_disagreeing_oracle(monkeypatch):
     monkeypatch.setattr(gp, "in_polydisc_roots", lambda coeffs: (
         polydisc.MembershipVerdict(False, -0.5)))
+    _clear_caches()
     with pytest.raises(RieszcertError, match="disagrees with the root oracle"):
         gp.solve_r1_tilde(0.5, 3)
+    # r1 stands without it; the row cached here holds the patched
+    # oracle's verdict
+    assert _near(gp.solve_r1(0.5, 3), THRESHOLDS[(0.5, 3)][1])
+    _clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -443,30 +470,31 @@ def test_threshold_solvers_pinned():
     # the caches change no float
     for (alpha, p), (r0, r1, r1t) in THRESHOLDS.items():
         _clear_caches()
-        assert gp.solve_r1_tilde(alpha, p) == r1t
-        assert gp.solve_r1(alpha, p) == r1
+        assert _near(gp.solve_r1_tilde(alpha, p), r1t)
+        assert _near(gp.solve_r1(alpha, p), r1)
         assert gp.solve_r0(alpha) == r0
+    alpha, p, r0, r1, message = P2_ROW
+    _clear_caches()
+    with pytest.raises(BracketFailure) as info:
+        gp.solve_r1_tilde(alpha, p)
+    assert str(info.value) == message
+    assert gp.solve_r0(alpha) == r0 and _near(gp.solve_r1(alpha, p), r1)
 
 
-# (solve_r0, solve_r1, solve_r1_tilde) at p = 3, as (type, message),
-# recorded before the solvers shared one batched prescan
-SOLVER_ERRORS = {
-    60.0: ((BracketFailure,
-            "no sign change on [1e-09, 0.999999999]: "
-            "f(lo)=1.3772233032974997e+24, f(hi)=8.328418562408979e+177"),
-           (BracketFailure, "r1: no sign change on [1e-09, 0.999999999]"),
-           (BracketFailure, "no subinterval with (a, b) in G_2")),
-    150.0: ((RieszcertError, "s_alpha overflows the float range at "
-                             "q=1e-09, alpha=150.0"),
-            (RieszcertError, "s_alpha overflows the float range at "
-                             "q=1e-09, alpha=150.0"),
-            (RieszcertError, "s_alpha overflows the float range at "
-                             "q=0.999999999, alpha=150.0")),
-    1e308: ((RieszcertError, "s_alpha overflows the float range at "
-                             "q=1e-09, alpha=1e+308"),
-            (OverflowError, "(34, 'Numerical result out of range')"),
-            (OverflowError, "(34, 'Numerical result out of range')")),
-}
+# (solve_r0, solve_r1, solve_r1_tilde) at p = 3, as (type, message):
+# r1 and r1_tilde are r0 plus gaps, so each raises r0's error. Before
+# the gaps r1 raised "r1: no sign change" at alpha = 60 and Python's
+# OverflowError at 1e308, and r1_tilde "no subinterval with (a, b) in
+# G_2", the overflow at q=0.999999999 and OverflowError
+SOLVER_ERRORS = {alpha: (error,) * 3 for alpha, error in {
+    60.0: (BracketFailure,
+           "no sign change on [1e-09, 0.999999999]: "
+           "f(lo)=1.3772233032974997e+24, f(hi)=8.328418562408979e+177"),
+    150.0: (RieszcertError, "s_alpha overflows the float range at "
+                            "q=1e-09, alpha=150.0"),
+    1e308: (RieszcertError, "s_alpha overflows the float range at "
+                            "q=1e-09, alpha=1e+308"),
+}.items()}
 
 
 def test_threshold_solver_errors_pinned():
@@ -484,23 +512,33 @@ def test_threshold_solver_errors_pinned():
 def test_threshold_solvers_where_the_weights_total_overflows():
     # at terms = 500 and alpha from about 102.6 to 102.75 every weight
     # (2l+1)^alpha is finite but their total is not: no enclosure bounds
-    # a sum from above, and the solvers raise what the full sums give,
-    # with no RuntimeWarning
+    # a sum from above, and r0 raises what the full sums give, with no
+    # RuntimeWarning; r1 and r1_tilde raise r0's error
     _clear_caches()
     w = gp._mode_weights(102.7, gp.DEFAULT_TERMS)[2]
     with np.errstate(over="ignore"):
         assert np.isfinite(w).all() and math.isinf(w.sum())
-    for solve, message in (
-            (lambda: gp.solve_r0(102.7),
-             "no sign change on [1e-09, 0.999999999]: "
-             "f(lo)=1.926473915921404e+62, f(hi)=6.118483363230872e+305"),
-            (lambda: gp.solve_r1(102.7, 3),
-             "r1: no sign change on [1e-09, 0.999999999]"),
-            (lambda: gp.solve_r1_tilde(102.7, 3),
-             "no subinterval with (a, b) in G_2")):
+    for solve in (lambda: gp.solve_r0(102.7), lambda: gp.solve_r1(102.7, 3),
+                  lambda: gp.solve_r1_tilde(102.7, 3)):
         with pytest.raises(BracketFailure) as info:
             solve()
-        assert str(info.value) == message
+        assert str(info.value) == (
+            "no sign change on [1e-09, 0.999999999]: "
+            "f(lo)=1.926473915921404e+62, f(hi)=6.118483363230872e+305")
+
+
+@pytest.mark.filterwarnings("error")
+def test_threshold_solvers_raise_one_error_where_a_weight_overflows():
+    # p^(k alpha) or the mode p^2 past the float range: RieszcertError,
+    # not Python's OverflowError, and only once r0 is solved
+    big = 10 ** 200 + 1
+    for alpha, p in ((0.0, big), (1.5, big), (0.5, int(sys.float_info.max))):
+        _clear_caches()
+        for solve in (gp.solve_r1, gp.solve_r1_tilde):
+            with pytest.raises(RieszcertError, match="overflows the float "
+                               "range at alpha=") as info:
+                solve(alpha, p)
+            assert isinstance(info.value.__cause__, OverflowError)
 
 
 @pytest.mark.filterwarnings("error")
@@ -528,40 +566,45 @@ def test_threshold_solvers_refuse_input_outside_their_domain():
     gp._check_solver_domain(0.0, 1, 2)
     gp._check_solver_domain(1e308, gp.MAX_TERMS, int(sys.float_info.max))
     _clear_caches()
-    assert gp.solve_r1(3.0, 2) == THRESHOLDS[(3.0, 2)][1]
+    assert _near(gp.solve_r1(3.0, 2), P2_ROW[3])
 
 
 def test_thresholds_refuse_a_misordered_triple():
-    gp.GpThresholds(0.5, 3, 0.1, 0.2, 0.3)
-    for triple in ((0.2, 0.1, 0.3), (0.1, 0.3, 0.2), (0.1, 0.1, 0.3),
-                   (0.1, 0.2, math.nan)):
-        with pytest.raises(ValueError, match="threshold ordering violated: "
-                           + ", ".join(map(str, triple))):
-            gp.GpThresholds(0.5, 3, *triple)
+    # the gaps carry the order: one that is not > 0 is refused, and
+    # columns that tie in floats are not
+    t = gp.GpThresholds(0.5, 3, 0.1, 0.1, 0.2)
+    assert (t.r1, t.r1_tilde) == (0.2, 0.1 + (0.1 + 0.2))
+    tied = gp.GpThresholds(2.0, 7, *gp._row(2.0, 7, 500, gp.BISECTION_TOL))
+    assert tied.r0 == tied.r1 == tied.r1_tilde == THRESHOLDS[(2.0, 7)][0]
+    for gaps in ((-0.1, 0.1), (0.1, -0.1), (0.0, 0.1), (0.1, 0.0),
+                 (0.1, math.nan), (math.nan, 0.1)):
+        with pytest.raises(ValueError, match="threshold gaps must be > 0: "
+                           + ", ".join(map(str, gaps))):
+            gp.GpThresholds(0.5, 3, 0.1, *gaps)
 
 
 def test_threshold_row_log_records_pinned(caplog):
-    # alpha = 1.3, p = 3 shrinks the r1_tilde bracket 10 times; p = 2,
-    # alpha = 3 shrinks it 54 times, loses G_2 membership on the prescan
-    # and in the bisection, at the bracket end included, and sees 2 sign
-    # changes. The records were taken before the solvers shared one
-    # batched prescan and decided the shrink steps on (a, b) alone. The
-    # odd-p rows (1.6, 3), (1.3, 5) and (1.2, 7), recorded before
-    # bisect_monotone narrowed by secant steps, shrink the bracket and
-    # lose membership on 16-21 prescan points
+    # the records of a row from cold caches, and none from the cached
+    # row. p = 2, alpha = 3 loses G_2 membership at r1, where its
+    # r1_tilde search raises. The odd-p rows (1.3, 3), (1.6, 3), (1.3, 5)
+    # and (1.2, 7) log nothing: before the gaps they shrank r1_tilde's
+    # bracket 10 times and lost membership on up to 21 prescan points
     pinned = json.loads((Path(__file__).parent / "data"
                          / "pinned_threshold_logs.json").read_text())
     for row in pinned:
-        for _ in ("cold cache", "warm cache"):
-            if _ == "cold cache":
+        for cold in (True, False):
+            if cold:
                 _clear_caches()
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="rieszcert"):
                 gp.solve_r0(row["alpha"])
                 gp.solve_r1(row["alpha"], row["p"])
-                gp.solve_r1_tilde(row["alpha"], row["p"])
-            assert [[r.levelname, r.getMessage()]
-                    for r in caplog.records] == row["records"]
+                try:
+                    gp.solve_r1_tilde(row["alpha"], row["p"])
+                except BracketFailure:
+                    assert row["p"] == 2
+            assert [[r.levelname, r.getMessage()] for r in caplog.records
+                    ] == (row["records"] if cold else [])
 
 
 def _s_alpha_reference(q, alpha, terms):
@@ -741,30 +784,37 @@ def _count_mode_sum_rows(monkeypatch) -> list:
 
 
 def test_threshold_row_kernel_calls(monkeypatch):
-    # full-length mode sums per row: for each solver the two ends of
-    # its prescan bracket, unless a sum the row already took or the
-    # enclosures pin them, and 2-6 bisection steps; r1_tilde's check of
-    # its upper end besides: 14-18 per row at odd p. r0 bisected from
-    # [_Q_LO, _Q_HI] with about 10 sums, and each solver took the sums
-    # it shared with another again (22-24 per row). At p = 2, alpha = 3
-    # the narrowing takes midpoints while r1_tilde's bracket end is
-    # infinite: 34 sums (39 before)
+    # full-length mode sums per row from cold caches: r0's prescan
+    # cell ends and bisection steps, then one sum and derivative pass
+    # at r0 and at each point of the gaps' Newton steps (none where the
+    # steps stay within an ulp of r0): 7-16 per row, and 11 at p = 2,
+    # alpha = 3, whose r1_tilde stops at r1. The prescans of r1 and
+    # r1_tilde took 14-18 per row (34 at p = 2, alpha = 3)
     rows = _count_mode_sum_rows(monkeypatch)
     for (alpha, p), want in THRESHOLDS.items():
         _clear_caches()
         rows.clear()
-        assert (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
-                gp.solve_r1_tilde(alpha, p)) == want
+        got = (gp.solve_r0(alpha), gp.solve_r1(alpha, p),
+               gp.solve_r1_tilde(alpha, p))
+        assert got[0] == want[0] and all(map(_near, got[1:], want[1:]))
         # the kernel sums one q at a time
         assert rows == [1] * len(rows)
-        assert sum(rows) <= (18 if p % 2 else 34)
+        assert sum(rows) <= 16
+    alpha, p = P2_ROW[:2]
+    _clear_caches()
+    rows.clear()
+    gp.solve_r1(alpha, p)
+    with pytest.raises(BracketFailure):
+        gp.solve_r1_tilde(alpha, p)
+    assert sum(rows) <= 11
 
 
 def test_threshold_grid_kernel_calls(monkeypatch):
     # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
-    # p = 3, 5, 7 from cold caches: 16.1 full-length mode sums per row
-    # on average, 19 at most (22.8 and 25 when r0 bisected from the ends
-    # of [_Q_LO, _Q_HI] and the solvers did not share their sums, 116.2
+    # p = 3, 5, 7 from cold caches: 11.3 full-length mode sums per row
+    # on average, 16 at most (16.1 and 19 with the prescans of r1 and
+    # r1_tilde, 22.8 and 25 when r0 bisected from the ends of
+    # [_Q_LO, _Q_HI] and the solvers did not share their sums, 116.2
     # and 148 when the prescans summed every grid point)
     rows = _count_mode_sum_rows(monkeypatch)
     counts = []
@@ -777,8 +827,127 @@ def test_threshold_grid_kernel_calls(monkeypatch):
             gp.solve_r1(alpha, p)
             gp.solve_r1_tilde(alpha, p)
             counts.append(sum(rows))
-    assert max(counts) <= 19
-    assert sum(counts) / len(counts) <= 17.0
+    assert max(counts) <= 16
+    assert sum(counts) / len(counts) <= 11.5
+
+
+def _reference_root(f, lo, hi):
+    """Plain bisection of f to 1e-13 from [lo, hi]."""
+    return bisect_monotone(f, lo, hi, tol=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaps_on_the_threshold_grid():
+    # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
+    # p = 3, 5, 7: thresholds() raises nothing, both gaps are > 0, the
+    # columns never reverse, and r1 and r1_tilde are within two solver
+    # tolerances of the roots of their own equations, bisected to 1e-13
+    # (r0's error carries into both). The bisected r1 and r1_tilde broke
+    # the order on 20 of these rows
+    tol = gp.BISECTION_TOL
+    for p in (3, 5, 7):
+        for i in range(23):
+            alpha = 2.0 * i / 22
+            pa = float(p) ** alpha
+            t = gp.thresholds(alpha, p)
+            assert t.gap1 > 0.0 and t.gap2 > 0.0
+            assert t.r0 <= t.r1 <= t.r1_tilde
+            assert (t.r1, t.r1_tilde) == (gp.solve_r1(alpha, p),
+                                          gp.solve_r1_tilde(alpha, p))
+
+            def s(q):
+                return gp.s_alpha(q, alpha).value
+
+            def r1_equation(q):
+                return s(q) - 2.0 - 0.5 * gp.structured_weight(
+                    q, alpha, p, 2) / pa
+
+            def r1_tilde_equation(q):
+                a = gp.structured_weight(q, alpha, p, 1)
+                b = gp.structured_weight(q, alpha, p, 2)
+                return s(q) - 1.0 - a - b - gp.min_quadratic_closed(a, b)
+
+            r1 = _reference_root(r1_equation, t.r0 - 1e-6, t.r1 + 1e-6)
+            r1t = _reference_root(r1_tilde_equation, t.r1 - 1e-6,
+                                  t.r1_tilde + 1e-6)
+            assert abs(t.r1 - r1) <= 2.0 * tol, (alpha, p)
+            assert abs(t.r1_tilde - r1t) <= 2.0 * tol, (alpha, p)
+
+
+def _gaps_to_50_digits(alpha, p, x, terms, start):
+    """(gap1, gap2) of the gap equations anchored at the float x, to 50
+    digits, by secant steps from 0.9 and 1.1 times ``start``: D(e) =
+    s(x + e) - s(x) against delta(x + e) for gap1, and against
+    R(x + e) - 2 for gap1 + gap2."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def s(q):
+        return mpmath.fsum(mp.mpf(2 * l + 1) ** alpha * (1 - q) * q ** l
+                           / (1 - q ** (2 * l + 1)) for l in range(terms))
+
+    def w(q, k):
+        m = p ** k
+        return (mp.mpf(p) ** (k * alpha) * (1 - q) * q ** (mp.mpf(m - 1) / 2)
+                / (1 - q ** m))
+
+    def excess(q):
+        a, b = w(q, 1), w(q, 2)
+        if a * (b + 1) / (4 * b) >= 1:
+            return 2 * b
+        return a + b - 1 + (1 - b) * mpmath.sqrt(1 - a * a / (4 * b))
+
+    with mpmath.workdps(50):
+        x = mp.mpf(x)
+        s_x = s(x)
+        gap1 = mpmath.findroot(
+            lambda e: s(x + e) - s_x - w(x + e, 2) / (2 * mp.mpf(p) ** alpha),
+            (0.9 * start[0], 1.1 * start[0]))
+        both = mpmath.findroot(lambda e: s(x + e) - s_x - excess(x + e),
+                               (0.9 * sum(start), 1.1 * sum(start)))
+        return float(gap1), float(both - gap1)
+
+
+@pytest.mark.parametrize("alpha, p", [(0.0, 3), (1.0, 3), (1.5, 5),
+                                      (2.0, 5), (0.5, 7), (1.0, 7),
+                                      (2.0, 7)])
+def test_gaps_against_50_digits(alpha, p):
+    # from r0's float at 300 terms: to a few ulps of r0 where the gap
+    # spans many of them and the sums are subtracted, and to about eps
+    # relative below an ulp, where the derivatives alone give it (3.2e-25
+    # and 6.2e-23 at p = 7, alpha = 2)
+    terms = 300
+    r0, gap1, gap2 = gp._row(alpha, p, terms, gp.BISECTION_TOL)
+    for got, want in zip((gap1, gap2), _gaps_to_50_digits(
+            alpha, p, r0, terms, (gap1, gap2))):
+        ulp = math.ulp(r0)
+        bound = 1e-13 * want if want < ulp else 1e-9 * want + 4.0 * ulp
+        assert abs(got - want) <= bound, (got, want)
+
+
+def test_newton_gap_treats_a_lost_point_as_past_the_root():
+    # a synthetic difference G(d) = e^{4d} - 2, root log(2)/4, whose
+    # point is lost (as where (a, b) leaves G_2) from d = 0.25 on: the
+    # first Newton step lands there, counts as past the root, and the
+    # search goes on from the midpoint. This replaces r1_tilde's
+    # infinite bracket end, which no odd p reached
+    seen = []
+
+    def f(d):
+        seen.append(d)
+        if d >= 0.25:
+            return math.inf, math.nan
+        return math.expm1(4.0 * d) - 1.0, 4.0 * math.exp(4.0 * d)
+
+    root = gp._newton_gap(f, 0.9, gp.BISECTION_TOL, "f")
+    assert seen[:3] == [0.0, 0.25, 0.125]
+    assert abs(root - math.log(2.0) / 4.0) <= 1e-15
+    assert len(seen) <= 8
+    # no root above the anchor, and a root at it
+    with pytest.raises(BracketFailure, match=r"^f: no root above the anchor "
+                       r"\(difference inf there\)$"):
+        gp._newton_gap(lambda d: (math.inf, math.nan), 0.9, 1e-9, "f")
+    assert gp._newton_gap(lambda d: (d, 1.0), 0.9, 1e-9, "f") == 0.0
 
 
 def _plain_bisection(f, lo, hi, tol):
@@ -852,8 +1021,8 @@ def test_solve_r0_errors_come_from_the_ends_of_the_range(monkeypatch):
 
 
 def test_prescan_caches_hold_the_threshold_grid():
-    # the 69-row grid twice: the second pass finds every prescan grid
-    # and weight factor in the caches
+    # the 69-row grid twice: the second pass finds r0's prescan grid,
+    # its enclosure blocks and r0 itself in the caches
     def grid():
         for p in (3, 5, 7):
             for i in range(23):
@@ -862,164 +1031,87 @@ def test_prescan_caches_hold_the_threshold_grid():
                 gp.solve_r1(alpha, p)
                 gp.solve_r1_tilde(alpha, p)
 
+    def misses():
+        return [cache.cache_info().misses for cache in (
+            gp._prescan_nomes, gp._grid_enclosures, gp._r0)]
+
     _clear_caches()
     grid()
-    misses = (gp._prescan_nomes.cache_info().misses,
-              gp._prescan_factors.cache_info().misses)
+    assert misses() == [1, 23, 23]
     grid()
-    assert (gp._prescan_nomes.cache_info().misses,
-            gp._prescan_factors.cache_info().misses) == misses
+    assert misses() == [1, 23, 23]
 
 
 def test_solvers_of_a_row_share_one_enclosure_block():
+    # and one r0 and one row: the three solvers of a row take r0 and
+    # each gap once
     _clear_caches()
     for solve in (lambda: gp.solve_r0(0.5), lambda: gp.solve_r1(0.5, 3),
                   lambda: gp.solve_r1_tilde(0.5, 3)):
         solve()
-    info = gp._grid_enclosures.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    for cache, calls in ((gp._grid_enclosures, (1, 0)), (gp._r0, (1, 1)),
+                         (gp._row, (1, 1))):
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == calls
     s_lo, s_hi = gp._grid_enclosures(gp._Q_LO, gp._Q_HI, 0.5,
                                      gp.DEFAULT_TERMS)
     assert not s_lo.flags.writeable and not s_hi.flags.writeable
 
 
-def _threshold_difference(label, alpha, p):
-    """f(q, s) of solve_r1 (label "r1") or solve_r1_tilde ("r1_tilde"),
-    the difference of the two sides of its equation at the raw mode sum
-    s, written out: r1_tilde's is +inf, with a record, where (a, b) is
-    outside G_2."""
-    pa = float(p) ** alpha
-
-    def r1(q, s):
-        assert math.isfinite(s)
-        return s - 2.0 - 0.5 * gp.structured_weight(q, alpha, p, 2) / pa
-
-    def r1_tilde(q, s):
-        a = gp.structured_weight(q, alpha, p, 1)
-        b = gp.structured_weight(q, alpha, p, 2)
-        assert math.isfinite(s)
-        try:
-            return s - 1.0 - a - b - gp.min_quadratic_closed(a, b)
-        except NotInG2:
-            logging.getLogger("rieszcert.gross_pitaevskii").info(
-                "r1_tilde: membership lost at q=%.6f during the search; "
-                "treating as past the root", q)
-            return math.inf
-
-    return {"r1": r1, "r1_tilde": r1_tilde}[label]
-
-
-def _sign_change_reference(values, qs) -> tuple:
-    """(n, cell) of _sign_change from f at every grid point, as the
-    prescan took them before the enclosures."""
+def _sign_change_reference(values, qs):
+    """The cell of _sign_change from f at every grid point, as the
+    prescan took it before the enclosures."""
     changes = [i for i in range(len(qs) - 1)
                if (values[i] < 0.0) != (values[i + 1] < 0.0)]
     if not changes:
-        return 0, None
+        return None
     i = changes[0]
-    return len(changes), (qs[i], qs[i + 1], values[i], values[i + 1])
-
-
-def _single_sign_change_reference(f, alpha, terms, lo, hi, label):
-    """_single_sign_change as it was before the enclosures: f at the
-    full-length sum of every grid point, in grid order."""
-    qs = gp._prescan_nomes(lo, hi)[0]
-    changes, cell = _sign_change_reference(
-        [f(q, s) for q, s in zip(qs, _mode_sums(qs, alpha, terms))], qs)
-    if cell is None:
-        raise BracketFailure(f"{label}: no sign change on [{lo}, {hi}]")
-    if changes > 1:
-        logging.getLogger("rieszcert.gross_pitaevskii").warning(
-            "%s: %d sign changes on the prescan grid; using the first "
-            "bracket", label, changes)
-    return cell
-
-
-def _prescan_outcome(call, caplog) -> tuple:
-    # (result or exception, log records), floats as hex
-    caplog.clear()
-    try:
-        got = tuple(float(x).hex() for x in call())
-    except Exception as error:
-        got = (type(error), str(error))
-    return got, [(r.levelname, r.getMessage()) for r in caplog.records]
+    return qs[i], qs[i + 1], values[i], values[i + 1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_prescan_matches_the_full_sum_prescan(monkeypatch, caplog):
-    # every prescan of solve_r1 and solve_r1_tilde, shrunk r1_tilde
-    # brackets included (alpha = 1.3 and up at p = 3), against the old
-    # prescan, which evaluated the equation at the full-length sum of
-    # every grid point: the same bracket, end values, records and
-    # (n, cell), with no RuntimeWarning. The records of lost membership
-    # on the grid come from the solver, as it takes the s-free part of
-    # its chain. The chain is the difference at every full sum bit for
-    # bit, every sign the enclosures decide is the full sum's, and from
-    # a cold sum cache only the points they leave open and the unpinned
-    # ends of the cell are summed
-    calls = []
-    real = gp._single_sign_change
-    p = None
-
-    def spy(*args):
-        grid = [(r.levelname, r.getMessage()) for r in caplog.records
-                if "membership lost" in r.getMessage()]
-        calls.append((p, grid, *args))
-        return real(*args)
-
-    monkeypatch.setattr(gp, "_single_sign_change", spy)
-    caplog.set_level(logging.INFO, logger="rieszcert")
-    alphas = [*np.linspace(0.0, 3.0, 13).tolist(), 1.3]
-    for alpha in alphas:
-        for p in (3, 5, 7, 11, 13):
-            for terms in (1, 31, 32, 33, 500, 3000):
-                for solve in (gp.solve_r1, gp.solve_r1_tilde):
-                    caplog.clear()
-                    try:
-                        solve(alpha, p, terms)
-                    except RieszcertError:
-                        pass
-    assert len(calls) == 2 * len(alphas) * 5 * 6
-    shrunk = 0
+def test_prescan_matches_the_full_sum_prescan(monkeypatch):
+    # r0's prescan at alpha in [0, 3] and at the threshold alphas, over
+    # terms 1 to 3000, against s - 2 at the full-length sum of every
+    # grid point: the same cell and end values, every sign the
+    # enclosures decide is the full sum's, and from a cold sum cache
+    # only the points they leave open and the unpinned ends of the cell
+    # are summed
     rows = _count_mode_sum_rows(monkeypatch)
-    for p, grid, chain, bounds, alpha, terms, lo, hi, label in calls:
-        f = _threshold_difference(label, alpha, p)
-        shrunk += hi < gp._Q_HI
-        gp._mode_sum.cache_clear()
-        rows.clear()
-        cell, records = _prescan_outcome(lambda: real(
-            chain, bounds, alpha, terms, lo, hi, label), caplog)
-        got = cell, grid + records
-        summed = sum(rows)
-        want = _prescan_outcome(lambda: _single_sign_change_reference(
-            f, alpha, terms, lo, hi, label), caplog)
-        assert got == want, (alpha, terms, lo, hi, label)
-        qs = gp._prescan_nomes(lo, hi)[0]
-        sums = _mode_sums(qs, alpha, terms)
-        with caplog.at_level(logging.CRITICAL, logger="rieszcert"):
-            full = [f(q, s) for q, s in zip(qs, sums)]
-            n, cell = gp._sign_change(chain, bounds, alpha, terms, lo, hi)
-        assert chain(sums).tolist() == full
-        assert (n, cell) == _sign_change_reference(full, qs)
-        v_lo, v_hi = chain(bounds[0]), chain(bounds[1])
-        negative = np.array(full) < 0.0
-        assert negative[v_hi < 0.0].all() and not negative[v_lo >= 0.0].any()
-        summed_at = set(np.flatnonzero(~(v_hi < 0.0) & ~(v_lo >= 0.0)))
-        if cell is not None:
-            i = qs.index(cell[0])
-            summed_at |= {j for j in (i, i + 1) if not v_lo[j] == v_hi[j]}
-        assert summed == len(summed_at)
-        # the enclosures leave no sign open here: only the cell's ends
-        # are summed, and none at terms <= 32, where they are the sums
-        assert summed <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
-    assert shrunk >= 100
+    lo, hi = gp._Q_LO, gp._Q_HI
+    qs = gp._prescan_nomes(lo, hi)[0]
+    alphas = sorted({*np.linspace(0.0, 3.0, 13).tolist(),
+                     *(alpha for alpha, _ in THRESHOLDS)})
+    cells = 0
+    for alpha in alphas:
+        for terms in (1, 31, 32, 33, 500, 3000):
+            bounds = gp._grid_enclosures(lo, hi, alpha, terms)
+            full = (_mode_sums(qs, alpha, terms) - 2.0).tolist()
+            gp._mode_sum.cache_clear()
+            rows.clear()
+            cell = gp._sign_change(2.0, bounds, alpha, terms, lo, hi)
+            assert cell == _sign_change_reference(full, qs), (alpha, terms)
+            v_lo, v_hi = bounds[0] - 2.0, bounds[1] - 2.0
+            negative = np.array(full) < 0.0
+            assert negative[v_hi < 0.0].all()
+            assert not negative[v_lo >= 0.0].any()
+            summed_at = set(np.flatnonzero(~(v_hi < 0.0) & ~(v_lo >= 0.0)))
+            if cell is not None:
+                cells += 1
+                i = qs.index(cell[0])
+                summed_at |= {j for j in (i, i + 1) if not v_lo[j] == v_hi[j]}
+            assert sum(rows) == len(summed_at)
+            # the enclosures leave no sign open here: only the cell's ends
+            # are summed, and none at terms <= 32, where they are the sums
+            assert sum(rows) <= (0 if terms <= gp._ENCLOSURE_TERMS else 2)
+    assert cells > len(alphas)
 
 
 def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
-    # f(q, s) = s - c: c is the full sum from grid point 20 on, where f
-    # is 0 and no enclosure decides its sign, and the sum plus 1 before.
-    # The 44 open points are summed, then the cell's lower end, which
-    # the enclosures do not pin; its upper end comes from the cache
+    # f = s - c: c is the full sum from grid point 20 on, where f is 0
+    # and no enclosure decides its sign, and the sum plus 1 before. The
+    # 44 open points are summed, then the cell's lower end, which the
+    # enclosures do not pin; its upper end comes from the cache
     _clear_caches()
     lo, hi, alpha, terms = gp._Q_LO, 0.5, 0.5, 500
     qs = gp._prescan_nomes(lo, hi)[0]
@@ -1027,39 +1119,29 @@ def test_prescan_sums_the_points_its_enclosures_leave_open(monkeypatch):
     c = sums + (np.arange(gp._PRESCAN_POINTS) < 20)
     bounds = gp._grid_enclosures(lo, hi, alpha, terms)
     rows = _count_mode_sum_rows(monkeypatch)
-    assert gp._sign_change(lambda s: s - c, bounds, alpha, terms, lo, hi) == (
-        1, (qs[19], qs[20], sums[19] - c[19], 0.0))
+    assert gp._sign_change(c, bounds, alpha, terms, lo, hi) == (
+        qs[19], qs[20], sums[19] - c[19], 0.0)
     assert rows == [1] * 45
 
 
-def test_single_sign_change_logs_extra_changes_and_refuses_none(caplog):
-    # synthetic chains, f = s - (full sum) + sign: f is -1 on grid points
-    # 10 to 29 and +1 elsewhere, so the grid shows two sign changes, and
-    # +1 everywhere shows none. The threshold equations show two sign
-    # changes only at p = 2 (alpha 2.9 to 3.15): none at p = 3, 5, ...,
-    # 17, 21, 25, 31 on alpha = 0, 0.05, ..., 19.95
+def test_sign_change_takes_the_first_of_two_cells_and_none_for_none():
+    # synthetic levels, f = s - (full sum) + sign: f is -1 on grid points
+    # 10 to 29 and +1 elsewhere, so the grid shows two sign changes and
+    # the first cell is taken; +1 everywhere shows none. r0's s - 2
+    # changes sign once on the grid wherever it does
     lo, hi, alpha, terms = gp._Q_LO, gp._Q_HI, 0.5, 500
     qs = gp._prescan_nomes(lo, hi)[0]
     sums = _mode_sums(qs, alpha, terms)
     bounds = gp._grid_enclosures(lo, hi, alpha, terms)
     index = np.arange(gp._PRESCAN_POINTS)
     sign = np.where((index >= 10) & (index < 30), -1.0, 1.0)
-    caplog.set_level(logging.INFO, logger="rieszcert")
-    assert gp._single_sign_change(lambda s: s - sums + sign, bounds, alpha,
-                                  terms, lo, hi, "f") == (
-        qs[9], qs[10], 1.0, -1.0)
-    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("WARNING", "f: 2 sign changes on the prescan grid; using the "
-                    "first bracket")]
-    caplog.clear()
-    with pytest.raises(BracketFailure,
-                       match=r"^f: no sign change on \[1e-09, 0\.999999999\]$"):
-        gp._single_sign_change(lambda s: s - sums + 1.0, bounds, alpha,
-                               terms, lo, hi, "f")
-    assert gp._single_sign_change(lambda s: s - sums - (index >= 30), bounds,
-                                  alpha, terms, lo, hi, "f") == (
-        qs[29], qs[30], 0.0, -1.0)
-    assert not caplog.records
+    cell = gp._sign_change(sums - sign, bounds, alpha, terms, lo, hi)
+    assert cell[:2] == (qs[9], qs[10])
+    assert cell[2:] == pytest.approx((1.0, -1.0), abs=1e-12)
+    assert gp._sign_change(sums - 1.0, bounds, alpha, terms, lo,
+                           hi) is None
+    assert gp._sign_change(sums + (index >= 30), bounds, alpha, terms, lo,
+                           hi) == (qs[29], qs[30], 0.0, -1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1132,30 +1214,19 @@ def test_enclosures_across_the_overflow_edge_of_the_weights():
     assert seen == {True, False}
 
 
-def test_structured_weight_on_the_prescan_grid_bit_for_bit():
-    for lo, hi in ((gp._Q_LO, gp._Q_HI), (gp._Q_LO, 0.44012666865176564)):
-        qs = gp._prescan_nomes(lo, hi)[0]
-        for alpha in (0.0, 0.37, 1.0, 2.0, 3.9):
-            for p in (3, 5, 7, 13):
-                for k in (1, 2):
-                    got = gp._grid_weights(lo, hi, alpha, p, k).tolist()
-                    assert got == [gp.structured_weight(q, alpha, p, k)
-                                   for q in qs]
-    # the same exception first: p^{2 alpha} overflows before p^2 is
-    # taken as a float
+def test_structured_weight_raises_the_power_overflow_first():
+    # the same exception first as the separate a and b bodies: p^{2 alpha}
+    # overflows before p^2 is taken as a float
     big = 10 ** 200 + 1
     for alpha, message in ((1.5, "Numerical result out of range"),
                            (0.0, "int too large to convert to float")):
-        for weight in (lambda: gp.structured_weight(0.5, alpha, big, 2),
-                       lambda: gp._grid_weights(gp._Q_LO, gp._Q_HI, alpha,
-                                                big, 2)):
-            with pytest.raises(OverflowError, match=message):
-                weight()
+        with pytest.raises(OverflowError, match=message):
+            gp.structured_weight(0.5, alpha, big, 2)
 
 
 def test_solve_r1_memory_at_large_terms():
-    # one s_alpha call holds ~3.5 MB at 1e5 terms; an unblocked 64-point
-    # prescan would hold ~51 MB per temporary
+    # one sum and derivative pass holds a few arrays of 1e5 floats; an
+    # unblocked 64-point prescan would hold ~51 MB per temporary
     _clear_caches()
     tracemalloc.start()
     try:
@@ -1168,9 +1239,12 @@ def test_solve_r1_memory_at_large_terms():
 
 @pytest.mark.parametrize("terms", [300, 500, 2000])
 def test_mode_sum_stays_finite_below_q_hi_at_the_overflow_edge(terms):
-    # solve_r1_tilde decides its shrink steps on (a, b) alone because a
-    # mode sum finite at _Q_HI is finite at every smaller upper end;
-    # check that at the largest alpha where it is finite at _Q_HI
+    # a mode sum finite at _Q_HI is finite at every smaller q; check that
+    # at the largest alpha where it is finite at _Q_HI. There the power
+    # (2 terms + 1)^alpha of s_alpha's tail bound is past the float
+    # range: the bound is inf, where it raised Python's OverflowError,
+    # and the solvers raise r0's BracketFailure. One step past the edge
+    # the overflow is reported at _Q_LO
     def finite(alpha):
         return math.isfinite(_mode_sums((gp._Q_HI,), alpha, terms)[0])
 
@@ -1178,18 +1252,20 @@ def test_mode_sum_stays_finite_below_q_hi_at_the_overflow_edge(terms):
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-    shrink_ends = [gp._Q_HI]
-    while shrink_ends[-1] - gp._Q_LO >= 1e-9:
-        shrink_ends.append(gp._Q_LO + 0.95 * (shrink_ends[-1] - gp._Q_LO))
-    assert len(shrink_ends) > 400
-    assert all(math.isfinite(s)
-               for s in _mode_sums(shrink_ends, lo, terms))
-    with pytest.raises(BracketFailure, match="no subinterval"):
-        gp.solve_r1_tilde(lo, 3, terms)
-    # one step past the edge the overflow is reported before any shrink
-    with pytest.raises(RieszcertError,
-                       match=r"overflows the float range at q=0\.999999999"):
-        gp.solve_r1_tilde(hi, 3, terms)
+    ends = [gp._Q_HI]
+    while ends[-1] - gp._Q_LO >= 1e-9:
+        ends.append(gp._Q_LO + 0.95 * (ends[-1] - gp._Q_LO))
+    assert len(ends) > 400
+    assert all(math.isfinite(s) for s in _mode_sums(ends, lo, terms))
+    assert gp.s_alpha(0.5, lo, terms).tail_bound == math.inf
+    for solve in (lambda alpha: gp.solve_r0(alpha, terms),
+                  lambda alpha: gp.solve_r1(alpha, 3, terms),
+                  lambda alpha: gp.solve_r1_tilde(alpha, 3, terms)):
+        with pytest.raises(BracketFailure, match="^no sign change"):
+            solve(lo)
+        with pytest.raises(RieszcertError,
+                           match=r"overflows the float range at q=1e-09"):
+            solve(hi)
 
 
 def test_bisect_monotone_starts_from_given_end_values():
@@ -1334,6 +1410,29 @@ def test_certify_T1_structural_checks_follow_for_odd_p():
         if cert.verdict:
             assert cert.parameters["structural_checks_ok"] is True
             assert cert.margins["tail_sum"] >= 0.0
+
+
+def test_certify_T1_below_r1_passes_every_structural_check():
+    # a seeded sample below r1 at odd p up to 9: the threshold
+    # inequality holds there (beyond 1e-6 of r1), and each true verdict
+    # comes with every structural check of the envelope argument
+    rng = np.random.default_rng(37)
+    true = 0
+    for _ in range(200):
+        alpha = float(rng.uniform(0.0, 2.0))
+        p = int(rng.choice([3, 5, 7, 9]))
+        r1 = gp.solve_r1(alpha, p)
+        sup_q = float(r1 * rng.uniform(0.02, 1.0))
+        cert = gp.certify_T1(sup_q, alpha, p)
+        if r1 - sup_q > 1e-6:
+            assert cert.verdict is True, (alpha, p, sup_q)
+        if cert.verdict:
+            true += 1
+            assert cert.parameters["structural_checks_ok"] is True
+            for key in ("floor", "chain_margin", "membership_margin",
+                        "branch2_margin", "delegate_margin"):
+                assert cert.margins[key] > 0.0, (key, alpha, p, sup_q)
+    assert true > 190
 
 
 def test_gp_spec_domain_edges():
