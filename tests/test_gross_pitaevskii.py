@@ -831,11 +831,6 @@ def test_threshold_grid_kernel_calls(monkeypatch):
     assert sum(counts) / len(counts) <= 11.5
 
 
-def _reference_root(f, lo, hi):
-    """Plain bisection of f to 1e-13 from [lo, hi]."""
-    return bisect_monotone(f, lo, hi, tol=1e-13)
-
-
 @pytest.mark.filterwarnings("error")
 def test_gaps_on_the_threshold_grid():
     # the 69 rows of sweep --alpha-min 0 --alpha-max 2 --steps 23 at
@@ -867,9 +862,10 @@ def test_gaps_on_the_threshold_grid():
                 b = gp.structured_weight(q, alpha, p, 2)
                 return s(q) - 1.0 - a - b - gp.min_quadratic_closed(a, b)
 
-            r1 = _reference_root(r1_equation, t.r0 - 1e-6, t.r1 + 1e-6)
-            r1t = _reference_root(r1_tilde_equation, t.r1 - 1e-6,
-                                  t.r1_tilde + 1e-6)
+            r1 = bisect_monotone(r1_equation, t.r0 - 1e-6, t.r1 + 1e-6,
+                                 tol=1e-13)
+            r1t = bisect_monotone(r1_tilde_equation, t.r1 - 1e-6,
+                                  t.r1_tilde + 1e-6, tol=1e-13)
             assert abs(t.r1 - r1) <= 2.0 * tol, (alpha, p)
             assert abs(t.r1_tilde - r1t) <= 2.0 * tol, (alpha, p)
 
