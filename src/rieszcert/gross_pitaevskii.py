@@ -115,23 +115,19 @@ def _thetas(r: float) -> tuple:
     if not 0.0 < r < 1.0:
         raise ValueError("nome must lie in (0, 1)")
     t2 = 1.0
-    n = 1
-    while True:
+    for n in range(1, 10 ** 6 + 2):
         term = r ** (n * (n + 1))
         t2 += term
-        if term < 1e-18 or n > 10 ** 6:
+        if term < 1e-18:
             break
-        n += 1
     t2 *= 2.0 * r ** 0.25
     t3 = t4 = 1.0
-    n = 1
-    while True:
+    for n in range(1, 10 ** 6 + 2):
         term = r ** (n * n)
         t3 += 2.0 * term
         t4 += -2.0 * term if n % 2 else 2.0 * term
-        if term < 1e-18 or n > 10 ** 6:
+        if term < 1e-18:
             break
-        n += 1
     return t2, t3, t4
 
 
@@ -237,7 +233,7 @@ def s_alpha(q: float, alpha: float,
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
     decreasing, so the tail after ``terms`` summands is bounded by a
     geometric series started at the first omitted term, and is inf
-    where (2 terms + 1)^alpha is past the float range. Raises
+    where a power of that bound is past the float range. Raises
     RieszcertError when a summand or the sum overflows.
     """
     if not 0.0 < q < 1.0:
@@ -249,10 +245,10 @@ def s_alpha(q: float, alpha: float,
     lq = log_nome(q)
     try:
         first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
+        ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
     except OverflowError:
-        # the power alone is past the float range: no finite bound
-        first_omitted = math.inf
-    ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q
+        # a power alone is past the float range: no finite bound
+        return SeriesValue(total, math.inf)
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesValue(total, tail)
 
@@ -554,26 +550,27 @@ def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
 def _newton_gap(f, room: float, tol: float, label: str) -> float:
     """The root d in (0, room) of f(d) = (G(d), G'(d)), G increasing and
     G(0) < 0 (or 0, returned), by Newton steps from d = 0. A G that is
-    not finite counts as past the root, as does room; a step leaving
-    the bracket of known signs takes its midpoint. After a step h of at
-    most ``_GAP_STOP`` tol its end is returned, which the mean-value
-    remainder puts within max |G''| h^2 / (2 G') of the root."""
+    not finite counts as past the root; a step leaving the bracket of
+    known signs takes its midpoint. After a step h of at most
+    ``_GAP_STOP`` tol its end is returned, within max |G''| h^2 / (2 G')
+    of the root; but where h was a midpoint and no point read G >= 0,
+    G(room) < 0 raises BracketFailure, as G(0) > 0 does."""
     lo, hi, d = 0.0, room, 0.0
     value, slope = f(d)
     for _ in range(_GAP_STEPS):
         if value == 0.0:
             return d
-        if value < 0.0:
-            lo = d
-        elif d == 0.0:
+        if d == 0.0 and not value < 0.0:
             raise BracketFailure(f"{label}: no root above the anchor "
                                  f"(difference {value} there)")
-        else:
-            hi = d
+        lo, hi = (d, hi) if value < 0.0 else (lo, d)
         new = d - value / slope if slope > 0.0 else math.nan
-        if not lo < new < hi:
+        bisected = not lo < new < hi
+        if bisected:
             new = 0.5 * (lo + hi)
         if abs(new - d) <= _GAP_STOP * tol:
+            if bisected and hi == room and f(room)[0] < 0.0:
+                raise BracketFailure(f"{label}: no sign change up to {room}")
             return new
         d = new
         value, slope = f(d)
@@ -583,23 +580,22 @@ def _newton_gap(f, room: float, tol: float, label: str) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _row(alpha: float, p: int, terms: int, tol: float) -> tuple:
-    """(r0, gap1, gap2) of a threshold row: r1 = r0 + gap1, r1_tilde =
-    r0 + (gap1 + gap2), gap2 the error its search raised, if any. With
-    x = r0 (a float) and D(e) = s(x + e) - s(x), gap1 solves D(e)
-    = delta(x + e), delta = b / (2 p^alpha), and gap2 solves
+    """(r0, gap1, gap2) of a threshold row in the solvers' domain
+    (:func:`_check_solver_domain`): r1 = r0 + gap1, r1_tilde = r0 +
+    (gap1 + gap2), gap2 the (type, args) of the error its search raised,
+    if any. With x = r0 (a float) and D(e) = s(x + e) - s(x), gap1
+    solves D(e) = delta(x + e), delta = b / (2 p^alpha), and gap2 solves
     D(gap1 + d) - D(gap1) + delta(r1) = R(r1 + d) - 2, R = 1 + a + b +
     min |1 + a z + b z^2|. At d = 0 these read -delta(x) and, in the
     first branch of :func:`min_quadratic_closed`, delta(r1) - 2 b(r1):
-    negative without cancellation, and :func:`_newton_gap` keeps every
-    step above 0. Each evaluation sums at the float q = x + e, with rho
-    = (x + e) - q from the two-sum: D(e) = s(q) - s(x) + s'(q) rho, s and
-    s' from one kernel pass (:func:`_slope_sums`), and w(q) + w'(q) rho
-    for a and b. So a gap below the float spacing at x comes from the
-    derivatives, where a subtraction would read 0, off by at most
-    max |s''| rho^2 / 2. A point where (a, b) leaves G_2 is past the
-    root, with a log record. The root oracle checks the closed form
-    once, at the reported r1_tilde (:func:`_cross_check_g2`). A weight
-    past the float range raises RieszcertError."""
+    negative without cancellation. Each evaluation sums at the float q
+    = x + e, rho = (x + e) - q from the two-sum: D(e) = s(q) - s(x) +
+    s'(q) rho, s and s' from one kernel pass (:func:`_slope_sums`), and
+    w(q) + w'(q) rho for a and b, so a gap below the float spacing at x
+    comes from the derivatives, off by at most max |s''| rho^2 / 2. A
+    point where (a, b) leaves G_2 is past the root, with a log record;
+    the root oracle checks the closed form at r1_tilde."""
+    _check_solver_domain(alpha, terms, p)
     x = _r0(alpha, terms, tol)
     s_x = _slope_sums(x, alpha, terms)[0]
 
@@ -650,7 +646,7 @@ def _row(alpha: float, p: int, terms: int, tol: float) -> tuple:
             _cross_check_g2(*(structured_weight(x + (gap1 + gap2), alpha,
                                                 p, k) for k in (1, 2)))
         except RieszcertError as error:
-            gap2 = error
+            gap2 = (type(error), error.args)
     except OverflowError as error:
         raise RieszcertError(f"a weight p^(k alpha) f_hat_q(p^k) overflows "
                              f"the float range at alpha={alpha}, "
@@ -663,7 +659,6 @@ def solve_r1(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     """Solution of s_alpha(q) = 2 + b(q) / (2 p^alpha): r0 (to ``tol``,
     :func:`solve_r0`) plus the gap of :func:`_row`. Input outside the
     solvers' domain (:func:`_check_solver_domain`) raises ValueError."""
-    _check_solver_domain(alpha, terms, p)
     r0, gap1, _ = _row(alpha, p, terms, tol)
     return r0 + gap1
 
@@ -676,11 +671,16 @@ def solve_r1_tilde(alpha: float, p: int, terms: int = DEFAULT_TERMS,
     conjectural as a basis threshold; the certificates report it as
     such. Raises what :func:`solve_r1` raises, and BracketFailure where
     (a, b) leaves G_2 before the root."""
-    _check_solver_domain(alpha, terms, p)
-    r0, gap1, gap2 = _row(alpha, p, terms, tol)
-    if isinstance(gap2, RieszcertError):
-        raise gap2.with_traceback(None)
+    r0, gap1, gap2 = _full_row(alpha, p, terms, tol)
     return r0 + (gap1 + gap2)
+
+
+def _full_row(alpha: float, p: int, terms: int, tol: float) -> tuple:
+    """:func:`_row`, raising a fresh copy of the error gap2's search met."""
+    r0, gap1, gap2 = _row(alpha, p, terms, tol)
+    if isinstance(gap2, tuple):
+        raise gap2[0](*gap2[1])
+    return r0, gap1, gap2
 
 
 @dataclass(frozen=True)
@@ -713,8 +713,7 @@ class GpThresholds:
 
 def thresholds(alpha: float, p: int,
                terms: int = DEFAULT_TERMS) -> GpThresholds:
-    solve_r1_tilde(alpha, p, terms)  # raises what the row raised
-    return GpThresholds(alpha, p, *_row(alpha, p, terms, BISECTION_TOL),
+    return GpThresholds(alpha, p, *_full_row(alpha, p, terms, BISECTION_TOL),
                         terms)
 
 

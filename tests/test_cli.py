@@ -58,6 +58,29 @@ def test_sweep_row_error_marker(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_sweep_rows_where_the_tail_ratio_overflows(capsys):
+    # at terms = 1 s_alpha is identically 1 and the ratio (5/3)^alpha of
+    # its tail bound overflows past alpha ~ 1389: an error row for each
+    # alpha, not an OverflowError that loses the whole CSV
+    code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",
+                         "2000", "--steps", "2", "--terms", "1")
+    assert (code, err) == (3, "")
+    assert out == ("alpha,r0,r1,r1_tilde\n"
+                   "0,ERROR,ERROR,ERROR  # BracketFailure\n"
+                   "2000,ERROR,ERROR,ERROR  # BracketFailure\n")
+
+
+def test_sweep_row_with_no_r1_below_q_hi(capsys):
+    # at terms = 8 s stays below 2 + b/2 past r0 (see the gap solvers'
+    # test): an error row, not an r1 next to q = 1
+    code, out, err = run(capsys, "sweep", "--alpha-max", "0", "--steps", "1",
+                         "--p", "3", "--terms", "8")
+    assert (code, err) == (3, "")
+    assert out == ("alpha,r0,r1,r1_tilde\n"
+                   "0,ERROR,ERROR,ERROR  # BracketFailure\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_sweep_keeps_rows_before_overflow(capsys):
     # the alpha = 1e308 row overflows; the rows before it are still written
     code, out, err = run(capsys, "sweep", "--alpha-min", "0", "--alpha-max",

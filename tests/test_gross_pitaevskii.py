@@ -111,6 +111,14 @@ def test_s_alpha_tail_bound_honest():
             assert abs(fine.value - coarse.value) <= coarse.tail_bound
 
 
+def test_s_alpha_tail_bound_where_a_power_overflows():
+    # the ratio ((2 terms + 3)/(2 terms + 1))^alpha of the tail bound
+    # overflows at terms = 1 past alpha ~ 1389, where every weight is 1
+    # and the sum is finite: the bound is inf, not Python's OverflowError
+    for alpha in (1390.0, 2000.0, 1e308):
+        assert gp.s_alpha(0.5, alpha, 1) == gp.SeriesValue(1.0, math.inf)
+
+
 def test_lambert_series_constant_weight():
     # sum 1/(2^n - 1), evaluated term by term as an independent check
     got = gp.lambert_series(lambda n: 1.0, 0.5, 300)
@@ -479,6 +487,24 @@ def test_threshold_solvers_pinned():
         gp.solve_r1_tilde(alpha, p)
     assert str(info.value) == message
     assert gp.solve_r0(alpha) == r0 and _near(gp.solve_r1(alpha, p), r1)
+
+
+def test_cached_row_raises_a_fresh_error_each_time():
+    # the row keeps r1_tilde's failure as (type, args): each call raises
+    # a new exception, so no traceback is shared between callers or
+    # kept alive by the cache, and thresholds() raises the same failure
+    alpha, p, _, _, message = P2_ROW
+    _clear_caches()
+    errors = []
+    for solve in (gp.solve_r1_tilde, gp.solve_r1_tilde, gp.thresholds):
+        with pytest.raises(BracketFailure) as info:
+            solve(alpha, p)
+        errors.append(info.value)
+    assert [str(error) for error in errors] == [message] * 3
+    assert len({id(error) for error in errors}) == 3
+    assert errors[0].__traceback__ is not errors[1].__traceback__
+    assert not any(isinstance(gap, BaseException)
+                   for gap in gp._row(alpha, p, 500, gp.BISECTION_TOL))
 
 
 # (solve_r0, solve_r1, solve_r1_tilde) at p = 3, as (type, message):
@@ -944,6 +970,38 @@ def test_newton_gap_treats_a_lost_point_as_past_the_root():
                        r"\(difference inf there\)$"):
         gp._newton_gap(lambda d: (math.inf, math.nan), 0.9, 1e-9, "f")
     assert gp._newton_gap(lambda d: (d, 1.0), 0.9, 1e-9, "f") == 0.0
+
+
+def test_newton_gap_refuses_a_difference_negative_up_to_room():
+    # G(d) = d - 2 has no root in (0, 0.9): every Newton step leaves the
+    # bracket, the midpoints close in on room, and G(room) < 0 is read
+    # there instead of returning about room. A root at room is found
+    seen = []
+
+    def f(d):
+        seen.append(d)
+        return d - 2.0, 1.0
+
+    with pytest.raises(BracketFailure,
+                       match=r"^f: no sign change up to 0\.9$"):
+        gp._newton_gap(f, 0.9, 1e-9, "f")
+    assert seen[-1] == 0.9 and 0.9 - seen[-2] <= 2e-12
+    root = gp._newton_gap(lambda d: (d - 0.9, 1.0), 0.9, 1e-9, "f")
+    assert 0.9 - root <= 1e-12
+
+
+def test_gap_solvers_refuse_a_row_with_no_root_below_q_hi():
+    # at terms = 8 and alpha = 0 the sum s rises only to 2.0218 at _Q_HI
+    # while delta = b/2 stays between 0.053 and 1/18 on (r0, _Q_HI), so
+    # s - 2 - delta < 0 past r0 and r1 has no root: both gap solvers
+    # raise, as the prescans did, and report no r1 near _Q_HI
+    _clear_caches()
+    r0 = gp.solve_r0(0.0, 8)
+    assert gp.s_alpha(gp._Q_HI, 0.0, 8).value < 2.0 + 0.053
+    for solve in (gp.solve_r1, gp.solve_r1_tilde):
+        with pytest.raises(BracketFailure) as info:
+            solve(0.0, 3, 8)
+        assert str(info.value) == f"r1: no sign change up to {gp._Q_HI - r0}"
 
 
 def _plain_bisection(f, lo, hi, tol):
