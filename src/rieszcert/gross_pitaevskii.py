@@ -220,6 +220,11 @@ def _overflow(q: float, alpha: float) -> RieszcertError:
                           f"q={q}, alpha={alpha}")
 
 
+def _weight_overflow(alpha: float, p: int) -> RieszcertError:
+    return RieszcertError(f"a weight p^(k alpha) f_hat_q(p^k) overflows "
+                          f"the float range at alpha={alpha}, p={p}")
+
+
 def s_alpha(q: float, alpha: float,
             terms: int = DEFAULT_TERMS) -> SeriesValue:
     """Weighted mode sum s_alpha(q) = sum_l (2l+1)^alpha (1-q) q^l /
@@ -648,9 +653,7 @@ def _row(alpha: float, p: int, terms: int, tol: float) -> tuple:
         except RieszcertError as error:
             gap2 = (type(error), error.args)
     except OverflowError as error:
-        raise RieszcertError(f"a weight p^(k alpha) f_hat_q(p^k) overflows "
-                             f"the float range at alpha={alpha}, "
-                             f"p={p}") from error
+        raise _weight_overflow(alpha, p) from error
     return x, gap1, gap2
 
 
@@ -805,13 +808,18 @@ def certify_T1(sup_q: float, alpha: float, p: int,
     the family. The threshold inequality implies every structural
     check (p is odd, see :func:`check_p_alpha`). Negative outcomes are
     returned as verdict false, never raised; inputs outside the
-    family's domain, which :class:`GpSpec` defines, raise ValueError.
+    family's domain, which :class:`GpSpec` defines, raise ValueError,
+    and a weight or mode sum past the float range raises
+    RieszcertError, as in the threshold solvers.
     """
     r = float(sup_q)
     GpSpec(p, alpha, r, terms)
-    pa = float(p) ** alpha
-    a = structured_weight(r, alpha, p, 1)
-    b = structured_weight(r, alpha, p, 2)
+    try:
+        pa = float(p) ** alpha
+        a = structured_weight(r, alpha, p, 1)
+        b = structured_weight(r, alpha, p, 2)
+    except OverflowError as error:
+        raise _weight_overflow(alpha, p) from error
     s = s_alpha(r, alpha, terms)
     threshold_rhs = 2.0 + 0.5 * b / pa
     tail_ok = s.value + s.tail_bound < threshold_rhs
@@ -868,12 +876,16 @@ def certify_Td(sup_q: float, alpha: float, p: int, degree: int,
     the perturbation budget. The symbol minimum of 1 + sum w_k z^k is
     computed numerically at the envelope parameter; no closed-form
     threshold or parameter-monotone bound is claimed, so the
-    certificate is labeled sample-heuristic.
+    certificate is labeled sample-heuristic. A weight or mode sum past
+    the float range raises RieszcertError.
     """
     r = float(sup_q)
     GpSpec(p, alpha, r, terms, degree)
-    weights = [structured_weight(r, alpha, p, k)
-               for k in range(1, degree + 1)]
+    try:
+        weights = [structured_weight(r, alpha, p, k)
+                   for k in range(1, degree + 1)]
+    except OverflowError as error:
+        raise _weight_overflow(alpha, p) from error
     s = s_alpha(r, alpha, terms)
     budget = max(0.0, s.value + s.tail_bound - 1.0 - sum(weights))
     floor = st.symbol_inf(weights)

@@ -13,11 +13,14 @@ operators, Boettcher & Silbermann): a section is T = I + L with L
 strictly lower triangular and nilpotent, stored by its O(N log N)
 nonzero entries. L couples n with jn only where c_j(n) != 0, so T is
 a direct sum of blocks on the components of that coupling; a
-Weierstrass section is a sum of chains {n_0 p^l}. When every block is
-small, sigma_min is the least over the distinct blocks, by batched
-dense inverses. Otherwise the inverse I + B, which has the same
-multiplicative pattern, is computed once as a section of the same
-kind, and sigma_min comes from Lanczos on T^{-H} T^{-1}, two sparse
+Weierstrass section is a sum of chains {n_0 p^l}. A block that is a
+leading principal block of the block of index 1 cannot hold
+sigma_min, and is dropped: in a constant-index section that is every
+other block. When every kept block is small, sigma_min is the least
+over the distinct kept blocks, by batched dense inverses. Otherwise
+the inverse I + B of the kept rows, which has the same multiplicative
+pattern, is computed once as a section of the same kind, and sigma_min
+comes from Lanczos on T^{-H} T^{-1} over the kept indices, two sparse
 products a step, rather than a dense O(N^3) SVD.
 """
 
@@ -38,7 +41,8 @@ from .polyform import min_modulus_disc
 LANCZOS_RTOL = 1e-14
 # a guard far above the 16-118 steps the sections that reach Lanczos
 # take up to N = 65536, each step two sparse products with T^{-1}; it
-# caps the basis at this many vectors of length N (210 MB at N = 65536)
+# caps the basis at this many vectors of the kept indices, at most N
+# (210 MB at N = 65536)
 LANCZOS_MAX_STEPS = 400
 # sparse work runs in chunks of about this many items (the pairs (j, n)
 # of one rule call, the products that expand an inverse, the entries of
@@ -49,8 +53,8 @@ _CHUNK = 1 << 14
 # step copies the vectors already stored
 _BASIS_BLOCK = 32
 # smallest_singular takes sigma_min block by block, by dense inverses,
-# when no component of the section has more indices than this, and by
-# Lanczos on the whole section otherwise. On 2 vCPUs the dense route
+# when no component that it keeps has more indices than this, and by
+# Lanczos on the kept indices otherwise. On 2 vCPUs the dense route
 # is 1.3-2.5x faster at components of 96 indices, and Lanczos is
 # faster from about 112 on the 2-adic classes of a gp section
 DENSE_BLOCK_MAX = 96
@@ -64,8 +68,10 @@ class SectionMatrix:
 
     L is stored by its nonzero entries, in ascending row order:
     ``values[i]`` sits at row ``rows[i]``, column ``cols[i]`` (0-based).
-    Every entry has row + 1 >= 2 (col + 1), so L^k vanishes once
-    2^k > N.
+    In a section from :func:`finite_section` or :meth:`inverse`, every
+    entry has row + 1 >= 2 (col + 1), so L^k vanishes once 2^k > N; the
+    inverse that Lanczos renumbers onto the kept indices of a section
+    (:func:`_lanczos_sigma_min`) keeps only the row order.
     """
 
     N: int
@@ -88,11 +94,16 @@ class SectionMatrix:
             src, dst = self.rows, self.cols
         else:
             src, dst = self.cols, self.rows
-        out = np.zeros(self.N)
-        for s in range(0, len(dst), _CHUNK):
+        def chunk(s):
             part = slice(s, s + _CHUNK)
-            out += np.bincount(dst[part], self.values[part] * x[src[part]],
+            return np.bincount(dst[part], self.values[part] * x[src[part]],
                                self.N)
+
+        # the first chunk's sums start the result (bincount gives ints
+        # for no entries at all)
+        out = chunk(0).astype(float, copy=False)
+        for s in range(_CHUNK, len(dst), _CHUNK):
+            out += chunk(s)
         return out
 
     def inverse(self) -> "SectionMatrix":
@@ -129,8 +140,7 @@ class SectionMatrix:
                 # read from B at src, plus the entry itself
                 first = indptr[cols]
                 count = indptr[cols + 1] - first
-                src = (np.arange(count.sum())
-                       + np.repeat(first - np.cumsum(count) + count, count))
+                src = _ranges(first, count)
                 key = np.concatenate([rows, np.repeat(rows, count)])
                 key *= N
                 key += np.concatenate([cols, b_cols[src]])
@@ -154,6 +164,12 @@ class SectionMatrix:
         b_vals.resize(nnz, refcheck=False)
         return SectionMatrix(N, np.repeat(np.arange(N), row_nnz), b_cols,
                              b_vals)
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges [first[i], first[i] + count[i]) end to end."""
+    return (np.arange(count.sum())
+            + np.repeat(first - np.cumsum(count) + count, count))
 
 
 def _row_chunks(rows: np.ndarray, cost: np.ndarray):
@@ -227,20 +243,30 @@ def smallest_singular(S: SectionMatrix) -> float:
     the indices split into the components of that coupling graph and T
     is, up to a permutation, the direct sum of its blocks on them: a
     Weierstrass section is a sum of chains {n_0 p^l}. The components
-    are labelled by :func:`_components`. When none has more than
-    ``DENSE_BLOCK_MAX`` indices, sigma_min is the least over the blocks
+    are labelled by :func:`_components`. A block that is exactly the
+    leading principal block of the block of index 1 is dropped
+    (:func:`_leading_copies`): T is unit lower triangular, so the
+    inverse of a leading block is the leading block of the inverse, and
+    its sigma_min is no smaller. In a constant-index section every other
+    component is such a copy: the chains {n_0 p^l} of a Weierstrass
+    section, the 2-adic classes 2^k odd of a gp one.
+
+    When no kept component has more than ``DENSE_BLOCK_MAX`` indices,
+    sigma_min is the least over the kept blocks
     (:func:`_dense_sigma_min`), and a block inverse past the float
     range raises InverseOverflow; otherwise sigma_min comes from Lanczos
-    on the whole section (:func:`_lanczos_sigma_min`), which raises it
+    on the kept indices (:func:`_lanczos_sigma_min`), which raises it
     for an inverse or a Lanczos step past the float range.
     """
     labels = _components(S)
     sizes = np.bincount(labels)
-    if sizes.max() > DENSE_BLOCK_MAX:
+    kept = _leading_copies(S, labels, sizes)
+    if kept.max() > DENSE_BLOCK_MAX:
         # an overflow raises InverseOverflow below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return _lanczos_sigma_min(S)
-    return _dense_sigma_min(S, labels, sizes)
+            return _lanczos_sigma_min(
+                S, None if kept is sizes else kept[labels] > 0)
+    return _dense_sigma_min(S, labels, kept)
 
 
 def _components(S: SectionMatrix) -> np.ndarray:
@@ -269,9 +295,76 @@ def _components(S: SectionMatrix) -> np.ndarray:
             labels = jumped
 
 
+def _positions(labels: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The place of each index of ``which``, ascending indices that
+    make up whole components, within its component in ascending index
+    order; an array over all indices, unset elsewhere."""
+    order = np.argsort(labels[which], kind="stable")
+    runs = labels[which[order]]   # each label's run, in index order
+    pos = np.empty(len(labels), dtype=np.intp)
+    pos[which[order]] = np.arange(len(which)) - np.searchsorted(runs, runs)
+    return pos
+
+
+def _leading_copies(S: SectionMatrix, labels: np.ndarray,
+                    sizes: np.ndarray) -> np.ndarray:
+    """``sizes`` with 0 for every component whose block is the leading
+    principal block of the same size of the block of index 1 (label
+    0), or ``sizes`` itself when there is none.
+
+    Such a copy has, row by row in index order, the entry counts, the
+    column places within the component and the values (compared with
+    ``==``, so a nan keeps its block) of the first rows of the block of
+    index 1. The components that pass the cheap test of
+    :func:`_same_sums` are matched with those rows entry by entry. A
+    single index, whose block is 1, is a copy too, but is dropped only
+    along with a larger copy: alone it saves nothing.
+    """
+    top = np.flatnonzero(labels == 0)
+    candidate = _same_sums(S, labels, sizes, top)
+    if not candidate.any():
+        return sizes
+    mine = np.flatnonzero(candidate[labels])
+    pos = _positions(labels, mine)
+    pos[top] = np.arange(len(top))
+    twin = top[pos[mine]]            # the matching row of index 1's block
+    counts = np.bincount(S.rows, minlength=S.N)   # entries per row
+    first = np.cumsum(counts) - counts            # where a row starts
+    count = counts[mine]
+    apart = count != counts[twin]
+    candidate[labels[mine[apart]]] = False
+    count[apart] = 0
+    e = _ranges(first[mine], count)
+    f = e + np.repeat(first[twin] - first[mine], count)
+    apart = pos[S.cols[e]] != pos[S.cols[f]]
+    apart |= S.values[e] != S.values[f]
+    candidate[labels[S.rows[e[apart]]]] = False
+    if not candidate.any():
+        return sizes
+    return np.where(candidate | (sizes == 1), 0, sizes)
+
+
+def _same_sums(S: SectionMatrix, labels: np.ndarray, sizes: np.ndarray,
+               top: np.ndarray) -> np.ndarray:
+    """Whether each component other than that of index 1, whose indices
+    are ``top``, has two or more indices, no more than ``top``, and
+    entries that sum, row by row in index order, to the same float as
+    the first rows of the block of index 1: a test that every copy of
+    a leading block passes, in a few passes over the entries."""
+    row_sums = np.bincount(S.rows, S.values, S.N)
+    leading = np.zeros(len(top) + 1)
+    np.cumsum(row_sums[top], out=leading[1:])
+    fits = (sizes > 1) & (sizes <= len(top))
+    same = fits & (np.bincount(labels, row_sums, len(sizes))
+                   == leading[np.where(fits, sizes, 0)])
+    same[0] = False
+    return same
+
+
 def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,
                      sizes: np.ndarray) -> float:
-    """The least sigma_min over the blocks of T on its components.
+    """The least sigma_min over the blocks of T on the components of
+    nonzero ``sizes``.
 
     The strictly lower parts of the blocks are assembled dense, one
     array per block size, in ascending index order, and identical ones
@@ -284,15 +377,13 @@ def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,
     batched ``np.linalg.inv`` and one batched singular-value call. An
     inverse past the float range raises InverseOverflow.
     """
-    order = np.argsort(labels, kind="stable")
-    first = np.cumsum(sizes) - sizes   # where each label's run starts
-    pos = np.empty(S.N, dtype=np.intp)   # index within its block
-    pos[order] = np.arange(S.N) - first[labels[order]]
     roots = np.flatnonzero(sizes)
+    pos = _positions(labels, np.flatnonzero(sizes[labels]))  # within its block
     block = np.empty(S.N, dtype=np.intp)  # a root's block within its size
     entry_size = sizes[labels[S.rows]]
     distinct = []
-    for size in np.unique(sizes[roots]):
+    # not np.unique, whose hashing path imports numpy.ma
+    for size in np.flatnonzero(np.bincount(sizes[roots])):
         group = roots[sizes[roots] == size]
         block[group] = np.arange(len(group))
         lower = np.zeros((len(group), size, size))
@@ -322,8 +413,10 @@ def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,
     return 1.0 / float(largest)
 
 
-def _lanczos_sigma_min(S: SectionMatrix) -> float:
-    """sigma_min(T) of the whole section by Lanczos.
+def _lanczos_sigma_min(S: SectionMatrix,
+                       kept: np.ndarray | None = None) -> float:
+    """sigma_min(T) of the whole section by Lanczos, or of its block on
+    the indices of the mask ``kept``, a union of components.
 
     Lanczos with full reorthogonalisation finds the largest eigenvalue
     of T^{-H} T^{-1} from a fixed-seed random start, and stops when the
@@ -336,10 +429,22 @@ def _lanczos_sigma_min(S: SectionMatrix) -> float:
     each step applies T^{-1} and T^{-H} by one sparse product with B
     each and finds the Ritz pair of the k x k tridiagonal in O(k)
     (:func:`_top_ritz_pair`, warm-started from the step before), so
-    step k costs O(nnz(B) + kN + k) and nothing of size N x N is formed.
+    step k costs O(nnz(B) + kK + k) on vectors of length K, and nothing
+    of size K x K is formed. K is N, or with ``kept`` the number of kept
+    indices: then B is the inverse of the kept rows of L, taken in the
+    section's numbering so that the dyadic levels hold, and renumbered
+    onto the kept indices.
     """
-    N = S.N
-    inv = S.inverse()
+    if kept is None:
+        inv = S.inverse()
+    else:
+        mine = kept[S.rows]
+        inv = SectionMatrix(S.N, S.rows[mine], S.cols[mine],
+                            S.values[mine]).inverse()
+        index = np.cumsum(kept) - 1   # the place of each kept index
+        inv = SectionMatrix(int(index[-1]) + 1, index[inv.rows],
+                            index[inv.cols], inv.values)
+    N = inv.N
     if not np.isfinite(inv.values).all():
         raise InverseOverflow("the section inverse overflows the float range")
     v = np.random.default_rng(0).standard_normal(N)

@@ -568,6 +568,21 @@ def test_threshold_solvers_raise_one_error_where_a_weight_overflows():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [400.0, 700.0, 1e308])
+def test_certificates_raise_the_solvers_error_where_a_weight_overflows(alpha):
+    # at p = 3: b's power 3^(2 alpha) alone (400), then p^alpha too
+    # (700, 1e308) is past the float range, before any mode sum
+    for certify in (lambda: gp.certify_T1(0.5, alpha, 3),
+                    lambda: gp.certify_Td(0.5, alpha, 3, 3)):
+        with pytest.raises(RieszcertError) as info:
+            certify()
+        assert str(info.value) == (
+            "a weight p^(k alpha) f_hat_q(p^k) overflows the float range "
+            f"at alpha={alpha}, p=3")
+        assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.filterwarnings("error")
 def test_threshold_solvers_refuse_input_outside_their_domain():
     # GpSpec's wording, raised before any sum; p = 2 is inside, for the
     # solver-level pins above

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,14 +336,14 @@ def test_smallest_singular_lacunary_orbit_blocks(N):
                                                     rel=1e-12)
 
 
-def _periodic_rule():
-    # q_n = (0.3, 0.6)[(n / 3^v_3(n)) mod 2]: a 3-periodic index table
-    profs = [dl.OddModeProfile(q, 0.0) for q in (0.3, 0.6)]
+def _gp_table_rule(table):
+    # q_n = table[(n / 3^v_3(n)) mod len(table)]: a 3-periodic index table
+    profs = [dl.OddModeProfile(q, 0.0) for q in table]
 
     def profiles(n):
         while n % 3 == 0:
             n //= 3
-        return profs[n % 2]
+        return profs[n % len(table)]
 
     return lambda j, n: dl.trajectory_coeffs(profiles, 0.0, j, n)
 
@@ -348,7 +351,7 @@ def _periodic_rule():
 INVERSE_RULES = {
     "ws": ws.cj_rule(0.5, 2, 0.0),
     "gp": gp.cj_rule(0.5, 0.0),
-    "periodic": _periodic_rule(),
+    "periodic": _gp_table_rule((0.3, 0.6)),
     "all-j": lambda j, n: 0.3 / j ** 2,
 }
 
@@ -631,19 +634,152 @@ def test_components_match_union_find(support, N):
     assert np.array_equal(st._components(S), _union_find_labels(S))
 
 
+def _kept_roots(S):
+    """The least index (0-based) of every component that
+    smallest_singular keeps, or None when it keeps the section whole."""
+    labels = st._components(S)
+    sizes = np.bincount(labels)
+    kept = st._leading_copies(S, labels, sizes)
+    return None if kept is sizes else np.flatnonzero(kept).tolist()
+
+
 def test_routing_by_largest_component(monkeypatch):
-    # the odd j of gp couple each 2-adic class (1024 indices at N = 2048)
-    # into one component: Lanczos; the chains of ws: no Lanczos step
-    calls = []
-    lanczos = st._lanczos_sigma_min
-    monkeypatch.setattr(st, "_lanczos_sigma_min",
-                        lambda S: calls.append(S.N) or lanczos(S))
+    # gp at N = 2048: the classes 2^k odd (k >= 1) are leading blocks of
+    # the odd class, so Lanczos runs on its 1024 indices alone; ws: the
+    # chains {n_0 2^l} are leading blocks of the chain of 1, so one
+    # dense block is left, with no Lanczos step
+    kept, lengths, dense = [], set(), []
+    lanczos, apply_l = st._lanczos_sigma_min, st.SectionMatrix._apply_l
+    dense_sigma_min = st._dense_sigma_min
+    monkeypatch.setattr(st, "_lanczos_sigma_min", lambda S, mask=None: (
+        kept.append(None if mask is None else int(mask.sum()))
+        or lanczos(S, mask)))
+    monkeypatch.setattr(st.SectionMatrix, "_apply_l", lambda self, x, adj: (
+        lengths.add(len(x)) or apply_l(self, x, adj)))
+    monkeypatch.setattr(st, "_dense_sigma_min", lambda S, labels, sizes: (
+        dense.append(sizes[sizes > 0].tolist())
+        or dense_sigma_min(S, labels, sizes)))
     gp_section = st.finite_section(INVERSE_RULES["gp"], 2048)
-    seen, _ = _lanczos_tridiagonals(
+    _, value = _lanczos_tridiagonals(
         monkeypatch, lambda: st.smallest_singular(gp_section))
-    assert len(seen) == PINNED_LANCZOS["gp", 2048][0] and calls == [2048]
+    assert kept == [1024] and lengths == {1024} and dense == []
+    assert value == pytest.approx(PINNED_LANCZOS["gp", 2048][1], rel=1e-14,
+                                  abs=0)
     st.smallest_singular(st.finite_section(INVERSE_RULES["ws"], 2048))
-    assert calls == [2048]
+    assert kept == [1024] and dense == [[12]]
+    # nothing dropped: Lanczos on the section itself
+    st.smallest_singular(st.finite_section(INVERSE_RULES["all-j"], 256))
+    assert kept == [1024, None] and lengths == {1024, 256}
+
+
+@pytest.mark.parametrize("N", [64, 256, 512])
+@pytest.mark.parametrize("name, roots", [
+    # every component but that of 1 is a leading block of it
+    ("gp", lambda N: [0]), ("ws", lambda N: [0]),
+    # q_n from (0.2, 0.5, 0.4) by n / 3^v_3(n) mod 3: 4^k = 1 mod 3, so
+    # the classes 4^k odd are copies of the odd class, and those 2 4^k
+    # odd of two or more indices (3 2^k <= N) are not; the single
+    # indices go along with the copies
+    ("gp-mod-3", lambda N: [0] + [(1 << k) - 1 for k in range(1, 10, 2)
+                                  if 3 << k <= N]),
+    # one component
+    ("all-j", lambda N: None),
+    # c_j(1) = 0: index 1 is a component of its own, and nothing smaller
+    # can be a copy of it
+    ("singleton-1", lambda N: None)])
+def test_dropped_blocks_leave_sigma_min_exact(name, roots, N):
+    rule = {"gp-mod-3": _gp_table_rule((0.2, 0.5, 0.4)),
+            "singleton-1": lambda j, n: np.where(n > 1, 0.3 / j, 0.0),
+            }.get(name) or INVERSE_RULES[name]
+    S = st.finite_section(rule, N)
+    assert _kept_roots(S) == roots(N)
+    sigma = st.smallest_singular(S)
+    assert sigma == pytest.approx(_dense_smallest_singular(S), rel=1e-12)
+    assert sigma == pytest.approx(st._lanczos_sigma_min(S), rel=1e-14, abs=0)
+
+
+def _changed_at(rule, n0, change):
+    """``rule`` with every c_j(n0), j >= 3, changed by ``change`` (j = 2
+    links a ws chain, which stays whole)."""
+    def changed(j, n):
+        c = np.array(np.broadcast_to(rule(j, n), j.shape), dtype=float)
+        at = (n == n0) & (j >= 3)
+        c[at] = change(c[at])
+        return c
+
+    return changed
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: np.nextafter(c, np.inf),   # one ulp up
+    lambda c: 4.0 * c,
+    lambda c: 0.0 * c],                  # the entries vanish
+    ids=["ulp", "times-4", "zero"])
+@pytest.mark.parametrize("name, n0, roots", [
+    # index 10 lies in the class 2 odd (least index 2), index 3 on the
+    # chain {3 2^l}
+    ("gp", 10, [0, 1]), ("ws", 3, [0, 2])])
+def test_a_changed_index_keeps_its_class(name, n0, roots, change):
+    # a constant rule changed at one n inside a class that would be
+    # dropped: that class is kept, and sigma_min stays exact
+    S = st.finite_section(_changed_at(INVERSE_RULES[name], n0, change), 256)
+    assert _kept_roots(S) == roots
+    sigma = st.smallest_singular(S)
+    assert sigma == pytest.approx(_dense_smallest_singular(S), rel=1e-12)
+    assert sigma == pytest.approx(st._lanczos_sigma_min(S), rel=1e-14, abs=0)
+
+
+def test_moved_entries_keep_their_class():
+    # the values of two entries of row 30 (class 2 odd) swapped, so each
+    # row keeps its count and sum, but two values change place: the
+    # class is kept
+    S = st.finite_section(INVERSE_RULES["gp"], 256)
+    row = np.flatnonzero(S.rows == 29)
+    assert len(row) >= 2
+    values = S.values.copy()
+    values[row[:2]] = values[row[1::-1]]
+    moved = st.SectionMatrix(S.N, S.rows, S.cols, values)
+    assert _kept_roots(moved) == [0, 1]
+    assert st.smallest_singular(moved) == pytest.approx(
+        _dense_smallest_singular(moved), rel=1e-12)
+
+
+@pytest.mark.parametrize("edit", ["moved", "extra"])
+def test_same_sums_other_block_keeps_its_class(edit):
+    # c_j(n) = 1/4 on odd j: every sum is exact, so each edit inside the
+    # class 2 odd keeps every row's values, and the class's sum:
+    # "moved" takes the entry (30, 10) to (30, 14), 1-based, and
+    # "extra" adds 1/4 at (30, 14) and -1/4 at (50, 22), after each
+    # row's other entries
+    S = st.finite_section(lambda j, n: np.where(j % 2 == 1, 0.25, 0.0), 256)
+    rows, cols, values = S.rows, S.cols.copy(), S.values
+    if edit == "moved":
+        cols[(rows == 29) & (cols == 9)] = 13
+    else:
+        order = np.argsort(np.append(rows, [29, 49]), kind="stable")
+        rows = np.append(rows, [29, 49])[order]
+        cols = np.append(cols, [13, 21])[order]
+        values = np.append(values, [0.25, -0.25])[order]
+    edited = st.SectionMatrix(S.N, rows, cols, values)
+    assert _kept_roots(edited) == [0, 1]
+    assert st.smallest_singular(edited) == pytest.approx(
+        _dense_smallest_singular(edited), rel=1e-12)
+
+
+def test_sigma_min_imports_no_masked_arrays():
+    # np.unique with no return_* argument takes numpy's hashing path,
+    # which imports numpy.ma (8-16 ms) on first use
+    src = Path(st.__file__).parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from rieszcert import gross_pitaevskii as gp\n"
+            "from rieszcert import spread_toeplitz as st\n"
+            "from rieszcert import weierstrass as ws\n"
+            "for rule in (ws.cj_rule(0.5, 2, 0.0), gp.cj_rule(0.5, 0.0)):\n"
+            "    st.smallest_singular(st.finite_section(rule, 256))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.filterwarnings("error")
