@@ -94,6 +94,7 @@ class SectionMatrix:
             src, dst = self.rows, self.cols
         else:
             src, dst = self.cols, self.rows
+
         def chunk(s):
             part = slice(s, s + _CHUNK)
             return np.bincount(dst[part], self.values[part] * x[src[part]],
@@ -245,7 +246,7 @@ def smallest_singular(S: SectionMatrix) -> float:
     Weierstrass section is a sum of chains {n_0 p^l}. The components
     are labelled by :func:`_components`. A block that is exactly the
     leading principal block of the block of index 1 is dropped
-    (:func:`_leading_copies`): T is unit lower triangular, so the
+    (:func:`_drop_leading_copies`): T is unit lower triangular, so the
     inverse of a leading block is the leading block of the inverse, and
     its sigma_min is no smaller. In a constant-index section every other
     component is such a copy: the chains {n_0 p^l} of a Weierstrass
@@ -260,7 +261,7 @@ def smallest_singular(S: SectionMatrix) -> float:
     """
     labels = _components(S)
     sizes = np.bincount(labels)
-    kept = _leading_copies(S, labels, sizes)
+    kept = _drop_leading_copies(S, labels, sizes)
     if kept.max() > DENSE_BLOCK_MAX:
         # an overflow raises InverseOverflow below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -306,8 +307,8 @@ def _positions(labels: np.ndarray, which: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _leading_copies(S: SectionMatrix, labels: np.ndarray,
-                    sizes: np.ndarray) -> np.ndarray:
+def _drop_leading_copies(S: SectionMatrix, labels: np.ndarray,
+                         sizes: np.ndarray) -> np.ndarray:
     """``sizes`` with 0 for every component whose block is the leading
     principal block of the same size of the block of index 1 (label
     0), or ``sizes`` itself when there is none.
@@ -347,10 +348,10 @@ def _leading_copies(S: SectionMatrix, labels: np.ndarray,
 def _same_sums(S: SectionMatrix, labels: np.ndarray, sizes: np.ndarray,
                top: np.ndarray) -> np.ndarray:
     """Whether each component other than that of index 1, whose indices
-    are ``top``, has two or more indices, no more than ``top``, and
-    entries that sum, row by row in index order, to the same float as
-    the first rows of the block of index 1: a test that every copy of
-    a leading block passes, in a few passes over the entries."""
+    are ``top``, has from two to ``len(top)`` indices and entries that
+    sum, row by row in index order, to the same float as the first rows
+    of the block of index 1: a test that every copy of a leading block
+    passes, in a few passes over the entries."""
     row_sums = np.bincount(S.rows, S.values, S.N)
     leading = np.zeros(len(top) + 1)
     np.cumsum(row_sums[top], out=leading[1:])

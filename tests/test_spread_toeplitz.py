@@ -639,7 +639,7 @@ def _kept_roots(S):
     smallest_singular keeps, or None when it keeps the section whole."""
     labels = st._components(S)
     sizes = np.bincount(labels)
-    kept = st._leading_copies(S, labels, sizes)
+    kept = st._drop_leading_copies(S, labels, sizes)
     return None if kept is sizes else np.flatnonzero(kept).tolist()
 
 
