@@ -45,12 +45,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ORACLE_SLACK = 1e-5
 _Q_LO = 1e-9
 _Q_HI = 1.0 - 1e-9
-# r0's prescan grid
-_PRESCAN_POINTS = 64
-# the prescan encloses each grid point's mode sum from its first K
-# summands, widened by tau = c (terms + K) eps (see _enclosures)
-_ENCLOSURE_TERMS = 32
-_ENCLOSURE_ULPS = 32
 # a threshold gap's Newton stops after a step of at most _GAP_STOP tol
 # (see _newton_gap), or raises after _GAP_STEPS steps
 _GAP_STOP = 1e-3
@@ -155,12 +149,6 @@ class SeriesValue:
     tail_bound: float
 
 
-def _read_only(*arrays) -> tuple:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 @functools.lru_cache(maxsize=1)
 def _mode_weights(alpha: float, terms: int) -> tuple:
     """(l, 2l+1, (2l+1)^alpha) for l < ``terms``: the q-free factors of
@@ -170,7 +158,9 @@ def _mode_weights(alpha: float, terms: int) -> tuple:
     modes = 2.0 * l + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         w = modes ** alpha
-    return _read_only(l, modes, w)
+    for factor in (l, modes, w):
+        factor.flags.writeable = False
+    return l, modes, w
 
 
 def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int,
@@ -199,11 +189,11 @@ def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int,
         return s, -(summands @ factor) / q - s / one_minus_q
 
 
-# 512 sums: those of the last 70 or so r0 solves
+# 512 sums: those of the last 50 or so r0 solves
 @functools.lru_cache(maxsize=512)
 def _mode_sum(q: float, alpha: float, terms: int) -> float:
     """The raw partial sum of :func:`s_alpha` at one q, not checked for
-    overflow; :func:`s_alpha` and r0's prescan share this cache."""
+    overflow, kept for :func:`s_alpha`."""
     return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
 
 
@@ -256,55 +246,6 @@ def s_alpha(q: float, alpha: float,
         return SeriesValue(total, math.inf)
     tail = first_omitted / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesValue(total, tail)
-
-
-def _enclosures(q: np.ndarray, lq: np.ndarray, one_minus_q: np.ndarray,
-                alpha: float, terms: int):
-    """Bounds (s_lo, s_hi) with s_lo <= s <= s_hi for the raw partial
-    sum s of :func:`_mode_sum` at each nome of ``q`` (log q and 1 - q
-    given alongside), from one kernel call on the first
-    K = ``_ENCLOSURE_TERMS`` summands; None where nothing is proven:
-    at alpha < 0, where the tail bound of :func:`s_alpha` fails, and
-    when a weight (2l+1)^alpha is infinite. Where the weights are
-    finite and terms > K, (2K + 1)^alpha is at most the last weight, so
-    no Python power below overflows.
-
-    With S_K the sum of the first K summands and tail_K the tail bound
-    of :func:`s_alpha` after them, s_lo = S_K (1 - tau) and s_hi =
-    (S_K + tail_K) (1 + tau), with tau = ``_ENCLOSURE_ULPS`` (terms + K)
-    eps. tail_K takes its ratio times 1 + tau, so that the rounding of q
-    and log q cannot lower it, and is inf where that ratio reaches 1.
-    s_hi is also capped by the total of the weights times 1 + tau, as no
-    summand exceeds its weight; that total is inf where the weights are
-    finite but their sum is not (alpha from about 102.6 to 102.75 at
-    500 terms), and s_hi is then inf where the ratio reaches 1. Both
-    sums use the same weights, so tau covers their other roundings:
-    terms + K ulps of summation, a few ulps per summand for
-    exp, expm1 and the products, and the rounding of l log q, which
-    costs summand l at most l |log q| ulps and, averaged over the
-    summands, at most alpha ln(2 terms - 1) + ln(terms) ulps, below
-    710 + ln(terms) while the weights are finite. Each sum is at least
-    its first summand, about 1. At terms <= K the block is the full sum
-    and s_lo = s_hi = s.
-    """
-    l, modes, w = _mode_weights(alpha, terms)
-    if not (alpha >= 0.0 and math.isfinite(w[-1])):
-        return None
-    k = min(terms, _ENCLOSURE_TERMS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        partial = odd_modes(lq[:, None], one_minus_q[:, None], l[:k],
-                            modes[:k], w[:k]).sum(axis=-1)
-    if k == terms:
-        return partial, partial
-    tau = _ENCLOSURE_ULPS * (terms + k) * sys.float_info.epsilon
-    first_omitted = (2.0 * k + 1.0) ** alpha
-    growth = ((2.0 * k + 3.0) / (2.0 * k + 1.0)) ** alpha * (1.0 + tau)
-    ratio = growth * q
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cap = float(w.sum()) * (1.0 + tau)
-        tail = first_omitted * np.exp(k * lq) / (1.0 - ratio)
-        s_hi = np.where(ratio < 1.0, (partial + tail) * (1.0 + tau), math.inf)
-    return partial * (1.0 - tau), np.minimum(s_hi, cap)
 
 
 def lambert_series(f: Callable[[int], float], r: float,
@@ -469,86 +410,25 @@ def structured_weight(q: float, alpha: float, p: int, k: int) -> float:
             / -math.expm1(m * lq))
 
 
-@functools.lru_cache(maxsize=256)
-def _prescan_nomes(lo: float, hi: float) -> tuple:
-    """The prescan grid of [lo, hi] as a tuple of floats, and its q,
-    log q and 1 - q as read-only arrays."""
-    qs = [lo + (hi - lo) * i / (_PRESCAN_POINTS - 1)
-          for i in range(_PRESCAN_POINTS)]
-    return (tuple(qs), *_read_only(np.array(qs),
-                                   np.array([log_nome(q) for q in qs]),
-                                   np.array([1.0 - q for q in qs])))
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_enclosures(lo: float, hi: float, alpha: float, terms: int):
-    """:func:`_enclosures` on the prescan grid of [lo, hi], read-only.
-    On :func:`solve_r0`'s domain every sum is finite where the weights
-    w_l = (2l+1)^alpha are: f_hat_q(2l+1) = 1 / sum_{|k| <= l} q^k is at
-    most 1 / (2l+1), so summand l is at most w_l / (2l+1). Where a
-    weight is infinite no enclosure exists, and the overflow error of
-    :func:`s_alpha` at lo is raised."""
-    bounds = _enclosures(*_prescan_nomes(lo, hi)[1:], alpha, terms)
-    if bounds is None:
-        raise _overflow(lo, alpha)
-    return _read_only(*bounds)
-
-
-def _sign_change(level, bounds, alpha: float, terms: int, lo: float,
-                 hi: float):
-    """The cell (q_i, q_{i+1}, f_i, f_{i+1}) of the first sign change of
-    f = s - level on the prescan grid of [lo, hi], s the raw mode sum at
-    each point and ``level`` a float or one per point; None where there
-    is none. ``bounds`` = (s_lo, s_hi) encloses each sum
-    (:func:`_grid_enclosures`), and rounding is monotone: s_hi - level
-    < 0 proves a point negative and s_lo - level >= 0 proves it not.
-    Only the points left open are summed in full, and then the ends of
-    the cell unless the two bounds give them one value.
-    """
-    qs = _prescan_nomes(lo, hi)[0]
-    sums = np.full(len(qs), math.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_lo, v_hi = bounds[0] - level, bounds[1] - level
-        negative = v_hi < 0.0
-        open_ = np.flatnonzero(~negative & ~(v_lo >= 0.0)).tolist()
-        for i in open_:
-            sums[i] = _mode_sum(qs[i], alpha, terms)
-        negative[open_] = (sums - level)[open_] < 0.0
-        changes = np.flatnonzero(negative[:-1] != negative[1:]).tolist()
-        if not changes:
-            return None
-        i = changes[0]
-        pinned = v_lo == v_hi
-        for j in (i, i + 1):
-            if not pinned[j]:
-                sums[j] = _mode_sum(qs[j], alpha, terms)
-        values = np.where(pinned, v_lo, sums - level)
-    return qs[i], qs[i + 1], float(values[i]), float(values[i + 1])
-
-
 @functools.lru_cache(maxsize=64)
 def _r0(alpha: float, terms: int, tol: float) -> float:
     """:func:`solve_r0` past its domain check; rows of one alpha at
     several p share it."""
-    bounds = _grid_enclosures(_Q_LO, _Q_HI, alpha, terms)
-    cell = _sign_change(2.0, bounds, alpha, terms, _Q_LO, _Q_HI)
     return bisect_monotone(lambda q: s_alpha(q, alpha, terms).value - 2.0,
-                           _Q_LO, _Q_HI, tol=tol, bracket=cell)
+                           _Q_LO, _Q_HI, tol=tol)
 
 
 def solve_r0(alpha: float, terms: int = DEFAULT_TERMS,
              tol: float = BISECTION_TOL) -> float:
     """Unique solution of s_alpha(q) = 2 (monotonicity gives
     uniqueness); bisection to ``tol`` in q. :func:`util.bisect_monotone`
-    narrows from the first sign-change cell of s - 2 on the 64-point
-    grid of [_Q_LO, _Q_HI] (:func:`_sign_change`) and replays the
-    midpoints of plain bisection on that whole range, so r0 is the float
-    plain bisection gives; with no sign change on the grid it starts
-    from the ends. Input outside the solvers' domain
-    (:func:`_check_solver_domain`) raises ValueError, and an infinite
-    weight (2l+1)^alpha the overflow error of :func:`s_alpha` at _Q_LO.
+    narrows [_Q_LO, _Q_HI] from its ends and replays the midpoints of
+    plain bisection on it, so r0 is the float plain bisection gives.
+    Input outside the solvers' domain (:func:`_check_solver_domain`)
+    raises ValueError, an infinite weight (2l+1)^alpha the overflow
+    error of :func:`s_alpha` at _Q_LO.
     """
-    _check_solver_domain(alpha, terms)
+    _check_solver_domain(alpha, terms, tol)
     return _r0(alpha, terms, tol)
 
 
@@ -600,7 +480,7 @@ def _row(alpha: float, p: int, terms: int, tol: float) -> tuple:
     comes from the derivatives, off by at most max |s''| rho^2 / 2. A
     point where (a, b) leaves G_2 is past the root, with a log record;
     the root oracle checks the closed form at r1_tilde."""
-    _check_solver_domain(alpha, terms, p)
+    _check_solver_domain(alpha, terms, tol, p)
     x = _r0(alpha, terms, tol)
     s_x = _slope_sums(x, alpha, terms)[0]
 
@@ -737,15 +617,19 @@ def _check_terms(terms: int) -> None:
         raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
 
 
-def _check_solver_domain(alpha: float, terms: int, p: int = 2) -> None:
-    """The threshold solvers' domain, with :class:`GpSpec`'s wording:
-    raises ValueError unless 2 <= p <= the largest float, 0 <= alpha <
-    inf and 1 <= terms <= ``MAX_TERMS``. An even p is admitted: the
-    threshold equations are defined there (:func:`check_p_alpha`). r0,
-    which takes no p, checks the default."""
+def _check_solver_domain(alpha: float, terms: int, tol: float,
+                         p: int = 2) -> None:
+    """The threshold solvers' domain, with the wording of :class:`GpSpec`
+    and of the CLI's settings: raises ValueError unless 2 <= p <= the
+    largest float, 0 <= alpha < inf, 1 <= terms <= ``MAX_TERMS`` and
+    0 < tol < inf. An even p is admitted: the threshold equations are
+    defined there (:func:`check_p_alpha`). r0, which takes no p, checks
+    the default."""
     _check_p_range(p)
     _check_alpha(alpha)
     _check_terms(terms)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
 
 
 def check_p_alpha(p: int, alpha: float) -> None:

@@ -6,7 +6,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rieszcert import util
@@ -22,11 +22,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 EXTRA_CALLS = 24
 
 
-def plain_bisection(f, lo, hi, tol=1e-9, max_iter=200, flo=None, fhi=None):
+def plain_bisection(f, lo, hi, tol=1e-9, max_iter=200):
     """bisect_monotone as it was before the narrowing phase: the
     reference it must reproduce."""
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -84,18 +83,15 @@ class Counted:
         return self.f(x)
 
 
-def check_same(f, lo, hi, tol, max_iter, pass_ends):
+def check_same(f, lo, hi, tol, max_iter):
     """Both bisections on f, with at most ``max_iter`` halvings: equal
     floats, or the same BracketFailure, and bisect_monotone within
     EXTRA_CALLS calls of the reference."""
-    ends = dict(flo=f(lo), fhi=f(hi)) if pass_ends else {}
     new, ref = Counted(f), Counted(f)
-    plain = functools.partial(plain_bisection, max_iter=max_iter, **ends)
-    bracket = (lo, hi, ends["flo"], ends["fhi"]) if pass_ends else None
-    fast = functools.partial(bisect_monotone, bracket=bracket)
+    plain = functools.partial(plain_bisection, max_iter=max_iter)
     outcomes = []
     with mock.patch.object(util, "BISECT_MAX_ITER", max_iter):
-        for run, g in ((fast, new), (plain, ref)):
+        for run, g in ((bisect_monotone, new), (plain, ref)):
             try:
                 outcomes.append(run(g, lo, hi, tol=tol).hex())
             except BracketFailure as exc:
@@ -108,37 +104,35 @@ def check_same(f, lo, hi, tol, max_iter, pass_ends):
 @PROPERTY
 @given(shape=st.sampled_from(sorted(SHAPES)), ends=ENDS,
        r=st.floats(-12.0, 12.0), k=st.floats(1.0, 30.0),
-       decreasing=st.booleans(), tol=TOLS, max_iter=MAX_ITERS,
-       pass_ends=st.booleans())
+       decreasing=st.booleans(), tol=TOLS, max_iter=MAX_ITERS)
 @example(shape="expm1", ends=(1e-9, 1.0 - 1e-9), r=0.3, k=30.0,
-         decreasing=False, tol=1e-9, max_iter=200, pass_ends=False)
+         decreasing=False, tol=1e-9, max_iter=200)
 def test_same_float_as_plain_bisection(shape, ends, r, k, decreasing, tol,
-                                       max_iter, pass_ends):
+                                       max_iter):
     # r outside [lo, hi] checks the BracketFailure; an affine f often
     # puts the first secant point on r itself, an exact zero off the path
     sign = -1.0 if decreasing else 1.0
     f = lambda x: sign * SHAPES[shape](x, r, k)  # noqa: E731
-    check_same(f, *ends, tol, max_iter, pass_ends)
+    check_same(f, *ends, tol, max_iter)
 
 
 @PROPERTY
 @given(ends=ENDS, r=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0),
-       tol=TOLS, max_iter=MAX_ITERS, pass_ends=st.booleans())
-def test_same_float_past_a_step_to_infinity(ends, r, cut, tol, max_iter,
-                                            pass_ends):
+       tol=TOLS, max_iter=MAX_ITERS)
+def test_same_float_past_a_step_to_infinity(ends, r, cut, tol, max_iter):
     # f = x - r below c and +inf from c on, the shape of solve_r1_tilde
     # where G_2 membership is lost; the sign change is at min(r, c)
     lo, hi = ends
     r, c = lo + r * (hi - lo), lo + cut * (hi - lo)
     check_same(lambda x: x - r if x < c else math.inf, lo, hi, tol,
-               max_iter, pass_ends)
+               max_iter)
 
 
 @PROPERTY
 @given(ends=ENDS, target=st.floats(0.0, 1.0), step=st.integers(1, 60),
-       tol=TOLS, max_iter=MAX_ITERS, pass_ends=st.booleans())
+       tol=TOLS, max_iter=MAX_ITERS)
 def test_same_float_with_a_zero_on_the_path(ends, target, step, tol,
-                                            max_iter, pass_ends):
+                                            max_iter):
     # f = x - m with m the step-th midpoint plain bisection visits on
     # its way to some target: it is also a midpoint of f's own path
     lo, hi = ends
@@ -148,54 +142,7 @@ def test_same_float_with_a_zero_on_the_path(ends, target, step, tol,
     m = mids[min(step, len(mids)) - 1]
     f = lambda x: x - m  # noqa: E731
     assert plain_bisection(f, lo, hi, tol, max_iter) == m
-    check_same(f, lo, hi, tol, max_iter, pass_ends)
-
-
-@PROPERTY
-@given(shape=st.sampled_from(sorted(SHAPES)), ends=ENDS,
-       r=st.floats(0.0, 1.0), on_path=st.integers(0, 60),
-       below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0),
-       k=st.floats(1.0, 30.0), decreasing=st.booleans(), tol=TOLS,
-       max_iter=MAX_ITERS)
-@example(shape="expm1", ends=(1e-9, 1.0 - 1e-9), r=0.3, on_path=0,
-         below=0.01, above=0.01, k=30.0, decreasing=False, tol=1e-9,
-         max_iter=200)
-@example(shape="affine", ends=(0.0, 1.0), r=0.0, on_path=0, below=0.5,
-         above=0.5, k=1.0, decreasing=False, tol=1e-9, max_iter=200)
-@example(shape="affine", ends=(0.0, 1.0), r=1.0, on_path=0, below=0.5,
-         above=1.0, k=1.0, decreasing=True, tol=1e-9, max_iter=200)
-def test_same_float_from_an_inner_bracket(shape, ends, r, on_path, below,
-                                          above, k, decreasing, tol,
-                                          max_iter):
-    # any [a, b] around the one sign change r, given with f(a) and f(b):
-    # plain bisection's float on [lo, hi], and f never evaluated at lo or
-    # hi. r is a midpoint of plain bisection's path when on_path > 0, and
-    # at an end of [a, b] when below or above is 0
-    lo, hi = ends
-    r = lo + r * (hi - lo)
-    if on_path:
-        mids = path_midpoints(lo, hi, r, tol, max_iter)
-        r = mids[min(on_path, len(mids)) - 1] if mids else r
-    a, b = r - below * (r - lo), r + above * (hi - r)
-    assume(lo <= a < b <= hi)
-    sign = -1.0 if decreasing else 1.0
-    f = lambda x: sign * SHAPES[shape](x, r, k)  # noqa: E731
-    new = Counted(f)
-    calls = []
-    with mock.patch.object(util, "BISECT_MAX_ITER", max_iter):
-        got = bisect_monotone(lambda x: calls.append(x) or new(x), lo, hi,
-                              tol=tol, bracket=(a, b, f(a), f(b)))
-    ref = Counted(f)
-    assert got.hex() == plain_bisection(ref, lo, hi, tol, max_iter).hex()
-    assert lo not in calls and hi not in calls
-    assert new.calls <= ref.calls + EXTRA_CALLS
-
-
-def test_an_inner_bracket_without_a_sign_change_is_refused():
-    with pytest.raises(BracketFailure,
-                       match=r"no sign change on \[0.25, 0.5\]"):
-        bisect_monotone(lambda x: x, 0.0, 1.0, tol=1e-9,
-                        bracket=(0.25, 0.5, 0.25, 0.5))
+    check_same(f, lo, hi, tol, max_iter)
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-14, 1e-300])
