@@ -7,6 +7,13 @@ and stderr, from ``rieszcert.cli.main`` run in-process.
     PYTHONPATH=src python tests/make_cli_corpus.py          # rewrite
     PYTHONPATH=src python tests/make_cli_corpus.py --diff   # list moves
 
+Both run the commands in a child process pinned to the same kernels on
+every x86-64 CPU (:func:`pinned_env`): numpy's SIMD dispatch at its
+baseline, and OpenBLAS's Prescott kernels. Without the pins, numpy's
+AVX2 path moves s_alpha(0.9, 1.7) by one ulp, and OpenBLAS's Haswell,
+Nehalem or Sandybridge kernels move the residuals that
+``appendix-verify`` prints.
+
 ``--diff`` writes nothing. It prints each command whose output moved,
 every changed line with the fields that moved in it (JSON margins and
 parameters, CSV columns, section lines) as old -> new with their
@@ -27,12 +34,32 @@ import json
 import logging
 import math
 import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.jsonl"
+
+
+def pinned_env() -> dict:
+    """The environment with every SIMD dispatch target of numpy turned
+    off and OpenBLAS on its Prescott kernels; the child process that
+    runs the corpus commands is started with it. ``PYTHONPATH`` leads
+    with the directory of the imported rieszcert, so the child runs the
+    same source."""
+    import rieszcert
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:              # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    src = str(Path(rieszcert.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+            "OPENBLAS_CORETYPE": "Prescott",
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def _gp(**params) -> str:
@@ -266,6 +293,13 @@ def main(argv=None) -> int:
     parser.add_argument("--diff", action="store_true",
                         help="compare with the corpus instead of writing it")
     args = parser.parse_args(argv)
+    env = pinned_env()
+    if any(os.environ.get(k) != env[k]
+           for k in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")):
+        return subprocess.run(
+            [sys.executable, __file__,
+             *(sys.argv[1:] if argv is None else argv)],
+            env=env).returncode
     records = [run(cmd) for cmd in commands()]
     if args.diff:
         return 1 if diff(load(), records) else 0
