@@ -189,18 +189,10 @@ def _row_sums(lq: float, one_minus_q: float, alpha: float, terms: int,
         return s, -(summands @ factor) / q - s / one_minus_q
 
 
-# 512 sums: those of the last 50 or so r0 solves
-@functools.lru_cache(maxsize=512)
-def _mode_sum(q: float, alpha: float, terms: int) -> float:
-    """The raw partial sum of :func:`s_alpha` at one q, not checked for
-    overflow, kept for :func:`s_alpha`."""
-    return float(_row_sums(log_nome(q), 1.0 - q, alpha, terms))
-
-
 @functools.lru_cache(maxsize=16)
 def _slope_sums(q: float, alpha: float, terms: int) -> tuple:
-    """(s, s') at one q: the raw partial sum of :func:`_mode_sum`, bit
-    for bit, and its q-derivative, from one kernel pass."""
+    """(s, s') at one q: the partial sum of :func:`s_alpha`, bit for
+    bit, and its q-derivative, from one kernel pass."""
     s, slope = _row_sums(log_nome(q), 1.0 - q, alpha, terms, q)
     return float(s), float(slope)
 
@@ -222,7 +214,7 @@ def s_alpha(q: float, alpha: float,
 
     The summands are (2l+1)^alpha f_hat_q(2l+1), the section
     coefficients c_{2l+1}(n) of a constant nome q, from the one kernel
-    :func:`dilation.odd_modes` (through :func:`_mode_sum`), so the value
+    :func:`dilation.odd_modes` (through :func:`_row_sums`), so the value
     is the l1 sum of one column of C.
 
     Each term is below (2l+1)^alpha q^l, and consecutive term ratios are
@@ -233,11 +225,11 @@ def s_alpha(q: float, alpha: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    total = _mode_sum(q, alpha, terms)
+    lq = log_nome(q)
+    total = float(_row_sums(lq, 1.0 - q, alpha, terms))
     # nonnegative summands: an inf or nan among them stays in the sum
     if not math.isfinite(total):
         raise _overflow(q, alpha)
-    lq = log_nome(q)
     try:
         first_omitted = (2.0 * terms + 1.0) ** alpha * math.exp(terms * lq)
         ratio = ((2.0 * terms + 3.0) / (2.0 * terms + 1.0)) ** alpha * q

@@ -277,10 +277,6 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     the disc.
     Every step costs O(d) and is renormalised by max |c_k|, so weights
     spread over hundreds of decades neither overflow nor underflow.
-    When the renormalised coefficients are real (positive inputs, as
-    every S1 and Td symbol), the recursion runs in float64: complex
-    arithmetic on zero imaginary parts rounds the real parts the same
-    way, so the verdict is the same bit for bit.
     Vanishing top coefficients are zeros at infinity; the zero
     polynomial has zeros everywhere.
     """
@@ -292,16 +288,12 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     if logs.max() == -math.inf:
         return False
     c = np.exp(logs - logs.max() + 1j * np.angle(c))
-    if not c.imag.any():
-        c = c.real
     while c.size > 1:
         # the top coefficient cancels; the new constant term is the
         # real number |c_0|^2 - |c_d|^2
         c = np.conj(c[0]) * c[:-1] - c[-1] * c[:0:-1].conj()
         if not c[0].real > 0.0:
             return False
-        # numpy divides a complex number by a real m + 0j as a product
-        # with 1 / m, so both dtypes round alike
         c *= 1.0 / np.maximum.reduce(np.abs(c))
     return bool(c[0] != 0)
 

@@ -316,13 +316,14 @@ def _drop_leading_copies(S: SectionMatrix, labels: np.ndarray,
     Such a copy has, row by row in index order, the entry counts, the
     column places within the component and the values (compared with
     ``==``, so a nan keeps its block) of the first rows of the block of
-    index 1. The components that pass the cheap test of
-    :func:`_same_sums` are matched with those rows entry by entry. A
-    single index, whose block is 1, is a copy too, but is dropped only
-    along with a larger copy: alone it saves nothing.
+    index 1. Each other component of two to ``len(top)`` indices is
+    matched with those rows entry by entry. A single index, whose block
+    is 1, is a copy too, but is dropped only along with a larger copy:
+    alone it saves nothing.
     """
     top = np.flatnonzero(labels == 0)
-    candidate = _same_sums(S, labels, sizes, top)
+    candidate = (sizes > 1) & (sizes <= len(top))
+    candidate[0] = False
     if not candidate.any():
         return sizes
     mine = np.flatnonzero(candidate[labels])
@@ -343,23 +344,6 @@ def _drop_leading_copies(S: SectionMatrix, labels: np.ndarray,
     if not candidate.any():
         return sizes
     return np.where(candidate | (sizes == 1), 0, sizes)
-
-
-def _same_sums(S: SectionMatrix, labels: np.ndarray, sizes: np.ndarray,
-               top: np.ndarray) -> np.ndarray:
-    """Whether each component other than that of index 1, whose indices
-    are ``top``, has from two to ``len(top)`` indices and entries that
-    sum, row by row in index order, to the same float as the first rows
-    of the block of index 1: a test that every copy of a leading block
-    passes, in a few passes over the entries."""
-    row_sums = np.bincount(S.rows, S.values, S.N)
-    leading = np.zeros(len(top) + 1)
-    np.cumsum(row_sums[top], out=leading[1:])
-    fits = (sizes > 1) & (sizes <= len(top))
-    same = fits & (np.bincount(labels, row_sums, len(sizes))
-                   == leading[np.where(fits, sizes, 0)])
-    same[0] = False
-    return same
 
 
 def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,

@@ -800,7 +800,7 @@ def test_mode_sums_are_the_old_blocked_loop_bit_for_bit():
             rng.random(size) < 0.3, 10.0 ** -rng.uniform(0.0, 300.0, size),
             rng.uniform(0.0, 1.0, size)) if 0.0 < q < 1.0]
         alpha, terms = float(rng.uniform(0.0, 4.0)), int(rng.integers(1, 3001))
-        assert np.array_equal([gp._mode_sum(q, alpha, terms) for q in qs],
+        assert np.array_equal([gp.s_alpha(q, alpha, terms).value for q in qs],
                               _mode_sums_reference(qs, alpha, terms))
         count += len(qs)
 

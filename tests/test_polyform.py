@@ -250,8 +250,8 @@ def test_gp_weights_spread_over_hundreds_of_decades(degree):
 
 
 def reference_zero_free_disc(coeffs, radius):
-    """zero_free_disc with the recursion in complex arithmetic for every
-    input, as it was before real coefficients ran it in float64."""
+    """zero_free_disc spelled out plainly: the recursion in complex
+    arithmetic, each step a new array renormalised by a division."""
     c = np.asarray(coeffs, dtype=complex)
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(c)) + np.arange(c.size) * math.log(radius)

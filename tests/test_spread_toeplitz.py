@@ -643,6 +643,82 @@ def _kept_roots(S):
     return None if kept is sizes else np.flatnonzero(kept).tolist()
 
 
+def _leading_copies_reference(S, labels, sizes):
+    """_drop_leading_copies from dense blocks: a component other than
+    that of index 1 with 2 to len(top) indices is dropped when its block
+    equals the leading block of that size of the block of index 1 (top);
+    the single indices go along when anything is dropped."""
+    A = S.entries
+    top = np.flatnonzero(labels == 0)
+    copies = []
+    for root in np.flatnonzero(sizes)[1:]:
+        mine = np.flatnonzero(labels == root)
+        k = len(mine)
+        if 2 <= k <= len(top) and np.array_equal(
+                A[np.ix_(mine, mine)], A[np.ix_(top[:k], top[:k])]):
+            copies.append(root)
+    if not copies:
+        return sizes
+    kept = np.where(sizes == 1, 0, sizes)
+    kept[copies] = 0
+    return kept
+
+
+def _random_sparse_rule(rng, N):
+    # a random set of j, and c_j(n) from a few levels by j and n mod m,
+    # so that blocks tie (m = 1: constant in n) or nearly tie
+    js = np.zeros(N + 1, dtype=bool)
+    js[rng.choice(np.arange(2, N + 1), int(rng.integers(1, 12)),
+                  replace=False)] = True
+    m = int(rng.integers(1, 4))
+    levels = rng.choice([0.25, 0.5, -0.75], (N + 1, m))
+    return lambda j, n: np.where(js[j], levels[j, n % m], 0.0)
+
+
+def _random_table_rule(rng, family):
+    # lam_n or q_n = table[(n / p^v_p(n)) mod len(table)], the table
+    # from a few levels, so that some of its entries tie
+    p = int(rng.choice([2, 3, 5])) if family == "ws" else 3
+    table = rng.choice([0.2, 0.35, 0.5], int(rng.integers(2, 5)))
+    alpha = float(rng.choice([0.0, 0.5]))
+    if family == "ws":
+        profs = [dl.LacunaryGeometricProfile(x, p, alpha) for x in table]
+    else:
+        profs = [dl.OddModeProfile(x, alpha) for x in table]
+
+    def profiles(n):
+        while n % p == 0:
+            n //= p
+        return profs[n % len(table)]
+
+    return lambda j, n: dl.trajectory_coeffs(profiles, alpha, j, n)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "gp", "ws"])
+def test_dropped_blocks_match_a_dense_reference(kind):
+    # 24 random sections per kind at N <= 512: the kept components are
+    # those the dense blocks give, and the section is kept whole (the
+    # same array back) exactly when no block is a copy. The draws hold
+    # components of a size that could be a copy, both dropped and kept
+    rng = np.random.default_rng({"sparse": 61, "gp": 62, "ws": 63}[kind])
+    fitting = np.zeros(2, dtype=int)     # (dropped, kept)
+    for _ in range(24):
+        N = int(rng.integers(2, 513))
+        rule = (_random_sparse_rule(rng, N) if kind == "sparse"
+                else _random_table_rule(rng, kind))
+        S = st.finite_section(rule, N)
+        labels = st._components(S)
+        sizes = np.bincount(labels)
+        kept = st._drop_leading_copies(S, labels, sizes)
+        want = _leading_copies_reference(S, labels, sizes)
+        assert (kept is sizes) == (want is sizes)
+        assert np.array_equal(kept, want)
+        fits = (sizes > 1) & (sizes <= sizes[0])
+        fits[0] = False
+        fitting += [(fits & (kept == 0)).sum(), (fits & (kept > 0)).sum()]
+    assert fitting.min() > 0
+
+
 def test_routing_by_largest_component(monkeypatch):
     # gp at N = 2048: the classes 2^k odd (k >= 1) are leading blocks of
     # the odd class, so Lanczos runs on its 1024 indices alone; ws: the
