@@ -71,7 +71,7 @@ def ptak_young(betas: Sequence[complex]) -> PtakYoungMatrix:
     bs = tuple(complex(b) for b in betas)
     if not bs:
         raise InvalidBeta("need at least one beta")
-    if any(abs(b) >= BETA_LIMIT for b in bs):
+    if any(not abs(b) < BETA_LIMIT for b in bs):
         raise InvalidBeta("every |beta_j| must be < 1 - 1e-12")
     d = len(bs)
     s = [math.sqrt(1.0 - abs(b) ** 2) for b in bs]
@@ -251,7 +251,7 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
 def _disc_lambdas(lambdas: Sequence[complex]) -> list:
     """The lambdas as complex numbers, each checked to lie in the disc."""
     lams = [complex(l) for l in lambdas]
-    if any(abs(l) >= 1 for l in lams):
+    if any(not abs(l) < 1 for l in lams):
         raise NotInPolydisc("every |lambda| must be < 1")
     return lams
 

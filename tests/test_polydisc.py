@@ -79,6 +79,10 @@ def test_ptak_young_rejects_boundary_beta():
         pd.ptak_young([0.5, 1.0])
     with pytest.raises(InvalidBeta):
         pd.ptak_young([1 - 1e-13])
+    # a nan fails every comparison, so it lies in no disc
+    for beta in (math.nan, complex(math.nan, 0)):
+        with pytest.raises(InvalidBeta):
+            pd.ptak_young([beta])
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +595,8 @@ def test_form_and_realization_solve_no_roots(monkeypatch):
     lambda lams: pd.realization(pd.ptak_young([0.5, 0.5]), lams),
 ], ids=["takenaka_malmquist", "model_residual", "tm_stack",
         "hermitian_form_tm", "realization"])
-@pytest.mark.parametrize("lam", [1.0, -1j, 1.25])
+@pytest.mark.parametrize("lam", [1.0, -1j, 1.25, math.nan,
+                                 complex(math.nan, 0)])
 def test_model_functions_refuse_a_lambda_off_the_disc(call, lam):
     with pytest.raises(NotInPolydisc, match="every"):
         call([0.3, lam])
