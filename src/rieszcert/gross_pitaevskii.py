@@ -28,7 +28,8 @@ from .dilation import OddModeProfile, odd_modes, section_rule
 from .errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                      RieszcertError)
 from .polydisc import MEMBERSHIP_TOL, in_polydisc_roots
-from .util import bisect_monotone, log_nome, sin_pi
+from .util import (bisect_monotone, check_alpha, check_p_range, log_nome,
+                   sin_pi)
 
 log = logging.getLogger(__name__)
 
@@ -592,18 +593,6 @@ def thresholds(alpha: float, p: int,
                         terms)
 
 
-def _check_p_range(p: int) -> None:
-    if p < 2:
-        raise ValueError("p must be an integer >= 2")
-    if p > sys.float_info.max:
-        raise ValueError("p must not exceed the largest float")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
-
-
 def _check_terms(terms: int) -> None:
     if not 1 <= terms <= MAX_TERMS:
         raise ValueError(f"terms must lie in 1..{MAX_TERMS}")
@@ -617,8 +606,8 @@ def _check_solver_domain(alpha: float, terms: int, tol: float,
     0 < tol < inf. An even p is admitted: the threshold equations are
     defined there (:func:`check_p_alpha`). r0, which takes no p, checks
     the default."""
-    _check_p_range(p)
-    _check_alpha(alpha)
+    check_p_range(p)
+    check_alpha(alpha)
     _check_terms(terms)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
@@ -631,11 +620,11 @@ def check_p_alpha(p: int, alpha: float) -> None:
     0 <= alpha < inf. At an even p the odd-mode series has no
     coefficient at the modes p and p^2, so the structured part of the
     envelope argument is no part of the operator."""
-    _check_p_range(p)
+    check_p_range(p)
     if p % 2 == 0:
         raise ValueError("p must be odd: the odd-mode series has no "
                          "coefficient at the modes p and p^2")
-    _check_alpha(alpha)
+    check_alpha(alpha)
 
 
 @dataclass(frozen=True)

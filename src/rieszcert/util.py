@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,6 +30,22 @@ def sin_pi(x):
     if arr.shape == ():
         return float(out)
     return out
+
+
+def check_p_range(p: int) -> None:
+    """The period base's domain in both families: ValueError unless
+    2 <= p <= the largest float."""
+    if p < 2:
+        raise ValueError("p must be an integer >= 2")
+    if p > sys.float_info.max:
+        raise ValueError("p must not exceed the largest float")
+
+
+def check_alpha(alpha: float) -> None:
+    """The Sobolev exponent's domain in both families: ValueError
+    unless 0 <= alpha < inf."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
 
 
 def log_nome(q: float) -> float:

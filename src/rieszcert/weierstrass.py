@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,7 @@ from .certificate import ENVELOPE_RIGOROUS, Certificate
 from .dilation import LacunaryGeometricProfile, section_rule
 # unused here; perfbench's tracer and its tests rebind this name
 from .polyform import min_modulus_disc
-from .util import golden_min
+from .util import check_alpha, check_p_range, golden_min
 
 REGION_S0 = "S0"
 REGION_S1 = "S1"
@@ -38,12 +37,8 @@ class WeierstrassSpec:
     region: str = REGION_S1
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be an integer >= 2")
-        if self.p > sys.float_info.max:
-            raise ValueError("p must not exceed the largest float")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be finite and >= 0")
+        check_p_range(self.p)
+        check_alpha(self.alpha)
         # nu < 1 as well: mu p^alpha can round up to 1 just below p^-alpha
         if not (0.0 < self.mu < self.p ** (-self.alpha) and self.nu < 1.0):
             raise ValueError("mu must lie in (0, p^-alpha)")
