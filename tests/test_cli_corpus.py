@@ -16,5 +16,5 @@ def test_cli_corpus_replays_byte_for_byte():
     assert [r["argv"] for r in corpus.load()] == corpus.commands()
     child = subprocess.run([sys.executable, corpus.__file__, "--diff"],
                            env=corpus.pinned_env(), capture_output=True,
-                           text=True)
+                           text=True, timeout=600)
     assert child.returncode == 0, child.stdout + child.stderr

@@ -666,12 +666,13 @@ def _leading_copies_reference(S, labels, sizes):
 
 def _random_sparse_rule(rng, N):
     # a random set of j, and c_j(n) from a few levels by j and n mod m,
-    # so that blocks tie (m = 1: constant in n) or nearly tie
+    # so that blocks tie (m = 1: constant in n) or nearly tie; the level
+    # 0 cuts links, so that some components outgrow that of index 1
     js = np.zeros(N + 1, dtype=bool)
     js[rng.choice(np.arange(2, N + 1), int(rng.integers(1, 12)),
                   replace=False)] = True
     m = int(rng.integers(1, 4))
-    levels = rng.choice([0.25, 0.5, -0.75], (N + 1, m))
+    levels = rng.choice([0.0, 0.25, 0.5, -0.75], (N + 1, m))
     return lambda j, n: np.where(js[j], levels[j, n % m], 0.0)
 
 
