@@ -15,6 +15,7 @@ Schur-Cohn Hermitian form.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -94,6 +95,39 @@ def _default_ptak_young(d: int) -> PtakYoungMatrix:
     return Y
 
 
+@functools.lru_cache(maxsize=16)
+def _default_gram(d: int) -> np.ndarray:
+    """The Gram matrices G_jk = (Y^j)* Y^k, j, k = 0, ..., d, of Y =
+    ``_default_ptak_young(d)``, as the rows j (d + 1) + k of a
+    ((d + 1)^2, d^2) array; built once per d and read-only."""
+    Y = _default_ptak_young(d).matrix
+    powers = [np.eye(d, dtype=complex)]
+    for _ in range(d):
+        powers.append(powers[-1] @ Y)
+    P = np.array(powers)
+    G = np.einsum("jab,kac->jkbc", P.conj(), P).reshape((d + 1) ** 2, d * d)
+    G.setflags(write=False)
+    return G
+
+
+def _default_form(a: list) -> np.ndarray:
+    """The Schur-Cohn form of :func:`in_polydisc_schur_cohn` at the
+    default Ptak-Young matrix Y, as a quadratic form in the coefficients.
+
+    With q = (1, a_1, ..., a_d) the ascending coefficients of Q and
+    p = (conj(a_d), ..., conj(a_1), 1) those of P,
+    H = Q(Y)* Q(Y) - P(Y)* P(Y) = sum_jk (conj(q_j) q_k - conj(p_j) p_k)
+    G_jk, one product with the cached :func:`_default_gram`. Its lower
+    triangle, which ``eigvalsh`` reads, agrees with
+    :func:`schur_cohn_form` to rounding; the upper one is not mirrored.
+    """
+    d = len(a)
+    q = np.array([1.0] + a)
+    p = q[::-1].conj()
+    W = np.outer(q.conj(), q) - np.outer(p.conj(), p)
+    return (W.reshape(-1) @ _default_gram(d)).reshape(d, d)
+
+
 def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     """Root oracle: (a_1, ..., a_d) is in G_d iff 1 + sum a_k z^k has all
     roots outside the closed unit disc. Margin is min |root| - 1.
@@ -121,12 +155,19 @@ def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
     if w * sys.float_info.max < 1.0:
         return MembershipVerdict(True, math.inf)
     k = _deflated_degree(pol)
-    z = min(polyform.roots(pol.coeffs[:k + 1]).roots, key=polyform.modulus)
+    kept = pol if k == d else polyform.Polynomial(pol.coeffs[:k + 1])
+    z = min(polyform.roots(kept).roots, key=polyform.modulus)
     margin = polyform.modulus(z) - 1.0
-    pz = polyform.modulus(polyform.eval_poly(pol, z))
-    dz = polyform.modulus(polyform.eval_poly(
-        [k * c for k, c in enumerate(pol.coeffs)][1:], z))
-    inclusion = 0.0 if pz == 0 else (pol.degree * pz / dz if dz else math.inf)
+    # p(z) and p'(z) by Horner's scheme over the coefficients c_j and
+    # j c_j, in one loop
+    pz = dz = 0j
+    for j in range(d, 0, -1):
+        c = pol.coeffs[j]
+        pz = pz * z + c
+        dz = dz * z + j * c
+    pz = polyform.modulus(pz * z + pol.coeffs[0])
+    dz = polyform.modulus(dz)
+    inclusion = 0.0 if pz == 0 else (d * pz / dz if dz else math.inf)
     # a NaN or infinite margin or inclusion radius decides nothing
     decisive = (math.isfinite(margin) and abs(margin) > MEMBERSHIP_TOL
                 and abs(margin) > inclusion)
@@ -150,15 +191,26 @@ def _deflated_degree(pol: polyform.Polynomial) -> int:
     others are the roots of c_0 + ... + c_k z^k up to a change below the
     float resolution where the verdict is decided. Every such k needs
     |c_d| R below |c_k| / 2, which is checked first.
+
+    Where a modulus |c_i| is past the float range (its parts finite), no
+    radius keeps Horner's sums finite, and the test runs at R = 2^53,
+    the least radius for which the argument above holds. A part that is
+    not finite deflates nothing.
     """
     cs, d = pol.coeffs, pol.degree
-    # sum |c_i| >= |c_0| = 1: the quotient cannot overflow; a modulus
-    # past the float range makes it 0, and no root is deflated
-    r = (sys.float_info.max / sum(map(polyform.modulus, cs))) ** (1.0 / d)
-    if not (r >= 2.0 ** 53 and abs(cs[d]) * r < max(map(abs, cs[:d])) / 2.0):
+    total = sum(map(polyform.modulus, cs))
+    if total < math.inf:
+        # sum |c_i| >= |c_0| = 1: the quotient cannot overflow
+        r = (sys.float_info.max / total) ** (1.0 / d)
+        if not (r >= 2.0 ** 53
+                and abs(cs[d]) * r < max(map(abs, cs[:d])) / 2.0):
+            return d
+        log_r = math.log(r)
+    elif all(map(cmath.isfinite, cs)):
+        log_r = 53.0 * math.log(2.0)
+    else:
         return d
-    log_r = math.log(r)
-    logs = [math.log(abs(c)) if c else -math.inf for c in cs]
+    logs = [_log_modulus(c) for c in cs]
     for k in range(1, d):
         if not cs[k]:
             continue
@@ -167,6 +219,16 @@ def _deflated_degree(pol: polyform.Polynomial) -> int:
         if max(excess) < 0.0 and sum(map(math.exp, excess)) < 0.5:
             return k
     return d
+
+
+def _log_modulus(c: complex) -> float:
+    """log |c|, -inf at c = 0; past the float range from |c / 2|."""
+    if not c:
+        return -math.inf
+    try:
+        return math.log(abs(c))
+    except OverflowError:
+        return math.log(abs(c / 2.0)) + math.log(2.0)
 
 
 def _matrix_poly(asc_coeffs, M: np.ndarray) -> np.ndarray:
@@ -231,16 +293,23 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     monic convention via the conjugate-polynomial correspondence
     (c_k = conj(a_k)); the margin is the smallest eigenvalue of the
     Schur-Cohn Hermitian form. Without ``betas`` every beta_j is
-    ``DEFAULT_BETA``, and that matrix is built once per d. A form that
-    is not finite (a coefficient past about 1e154, or not finite) gives
-    no margin: the verdict is indeterminate, with margin nan.
+    ``DEFAULT_BETA``, and the form is :func:`_default_form`: the Gram
+    matrices (Y^j)* Y^k of that Y are built once per d, and the form is
+    one product of them with the coefficients' products, not d + 1
+    matrix Horner steps. Given betas, it is :func:`schur_cohn_form` at
+    their Y. A form that is not finite (a coefficient past about 1e154,
+    or not finite) gives no margin: the verdict is indeterminate, with
+    margin nan.
     """
     a = [complex(c) for c in coeffs]
     # beta = 0 is forbidden by the spectrum-plus-defect definition (the
     # nilpotent Jordan block), so a fixed nonzero default is used.
-    Y = _default_ptak_young(len(a)) if betas is None else ptak_young(betas)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = schur_cohn_form([c.conjugate() for c in a], Y)
+        if betas is None:
+            H = _default_form(a)
+        else:
+            H = schur_cohn_form([c.conjugate() for c in a],
+                                ptak_young(betas))
     if not np.isfinite(H).all():
         return MembershipVerdict(False, math.nan, indeterminate=True)
     margin = float(np.linalg.eigvalsh(H)[0])

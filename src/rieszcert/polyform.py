@@ -83,7 +83,7 @@ def eval_poly(p, z: complex) -> complex:
     return acc
 
 
-def _initial_points(c: np.ndarray) -> np.ndarray:
+def _initial_points(c: tuple) -> list:
     """Newton-polygon starting points for simultaneous iteration.
 
     Each edge of the upper convex hull of (k, log|c_k|) contributes its
@@ -91,7 +91,10 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     for graded coefficients this lands one starting point near every
     root-magnitude cluster, which a single Cauchy-bound circle does not.
     Falls back to the circle 1 + max|c_k/c_d| when the hull is a single
-    edge anyway.
+    edge anyway; that bound is below the hull radius only at d = 1, by
+    the rounding of |c_0 / c_1| past about 1e14. Everything is on Python
+    floats, so no point depends on numpy's SIMD dispatch; every |c_k|
+    must be finite.
     """
     d = len(c) - 1
     ks = [k for k in range(d + 1) if c[k] != 0]
@@ -107,9 +110,9 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
                 break
         hull.append(k)
     points = []
-    # in Python floats: past the float range the bound is inf, not a
-    # RuntimeWarning, and the hull radius decides
-    cauchy = 1.0 + float(np.abs(c[:-1]).max()) / float(abs(c[-1]))
+    # past the float range the quotient is inf, and the hull radius
+    # decides
+    cauchy = 1.0 + max(map(abs, c[:-1])) / abs(c[-1])
     for edge, (k1, k2) in enumerate(zip(hull, hull[1:])):
         m = k2 - k1
         expo = (logs[k1] - logs[k2]) / m
@@ -118,8 +121,9 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
             radius = min(radius if radius > 0 else cauchy, cauchy)
         phase = 0.376991 + 1.2391 * edge
         for i in range(m):
-            points.append(radius * np.exp(1j * (2.0 * np.pi * i / m + phase)))
-    return np.asarray(points, dtype=complex)
+            t = 2.0 * math.pi * i / m + phase
+            points.append(radius * complex(math.cos(t), math.sin(t)))
+    return points
 
 
 def modulus(z: complex) -> float:
@@ -144,112 +148,134 @@ def roots(p) -> RootSet:
     corrections stagnate near sqrt(eps)), and NonConvergence is raised
     when neither holds after ``ROOT_MAX_ITER`` steps.
 
-    The iteration runs on Python complex scalars: a step makes, per
-    root, one Horner pass each for p, the majorant sum_k |c_k| |z|^k and
-    p', then the pair sum over the other roots, so it costs O(d^2)
-    interpreted operations. At d <= 8, the degrees the package uses,
-    that is 2-5 times faster than the same steps as numpy calls on
-    arrays of length d, whose cost is per call; near d = 20 the two
-    break even, and at d = 64 the scalar steps take 3 times as long
-    (2-vCPU Xeon, numpy 2.4). A modulus past the float range counts as
-    inf, where abs() raises OverflowError, and two equal iterates give
-    1 / 0 = inf + nan j: such an iteration ends in NaN roots and a NaN
-    residual, not in an exception.
+    The iteration runs on Python complex scalars (:func:`_aberth`): a
+    step makes, per root, one Horner loop for p, p' and the majorant
+    sum_k |c_k| |z|^k, then the pair sum over the other roots, so it
+    costs O(d^2) interpreted operations. At d <= 8, the degrees the
+    package uses, that is 3-9 times faster than the same steps as numpy
+    calls on arrays of length d, whose cost is per call (9 times at
+    d = 2, 3 times at d = 8); near d = 20 the two break even, and at
+    d = 64 the scalar steps take 3 times as long (2-vCPU Xeon, numpy
+    2.4.6). The starting points are Python floats too, so the roots do
+    not depend on numpy's SIMD dispatch. A modulus past the float range
+    counts as inf, where abs() raises OverflowError, and two equal
+    iterates give 1 / 0 = inf + nan j: such an iteration ends in NaN
+    roots and a NaN residual, not in an exception.
     """
     pol = as_poly(p)
     d = pol.degree
     if d < 1:
         raise ValueError("root finding requires degree >= 1")
 
+    c = pol.coeffs
+    # a modulus past the float range makes the majorant inf and every
+    # relative residual 0 at the starting points; halving each
+    # coefficient keeps the roots and brings each modulus, at most
+    # sqrt(2) times its larger finite part, back in range. A subnormal
+    # coefficient can vanish: at the top, Polynomial refuses it, and at
+    # the bottom, its zero root is split off below
+    if any(modulus(ck) == math.inf for ck in c):
+        c = Polynomial(tuple(complex(0.5 * ck.real, 0.5 * ck.imag)
+                             for ck in c)).coeffs
+
     zero_count = 0
-    while pol.coeffs[zero_count] == 0:
+    while c[zero_count] == 0:
         zero_count += 1
     if zero_count:
-        reduced = Polynomial(pol.coeffs[zero_count:])
+        reduced = Polynomial(c[zero_count:])
         if reduced.degree == 0:
             return RootSet((0j,) * zero_count, 0.0)
         inner = roots(reduced)
         return RootSet((0j,) * zero_count + inner.roots, inner.residual)
 
-    c = pol.coeffs
-    # a modulus past the float range makes the majorant inf and every
-    # relative residual 0 at the starting points; halving each
-    # coefficient keeps the roots and brings each modulus, at most
-    # sqrt(2) times its larger finite part, back in range
-    if any(modulus(ck) == math.inf for ck in c):
-        c = tuple(complex(0.5 * ck.real, 0.5 * ck.imag) for ck in c)
-    desc = c[::-1]
-    ddesc = [k * c[k] for k in range(d, 0, -1)]
-    cabs = [modulus(ck) for ck in desc]
-
-    def values(zs: list) -> tuple:
-        """p at each of zs, and |p| relative to the majorant there."""
-        pvs, rel = [], []
-        for zi in zs:
-            pv = 0j
-            for ck in desc:
-                pv = pv * zi + ck
-            az = modulus(zi)
-            major = 0.0
-            for ak in cabs:
-                major = major * az + ak
-            pvs.append(pv)
-            rel.append(modulus(pv) / major)
-        return pvs, rel
-
     # the iteration clamps |p'| to 1e-300, so it cannot move towards the
     # root of a linear p with |c_1| below that: such a p starts there
-    if d == 1 and modulus(c[1]) < 1e-300:
+    if d == 1 and abs(c[1]) < 1e-300:
         z = [-c[0] / c[1]]
     else:
-        z = _initial_points(np.asarray(c, dtype=complex)).tolist()
+        z = _initial_points(c)
+    # abs() raises OverflowError past the float range, where modulus()
+    # gives inf; the two agree everywhere else, so the iteration reruns
+    # with modulus() only when that happens
+    try:
+        return _aberth(c, z, abs)
+    except OverflowError:
+        return _aberth(c, z, modulus)
 
+
+def _aberth(c: tuple, start: list, mod) -> RootSet:
+    """The Aberth-Ehrlich iteration of :func:`roots` from ``start``, with
+    ``mod`` for every modulus.
+
+    A step makes two passes over the roots. The first takes p, p' and
+    the majorant at each root from one Horner loop, and stops the
+    iteration when every residual is below ``ROOT_TOL``. The second
+    forms the pair sums, the corrections and their size test, and
+    updates each root in place once its pair sum is complete.
+    """
+    d = len(start)
+    # Horner's terms c_k, k c_k and |c_k| for k = d, ..., 1
+    terms = [(c[k], k * c[k], mod(c[k])) for k in range(d, 0, -1)]
+    c0, a0 = c[0], mod(c[0])
+    z = list(start)
+    pvs = [0j] * d
+    dvs = [0j] * d
     converged = False
-    for _ in range(ROOT_MAX_ITER):
-        pvs, rel = values(z)
-        if all(r <= ROOT_TOL for r in rel):
-            converged = True
+    for step in range(ROOT_MAX_ITER + 1):
+        # the largest |p| / majorant, nan if any is nan: after the last
+        # correction this is the residual of the returned roots
+        worst = 0.0
+        for i, zi in enumerate(z):
+            az = mod(zi)
+            pv = dv = 0j
+            major = 0.0
+            for ck, dk, ak in terms:
+                pv = pv * zi + ck
+                dv = dv * zi + dk
+                major = major * az + ak
+            pv = pv * zi + c0
+            pvs[i] = pv
+            dvs[i] = dv
+            r = mod(pv) / (major * az + a0)
+            if worst == worst and not r <= worst:
+                worst = r
+        converged = converged or worst <= ROOT_TOL
+        if converged or step == ROOT_MAX_ITER:
             break
         # s_i = sum_{j != i} 1 / (z_i - z_j), in ascending j; each
         # quotient serves both terms of its pair, as 1 / (z_j - z_i) is
-        # its negative bit for bit
+        # its negative bit for bit. s_i is complete once the pairs
+        # (i, j > i) are in, and they read only roots not yet moved
         s = [0j] * d
+        converged = True
         for i in range(d):
+            zi = z[i]
+            si = s[i]
             for j in range(i + 1, d):
                 try:
-                    t = 1.0 / (z[i] - z[j])
+                    t = 1.0 / (zi - z[j])
                 except ZeroDivisionError:
                     t = complex(math.inf, math.nan)
-                s[i] += t
+                si += t
                 s[j] -= t
-        corr = []
-        for i, zi in enumerate(z):
-            dv = 0j
-            for ck in ddesc:
-                dv = dv * zi + ck
-            if modulus(dv) < 1e-300:
+            dv = dvs[i]
+            if mod(dv) < 1e-300:
                 dv = 1e-300 + 0j
             w = pvs[i] / dv
-            denom = 1.0 - w * s[i]
-            if modulus(denom) < 1e-300:
+            denom = 1.0 - w * si
+            if mod(denom) < 1e-300:
                 denom = 1e-300 + 0j
-            corr.append(w / denom)
-        z = [zi - ci for zi, ci in zip(z, corr)]
-        rel = None      # the residuals were those of the previous z
-        if all(modulus(ci) <= ROOT_TOL * (1.0 + modulus(zi))
-               for zi, ci in zip(z, corr)):
-            converged = True
-            break
-    if rel is None:
-        rel = values(z)[1]
+            ci = w / denom
+            z[i] = zi = zi - ci
+            if converged and not mod(ci) <= ROOT_TOL * (1.0 + mod(zi)):
+                converged = False
     # a NaN residual (an iterate past the float range) is returned, not
     # raised as NonConvergence
-    residual = math.nan if any(map(math.isnan, rel)) else max(rel)
-    if not converged and residual > ROOT_TOL:
+    if not converged and worst > ROOT_TOL:
         raise NonConvergence(
             f"root iteration did not converge in {ROOT_MAX_ITER} steps "
-            f"(relative residual {residual:.3e})")
-    return RootSet(tuple(z), residual)
+            f"(relative residual {worst:.3e})")
+    return RootSet(tuple(z), worst)
 
 
 def elementary_symmetric(lambdas: Sequence[complex]) -> list:
@@ -362,15 +388,16 @@ def min_modulus_disc(p) -> float:
     if not zero_free_disc(pol.coeffs, 1.0 + BOUNDARY_TOL):
         return 0.0
 
-    c = np.asarray(pol.coeffs, dtype=complex)
-    c = np.pad(c, (0, -c.size % CIRCLE_ANGLES))
+    n = pol.degree + 1
+    c = np.zeros(n + -n % CIRCLE_ANGLES, dtype=complex)
+    c[:n] = pol.coeffs
     c = c.reshape(-1, CIRCLE_ANGLES).sum(axis=0)
     # unscaled inverse DFT: sum_k c_k e^{2 pi i m k / M} = p(e^{i t_m})
     vals = np.abs(np.fft.ifft(c, norm="forward"))
 
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    local = np.flatnonzero((vals <= left) & (vals <= right))
+    # the samples between their cyclic neighbours
+    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
+    local = np.flatnonzero((vals <= wrapped[:-2]) & (vals <= wrapped[2:]))
     order = local[np.argsort(vals[local])][:3]
 
     def f(t: float) -> float:

@@ -128,6 +128,25 @@ def test_roots_of_a_coefficient_modulus_past_the_float_range():
 
 
 @pytest.mark.filterwarnings("error")
+def test_root_oracle_deflates_beside_a_modulus_past_the_float_range():
+    # 1 + c z + z^2, |c| = 2.1e308: sum |c_i| was inf, so no radius kept
+    # Horner's sums finite, nothing was deflated, and the margin was nan.
+    # The Pellet test at R = 2^53 keeps the root near -1 / c, inside
+    big = complex(1.5e308, 1.5e308)
+    assert pd.in_polydisc_roots([big, 1]) == pd.MembershipVerdict(
+        False, -1.0, indeterminate=False)
+    (root,) = pf.roots([1.0, big]).roots
+    assert 0.0 < abs(root) < 1e-308
+    # the Schur-Cohn form still overflows there
+    cert = pd.membership_certificate([big, 1])
+    assert cert.verdict is False
+    assert math.isnan(cert.margins["schur_cohn_margin"])
+    # a part that is not finite deflates nothing, as before
+    for coeffs in ([complex(math.inf, 0.0), 1], [complex(math.nan, 0.0), 1]):
+        assert pd._deflated_degree(pf.as_poly([1.0] + coeffs)) == 2
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("coeffs, inside, indeterminate", [
     ([1.0, 1e-320], False, True),       # roots -1 and about -1e320
     ([0.5, 1e-320], True, False),       # roots -2 and about -5e319
@@ -223,7 +242,7 @@ def _numpy_roots(p):
     dc = c[1:] * np.arange(1, d + 1)
     crev, dcrev = c[::-1], dc[::-1]
     cabs = np.abs(crev)
-    z = pf._initial_points(c)
+    z = np.asarray(pf._initial_points(pol.coeffs), dtype=complex)
     converged = False
     for _ in range(pf.ROOT_MAX_ITER):
         pv = np.polyval(crev, z)
@@ -352,16 +371,37 @@ def test_schur_cohn_form_that_is_not_finite_is_indeterminate(coeffs):
 
 @pytest.mark.filterwarnings("error")
 def test_schur_cohn_margin_is_the_smallest_eigenvalue_of_the_form():
-    # at moduli up to 1e150, while the form stays finite
+    # at moduli up to 1e150, while the form stays finite; without betas
+    # the form is the cached Gram form
     rng = np.random.default_rng(32)
     for scale in (1.0, 1e99, 1e101, 1e150):
         for d in range(1, 8):
             c = scale * (rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
-            form = pd.schur_cohn_form(np.conj(c), pd._default_ptak_young(d))
+            form = pd._default_form([complex(x) for x in c])
             margin = float(np.linalg.eigvalsh(form)[0])
             assert pd.in_polydisc_schur_cohn(c) == pd.MembershipVerdict(
                 margin > pd.MEMBERSHIP_TOL, margin,
                 indeterminate=abs(margin) <= pd.MEMBERSHIP_TOL)
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_form_matches_the_horner_form():
+    # sum_jk (conj(q_j) q_k - conj(p_j) p_k) (Y^j)* Y^k against the
+    # Horner form at the same Y, on the membership mix at moduli up to
+    # 1e150: both finite, and equal to 1e-13 of the form's norm
+    rng = np.random.default_rng(33)
+    Y = pd._default_ptak_young
+    for i in range(1200):
+        scale = (1.0, 1e50, 1e99, 1e101, 1e150)[i % 5]
+        a = [scale * c for c in _membership_draw(rng, i // 5)]
+        got = pd._default_form(a)
+        want = pd.schur_cohn_form([c.conjugate() for c in a], Y(len(a)))
+        assert np.isfinite(got).all() and np.isfinite(want).all()
+        norm = float(np.linalg.norm(want, 2))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, norm), a
+    for d in range(1, 9):
+        assert pd._default_gram(d) is pd._default_gram(d)
+        assert not pd._default_gram(d).flags.writeable
 
 
 def test_oracle_agreement_and_beta_independence():
