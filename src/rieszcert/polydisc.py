@@ -96,18 +96,19 @@ def _default_ptak_young(d: int) -> PtakYoungMatrix:
 
 
 @functools.lru_cache(maxsize=16)
-def _default_gram(d: int) -> np.ndarray:
-    """The Gram matrices G_jk = (Y^j)* Y^k, j, k = 0, ..., d, of Y =
-    ``_default_ptak_young(d)``, as the rows j (d + 1) + k of a
-    ((d + 1)^2, d^2) array; built once per d and read-only."""
+def _default_powers(d: int) -> tuple:
+    """Y^0, ..., Y^d of Y = ``_default_ptak_young(d)``, stacked in rows
+    as a ((d + 1) d, d) array, and the conjugate transpose of that
+    stack; built once per d and read-only."""
     Y = _default_ptak_young(d).matrix
     powers = [np.eye(d, dtype=complex)]
     for _ in range(d):
         powers.append(powers[-1] @ Y)
-    P = np.array(powers)
-    G = np.einsum("jab,kac->jkbc", P.conj(), P).reshape((d + 1) ** 2, d * d)
-    G.setflags(write=False)
-    return G
+    stack = np.concatenate(powers)
+    adjoint = stack.conj().T.copy()
+    stack.setflags(write=False)
+    adjoint.setflags(write=False)
+    return stack, adjoint
 
 
 def _default_form(a: list) -> np.ndarray:
@@ -116,16 +117,21 @@ def _default_form(a: list) -> np.ndarray:
 
     With q = (1, a_1, ..., a_d) the ascending coefficients of Q and
     p = (conj(a_d), ..., conj(a_1), 1) those of P,
-    H = Q(Y)* Q(Y) - P(Y)* P(Y) = sum_jk (conj(q_j) q_k - conj(p_j) p_k)
-    G_jk, one product with the cached :func:`_default_gram`. Its lower
-    triangle, which ``eigvalsh`` reads, agrees with
-    :func:`schur_cohn_form` to rounding; the upper one is not mirrored.
+    H = Q(Y)* Q(Y) - P(Y)* P(Y) = sum_jk W_jk (Y^j)* Y^k with
+    W_jk = conj(q_j) q_k - conj(p_j) p_k: two products with the cached
+    :func:`_default_powers`, M_j = sum_k W_jk Y^k and H = sum_j (Y^j)* M_j.
+    (One product of W with the d^4 entries of the Gram matrices
+    (Y^j)* Y^k is a matrix-vector product, for which OpenBLAS wakes a
+    second thread that then spins on the other CPU.) Its lower triangle,
+    which ``eigvalsh`` reads, agrees with :func:`schur_cohn_form` to
+    rounding; the upper one is not mirrored.
     """
     d = len(a)
+    stack, adjoint = _default_powers(d)
     q = np.array([1.0] + a)
-    p = q[::-1].conj()
-    W = np.outer(q.conj(), q) - np.outer(p.conj(), p)
-    return (W.reshape(-1) @ _default_gram(d)).reshape(d, d)
+    r = q[::-1]
+    W = q.conj()[:, None] * q - r[:, None] * r.conj()
+    return adjoint @ (W @ stack.reshape(d + 1, d * d)).reshape(-1, d)
 
 
 def in_polydisc_roots(coeffs: Sequence[complex]) -> MembershipVerdict:
@@ -293,11 +299,10 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     monic convention via the conjugate-polynomial correspondence
     (c_k = conj(a_k)); the margin is the smallest eigenvalue of the
     Schur-Cohn Hermitian form. Without ``betas`` every beta_j is
-    ``DEFAULT_BETA``, and the form is :func:`_default_form`: the Gram
-    matrices (Y^j)* Y^k of that Y are built once per d, and the form is
-    one product of them with the coefficients' products, not d + 1
-    matrix Horner steps. Given betas, it is :func:`schur_cohn_form` at
-    their Y. A form that is not finite (a coefficient past about 1e154,
+    ``DEFAULT_BETA``, and the form is :func:`_default_form`: the powers
+    Y^0, ..., Y^d of that Y are built once per d, and the form takes two
+    matrix products with them, not d + 1 matrix Horner steps. Given
+    betas, it is :func:`schur_cohn_form` at their Y. A form that is not finite (a coefficient past about 1e154,
     or not finite) gives no margin: the verdict is indeterminate, with
     margin nan.
     """

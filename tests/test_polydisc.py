@@ -390,18 +390,22 @@ def test_default_form_matches_the_horner_form():
     # Horner form at the same Y, on the membership mix at moduli up to
     # 1e150: both finite, and equal to 1e-13 of the form's norm
     rng = np.random.default_rng(33)
-    Y = pd._default_ptak_young
     for i in range(1200):
         scale = (1.0, 1e50, 1e99, 1e101, 1e150)[i % 5]
         a = [scale * c for c in _membership_draw(rng, i // 5)]
         got = pd._default_form(a)
-        want = pd.schur_cohn_form([c.conjugate() for c in a], Y(len(a)))
+        want = pd.schur_cohn_form([c.conjugate() for c in a],
+                                  pd._default_ptak_young(len(a)))
         assert np.isfinite(got).all() and np.isfinite(want).all()
         norm = float(np.linalg.norm(want, 2))
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, norm), a
     for d in range(1, 9):
-        assert pd._default_gram(d) is pd._default_gram(d)
-        assert not pd._default_gram(d).flags.writeable
+        stack, adjoint = pd._default_powers(d)
+        assert pd._default_powers(d)[0] is stack
+        assert not (stack.flags.writeable or adjoint.flags.writeable)
+        assert np.array_equal(adjoint, stack.conj().T)
+        Y = pd._default_ptak_young(d).matrix
+        assert np.allclose(stack[-d:], np.linalg.matrix_power(Y, d))
 
 
 def test_oracle_agreement_and_beta_independence():
