@@ -120,16 +120,16 @@ def _default_form(a: list) -> np.ndarray:
     H = Q(Y)* Q(Y) - P(Y)* P(Y) = sum_jk W_jk (Y^j)* Y^k with
     W_jk = conj(q_j) q_k - conj(p_j) p_k: two products with the cached
     :func:`_default_powers`, M_j = sum_k W_jk Y^k and H = sum_j (Y^j)* M_j.
-    (One product of W with the d^4 entries of the Gram matrices
-    (Y^j)* Y^k is a matrix-vector product, for which OpenBLAS wakes a
-    second thread that then spins on the other CPU.) Its lower triangle,
+    (One product of W with the cached Gram matrices (Y^j)* Y^k would be
+    a matrix-vector product, for which OpenBLAS wakes a second thread
+    that then spins on the other CPU.) Its lower triangle,
     which ``eigvalsh`` reads, agrees with :func:`schur_cohn_form` to
     rounding; the upper one is not mirrored.
     """
     d = len(a)
     stack, adjoint = _default_powers(d)
     q = np.array([1.0] + a)
-    r = q[::-1]
+    r = q[::-1]                 # p = conj(r)
     W = q.conj()[:, None] * q - r[:, None] * r.conj()
     return adjoint @ (W @ stack.reshape(d + 1, d * d)).reshape(-1, d)
 

@@ -372,7 +372,7 @@ def test_schur_cohn_form_that_is_not_finite_is_indeterminate(coeffs):
 @pytest.mark.filterwarnings("error")
 def test_schur_cohn_margin_is_the_smallest_eigenvalue_of_the_form():
     # at moduli up to 1e150, while the form stays finite; without betas
-    # the form is the cached Gram form
+    # the form is the cached default form
     rng = np.random.default_rng(32)
     for scale in (1.0, 1e99, 1e101, 1e150):
         for d in range(1, 8):
