@@ -7,6 +7,11 @@ machinery), and ``section`` (finite-section singular-value experiments).
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
 3 numerical failure.
+
+Each command imports the modules it uses when it runs, so a Weierstrass
+``certify``, ``--help`` and the usage and config errors run without
+numpy; ``sweep``, ``appendix-verify``, ``section`` and a gp ``certify``
+load it.
 """
 
 from __future__ import annotations
@@ -16,14 +21,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import gross_pitaevskii as gp
-from . import polydisc
-from . import spread_toeplitz as st
-from . import weierstrass as ws
 from .certificate import Certificate
-from .config import Settings, load_settings
+from .config import MAX_TERMS, Settings, load_settings
 from .errors import NotInG2, RieszcertError
 
 EXIT_OK = 0
@@ -52,6 +51,8 @@ def _write_out(text: str, out: str | None) -> None:
 # sweep
 
 def _sweep_row(alpha: float, p: int, terms: int, tol: float) -> tuple:
+    from . import gross_pitaevskii as gp
+
     try:
         r0 = gp.solve_r0(alpha, terms, tol)
         r1 = gp.solve_r1(alpha, p, terms, tol)
@@ -71,6 +72,8 @@ def _grid_point(alpha_min: float, span: float, i: int, steps: int) -> float:
 
 
 def cmd_sweep(args, settings: Settings) -> int:
+    from . import gross_pitaevskii as gp
+
     if args.alpha_min < 0 or args.alpha_max < args.alpha_min or args.steps < 1:
         print("sweep: need 0 <= alpha-min <= alpha-max and steps >= 1",
               file=sys.stderr)
@@ -135,12 +138,16 @@ def _optional(params: dict, key: str, kind, default) -> object:
 def _certify_from_params(params: dict, terms: int) -> Certificate:
     family = _require(params, "family", str)
     if family == "weierstrass":
+        from . import weierstrass as ws
+
         return ws.certify(ws.WeierstrassSpec(
             p=_require(params, "p", int),
             alpha=_require(params, "alpha", float),
             mu=_require(params, "mu", float),
             region=_require(params, "region", str)))
     if family == "gp":
+        from . import gross_pitaevskii as gp
+
         return gp.certify(gp.GpSpec(
             sup_q=_require(params, "sup_q", float),
             alpha=_require(params, "alpha", float),
@@ -164,6 +171,8 @@ def cmd_certify(args, settings: Settings) -> int:
 # appendix-verify
 
 def _random_coeffs(rng: np.random.Generator, d: int) -> np.ndarray:
+    import numpy as np
+
     re = rng.uniform(-2.0, 2.0, d)
     im = rng.uniform(-2.0, 2.0, d)
     c = re + 1j * im
@@ -173,12 +182,18 @@ def _random_coeffs(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def _random_disc(rng: np.random.Generator, d: int,
                  radius: float = 0.95) -> np.ndarray:
+    import numpy as np
+
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, d))
     th = rng.uniform(0.0, 2.0 * np.pi, d)
     return r * np.exp(1j * th)
 
 
 def cmd_appendix_verify(args, settings: Settings) -> int:
+    import numpy as np
+
+    from . import polydisc
+
     d, trials = args.d, args.trials
     if not 1 <= d <= 8:
         print("appendix-verify: d must be in 1..8", file=sys.stderr)
@@ -274,6 +289,8 @@ def _section_setup(params: dict, terms: int):
     if family == "identity":
         return (lambda j, n: 0.0), 1.0, "identity family", {}
     if family == "weierstrass":
+        from . import weierstrass as ws
+
         spec = ws.WeierstrassSpec(mu=_require(params, "lam", float),
                                   p=_require(params, "p", int),
                                   alpha=_optional(params, "alpha", float, 0.0))
@@ -282,6 +299,8 @@ def _section_setup(params: dict, terms: int):
         return (ws.cj_rule(spec.mu, spec.p, spec.alpha), 1.0 / (1.0 + nu),
                 f"weierstrass lam={spec.mu} p={spec.p}", {"nu": nu})
     if family == "gp":
+        from . import gross_pitaevskii as gp
+
         spec = gp.GpSpec(sup_q=_require(params, "q", float),
                          alpha=_optional(params, "alpha", float, 0.0),
                          p=_optional(params, "p", int, 3), terms=terms)
@@ -304,6 +323,8 @@ def _section_setup(params: dict, terms: int):
 
 
 def cmd_section(args, settings: Settings) -> int:
+    from . import spread_toeplitz as st
+
     if not 1 <= args.size <= MAX_SECTION_SIZE:
         print(f"section: --size must be in 1..{MAX_SECTION_SIZE}",
               file=sys.stderr)
@@ -382,8 +403,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     terms = getattr(args, "terms", None)
-    if terms is not None and not 1 <= terms <= gp.MAX_TERMS:
-        print(f"{args.command}: --terms must be in 1..{gp.MAX_TERMS}",
+    if terms is not None and not 1 <= terms <= MAX_TERMS:
+        print(f"{args.command}: --terms must be in 1..{MAX_TERMS}",
               file=sys.stderr)
         return EXIT_USAGE
     try:

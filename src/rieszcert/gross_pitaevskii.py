@@ -24,21 +24,16 @@ import numpy as np
 
 from . import spread_toeplitz as st
 from .certificate import ENVELOPE_RIGOROUS, SAMPLE_HEURISTIC, Certificate
+from .config import BISECTION_TOL, DEFAULT_TERMS, MAX_TERMS
 from .dilation import OddModeProfile, odd_modes, section_rule
 from .errors import (BracketFailure, ModulusOutOfRange, NotInG2,
                      RieszcertError)
 from .polydisc import MEMBERSHIP_TOL, in_polydisc_roots
-from .util import (bisect_monotone, check_alpha, check_p_range, log_nome,
-                   sin_pi)
+from .util import bisect_monotone, check_alpha, check_p_range, log_nome
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TERMS = 500
-BISECTION_TOL = 1e-9
 LAMBERT_TERMS = 2000
-# s_alpha holds about 40 bytes per term, 24 of them in the cached q-free
-# factors it keeps after returning: 1e6 terms take ~40 ms and ~40 MB
-MAX_TERMS = 10 ** 6
 # degree * ln p at or above this makes the mode p^degree overflow a float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the root oracle's error in min |root| - 1 stays below this on a
@@ -790,6 +785,19 @@ def eigenvalue(n: int, mu: float) -> float:
         raise ModulusOutOfRange(f"modulus {mu} outside (0, 1)")
     K, _ = complete_elliptic(mu)
     return 4.0 * n * n * (1.0 + mu * mu) * K * K
+
+
+def sin_pi(x: np.ndarray) -> np.ndarray:
+    """sin(pi*x) on an array, with exact zeros wherever x is an integer.
+
+    The argument is folded into [0, 1/2] before calling sin, so dilated
+    sine series vanish exactly at the endpoints of the unit interval.
+    """
+    y = np.mod(x, 2.0)
+    sign = np.where(y > 1.0, -1.0, 1.0)
+    y = np.where(y > 1.0, y - 1.0, y)
+    y = np.where(y > 0.5, 1.0 - y, y)
+    return sign * np.sin(np.pi * y)
 
 
 def eigenfunction(n: int, mu: float, x_grid) -> np.ndarray:

@@ -11,6 +11,10 @@ O(d^2) Schur-Cohn recursion, and the circle minimum by one FFT, which
 only picks starting points, and a few Newton steps of one Horner pass
 each. :func:`roots` stays as the independent oracle of the polydisc
 membership test and of the test suite.
+
+Only :func:`zero_free_disc` and :func:`min_modulus_disc` use numpy, and
+they import it when called: :mod:`weierstrass` imports this module, and
+its closed-form certificates run without numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import NonConvergence
 from .util import golden_min
@@ -306,6 +308,8 @@ def zero_free_disc(coeffs, radius: float = 1.0) -> bool:
     Vanishing top coefficients are zeros at infinity; the zero
     polynomial has zeros everywhere.
     """
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=complex)
     # |c_k| radius^k / max in log space, times the phase of c_k: no
     # division, so subnormal and huge coefficients are safe alike
@@ -382,6 +386,8 @@ def min_modulus_disc(p) -> float:
     result is the least |p| that these Horner evaluations found, so it
     is a value of |p| at a point of the circle.
     """
+    import numpy as np
+
     pol = as_poly(p)
     if pol.degree == 0:
         return abs(pol.coeffs[0])

@@ -5,31 +5,11 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-12
 # the most calls of f in bisect_monotone's narrowing, and its halvings
 _NARROW_STEPS = 24
 BISECT_MAX_ITER = 200
-
-
-def sin_pi(x):
-    """sin(pi*x), with exact zeros whenever x is an integer.
-
-    The argument is folded into [0, 1/2] before calling sin, so dilated
-    sine series vanish exactly at the endpoints of the unit interval.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    y = np.mod(arr, 2.0)
-    sign = np.where(y > 1.0, -1.0, 1.0)
-    y = np.where(y > 1.0, y - 1.0, y)
-    y = np.where(y > 0.5, 1.0 - y, y)
-    out = sign * np.sin(np.pi * y)
-    if arr.shape == ():
-        return float(out)
-    return out
 
 
 def check_p_range(p: int) -> None:

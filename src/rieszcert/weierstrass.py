@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .certificate import ENVELOPE_RIGOROUS, Certificate
-from .dilation import LacunaryGeometricProfile, section_rule
 # unused here; perfbench's tracer and its tests rebind this name
 from .polyform import min_modulus_disc
 from .util import check_alpha, check_p_range, golden_min
@@ -190,6 +189,9 @@ def cj_rule(lam_of_n: Callable[[int], float] | float, p: int,
             alpha: float) -> Callable:
     """Section coefficients c_j(n) = (lam_n p^alpha)^l when j = p^l
     (l >= 1), else 0, on int arrays j, n: the lacunary profile through
-    :func:`dilation.section_rule`."""
+    :func:`dilation.section_rule`. ``dilation`` is imported here, so that
+    the closed-form certificates run without numpy."""
+    from .dilation import LacunaryGeometricProfile, section_rule
+
     return section_rule(lambda lam: LacunaryGeometricProfile(lam, p, alpha),
                         lam_of_n, alpha)

@@ -1,10 +1,14 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rieszcert
 from rieszcert import cli
 from rieszcert import weierstrass as ws
 from test_cli_golden import SWEEP_ARGS, SWEEP_CSV
@@ -252,7 +256,7 @@ def test_appendix_verify_deterministic(capsys):
 
 
 def test_appendix_verify_fails_on_one_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli.polydisc, "model_residual",
+    monkeypatch.setattr("rieszcert.polydisc.model_residual",
                         lambda lams, z, w: 1.0)
     code, out, err = run(capsys, "appendix-verify", "--d", "2",
                          "--trials", "10")
@@ -594,6 +598,102 @@ def test_config_unknown_key(capsys, tmp_path, key):
     cfg.write_text(f"{key} = 5\n")
     code, _, err = run(capsys, "--config", str(cfg), "sweep")
     assert code == 2 and "unknown key" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("terms = 800.0\n", "1: terms must be an integer, got '800.0'"),
+    ("# truncation\nterms =\n", "2: terms must be an integer, got ''"),
+    ("terms = 300\r\nbisection_tol = 1e-9 1e-8\r\n",
+     "2: bisection_tol must be a number, got '1e-9 1e-8'"),
+    ("terms = 300\n\nterms = 400\n", "3: key 'terms' repeats line 1"),
+    ("bisection_tol = 1e-9\nbisection_tol = 1e-9\n",
+     "2: key 'bisection_tol' repeats line 1"),
+    (b"terms = 300\n# r\xe9sum\xe9\n", "2: not UTF-8 text (invalid "
+                                         "continuation byte)"),
+    (b"\xff\xfeterms = 300\n", "1: not UTF-8 text (invalid start byte)"),
+])
+def test_config_error_names_its_line(capsys, tmp_path, text, message):
+    # a malformed value, a repeated key and bytes that are not UTF-8 are
+    # usage errors at their place in the file, before any command runs
+    cfg = tmp_path / "rc.conf"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text, newline="")
+    code, out, err = run(capsys, "--config", str(cfg), "certify",
+                         '{"family":"weierstrass","p":2,"alpha":0,'
+                         '"mu":0.3,"region":"S0"}')
+    assert (code, out) == (2, "")
+    assert err == f"config error: {cfg}:{message}\n"
+
+
+# Runs cli.main on each argv of a JSON list in one fresh interpreter and
+# prints, per argv, the exit code, stdout, stderr and whether numpy has
+# been imported so far. "block" first sets sys.modules["numpy"] = None,
+# so that any import of numpy raises ImportError.
+_CHILD = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from rieszcert import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue(),
+                    sys.modules.get("numpy") is not None])
+print(json.dumps(results))
+"""
+
+
+def _run_child(mode: str, argvs: list) -> list:
+    src = str(Path(rieszcert.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if k != "RIESZCERT_CONFIG"}
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    proc = subprocess.run([sys.executable, "-c", _CHILD, mode,
+                           json.dumps(argvs)], capture_output=True,
+                          text=True, env=env, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path):
+    cfg = tmp_path / "rc.conf"
+    cfg.write_text("terms = 300\nterms = 400\n")
+    s0 = ('{"family":"weierstrass","p":2,"alpha":0,"mu":0.3,'
+          '"region":"S0"}')
+    s1 = ('{"family":"weierstrass","p":3,"alpha":0.5,"mu":0.4,'
+          '"region":"S1"}')
+    argvs = [["certify", s0],
+             ["certify", "--terms", "300", s1],
+             ["--help"],
+             ["certify", '{"family": "weierstrass", "p": 2'],
+             ["--config", str(cfg), "certify", s0],
+             ["certify", "--terms", "0", s0],
+             ["no-such-command"]]
+    plain = _run_child("plain", argvs)
+    assert [code for code, *_ in plain] == [0, 0, 0, 2, 2, 2, 2]
+    assert plain[0][1].startswith("{") and plain[2][1].startswith("usage:")
+    assert plain[4][2].startswith("config error: ")
+    # the same bytes and exit codes with numpy blocked, and numpy is not
+    # even loaded when it is there
+    assert _run_child("block", argvs) == plain
+    assert not any(loaded for *_, loaded in plain)
+
+
+def test_gp_certify_loads_numpy():
+    # the other side of the test above: a command that needs numpy does
+    # load it in the same child, so that test cannot pass by accident
+    (code, out, err, loaded), = _run_child(
+        "plain", [["certify", '{"family":"gp","p":3,"alpha":0,'
+                              '"sup_q":0.5}']])
+    assert (code, err, loaded) == (0, "", True)
+    assert json.loads(out)["kind"] == "T1"
 
 
 def test_removed_flags_refused(capsys):
