@@ -687,8 +687,9 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
 
 
 def test_gp_certify_loads_numpy():
-    # the other side of the test above: a command that needs numpy does
-    # load it in the same child, so that test cannot pass by accident
+    # the other side of the test above: under the same child code a
+    # command that needs numpy reports it loaded, so the flag that test
+    # reads cannot be false by accident
     (code, out, err, loaded), = _run_child(
         "plain", [["certify", '{"family":"gp","p":3,"alpha":0,'
                               '"sup_q":0.5}']])
