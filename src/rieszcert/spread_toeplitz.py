@@ -14,9 +14,9 @@ strictly lower triangular and nilpotent, stored by its O(N log N)
 nonzero entries. L couples n with jn only where c_j(n) != 0, so T is
 a direct sum of blocks on the components of that coupling; a
 Weierstrass section is a sum of chains {n_0 p^l}. A block that is a
-leading principal block of the block of index 1 cannot hold
-sigma_min, and is dropped: in a constant-index section that is every
-other block. When every kept block is small, sigma_min is the least
+leading principal block of another kept block cannot hold sigma_min,
+and is dropped: in a constant-index section that is every block but
+that of index 1. When every kept block is small, sigma_min is the least
 over the distinct kept blocks, by batched dense inverses. Otherwise
 the inverse I + B of the kept rows, which has the same multiplicative
 pattern, is computed once as a section of the same kind, and sigma_min
@@ -244,13 +244,15 @@ def smallest_singular(S: SectionMatrix) -> float:
     the indices split into the components of that coupling graph and T
     is, up to a permutation, the direct sum of its blocks on them: a
     Weierstrass section is a sum of chains {n_0 p^l}. The components
-    are labelled by :func:`_components`. A block that is exactly the
-    leading principal block of the block of index 1 is dropped
-    (:func:`_drop_leading_copies`): T is unit lower triangular, so the
-    inverse of a leading block is the leading block of the inverse, and
-    its sigma_min is no smaller. In a constant-index section every other
-    component is such a copy: the chains {n_0 p^l} of a Weierstrass
-    section, the 2-adic classes 2^k odd of a gp one.
+    are labelled by :func:`_components`. A block that is exactly a
+    leading principal block of another kept block, that of index 1 or
+    the largest kept ones, is dropped (:func:`_drop_leading_copies`): T
+    is unit lower triangular, so the inverse of a leading block is the
+    leading block of the inverse, and its sigma_min is no smaller. In a
+    constant-index section every component but that of index 1 is a copy
+    of it: the chains {n_0 p^l} of a Weierstrass section, the 2-adic
+    classes 2^k odd of a gp one. In a p-periodic gp table mod 2, the
+    classes 2^k odd (k >= 2) are copies of the class 2 odd.
 
     When no kept component has more than ``DENSE_BLOCK_MAX`` indices,
     sigma_min is the least over the kept blocks
@@ -309,41 +311,77 @@ def _positions(labels: np.ndarray, which: np.ndarray) -> np.ndarray:
 
 def _drop_leading_copies(S: SectionMatrix, labels: np.ndarray,
                          sizes: np.ndarray) -> np.ndarray:
-    """``sizes`` with 0 for every component whose block is the leading
-    principal block of the same size of the block of index 1 (label
-    0), or ``sizes`` itself when there is none.
+    """``sizes`` with 0 for every component whose block is a leading
+    principal block of a kept block, or ``sizes`` itself when there is
+    none.
 
-    Such a copy has, row by row in index order, the entry counts, the
-    column places within the component and the values (compared with
-    ``==``, so a nan keeps its block) of the first rows of the block of
-    index 1. Each other component of two to ``len(top)`` indices is
-    matched with those rows entry by entry. A single index, whose block
-    is 1, is a copy too, but is dropped only along with a larger copy:
-    alone it saves nothing.
+    Each pass drops the kept copies of one reference block: first the
+    block of index 1 (label 0), then the largest kept block that has not
+    been a reference yet (of equal ones, the one of least label). The
+    passes stop after one past the first that drops nothing, or once
+    every kept block has been a reference. A reference is never dropped
+    later but for the block of index 1, by a larger one: a pass drops
+    only blocks no larger than its reference, and of two equal ones the
+    first to be a reference drops the other.
+
+    A copy has, row by row in index order, the entry counts, the column
+    places within the component and the values (compared with ``==``,
+    so a nan keeps its block) of the first rows of its reference. The
+    row of the second index of a component holds one entry, in the
+    column of the first index, or none. So a pass compares entry by
+    entry only the kept components of two to ``len(reference)`` indices
+    whose second row holds the reference's value (none counts as 0:
+    entries are nonzero): a long index table takes a pass per value,
+    and each matches the components of its value alone. A single index,
+    whose block is 1, is a copy too, but is dropped only along with a
+    larger copy: alone it saves nothing.
     """
-    top = np.flatnonzero(labels == 0)
-    candidate = (sizes > 1) & (sizes <= len(top))
-    candidate[0] = False
-    if not candidate.any():
-        return sizes
-    mine = np.flatnonzero(candidate[labels])
-    pos = _positions(labels, mine)
-    pos[top] = np.arange(len(top))
-    twin = top[pos[mine]]            # the matching row of index 1's block
     counts = np.bincount(S.rows, minlength=S.N)   # entries per row
     first = np.cumsum(counts) - counts            # where a row starts
-    count = counts[mine]
-    apart = count != counts[twin]
-    candidate[labels[mine[apart]]] = False
-    count[apart] = 0
-    e = _ranges(first[mine], count)
-    f = e + np.repeat(first[twin] - first[mine], count)
-    apart = pos[S.cols[e]] != pos[S.cols[f]]
-    apart |= S.values[e] != S.values[f]
-    candidate[labels[S.rows[e[apart]]]] = False
-    if not candidate.any():
-        return sizes
-    return np.where(candidate | (sizes == 1), 0, sizes)
+    # the indices of each component in ascending order, component after
+    # component, and the place of each index within its component
+    members = np.argsort(labels, kind="stable")
+    start = np.cumsum(sizes) - sizes
+    pos = np.empty(S.N, dtype=np.intp)
+    pos[members] = np.arange(S.N) - start[labels[members]]
+    # the components of two or more indices, and the value in their
+    # second row
+    big = np.flatnonzero(sizes > 1)
+    second = members[start[big] + 1]
+    linked = counts[second] > 0
+    key = np.zeros(len(sizes), dtype=S.values.dtype)
+    key[big[linked]] = S.values[first[second[linked]]]
+    kept, ref = sizes, 0
+    done = np.zeros(len(sizes), dtype=bool)
+    while True:
+        done[ref] = True
+        cand = big[(kept[big] > 0) & (sizes[big] <= sizes[ref])
+                   & (key[big] == key[ref])]
+        cand = cand[cand != ref]
+        top = members[start[ref]:start[ref] + sizes[ref]]
+        mine = members[_ranges(start[cand], sizes[cand])]
+        owner = np.repeat(np.arange(len(cand)), sizes[cand])
+        twin = top[pos[mine]]            # the matching row of ref's block
+        count = counts[mine]
+        apart = count != counts[twin]
+        differs = np.zeros(len(cand), dtype=bool)
+        differs[owner[apart]] = True
+        count[apart] = 0
+        e = _ranges(first[mine], count)
+        f = e + np.repeat(first[twin] - first[mine], count)
+        apart = pos[S.cols[e]] != pos[S.cols[f]]
+        apart |= S.values[e] != S.values[f]
+        differs[np.repeat(owner, count)[apart]] = True
+        if not differs.all():
+            if kept is sizes:
+                kept = np.where(sizes == 1, 0, sizes)
+            kept[cand[~differs]] = 0
+        elif ref:
+            return kept
+        left = np.where(done, 0, kept)
+        if not left.any():
+            return kept
+        ref = int(np.argmax(left))
 
 
 def _dense_sigma_min(S: SectionMatrix, labels: np.ndarray,

@@ -644,24 +644,42 @@ def _kept_roots(S):
 
 
 def _leading_copies_reference(S, labels, sizes):
-    """_drop_leading_copies from dense blocks: a component other than
-    that of index 1 with 2 to len(top) indices is dropped when its block
-    equals the leading block of that size of the block of index 1 (top);
-    the single indices go along when anything is dropped."""
+    """_drop_leading_copies from dense blocks. Each pass has a reference
+    block: that of index 1 first, then the largest kept block that has
+    not been one (the least root among equal sizes). A pass drops every
+    other kept component with 2 to len(reference) indices whose block
+    equals the leading block of that size of the reference, and the
+    single indices along with them. The passes stop after one past the
+    first that drops nothing, or when every kept block has been a
+    reference."""
     A = S.entries
-    top = np.flatnonzero(labels == 0)
-    copies = []
-    for root in np.flatnonzero(sizes)[1:]:
-        mine = np.flatnonzero(labels == root)
-        k = len(mine)
-        if 2 <= k <= len(top) and np.array_equal(
-                A[np.ix_(mine, mine)], A[np.ix_(top[:k], top[:k])]):
-            copies.append(root)
-    if not copies:
+    blocks = {root: np.flatnonzero(labels == root)
+              for root in np.flatnonzero(sizes).tolist()}
+    kept, refs = set(blocks), []
+    ref = 0
+    while True:
+        refs.append(ref)
+        top = blocks[ref]
+        copies = set()
+        for root in kept - {ref}:
+            mine = blocks[root]
+            k = len(mine)
+            if 2 <= k <= len(top) and np.array_equal(
+                    A[np.ix_(mine, mine)], A[np.ix_(top[:k], top[:k])]):
+                copies.add(root)
+        if copies:
+            kept -= copies | {root for root in kept if len(blocks[root]) == 1}
+        elif ref != 0:
+            break
+        left = kept - set(refs)
+        if not left:
+            break
+        ref = max(left, key=lambda root: (len(blocks[root]), -root))
+    if len(kept) == len(blocks):
         return sizes
-    kept = np.where(sizes == 1, 0, sizes)
-    kept[copies] = 0
-    return kept
+    out = np.zeros_like(sizes)
+    out[sorted(kept)] = sizes[sorted(kept)]
+    return out
 
 
 def _random_sparse_rule(rng, N):
@@ -754,11 +772,14 @@ def test_routing_by_largest_component(monkeypatch):
     # every component but that of 1 is a leading block of it
     ("gp", lambda N: [0]), ("ws", lambda N: [0]),
     # q_n from (0.2, 0.5, 0.4) by n / 3^v_3(n) mod 3: 4^k = 1 mod 3, so
-    # the classes 4^k odd are copies of the odd class, and those 2 4^k
-    # odd of two or more indices (3 2^k <= N) are not; the single
-    # indices go along with the copies
-    ("gp-mod-3", lambda N: [0] + [(1 << k) - 1 for k in range(1, 10, 2)
-                                  if 3 << k <= N]),
+    # the classes 4^k odd are copies of the odd class, and the classes
+    # 2 4^k odd (k >= 1) copies of the largest class kept, 2 odd; the
+    # single indices go along with the copies
+    ("gp-mod-3", lambda N: [0, 1]),
+    # q_n from (0.3, 0.6) by n / 3^v_3(n) mod 2: the classes 2^k odd
+    # (k >= 1) share q = 0.3 and are no copies of the odd class (0.6),
+    # but those with k >= 2 are copies of the class 2 odd
+    ("gp-mod-2", lambda N: [0, 1]),
     # one component
     ("all-j", lambda N: None),
     # c_j(1) = 0: index 1 is a component of its own, and nothing smaller
@@ -766,6 +787,7 @@ def test_routing_by_largest_component(monkeypatch):
     ("singleton-1", lambda N: None)])
 def test_dropped_blocks_leave_sigma_min_exact(name, roots, N):
     rule = {"gp-mod-3": _gp_table_rule((0.2, 0.5, 0.4)),
+            "gp-mod-2": INVERSE_RULES["periodic"],
             "singleton-1": lambda j, n: np.where(n > 1, 0.3 / j, 0.0),
             }.get(name) or INVERSE_RULES[name]
     S = st.finite_section(rule, N)
