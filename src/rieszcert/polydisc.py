@@ -47,14 +47,17 @@ class PtakYoungMatrix:
     isometrically. The testable invariants are therefore the contraction
     property (largest singular value <= 1), the rank-one defect, and the
     spectrum.
+
+    A stack of them holds betas of shape (..., d) and matrices of shape
+    (..., d, d).
     """
 
-    betas: tuple
+    betas: np.ndarray
     matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.betas)
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -64,26 +67,48 @@ class MembershipVerdict:
     indeterminate: bool = False
 
 
-def ptak_young(betas: Sequence[complex]) -> PtakYoungMatrix:
+def ptak_young(betas) -> PtakYoungMatrix:
     """Build the upper-triangular matrix with diagonal beta_j,
     superdiagonal s_j s_{j+1}, and entry (j,k) equal to
     s_j * prod_{l=j+1}^{k-1} (-conj(beta_l)) * s_k, where
-    s_j = sqrt(1 - |beta_j|^2)."""
-    bs = tuple(complex(b) for b in betas)
-    if not bs:
+    s_j = sqrt(1 - |beta_j|^2).
+
+    ``betas`` of shape (..., d) give a stack of matrices, (..., d, d).
+    Each entry takes its products in the order of the formula: the
+    running product along row j starts from 1 and multiplies by
+    -conj(beta_l) for l = j+1, j+2, ...
+    """
+    bs = np.array(betas, dtype=complex)
+    if bs.ndim == 0 or bs.shape[-1] == 0:
         raise InvalidBeta("need at least one beta")
-    if any(not abs(b) < BETA_LIMIT for b in bs):
+    modulus = np.hypot(bs.real, bs.imag)
+    # a nan fails every comparison, so it lies in no disc
+    if not (modulus < BETA_LIMIT).all():
         raise InvalidBeta("every |beta_j| must be < 1 - 1e-12")
-    d = len(bs)
-    s = [math.sqrt(1.0 - abs(b) ** 2) for b in bs]
-    Y = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        Y[j, j] = bs[j]
-        prod = 1.0 + 0j
-        for k in range(j + 1, d):
-            Y[j, k] = s[j] * prod * s[k]
-            prod *= -bs[k].conjugate()
+    d = bs.shape[-1]
+    s = np.sqrt(1.0 - _square(modulus))
+    col = np.arange(d)
+    upper = col > col[:, None]
+    # row j: 1 up to column j, then the running product of -conj(beta_l)
+    # over l = j+1, j+2, ...; entry (j, k) takes it up to column k - 1
+    prod = np.cumprod(np.where(upper, -bs.conj()[..., None, :], 1.0), axis=-1)
+    Y = np.zeros(bs.shape + (d,), dtype=complex)
+    Y[..., 1:] = np.where(upper[:, 1:],
+                          s[..., :, None] * prod[..., :-1] * s[..., None, 1:],
+                          0.0)
+    Y[..., col, col] = bs
     return PtakYoungMatrix(bs, Y)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 elementwise as the C library's ``pow`` rounds it, which is
+    what Python's ``float ** 2`` gives; ``x * x`` differs from it in
+    about one value in a thousand. The exponent is an array, so numpy
+    does not turn the power into a product; at its baseline SIMD
+    dispatch numpy then calls ``pow`` itself."""
+    two = np.empty_like(x)
+    two.fill(2.0)
+    return np.power(x, two)
 
 
 @functools.lru_cache(maxsize=16)
@@ -240,17 +265,20 @@ def _log_modulus(c: complex) -> float:
 def _matrix_poly(asc_coeffs, M: np.ndarray) -> np.ndarray:
     """Horner evaluation of a scalar polynomial at a square matrix.
 
-    Coefficients in rows, of the same length, give a stack of values
+    Coefficients of shape (..., n + 1) and matrices of shape
+    (..., d, d), their leading axes broadcast, give a stack of values
     from one pass: each step takes ``acc @ M`` for the whole stack and
     adds each row's coefficient times I to its layer, so every layer is
     rounded as the polynomial alone would be.
     """
     c = np.asarray(asc_coeffs, dtype=complex)
-    d = M.shape[0]
-    acc = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    d = M.shape[-1]
+    acc = np.zeros(np.broadcast(c[..., 0], M[..., 0, 0]).shape + (d, d),
+                   dtype=complex)
     eye = np.eye(d)
     for k in range(c.shape[-1] - 1, -1, -1):
-        acc = acc @ M + c[..., k, None, None] * eye
+        acc = acc @ M
+        acc += c[..., k, None, None] * eye
     return acc
 
 
@@ -268,8 +296,7 @@ def conjugate_poly(coeffs: Sequence[complex],
     return _matrix_poly(_conjugate_asc(coeffs), M)
 
 
-def schur_cohn_form(coeffs: Sequence[complex],
-                    Y: PtakYoungMatrix) -> np.ndarray:
+def schur_cohn_form(coeffs, Y: PtakYoungMatrix) -> np.ndarray:
     """Hermitian matrix of the form ||Q(Y)x||^2 - ||P(Y)x||^2.
 
     ``coeffs`` are the monic-polynomial coefficients (c_1, ..., c_d) of
@@ -277,16 +304,49 @@ def schur_cohn_form(coeffs: Sequence[complex],
     Positive definiteness for one (hence every) Ptak-Young matrix Y
     characterises membership of (c_1, ..., c_d) in G_d.
 
-    P(Y) and Q(Y) come from one Horner pass on a (2, d, d) stack.
+    Coefficients of shape (..., d) and a stack of Ptak-Young matrices
+    broadcast over their leading axes. P(Y) and Q(Y) come from one
+    Horner pass on a (..., 2, d, d) stack.
     """
-    cs = [complex(c) for c in coeffs]
-    d = len(cs)
+    cs = np.asarray(coeffs, dtype=complex)
+    d = cs.shape[-1]
     if Y.dim != d:
         raise DimensionMismatch(f"Y is {Y.dim}x{Y.dim}, coefficients give d={d}")
-    p_asc = list(reversed(cs)) + [1.0]
-    P, Q = _matrix_poly([p_asc, _conjugate_asc(cs)], Y.matrix)
-    H = Q.conj().T @ Q - P.conj().T @ P
-    return 0.5 * (H + H.conj().T)
+    # ascending coefficients of P, then of Q
+    asc = np.ones(cs.shape[:-1] + (2, d + 1), dtype=complex)
+    asc[..., 0, :-1] = cs[..., ::-1]
+    asc[..., 1, 1:] = cs.conj()
+    PQ = _matrix_poly(asc, Y.matrix[..., None, :, :])
+    P, Q = PQ[..., 0, :, :], PQ[..., 1, :, :]
+    H = _adjoint(Q) @ Q - _adjoint(P) @ P
+    return 0.5 * (H + _adjoint(H))
+
+
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def schur_cohn_margins(coeffs, betas) -> np.ndarray:
+    """The margins of :func:`in_polydisc_schur_cohn` at given betas, for
+    stacks: coefficients (a_1, ..., a_d) of shape (..., d) and betas of
+    shape (..., d), broadcast over their leading axes. Each margin is
+    the smallest eigenvalue of the Schur-Cohn form at the Ptak-Young
+    matrix of its betas, from one ``eigvalsh`` for the whole stack; a
+    form that is not finite gives nan."""
+    a = np.asarray(coeffs, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = schur_cohn_form(a.conj(), ptak_young(betas))
+    return _smallest_eigenvalues(H)
+
+
+def _smallest_eigenvalues(H: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each Hermitian matrix of a stack (its
+    lower triangle read), nan for a matrix that is not finite."""
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    if not finite.all():
+        H = np.where(finite[..., None, None], H, np.eye(H.shape[-1]))
+    return np.where(finite, np.linalg.eigvalsh(H)[..., 0], math.nan)
 
 
 def in_polydisc_schur_cohn(coeffs: Sequence[complex],
@@ -302,22 +362,19 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     ``DEFAULT_BETA``, and the form is :func:`_default_form`: the powers
     Y^0, ..., Y^d of that Y are built once per d, and the form takes two
     matrix products with them, not d + 1 matrix Horner steps. Given
-    betas, it is :func:`schur_cohn_form` at their Y. A form that is not finite (a coefficient past about 1e154,
-    or not finite) gives no margin: the verdict is indeterminate, with
-    margin nan.
+    betas, the margin is :func:`schur_cohn_margins` for a stack of one.
+    A form that is not finite (a coefficient past about 1e154, or not
+    finite) gives no margin: the verdict is indeterminate, with margin
+    nan.
     """
     a = [complex(c) for c in coeffs]
-    # beta = 0 is forbidden by the spectrum-plus-defect definition (the
-    # nilpotent Jordan block), so a fixed nonzero default is used.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if betas is None:
-            H = _default_form(a)
-        else:
-            H = schur_cohn_form([c.conjugate() for c in a],
-                                ptak_young(betas))
-    if not np.isfinite(H).all():
-        return MembershipVerdict(False, math.nan, indeterminate=True)
-    margin = float(np.linalg.eigvalsh(H)[0])
+    if betas is None:
+        # beta = 0 is forbidden by the spectrum-plus-defect definition
+        # (the nilpotent Jordan block), so a fixed nonzero default is used
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = float(_smallest_eigenvalues(_default_form(a)))
+    else:
+        margin = float(schur_cohn_margins(a, betas))
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
                              indeterminate=not abs(margin) > MEMBERSHIP_TOL)
 
@@ -330,18 +387,21 @@ def _disc_lambdas(lambdas: Sequence[complex]) -> list:
     return lams
 
 
-def _tm_values(lams: list, z: complex) -> tuple:
+def _tm_values(lams: list, z) -> tuple:
     """(E_1(z), ..., E_d(z)) and the Blaschke product B(z) from one
     running product: E_j(z) = sqrt(1-|lam_j|^2) / (1 + conj(lam_j) z)
-    times the first j - 1 factors (z + lam_k) / (1 + conj(lam_k) z)."""
+    times the first j - 1 factors (z + lam_k) / (1 + conj(lam_k) z).
+    ``z`` is a point or an array of points; each point takes the
+    operations it would alone."""
     values = []
     b = 1.0 + 0j
     for lam in lams:
         den = 1.0 + lam.conjugate() * z
-        if abs(den) < 1e-14:
-            raise PoleAtZ(f"evaluation point {z} hits a pole")
+        if np.any(abs(den) < 1e-14):
+            raise PoleAtZ(f"an evaluation point hits the pole of "
+                          f"lambda = {lam}")
         values.append(math.sqrt(1.0 - abs(lam) ** 2) / den * b)
-        b *= (z + lam) / den
+        b = b * ((z + lam) / den)
     return values, b
 
 
@@ -359,24 +419,28 @@ def takenaka_malmquist(lambdas: Sequence[complex], j: int,
     return _tm_values(_disc_lambdas(lambdas)[:j], z)[0][-1]
 
 
-def model_residual(lambdas: Sequence[complex], z: complex,
-                   w: complex) -> float:
+def model_residual(lambdas: Sequence[complex], z, w):
     """Defect of the model identity at (z, w):
 
         |(1 - conj(B(w)) B(z)) - sum_j conj(E_j(w)) (1 - conj(w) z) E_j(z)|
 
     with B the Blaschke product of the lambdas. Near zero for any
-    lambdas in the open disc.
+    lambdas in the open disc. Arrays of points z and w broadcast, to an
+    array of defects: a (n, 1) column of z and a row of w give the
+    whole grid, each pair's defect in the floats of its own call.
     """
     lams = _disc_lambdas(lambdas)
     e_w, b_w = _tm_values(lams, w)
     e_z, b_z = _tm_values(lams, z)
     lhs = 1.0 - b_w.conjugate() * b_z
     rhs = 0j
-    factor = 1.0 - complex(w).conjugate() * complex(z)
+    factor = 1.0 - w.conjugate() * z
     for ew, ez in zip(e_w, e_z):
-        rhs += ew.conjugate() * factor * ez
-    return abs(lhs - rhs)
+        rhs = rhs + ew.conjugate() * factor * ez
+    # hypot, as abs of a complex scalar; numpy's array abs rounds
+    # differently
+    defect = lhs - rhs
+    return np.hypot(defect.real, defect.imag)
 
 
 def tm_stack(lambdas: Sequence[complex], Y: np.ndarray) -> np.ndarray:
@@ -474,6 +538,33 @@ def realization(Y: PtakYoungMatrix, lambdas: Sequence[complex]) -> np.ndarray:
     U = ran @ dom.conj().T
     U += _orthonormal_complement(ran) @ _orthonormal_complement(dom).conj().T
     return U[:d, d:]
+
+
+def realization_residuals(Y: PtakYoungMatrix, lambdas: Sequence[complex],
+                          xs) -> np.ndarray:
+    """The defect of the realization identity for each row x of ``xs``
+    (shape (n, d)):
+
+        | ||H(Y) u(Y) Q(Y) x||^2 - x* S x |
+
+    with H(Y) = :func:`realization`, u(Y) = :func:`tm_stack`, Q the
+    conjugate polynomial of P(z) = prod (z + lam_j) and S the Schur-Cohn
+    form of P at Y. Every product is a matrix-vector or vector-vector
+    product per x, so each defect takes the floats of one vector alone.
+    """
+    lams = _disc_lambdas(lambdas)
+    H = realization(Y, lams)
+    cs = monic_coeffs(lams)
+    S = schur_cohn_form(cs, Y)
+    stack = tm_stack(lams, Y.matrix)
+    x = np.asarray(xs, dtype=complex)[..., None]
+    v = H @ (stack @ (conjugate_poly(cs, Y.matrix) @ x))
+    # ||v||^2 as numpy's norm takes it, from the real and imaginary parts
+    re, im = v.real, v.imag
+    sq = (np.swapaxes(re, -1, -2) @ re + np.swapaxes(im, -1, -2) @ im)
+    lhs = _square(np.sqrt(sq[..., 0, 0]))
+    rhs = (np.swapaxes(x.conj(), -1, -2) @ (S @ x))[..., 0, 0].real
+    return np.abs(lhs - rhs)
 
 
 def monic_coeffs(lambdas: Sequence[complex]) -> list:

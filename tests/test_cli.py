@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rieszcert
 from rieszcert import cli
+from rieszcert import polydisc as pd
+from rieszcert import polyform as pf
 from rieszcert import weierstrass as ws
 from test_cli_golden import SWEEP_ARGS, SWEEP_CSV
 
@@ -303,6 +306,132 @@ def test_appendix_verify_refuses_a_negative_seed(capsys, seed):
                          "--trials", "2", "--seed", seed)
     assert code == 2 and out == ""
     assert err == "appendix-verify: seed must be >= 0\n"
+
+
+def _reference_disc(rng, d, radius=0.95):
+    """d points in the disc as appendix-verify drew them one call at a
+    time: d radii, then d angles."""
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, d))
+    th = rng.uniform(0.0, 2.0 * np.pi, d)
+    return r * np.exp(1j * th)
+
+
+def _appendix_draws_replayed(d, trials, seed):
+    """What appendix-verify passes to the polydisc functions, replayed
+    one draw per call: the drawn polynomials, the kept ones with their
+    ten beta vectors each, then per batch the model identity's lambdas
+    and z / w points, the form check's lambdas, betas and x, and the
+    realization check's lambdas, betas and 100 x."""
+    rng = np.random.default_rng(seed)
+    drawn, kept, betas = [], [], []
+    while len(kept) < trials:
+        coeffs = cli._random_coeffs(rng, d)
+        drawn.append(coeffs)
+        if abs(pd.in_polydisc_roots(coeffs).margin) <= 1e-6:
+            continue
+        kept.append(coeffs)
+        betas.append([_reference_disc(rng, d, 0.9) for _ in range(10)])
+    grid = np.linspace(-0.9, 0.9, 20)
+    batches = max(1, trials // 10)
+    model, form, real = [], [], []
+    for _ in range(batches):
+        lams = _reference_disc(rng, d)
+        zs = rng.permutation(grid) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        ws = rng.permutation(grid) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        model.append((lams, zs, ws))
+    for _ in range(batches):
+        form.append(tuple(_reference_disc(rng, d, r) for r in (0.9, 0.9, 1.0)))
+    for _ in range(batches):
+        lams = _reference_disc(rng, d, 0.9)
+        y_betas = _reference_disc(rng, d, 0.9)
+        real.append((lams, y_betas,
+                     [_reference_disc(rng, d, 1.0) for _ in range(100)]))
+    return drawn, kept, betas, model, form, real
+
+
+def _record_appendix_draws(monkeypatch, capsys, d, trials, seed):
+    """Run appendix-verify and record the arguments of its polydisc
+    calls, which pass them on unchanged."""
+    calls = {}
+
+    def recorder(name):
+        original = getattr(pd, name)
+
+        def wrapped(*args):
+            calls.setdefault(name, []).append(args)
+            return original(*args)
+        monkeypatch.setattr(pd, name, wrapped)
+
+    for name in ("in_polydisc_roots", "schur_cohn_margins", "model_residual",
+                 "hermitian_form_tm", "realization_residuals"):
+        recorder(name)
+    code, out, _ = run(capsys, "appendix-verify", "--d", str(d), "--trials",
+                       str(trials), "--seed", str(seed))
+    assert code == 0 and out.count(" PASS\n") == 4
+    return calls
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("trials", [1, 30, 100, cli.APPENDIX_BLOCK + 6])
+def test_appendix_verify_draws_as_one_call_per_draw(monkeypatch, capsys, d,
+                                                     seed, trials):
+    # every stacked draw is the per-draw replay's, bit for bit, in order
+    drawn, kept, betas, model, form, real = _appendix_draws_replayed(
+        d, trials, seed)
+    calls = _record_appendix_draws(monkeypatch, capsys, d, trials, seed)
+    assert _same_bits([c for (c,) in calls["in_polydisc_roots"]], drawn)
+    blocks = calls["schur_cohn_margins"]
+    assert [len(c) for c, _ in blocks] == [
+        min(cli.APPENDIX_BLOCK, trials - i)
+        for i in range(0, trials, cli.APPENDIX_BLOCK)]
+    assert all(c.shape[1] == 1 for c, _ in blocks)
+    assert _same_bits(np.concatenate([c[:, 0] for c, _ in blocks]), kept)
+    assert _same_bits(np.concatenate([b for _, b in blocks]), betas)
+    assert len(calls["model_residual"]) == len(model)
+    for (lams, z, w), (ref_lams, zs, ws) in zip(calls["model_residual"],
+                                                model):
+        assert _same_bits(lams, ref_lams)
+        assert _same_bits(z, zs[:, None]) and _same_bits(w, ws)
+    assert len(calls["hermitian_form_tm"]) == len(form)
+    for (lams, Y, x), ref in zip(calls["hermitian_form_tm"], form):
+        assert _same_bits(lams, ref[0]) and _same_bits(Y.betas, ref[1])
+        assert _same_bits(x, ref[2])
+    assert len(calls["realization_residuals"]) == len(real)
+    for (Y, lams, xs), (ref_lams, ref_betas, ref_xs) in zip(
+            calls["realization_residuals"], real):
+        assert _same_bits(lams, ref_lams) and _same_bits(Y.betas, ref_betas)
+        assert _same_bits(xs, ref_xs)
+
+
+def test_appendix_verify_work_counts(monkeypatch, capsys):
+    # --d 4 --seed 0 draws 100 polynomials and keeps them all (no root
+    # margin within 1e-6): one root solve per drawn polynomial, one
+    # eigvalsh per block of kept polynomials and one model_residual per
+    # batch of the 20 x 20 grid, where one call per point made 4000
+    counts = {"roots": 0, "eigvalsh": 0, "model_residual": 0}
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pf, "roots", counted("roots", pf.roots))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(pd, "model_residual",
+                        counted("model_residual", pd.model_residual))
+    code, out, _ = run(capsys, "appendix-verify", "--d", "4", "--seed", "0")
+    assert code == 0 and out.count(" PASS\n") == 4
+    assert counts == {"roots": 100,
+                      "eigvalsh": -(-100 // cli.APPENDIX_BLOCK),
+                      "model_residual": 10}
 
 
 def test_section_identity(capsys):

@@ -39,6 +39,32 @@ def _membership_draw(rng, i):
     return [complex(x) for x in cli._random_coeffs(rng, d)]
 
 
+def _at_baseline_dispatch():
+    """Whether numpy runs every SIMD loop at its baseline: there no
+    complex multiply is fused and ``power`` calls the C library's pow,
+    so array arithmetic takes the floats of scalar arithmetic."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:              # numpy < 2
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    return not any(__cpu_features__.get(f) for f in __cpu_dispatch__)
+
+
+def _assert_same_floats(got, want, atol):
+    """Bit for bit at numpy's baseline dispatch; above it, within
+    ``atol``, since numpy's fused complex multiply and its own pow round
+    differently from scalar arithmetic."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if _at_baseline_dispatch():
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.abs(np.nan_to_num(got - want)).max(initial=0.0) <= atol
+
+
 # ---------------------------------------------------------------------------
 # Ptak-Young matrices
 
@@ -74,6 +100,40 @@ def test_ptak_young_invariants():
             assert np.abs(np.asarray(spec) - np.asarray(ref)).max() < 1e-10
 
 
+def _ptak_young_reference(betas):
+    """Y by a double loop over the entries, in Python complex floats."""
+    bs = [complex(b) for b in betas]
+    d = len(bs)
+    s = [math.sqrt(1.0 - abs(b) ** 2) for b in bs]
+    Y = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        Y[j, j] = bs[j]
+        prod = 1.0 + 0j
+        for k in range(j + 1, d):
+            Y[j, k] = s[j] * prod * s[k]
+            prod *= -bs[k].conjugate()
+    return Y
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_ptak_young_stack_matches_the_double_loop(d):
+    # each matrix of a (4, 25, d) stack of betas, and each built alone,
+    # against the double loop; the default matrix keeps its bytes at any
+    # dispatch: its betas are real and 0.5^2 is exact, so neither a
+    # fused multiply nor numpy's own pow enters
+    rng = np.random.default_rng(300 + d)
+    betas = _random_disc(rng, (4, 25, d), 0.9)
+    stack = pd.ptak_young(betas)
+    assert stack.matrix.shape == (4, 25, d, d) and stack.dim == d
+    want = np.array([[_ptak_young_reference(b) for b in row] for row in betas])
+    _assert_same_floats(stack.matrix, want, atol=16 * np.finfo(float).eps)
+    for b, Y in zip(betas[0], want[0]):
+        _assert_same_floats(pd.ptak_young(b).matrix, Y,
+                            atol=16 * np.finfo(float).eps)
+    assert (pd._default_ptak_young(d).matrix.tobytes()
+            == _ptak_young_reference([pd.DEFAULT_BETA] * d).tobytes())
+
+
 def test_ptak_young_rejects_boundary_beta():
     with pytest.raises(InvalidBeta):
         pd.ptak_young([0.5, 1.0])
@@ -83,6 +143,16 @@ def test_ptak_young_rejects_boundary_beta():
     for beta in (math.nan, complex(math.nan, 0)):
         with pytest.raises(InvalidBeta):
             pd.ptak_young([beta])
+
+
+def test_ptak_young_stack_rejects_one_beta_off_the_disc():
+    betas = np.full((3, 4, 2), 0.5 + 0j)
+    for bad in (1.0, 1j, math.nan):
+        betas[2, 1, 0] = bad
+        with pytest.raises(InvalidBeta):
+            pd.ptak_young(betas)
+    with pytest.raises(InvalidBeta):
+        pd.ptak_young(np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +455,35 @@ def test_schur_cohn_margin_is_the_smallest_eigenvalue_of_the_form():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_schur_cohn_margins_of_a_stack_are_those_of_one_call_each(d):
+    # a (12, 10) stack: twelve polynomials as appendix-verify draws them,
+    # each at ten beta vectors, against in_polydisc_schur_cohn per pair;
+    # nan where the form is not finite
+    rng = np.random.default_rng(500 + d)
+    coeffs = np.array([cli._random_coeffs(rng, d) for _ in range(12)])
+    coeffs[3] *= 1e200
+    betas = _random_disc(rng, (12, 10, d), 0.9)
+    margins = pd.schur_cohn_margins(coeffs[:, None], betas)
+    assert margins.shape == (12, 10)
+    assert np.isnan(margins[3]).all() and np.isfinite(np.delete(margins, 3, 0)).all()
+    want = np.array([[pd.in_polydisc_schur_cohn(c, b).margin for b in row]
+                     for c, row in zip(coeffs, betas)])
+    scale = np.abs(np.nan_to_num(want)).max()
+    _assert_same_floats(margins, want, atol=1e-13 * scale)
+
+
+def test_schur_cohn_oracle_with_betas_takes_the_stacked_margins(monkeypatch):
+    calls = []
+    margins = pd.schur_cohn_margins
+    monkeypatch.setattr(pd, "schur_cohn_margins",
+                        lambda *a: calls.append(a) or margins(*a))
+    verdict = pd.in_polydisc_schur_cohn([0.3, 0.3], [0.5, -0.2j])
+    assert verdict.inside and len(calls) == 1
+    assert verdict.margin == float(margins([0.3, 0.3], [0.5, -0.2j]))
+
+
+@pytest.mark.filterwarnings("error")
 def test_default_form_matches_the_horner_form():
     # sum_jk (conj(q_j) q_k - conj(p_j) p_k) (Y^j)* Y^k against the
     # Horner form at the same Y, on the membership mix at moduli up to
@@ -526,6 +625,23 @@ def test_tm_values_and_model_residual_match_the_per_j_products(d):
                 == _model_residual_reference(ref_lams, z, w).hex())
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_model_residual_over_a_grid_is_the_residual_of_each_pair(d):
+    # a column of z against a row of w: each pair's residual as a call
+    # of its own gives it; the array arithmetic fuses above numpy's
+    # baseline dispatch
+    rng = np.random.default_rng(400 + d)
+    for _ in range(5):
+        lams = _random_disc(rng, d)
+        zs = _random_disc(rng, 20, 0.9)
+        ws = _random_disc(rng, 20, 0.9)
+        grid = pd.model_residual(lams, zs[:, None], ws)
+        assert grid.shape == (20, 20)
+        want = [[pd.model_residual(lams, z, w) for w in ws] for z in zs]
+        _assert_same_floats(grid, want, atol=1e-15)
+        assert grid.max() < 1e-13
+
+
 def test_model_residual_checks_the_lambdas_before_the_poles():
     # z = -2 is the pole of lam = 0.5; lam = 2 lies outside the disc
     with pytest.raises(NotInPolydisc, match="every"):
@@ -644,6 +760,26 @@ def test_form_and_realization_solve_no_roots(monkeypatch):
 def test_model_functions_refuse_a_lambda_off_the_disc(call, lam):
     with pytest.raises(NotInPolydisc, match="every"):
         call([0.3, lam])
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_realization_residuals_are_those_of_each_vector(d):
+    # the (100, d) block of x against one vector at a time, through the
+    # same matrix-vector products and numpy's norm
+    rng = np.random.default_rng(600 + d)
+    lams = _random_disc(rng, d, 0.9)
+    Y = pd.ptak_young(_random_disc(rng, d, 0.9))
+    xs = _random_disc(rng, (100, d), 1.0)
+    got = pd.realization_residuals(Y, lams, xs)
+    H = pd.realization(Y, lams)
+    cs = pd.monic_coeffs(lams)
+    SC = pd.schur_cohn_form(cs, Y)
+    stack = pd.tm_stack(lams, Y.matrix)
+    QY = pd.conjugate_poly(cs, Y.matrix)
+    want = [abs(float(np.linalg.norm(H @ (stack @ (QY @ x))) ** 2)
+                - float((x.conj() @ (SC @ x)).real)) for x in xs]
+    _assert_same_floats(got, want, atol=1e-13)
+    assert got.max() < 1e-8
 
 
 def test_realization_scalar_case():
