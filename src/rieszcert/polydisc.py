@@ -368,13 +368,15 @@ def in_polydisc_schur_cohn(coeffs: Sequence[complex],
     nan.
     """
     a = [complex(c) for c in coeffs]
-    if betas is None:
+    if betas is not None:
+        margin = float(schur_cohn_margins(a, betas))
+    else:
         # beta = 0 is forbidden by the spectrum-plus-defect definition
         # (the nilpotent Jordan block), so a fixed nonzero default is used
         with np.errstate(over="ignore", invalid="ignore"):
-            margin = float(_smallest_eigenvalues(_default_form(a)))
-    else:
-        margin = float(schur_cohn_margins(a, betas))
+            H = _default_form(a)
+        margin = (float(np.linalg.eigvalsh(H)[0]) if np.isfinite(H).all()
+                  else math.nan)
     return MembershipVerdict(margin > MEMBERSHIP_TOL, margin,
                              indeterminate=not abs(margin) > MEMBERSHIP_TOL)
 
