@@ -81,12 +81,15 @@ def ptak_young(betas) -> PtakYoungMatrix:
     bs = np.array(betas, dtype=complex)
     if bs.ndim == 0 or bs.shape[-1] == 0:
         raise InvalidBeta("need at least one beta")
+    # hypot and pow, as Python's abs(b) ** 2 rounds them: numpy's
+    # complex abs and x * x differ from them in the last bit; float_power
+    # calls the C library's pow at every SIMD dispatch
     modulus = np.hypot(bs.real, bs.imag)
-    # a nan fails every comparison, so it lies in no disc
-    if not (modulus < BETA_LIMIT).all():
+    # a nan makes the largest modulus nan, which fails the comparison
+    if not modulus.max() < BETA_LIMIT:
         raise InvalidBeta("every |beta_j| must be < 1 - 1e-12")
     d = bs.shape[-1]
-    s = np.sqrt(1.0 - _square(modulus))
+    s = np.sqrt(1.0 - np.float_power(modulus, 2.0))
     col = np.arange(d)
     upper = col > col[:, None]
     # row j: 1 up to column j, then the running product of -conj(beta_l)
@@ -96,19 +99,9 @@ def ptak_young(betas) -> PtakYoungMatrix:
     Y[..., 1:] = np.where(upper[:, 1:],
                           s[..., :, None] * prod[..., :-1] * s[..., None, 1:],
                           0.0)
-    Y[..., col, col] = bs
+    # the diagonal: every (d + 1)-th entry of each matrix's d * d
+    Y.reshape(bs.shape[:-1] + (d * d,))[..., ::d + 1] = bs
     return PtakYoungMatrix(bs, Y)
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 elementwise as the C library's ``pow`` rounds it, which is
-    what Python's ``float ** 2`` gives; ``x * x`` differs from it in
-    about one value in a thousand. The exponent is an array, so numpy
-    does not turn the power into a product; at its baseline SIMD
-    dispatch numpy then calls ``pow`` itself."""
-    two = np.empty_like(x)
-    two.fill(2.0)
-    return np.power(x, two)
 
 
 @functools.lru_cache(maxsize=16)
@@ -317,8 +310,9 @@ def schur_cohn_form(coeffs, Y: PtakYoungMatrix) -> np.ndarray:
     asc[..., 0, :-1] = cs[..., ::-1]
     asc[..., 1, 1:] = cs.conj()
     PQ = _matrix_poly(asc, Y.matrix[..., None, :, :])
-    P, Q = PQ[..., 0, :, :], PQ[..., 1, :, :]
-    H = _adjoint(Q) @ Q - _adjoint(P) @ P
+    # P(Y)* P(Y) and Q(Y)* Q(Y) from one product of the stack
+    gram = _adjoint(PQ) @ PQ
+    H = gram[..., 1, :, :] - gram[..., 0, :, :]
     return 0.5 * (H + _adjoint(H))
 
 
@@ -337,15 +331,12 @@ def schur_cohn_margins(coeffs, betas) -> np.ndarray:
     a = np.asarray(coeffs, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         H = schur_cohn_form(a.conj(), ptak_young(betas))
-    return _smallest_eigenvalues(H)
-
-
-def _smallest_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each Hermitian matrix of a stack (its
-    lower triangle read), nan for a matrix that is not finite."""
-    finite = np.isfinite(H).all(axis=(-2, -1))
-    if not finite.all():
-        H = np.where(finite[..., None, None], H, np.eye(H.shape[-1]))
+    finite = np.isfinite(H)
+    if finite.all():
+        return np.linalg.eigvalsh(H)[..., 0]
+    # a form that is not finite gives eigvalsh the identity in its place
+    finite = finite.all(axis=(-2, -1))
+    H = np.where(finite[..., None, None], H, np.eye(H.shape[-1]))
     return np.where(finite, np.linalg.eigvalsh(H)[..., 0], math.nan)
 
 
@@ -561,11 +552,12 @@ def realization_residuals(Y: PtakYoungMatrix, lambdas: Sequence[complex],
     stack = tm_stack(lams, Y.matrix)
     x = np.asarray(xs, dtype=complex)[..., None]
     v = H @ (stack @ (conjugate_poly(cs, Y.matrix) @ x))
-    # ||v||^2 as numpy's norm takes it, from the real and imaginary parts
+    # ||v|| as numpy's norm takes it, from the dot products of the real
+    # and imaginary parts, then squared by pow as a float's ** 2 is
     re, im = v.real, v.imag
-    sq = (np.swapaxes(re, -1, -2) @ re + np.swapaxes(im, -1, -2) @ im)
-    lhs = _square(np.sqrt(sq[..., 0, 0]))
-    rhs = (np.swapaxes(x.conj(), -1, -2) @ (S @ x))[..., 0, 0].real
+    sq = re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im
+    lhs = np.float_power(np.sqrt(sq[..., 0, 0]), 2.0)
+    rhs = (_adjoint(x) @ (S @ x))[..., 0, 0].real
     return np.abs(lhs - rhs)
 
 

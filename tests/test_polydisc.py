@@ -41,8 +41,8 @@ def _membership_draw(rng, i):
 
 def _at_baseline_dispatch():
     """Whether numpy runs every SIMD loop at its baseline: there no
-    complex multiply is fused and ``power`` calls the C library's pow,
-    so array arithmetic takes the floats of scalar arithmetic."""
+    complex multiply is fused, so array arithmetic takes the floats of
+    scalar arithmetic."""
     try:
         from numpy._core._multiarray_umath import (__cpu_dispatch__,
                                                    __cpu_features__)
@@ -54,8 +54,8 @@ def _at_baseline_dispatch():
 
 def _assert_same_floats(got, want, atol):
     """Bit for bit at numpy's baseline dispatch; above it, within
-    ``atol``, since numpy's fused complex multiply and its own pow round
-    differently from scalar arithmetic."""
+    ``atol``, since numpy's fused complex multiply rounds differently
+    from scalar arithmetic."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     if _at_baseline_dispatch():
@@ -119,8 +119,7 @@ def _ptak_young_reference(betas):
 def test_ptak_young_stack_matches_the_double_loop(d):
     # each matrix of a (4, 25, d) stack of betas, and each built alone,
     # against the double loop; the default matrix keeps its bytes at any
-    # dispatch: its betas are real and 0.5^2 is exact, so neither a
-    # fused multiply nor numpy's own pow enters
+    # dispatch: its betas are real, so no fused complex multiply enters
     rng = np.random.default_rng(300 + d)
     betas = _random_disc(rng, (4, 25, d), 0.9)
     stack = pd.ptak_young(betas)
