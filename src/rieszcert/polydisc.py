@@ -394,7 +394,7 @@ def _tm_values(lams: list, z) -> tuple:
             raise PoleAtZ(f"an evaluation point hits the pole of "
                           f"lambda = {lam}")
         values.append(math.sqrt(1.0 - abs(lam) ** 2) / den * b)
-        b = b * ((z + lam) / den)
+        b *= (z + lam) / den
     return values, b
 
 
@@ -429,7 +429,7 @@ def model_residual(lambdas: Sequence[complex], z, w):
     rhs = 0j
     factor = 1.0 - w.conjugate() * z
     for ew, ez in zip(e_w, e_z):
-        rhs = rhs + ew.conjugate() * factor * ez
+        rhs += ew.conjugate() * factor * ez
     # hypot, as abs of a complex scalar; numpy's array abs rounds
     # differently
     defect = lhs - rhs
